@@ -17,7 +17,6 @@ relabeling invariance of everything built on top.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .channels import DEFAULT_TENSOR_CAP, Isometry, apply_steps, channel
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     PeripheralMismatch,
     SizeCap,
 )
-from .linalg import dag, herm_part, partial_trace, unvec
+from .linalg import bordered_eigvec, bordered_solve, dag, herm_part, unvec, vec
 
 __all__ = [
     "ErgodicTol",
@@ -90,6 +89,9 @@ class SpectralProfile:
     projections: list = field(default_factory=list)
     block_dims: list = field(default_factory=list)
     residuals: dict = field(default_factory=dict)
+    # 2-norm condition number of the restricted resolvent; computed on the
+    # first gauge.restricted_resolvent_solve call, a scalar (no d^2 x d^2 cache)
+    _resolvent_cond: float = field(default=None, repr=False, compare=False)
 
     def require_irreducible(self):
         if not self.is_irreducible:
@@ -147,12 +149,19 @@ def _canonical_z(u_raw, p, tol):
 
 
 def analyze(iso, tol=None):
-    """Classify the chain and extract its peripheral spectral data."""
+    """Classify the chain and extract its peripheral spectral data.
+
+    One Schrodinger transfer matrix T_s is built per call; the Heisenberg
+    matrix is its conjugate transpose.  The spectrum comes from an
+    eigenvalues-only decomposition, and the stationary state and the
+    peripheral eigen-operator from bordered solves, so no eigenvector
+    matrix is ever formed.
+    """
     if tol is None:
         tol = ErgodicTol()
     d, k = iso.d, iso.k
     ts = channel(iso, "schrodinger")
-    evals, evecs = np.linalg.eig(ts.m)
+    evals = np.linalg.eigvals(ts.m)
     order = np.argsort(-np.abs(evals))
     evals_sorted = evals[order]
     diagnostics = {}
@@ -178,14 +187,16 @@ def analyze(iso, tol=None):
         diagnostics["reason"] = f"eigenvalue 1 has multiplicity {near_one} within simplicity_gap"
         return profile
 
-    # stationary state
-    rho = unvec(evecs[:, i_one])
-    rho = herm_part(rho)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        diagnostics["reason"] = "stationary eigenvector has vanishing trace"
+    # stationary state: vec(1) is the left 1-eigenvector of the
+    # trace-preserving T_s, so it borders the system and fixes Tr rho = 1
+    one = vec(np.eye(d, dtype=complex))
+    try:
+        x, _ = bordered_solve(ts.m, 1.0, one, one, np.zeros(d * d), 1.0)
+    except np.linalg.LinAlgError:
+        diagnostics["reason"] = "stationary bordered system is singular"
         return profile
-    rho = rho / tr
+    rho = herm_part(unvec(x, (d, d)))
+    rho = rho / np.trace(rho).real
     eigs_rho = np.linalg.eigvalsh(rho)
     diagnostics["stationary_min_eigenvalue"] = float(eigs_rho[0])
     profile.rho_ss = rho
@@ -220,17 +231,21 @@ def analyze(iso, tol=None):
         z = np.eye(d, dtype=complex)
         projections = [np.eye(d, dtype=complex)]
     else:
-        th = channel(iso, "heisenberg")
-        hvals, hvecs = np.linalg.eig(th.m)
-        i_gamma = int(np.argmin(np.abs(hvals - gamma)))
-        if abs(hvals[i_gamma] - gamma) > 1e-6:
+        try:
+            u, res = bordered_eigvec(ts.m, gamma, adjoint=True)
+        except np.linalg.LinAlgError:
+            res = np.inf
+        if not res <= 1e-6:
             raise PeripheralMismatch(
-                "Heisenberg spectrum lacks the expected peripheral eigenvalue"
+                "Heisenberg transfer operator has no eigen-operator at the expected "
+                f"peripheral eigenvalue (relative residual {res:.3e})"
             )
-        z, projections = _canonical_z(unvec(hvecs[:, i_gamma]), p, tol)
+        z, projections = _canonical_z(unvec(u, (d, d)), p, tol)
 
-    # verify the cyclic labeling: T(P_a) = P_{a-1 mod p}
-    th_apply = channel(iso, "heisenberg")
+    # verify the cyclic labeling: T(P_a) = P_{a-1 mod p}, with T = T_s*
+    def th_apply(x):
+        return unvec((vec(x).conj() @ ts.m).conj(), (d, d))
+
     label_res = 0.0
     for a in range(p):
         img = th_apply(projections[a])
@@ -357,35 +372,40 @@ def access_span_check(iso, depth_cap=None, tol=1e-10):
 
     Grows the linear span of all Kraus words K_{w_m} ... K_{w_1} (starting
     from the empty word, the identity) under left multiplication by the
-    generators, Gram-Schmidt style.  The Kraus family admits no common
-    invariant subspace exactly when this unital algebra is the full matrix
-    algebra, i.e. when the span reaches dimension d^2; that in turn is
-    equivalent to the channel having a unique faithful stationary state.
+    generators, one word length at a time.  The Kraus family admits no
+    common invariant subspace exactly when this unital algebra is the full
+    matrix algebra, i.e. when the span reaches dimension d^2; that in turn
+    is equivalent to the channel having a unique faithful stationary state.
     Returns True for irreducible.
+
+    Each level multiplies the previous level's new directions by every
+    generator, scales each candidate to unit norm, and orthogonalises the
+    block twice against the basis so far (CGS2, which keeps the basis
+    orthonormal to working precision; Bjorck, LAA 197-198, 1994).  The new
+    directions are the right singular vectors of the residual block whose
+    singular values exceed ``tol``: a relative rank tolerance, since the
+    candidates had unit norm before projection.
     """
     d = iso.d
     full = d * d
     if depth_cap is None:
         depth_cap = full
-    eye = np.eye(d, dtype=complex)
-    basis = [eye / np.linalg.norm(eye)]
-    frontier = [basis[0]]
-    kraus = iso.kraus
+    kraus = np.stack(iso.kraus)
+    basis = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(1, full)
+    frontier = basis
     for _ in range(depth_cap):
-        new_frontier = []
-        for w in frontier:
-            for K in kraus:
-                cand = K @ w
-                for b in basis:
-                    cand = cand - np.sum(np.conj(b) * cand) * b
-                nc = np.linalg.norm(cand)
-                if nc > tol:
-                    cand /= nc
-                    basis.append(cand)
-                    new_frontier.append(cand)
-                    if len(basis) == full:
-                        return True
-        if not new_frontier:
+        cand = np.einsum("uij,fjl->fuil", kraus, frontier.reshape(-1, d, d)).reshape(-1, full)
+        norms = np.linalg.norm(cand, axis=1)
+        cand = cand[norms > 0] / norms[norms > 0, None]
+        if cand.shape[0] == 0:
             break
-        frontier = new_frontier
-    return len(basis) == full
+        cand -= (cand @ basis.conj().T) @ basis
+        cand -= (cand @ basis.conj().T) @ basis  # second pass: CGS2
+        _, sv, vh = np.linalg.svd(cand, full_matrices=False)
+        frontier = vh[sv > tol]
+        if frontier.shape[0] == 0:
+            break
+        basis = np.concatenate([basis, frontier])
+        if basis.shape[0] >= full:
+            return True
+    return basis.shape[0] >= full

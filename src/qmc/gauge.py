@@ -24,7 +24,6 @@ produced them.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channels import Isometry, channel, sandwich_map
 from .errors import (
@@ -39,7 +38,15 @@ from .errors import (
     UnitDimMismatch,
     WitnessInconsistent,
 )
-from .linalg import antiherm_part, dag, proj_distance, unvec, vec
+from .linalg import (
+    antiherm_part,
+    bordered_eigvec,
+    bordered_solve,
+    dag,
+    proj_distance,
+    unvec,
+    vec,
+)
 
 __all__ = [
     "act",
@@ -83,7 +90,8 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
 
     Both chains must be irreducible and share system and unit dimensions.
     The witness is read off the peripheral eigenvector of the two-sided
-    deformed transfer operator; its phase gauge is fixed by making the
+    deformed transfer operator, found by a bordered solve at the
+    eigenvalue of largest modulus; its phase gauge is fixed by making the
     first nonzero entry of the first column of w real and positive.
     """
     if iso1.d != iso2.d:
@@ -101,12 +109,18 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
             raise NotIrreducible(prof.diagnostics.get("reason", "input chain not irreducible"))
     d = iso1.d
     smap = sandwich_map(iso1, iso2)
-    evals, evecs = np.linalg.eig(smap.m)
+    evals = np.linalg.eigvals(smap.m)
     imax = int(np.argmax(np.abs(evals)))
     radius = abs(evals[imax])
     if radius < 1.0 - tol:
         return None
-    f = unvec(evecs[:, imax], (d, d))
+    try:
+        u, res = bordered_eigvec(smap.m, evals[imax])
+    except np.linalg.LinAlgError:
+        res = np.inf
+    if not res <= 1e-6:
+        raise WitnessInconsistent(f"peripheral eigenvector relative residual {res:.3e}")
+    f = unvec(u, (d, d))
     gram = dag(f) @ f
     lam = np.trace(gram).real / d
     if np.linalg.norm(gram - lam * np.eye(d)) > 1e-6 * max(lam, 1e-12):
@@ -240,32 +254,57 @@ def _dmu_raw(iso, theta_c, kgen):
     return theta_c * v - np.kron(kgen, np.eye(iso.k)) @ v + v @ kgen
 
 
+def _restricted_cond(th, rho_ss):
+    """2-norm condition number of B* (1 - T) B for an orthonormal basis B of
+    {x : Tr(rho_ss x) = 0}.
+
+    With u = vec(rho_ss) / ||vec(rho_ss)||, the singular values of
+    (1 - T)(1 - u u*) are those of B* (1 - T) B plus one structural zero
+    (u* is a left null vector of 1 - T), so no basis is formed.
+    """
+    n = th.shape[0]
+    u = vec(rho_ss) / np.linalg.norm(rho_ss)
+    mu = u - th @ u
+    m = np.multiply.outer(-mu, u.conj())
+    m -= th
+    diag = np.arange(n)
+    m[diag, diag] += 1.0
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size < 2:  # d = 1: the subspace is {0}
+        return 1.0
+    return float(s[0] / s[-2])
+
+
 def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
     """Solve (Id - T) x = rhs on the subspace {x : Tr(rho_ss x) = 0}.
 
     T is the Heisenberg transfer operator.  The right-hand side is
-    projected onto the subspace (its component along rho_ss must already
-    be negligible for the equation to make sense).  Returns ``(x, cond)``
-    with the condition number of the compressed resolvent.
+    projected onto the subspace along rho_ss (its component along rho_ss
+    must already be negligible for the equation to make sense): the
+    bordered system [[1 - T, vec rho_ss], [vec(rho_ss)*, 0]] returns the
+    unique x with Tr(rho_ss x) = 0 and (1 - T) x = rhs - s rho_ss.
+    Returns ``(x, cond)`` with the condition number of the compressed
+    resolvent, computed once per profile and checked against ``cond_cap``
+    on every call.
     """
     profile.require_irreducible()
     d = profile.d
-    th = channel(profile.iso, "heisenberg")
-    constraint = vec(profile.rho_ss).conj()[None, :]
-    basis = scipy.linalg.null_space(constraint)  # d^2 x (d^2 - 1), orthonormal
-    r = dag(basis) @ (np.eye(d * d) - th.m) @ basis
-    cond = float(np.linalg.cond(r))
+    th = channel(profile.iso, "heisenberg").m
+    if profile._resolvent_cond is None:
+        profile._resolvent_cond = _restricted_cond(th, profile.rho_ss)
+    cond = profile._resolvent_cond
     if not np.isfinite(cond) or cond > cond_cap:
         raise ResolventIllConditioned(
             f"restricted resolvent condition number {cond:.3e} exceeds {cond_cap:.1e}"
         )
+    r = vec(profile.rho_ss)
     b = vec(np.asarray(rhs, dtype=complex))
-    b = basis @ (dag(basis) @ b)  # defensive projection
     try:
-        y = np.linalg.solve(r, dag(basis) @ b)
+        # [[T - 1, r], [r*, 0]] [x; -s] = [-b; 0]
+        x, _ = bordered_solve(th, 1.0, r, r.conj(), -b)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from None
-    return unvec(basis @ y, (d, d)), cond
+    return unvec(x, (d, d)), cond
 
 
 def split(profile, a):

@@ -113,7 +113,7 @@ def profile_report(profile):
 def split_report(split):
     """Serializable view of a tangent split."""
     return {
-        "theta": complex_to_json(split.theta),
+        "theta": complex_to_json(complex(split.theta, split.theta_im)),
         "kgen": matrix_to_json(split.kgen),
         "a_id": matrix_to_json(split.a_id),
         "resolvent_cond": float(split.resolvent_cond),

@@ -24,6 +24,8 @@ __all__ = [
     "matrix_sqrt_psd",
     "trace_norm",
     "proj_distance",
+    "bordered_solve",
+    "bordered_eigvec",
 ]
 
 
@@ -129,3 +131,53 @@ def proj_distance(a, b):
     nb2 = float(np.vdot(b, b).real)
     cross = abs(np.vdot(a, b))
     return float(np.sqrt(max(na2 + nb2 - 2.0 * cross, 0.0)))
+
+
+# Any fixed seed will do: the border of an eigenvector solve only has to be
+# generic, i.e. not orthogonal to the left and right eigenvectors.
+_BORDER_SEED = 20251018
+
+
+def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
+    """Solve the bordered system [[A - shift 1, col], [row, 0]] [x; s] = [rhs; tail].
+
+    ``A`` is ``m`` (n x n), or its conjugate transpose when ``adjoint`` is
+    set, which is then written into the system without a separate copy.
+    When ``shift`` is a simple eigenvalue of A, the system is nonsingular
+    exactly when ``col`` is not orthogonal to the left eigenvector and
+    ``row`` not orthogonal to the right one; the solution is then the
+    group-inverse solve of (A - shift 1) x = rhs - s col on {row x = tail}
+    (Meyer, SIAM Review 17, 1975).  Returns ``(x, s)``; a singular system
+    raises ``LinAlgError``.
+    """
+    n = m.shape[0]
+    big = np.empty((n + 1, n + 1), dtype=complex)
+    if adjoint:
+        np.conjugate(m.T, out=big[:n, :n])
+    else:
+        big[:n, :n] = m
+    diag = np.arange(n)
+    big[diag, diag] -= shift
+    big[:n, n] = col
+    big[n, :n] = row
+    big[n, n] = 0.0
+    b = np.empty(n + 1, dtype=complex)
+    b[:n] = rhs
+    b[n] = tail
+    sol = np.linalg.solve(big, b)
+    return sol[:n], sol[n]
+
+
+def bordered_eigvec(m, lam, adjoint=False):
+    """Eigenvector of ``m`` (or of m* when ``adjoint``) for a simple eigenvalue.
+
+    Solves the bordered system against ``m - lam`` with a fixed, seeded,
+    generic border instead of computing all eigenvectors.  Returns
+    ``(u, residual)`` with the relative residual ||A u - lam u|| / ||u||.
+    """
+    n = m.shape[0]
+    rng = np.random.default_rng(_BORDER_SEED)
+    col, row = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    u, _ = bordered_solve(m, lam, col, row, np.zeros(n), 1.0, adjoint=adjoint)
+    image = (u.conj() @ m).conj() if adjoint else m @ u
+    return u, float(np.linalg.norm(image - lam * u) / np.linalg.norm(u))

@@ -1,0 +1,84 @@
+"""The bordered-solve spectral layer against the dense eigenvector routes.
+
+``analyze`` takes the stationary state and the peripheral eigen-operator
+from bordered solves, and ``restricted_resolvent_solve`` solves a bordered
+system instead of compressing onto a null-space basis.  The routes they
+replaced live in ``oracles``; on fixtures with and without periodicity
+both must agree to 1e-10 relative.
+"""
+
+import numpy as np
+import pytest
+
+from qmc.channels import Isometry
+from qmc.ergodic import analyze
+from qmc.errors import ResolventIllConditioned
+from qmc.gauge import restricted_resolvent_solve, split
+from qmc.qubit_example import fixture_s
+
+import oracles
+
+TOL = 1e-10
+
+
+def _chains():
+    yield "swap", fixture_s(), 2
+    rng = np.random.default_rng(2026)
+    for d in (2, 8, 16):
+        for k in (2, 3):
+            yield f"random-d{d}k{k}", Isometry(oracles.random_isometry(rng, d, k), d, k), 1
+    yield "cyclic-d8p2", Isometry(oracles.cyclic_isometry(rng, 8, 2, 2), 8, 2), 2
+    yield "cyclic-d6p3", Isometry(oracles.cyclic_isometry(rng, 6, 2, 3), 6, 2), 3
+
+
+CHAINS = list(_chains())
+
+
+def _rel(x, ref):
+    return float(np.linalg.norm(np.asarray(x) - np.asarray(ref)) / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("label,iso,period", CHAINS, ids=[c[0] for c in CHAINS])
+def test_bordered_routes_match_dense_oracles(label, iso, period):
+    profile = analyze(iso)
+    assert profile.is_irreducible
+    assert profile.period == period
+
+    rho = oracles.stationary_state_eig(iso)
+    assert _rel(profile.rho_ss, rho) <= TOL
+    z, projections = oracles.peripheral_eig(iso, period)
+    assert _rel(profile.zmat, z) <= TOL
+    for got, ref in zip(profile.projections, projections):
+        assert _rel(got, ref) <= TOL
+
+    rng = np.random.default_rng(iso.d * 10 + iso.k)
+    a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+    sp = split(profile, a)
+    theta_c, kgen, a_id, cond = oracles.split_nullspace(iso, rho, a)
+    assert abs(complex(sp.theta, sp.theta_im) - theta_c) <= TOL * abs(theta_c)
+    assert _rel(sp.kgen, kgen) <= TOL
+    assert _rel(sp.a_id, a_id) <= TOL
+    assert abs(sp.resolvent_cond - cond) <= TOL * cond
+
+
+def test_condition_cap_checked_on_every_call():
+    profile = analyze(next(iso for label, iso, _ in CHAINS if label == "random-d8k2"))
+    rhs = np.diag(np.arange(profile.d)).astype(complex)
+    rhs -= np.trace(profile.rho_ss @ rhs) * np.eye(profile.d)
+    _, cond = restricted_resolvent_solve(profile, rhs)
+    assert cond > 1.0
+    # the condition number is stored after the first call; a smaller cap on
+    # a later call must still be enforced
+    with pytest.raises(ResolventIllConditioned):
+        restricted_resolvent_solve(profile, rhs, cond_cap=0.5 * cond)
+    x, cond2 = restricted_resolvent_solve(profile, rhs)
+    assert cond2 == cond
+    assert abs(np.trace(profile.rho_ss @ x)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_one_dimensional_chain_has_trivial_resolvent():
+    # d = 1: {x : Tr(rho_ss x) = 0} is {0}, so the gauge part is theta alone
+    iso = Isometry(np.array([[0.6], [0.8j]]), 1, 2)
+    sp = split(analyze(iso), np.array([[0.3], [1.0]], dtype=complex))
+    assert sp.kgen.shape == (1, 1) and sp.kgen[0, 0] == 0
+    assert sp.resolvent_cond == 1.0

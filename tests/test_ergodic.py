@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmc.channels import Isometry, channel
+from qmc.channels import Isometry, channel, isometry_from_kraus
 from qmc.errors import NotIrreducible
 from qmc.ergodic import (
     ErgodicTol,
@@ -74,6 +74,17 @@ def test_random_chains_agree_with_span_oracle():
         v = oracles.random_isometry(rng, 2, 2)
         iso = Isometry(v, 2, 2)
         assert analyze(iso).is_irreducible == access_span_check(iso)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_span_oracle_near_reducible_boundary(eps):
+    # |1> is invariant under K0 = diag(sqrt(1 - eps^2), 1) and K1 = eps |1><0|
+    # for every eps, so the chain is reducible however small eps is
+    k1 = np.zeros((2, 2))
+    k1[1, 0] = eps
+    iso = isometry_from_kraus([np.diag([np.sqrt(1.0 - eps * eps), 1.0]), k1])
+    assert not analyze(iso).is_irreducible
+    assert not access_span_check(iso)
 
 
 def test_reducible_chain_is_flagged():

@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,35 @@ def test_csv_cells_round_trip():
         cn, cv = line.split(",")
         assert int(cn) == n
         assert float(cv) == val  # repr round trip, no precision loss
+
+
+def test_split_report_round_trips_complex_theta():
+    from qmc.ergodic import analyze
+    from qmc.gauge import split
+
+    iso = isometry("m2", 0.2)
+    # the raw velocity a = (0.3 + i) v has v* a = (0.3 + i) 1, so theta_im = 1
+    sp = split(analyze(iso), (0.3 + 1j) * iso.v)
+    assert abs(sp.theta_im - 1.0) < 1e-12
+    rep = json.loads(json.dumps(io.split_report(sp)))
+    assert io.complex_from_json(rep["theta"]) == complex(sp.theta, sp.theta_im)
+    assert np.array_equal(io.matrix_from_json(rep["kgen"]), sp.kgen)
+
+
+def test_import_does_not_load_scipy():
+    import qmc
+
+    src = str(Path(qmc.__file__).resolve().parents[1])
+    code = "import sys, qmc, qmc.cli; print('scipy' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_cli_analyze_exit_codes(tmp_path):

@@ -15,6 +15,7 @@ from qmc.qubit_example import (
     measurement,
 )
 from qmc.statmodel import (
+    DeformedChannel,
     asymptotic_variance,
     component_overlap,
     finite_window_variance,
@@ -64,6 +65,21 @@ def test_retract_gives_isometry_through_given_velocity():
     herm = 0.5 * (dag(iso.v) @ x + dag(x) @ iso.v)
     expected = 1j * (x - iso.v @ (dag(iso.v) @ x - herm))
     assert np.linalg.norm(vel - expected) < 1e-6
+
+
+def test_deformed_channel_accepts_isometries_at_their_tolerance():
+    # Isometry admits a defect ||v* v - 1|| up to 1e-8; scaling two valid
+    # isometries by 1 + 5e-10 gives a defect of about 1.4e-9 and a deformed
+    # channel of spectral radius about 1 + 1e-9, still a valid pair
+    rng = np.random.default_rng(23)
+    scale = 1.0 + 5e-10
+    left = Isometry(scale * oracles.random_isometry(rng, 2, 2), 2, 2)
+    right = Isometry(scale * oracles.random_isometry(rng, 2, 2), 2, 2)
+    for iso in (left, right):
+        assert 5e-10 < np.linalg.norm(dag(iso.v) @ iso.v - np.eye(2)) < 1e-8
+    dc = DeformedChannel(left, left)
+    assert dc.superop.spectral_radius() > 1.0 + 1e-10
+    assert DeformedChannel(left, right).superop.m.shape == (4, 4)
 
 
 def test_retract_rejects_non_tangent():
