@@ -31,6 +31,7 @@ __all__ = [
     "sandwich_map",
     "dilation",
     "apply_steps",
+    "block_length",
     "DEFAULT_TENSOR_CAP",
 ]
 
@@ -61,8 +62,10 @@ class Isometry:
             raise DimensionMismatch(
                 f"matrix shape {v.shape} does not match (d*k, d) = ({self.d * self.k}, {self.d})"
             )
+        if not np.isfinite(v).all():
+            raise NotIsometry("matrix has NaN or Inf entries")
         defect = np.linalg.norm(dag(v) @ v - np.eye(self.d))
-        if defect > 1e-8:
+        if not (defect <= 1e-8):
             raise NotIsometry(f"v* v - 1 has norm {defect:.3e} (tolerance 1e-8)")
 
     @property
@@ -89,11 +92,11 @@ def isometry_from_kraus(kraus, tol=1e-8):
         if K.shape != (d, d):
             raise UnitDimMismatch(f"Kraus shapes differ: {K.shape} vs ({d}, {d})")
     k = len(kraus)
-    total = sum(dag(K) @ K for K in kraus)
-    if np.linalg.norm(total - np.eye(d)) > tol:
-        raise NotIsometry(
-            f"sum K* K - 1 has norm {np.linalg.norm(total - np.eye(d)):.3e} (tolerance {tol:.1e})"
-        )
+    if not all(np.isfinite(K).all() for K in kraus):
+        raise NotIsometry("Kraus operators have NaN or Inf entries")
+    defect = np.linalg.norm(sum(dag(K) @ K for K in kraus) - np.eye(d))
+    if not (defect <= tol):
+        raise NotIsometry(f"sum K* K - 1 has norm {defect:.3e} (tolerance {tol:.1e})")
     v = np.zeros((d * k, d), dtype=complex)
     for u, K in enumerate(kraus):
         v[u::k] = K
@@ -164,6 +167,20 @@ def sandwich_map(iso1, iso2):
     for K1, K2 in zip(iso1.kraus, iso2.kraus):
         m += np.kron(K2.T, dag(K1))
     return Superoperator(m, "sandwich", (d1, d2), (d1, d2))
+
+
+def block_length(dim, k):
+    """The block length b with k**b == dim, for operands on b output units.
+
+    A 1 x 1 operand at k = 1 has block 1; any other size that is not a
+    power of k raises DimensionMismatch.
+    """
+    b = 1 if k == 1 else 0
+    while k > 1 and k**b < dim:
+        b += 1
+    if k**b != dim:
+        raise DimensionMismatch(f"size {dim} is not a power of the unit dimension {k}")
+    return b
 
 
 def dilation(iso, n, cap=DEFAULT_TENSOR_CAP):

@@ -33,12 +33,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tol(args):
-    base = ErgodicTol()
-    return ErgodicTol(
-        peripheral_band=args.tol_peripheral if args.tol_peripheral else base.peripheral_band,
-        faithfulness_floor=args.tol_faithful if args.tol_faithful else base.faithfulness_floor,
-        simplicity_gap=args.tol_gap if args.tol_gap else base.simplicity_gap,
-    )
+    """Tolerances from the flags; only an unset flag (None) keeps its default."""
+    flags = {
+        "peripheral_band": args.tol_peripheral,
+        "faithfulness_floor": args.tol_faithful,
+        "simplicity_gap": args.tol_gap,
+    }
+    return ErgodicTol(**{name: val for name, val in flags.items() if val is not None})
 
 
 def _add_tol_flags(p):
@@ -65,10 +66,11 @@ def _resolve_iso(args, positional=None):
 
 
 def _settings(args, **extra):
+    tol = _tol(args)
     out = {
-        "tol_peripheral": args.tol_peripheral or ErgodicTol().peripheral_band,
-        "tol_faithful": args.tol_faithful or ErgodicTol().faithfulness_floor,
-        "tol_gap": args.tol_gap or ErgodicTol().simplicity_gap,
+        "tol_peripheral": tol.peripheral_band,
+        "tol_faithful": tol.faithfulness_floor,
+        "tol_gap": tol.simplicity_gap,
         "cap_tensor": args.cap_tensor,
     }
     if getattr(args, "model", None):

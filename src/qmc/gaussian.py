@@ -71,21 +71,17 @@ def _norm2(profile, z):
     return tangent_inner(profile, z, z).real
 
 
+def _coherent_overlap(profile, x, y):
+    """exp(-1/2 beta(x-y, x-y) + i sigma(x, y)) for identifiable matrices x, y."""
+    diff = x - y
+    g = _norm2(profile, diff)
+    s = tangent_inner(profile, x, y).imag
+    return complex(np.exp(-0.5 * g + 1j * s))
+
+
 def coherent_overlap(profile, x, y):
     """Overlap of coherent states exp(-1/2 beta(x-y, x-y) + i sigma(x, y))."""
-    x = _as_point(profile, x)
-    y = _as_point(profile, y)
-    diff = x.a_id - y.a_id
-    g = _norm2(profile, diff)
-    s = tangent_inner(profile, x.a_id, y.a_id).imag
-    return complex(np.exp(-0.5 * g + 1j * s))
-
-
-def _coherent_overlap_mode0(profile, x, y):
-    diff = x.mode0 - y.mode0
-    g = _norm2(profile, diff)
-    s = tangent_inner(profile, x.mode0, y.mode0).imag
-    return complex(np.exp(-0.5 * g + 1j * s))
+    return _coherent_overlap(profile, _as_point(profile, x).a_id, _as_point(profile, y).a_id)
 
 
 def eta_hat(profile, x, y):
@@ -197,7 +193,7 @@ def mixture_gram(profile, points, psd_tol=1e-9):
     zetas = {}
     for ix in range(n):
         for iy in range(n):
-            coherent[ix, iy] = _coherent_overlap_mode0(profile, pts[ix], pts[iy])
+            coherent[ix, iy] = _coherent_overlap(profile, pts[ix].mode0, pts[iy].mode0)
             zetas[(ix, iy)] = zeta_gram(profile, pts[ix], pts[iy])
     index = [(ipt, m) for ipt in range(n) for m in range(p)]
     for ra, (ipt_a, ma) in enumerate(index):

@@ -21,6 +21,7 @@ from .channels import (
     DEFAULT_TENSOR_CAP,
     Isometry,
     apply_steps,
+    block_length,
     channel,
     dilation,
     sandwich_map,
@@ -35,7 +36,8 @@ from .errors import (
     UnitDimMismatch,
 )
 from .gauge import TangentVector, restricted_resolvent_solve, split, tangent_inner
-from .linalg import antiherm_part, dag, herm_part
+from .gaussian import _coherent_overlap
+from .linalg import antiherm_part, dag, herm_part, unvec, vec
 
 __all__ = [
     "DeformedChannel",
@@ -83,6 +85,17 @@ class DeformedChannel:
     def __call__(self, x):
         return self.superop(x)
 
+    def iterate(self, x, n):
+        """The map applied n times to x, as n matvecs on vec(x): O(n d^4)."""
+        op = self.superop
+        x = np.asarray(x, dtype=complex)
+        if x.shape != tuple(op.shape_in):
+            raise DimensionMismatch(f"operand shape {x.shape}, expected {op.shape_in}")
+        y = vec(x)
+        for _ in range(n):
+            y = op.m @ y
+        return unvec(y, tuple(op.shape_out))
+
 
 @dataclass(frozen=True)
 class LocalObservable:
@@ -97,11 +110,7 @@ class LocalObservable:
         q = np.asarray(self.q, dtype=complex)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise DimensionMismatch(f"observable must be square, got {q.shape}")
-        b = int(round(np.log(q.shape[0]) / np.log(self.k)))
-        if self.k**b != q.shape[0]:
-            raise DimensionMismatch(
-                f"observable size {q.shape[0]} is not a power of the unit dimension {self.k}"
-            )
+        b = block_length(q.shape[0], self.k)
         if b > self.max_block:
             raise SizeCap(f"block length {b} exceeds the configured maximum {self.max_block}")
         if np.linalg.norm(q - dag(q)) > 1e-12 * max(1.0, np.linalg.norm(q)):
@@ -151,9 +160,7 @@ def joint_overlap(iso1, iso2, phi, n):
     if abs(nv - 1.0) > 1e-6:
         raise DimensionMismatch(f"phi must be a unit vector, norm {nv:.6f}")
     phi = phi / nv
-    x = np.eye(iso1.d, dtype=complex)
-    for _ in range(n):
-        x = dc(x)
+    x = dc.iterate(np.eye(iso1.d, dtype=complex), n)
     return complex(np.vdot(phi, x @ phi))
 
 
@@ -197,10 +204,7 @@ def weak_qlan_report(profile, x, y, n, phi=None):
     t = 1.0 / np.sqrt(n)
     vx = retract(iso, x, t)
     vy = retract(iso, y, t)
-    dc = DeformedChannel(vx, vy)
-    opn = np.eye(iso.d, dtype=complex)
-    for _ in range(n):
-        opn = dc(opn)
+    opn = DeformedChannel(vx, vy).iterate(np.eye(iso.d, dtype=complex), n)
     if phi is None:
         overlap = complex(np.trace(profile.rho_ss @ opn))
     else:
@@ -208,10 +212,7 @@ def weak_qlan_report(profile, x, y, n, phi=None):
         phi = phi / np.linalg.norm(phi)
         overlap = complex(np.vdot(phi, opn @ phi))
     corrected = overlap * np.exp(1j * (sx.theta - sy.theta) * np.sqrt(n))
-    diff = sx.a_id - sy.a_id
-    g = tangent_inner(profile, diff, diff).real
-    s = tangent_inner(profile, sx.a_id, sy.a_id).imag
-    prediction = complex(np.exp(-0.5 * g + 1j * s))
+    prediction = _coherent_overlap(profile, sx.a_id, sy.a_id)
     return {
         "n": int(n),
         "overlap": overlap,
@@ -231,9 +232,11 @@ def _qfi_accumulate(iso, a, phi, nmax):
 
     Three-term expansion of 4(||dPsi||^2 - |<Psi|dPsi>|^2): a local term,
     a cross term summing transfer-operator images of v* a over all time
-    lags, and the mean-phase subtraction.  All pieces reduce to traces
-    against the evolved input state, so the total cost is O(nmax^2) small
-    matrix products.
+    lags, and the mean-phase subtraction.  With rho_i = T_s^i(phi phi*)
+    and sigma_i = Tr_K(a_eff rho_i v*), the cross term of F_n is
+    sum_{j<=n-2} Tr(W_j b) where W_j = T_s(W_{j-1}) + sigma_j, so one
+    forward sweep carrying rho_i, W_j and three running sums gives every
+    F_n in O(nmax d^4) time, with memory independent of nmax.
     """
     d, k = iso.d, iso.k
     v = iso.v
@@ -243,50 +246,29 @@ def _qfi_accumulate(iso, a, phi, nmax):
     b = herm_part(h)
     phi = np.asarray(phi, dtype=complex).reshape(d)
     phi = phi / np.linalg.norm(phi)
-    ts = channel(iso, "schrodinger")
-    th = channel(iso, "heisenberg")
-    eye_k = np.eye(k)
+    ts = channel(iso, "schrodinger").m
+    # sigma_i = sum_u A_u rho_i K_u* with A_u = a_eff[u::k], so
+    # vec(sigma_i) = sm @ vec(rho_i); traces read Tr(y z) = vec(z^T) . vec(y)
+    sm = sum(np.kron(kr.conj(), a_eff[u::k]) for u, kr in enumerate(iso.kraus))
+    rows = np.stack([vec((dag(a_eff) @ a_eff).T), vec(b.T)])
 
-    rho = np.outer(phi, phi.conj())
-    rho_vecs = np.empty((nmax, d * d), dtype=complex)
-    local = np.empty(nmax)
-    phase = np.empty(nmax, dtype=complex)
-    aa = dag(a_eff) @ a_eff
-    for i in range(nmax):
-        rho_vecs[i] = rho.T.reshape(-1)
-        local[i] = np.trace(rho @ aa).real
-        phase[i] = np.trace(rho @ b)
-        if i + 1 < nmax:
-            rho = ts(rho)
-
-    # M_m = v* (S_m (x) 1) a_eff with S_m = sum_{r<=m} T^r(b*)
-    mlen = max(nmax - 1, 1)
-    m_vecs = np.zeros((mlen, d * d), dtype=complex)
-    cur = dag(b)
-    s_acc = np.zeros((d, d), dtype=complex)
-    for m in range(nmax - 1):
-        s_acc = s_acc + cur
-        mm = dag(v) @ np.kron(s_acc, eye_k) @ a_eff
-        m_vecs[m] = mm.reshape(-1)
-        if m + 1 < nmax - 1:
-            cur = th(cur)
-
-    # g[i, m] = Tr(rho_i M_m); cross_n = sum over the antidiagonal i+m = n-2
+    state = np.zeros((d * d, 2), dtype=complex)  # columns vec(rho_i), vec(W_{i-1})
+    state[:, 0] = vec(np.outer(phi, phi.conj()))
+    local = 0.0
+    phase = 0.0
+    cross = 0.0
     f = np.empty(nmax)
-    sum_local = np.cumsum(local)
-    sum_phase = np.cumsum(phase)
-    if nmax > 1:
-        g = rho_vecs[: nmax - 1] @ m_vecs[: nmax - 1].T
-        gf = np.fliplr(g)
-        ncols = g.shape[1]
-        cross = np.array([np.trace(gf, offset=ncols - 1 - c) for c in range(ncols)])
-    else:
-        cross = np.zeros(0, dtype=complex)
-    for n in range(1, nmax + 1):
-        ii = sum_local[n - 1]
-        if n >= 2:
-            ii = ii + 2.0 * cross[n - 2].real
-        f[n - 1] = 4.0 * (ii - abs(sum_phase[n - 1]) ** 2)
+    for i in range(nmax):
+        # [[Tr(rho_i a_eff* a_eff), -], [Tr(rho_i b), Tr(W_{i-1} b)]]
+        (tr_local, _), (tr_rho_b, tr_w_b) = (rows @ state).tolist()
+        local += tr_local.real
+        phase += tr_rho_b
+        cross += tr_w_b.real
+        f[i] = 4.0 * (local + 2.0 * cross - abs(phase) ** 2)
+        if i + 1 < nmax:
+            rho = state[:, 0]
+            state = ts @ state
+            state[:, 1] += sm @ rho
     return f
 
 
@@ -369,10 +351,7 @@ def component_overlap(iso_x, iso_y, profile, a, b, i, j, n):
         raise IndexOutOfRange("eigenvector index outside its block")
     phi_a = basis[a][i][1]
     phi_b = basis[b][j][1]
-    dc = DeformedChannel(iso_x, iso_y)
-    x = np.outer(phi_b, phi_b.conj())
-    for _ in range(n):
-        x = dc(x)
+    x = DeformedChannel(iso_x, iso_y).iterate(np.outer(phi_b, phi_b.conj()), n)
     return complex(np.vdot(phi_a, x @ phi_a))
 
 
@@ -382,10 +361,39 @@ def _observable(profile, q, max_block=3):
     return LocalObservable(q, profile.k, max_block=max_block)
 
 
-def _block_compress(iso, x, q, b, cap):
+def _block_compress(w, x, q):
     """E_Q(x) = W_b* (x (x) q) W_b for the b-step dilation W_b."""
-    w = dilation(iso, b, cap=cap)
     return dag(w) @ np.kron(x, q) @ w
+
+
+def _block_moments(profile, obs, n_lags, cap):
+    """Stationary moments of a block observable Q on one b-step dilation W_b.
+
+    Returns ``(m, a, c0, lags, sigma_q)``: the mean m, a = E_Q(1), the
+    variance c0, the autocovariances at the overlapping lags 1..n_lags
+    (each on its own (b+l)-unit dilation), and
+    sigma_q = Tr_units[(1 (x) q) W_b rho_ss W_b*], through which every
+    non-overlapping covariance Tr(rho_ss E_Q(x)) reads Tr(x sigma_q).
+    """
+    iso, d, k, b = profile.iso, profile.d, profile.k, obs.block
+    rho = profile.rho_ss
+    eye_d = np.eye(d)
+    w = dilation(iso, b, cap=cap)
+    a = _block_compress(w, eye_d, obs.q)
+    m = float(np.trace(rho @ a).real)
+    c0 = float(np.trace(rho @ _block_compress(w, eye_d, obs.q @ obs.q)).real) - m * m
+    lags = []
+    for l in range(1, n_lags + 1):
+        qa = np.kron(obs.q, np.eye(k**l))
+        qb = np.kron(np.eye(k**l), obs.q)
+        sym = 0.5 * (qa @ qb + qb @ qa)
+        val = np.trace(rho @ _block_compress(dilation(iso, b + l, cap=cap), eye_d, sym)).real
+        lags.append(float(val) - m * m)
+    # rows of W_b are (system s, unit word u); q acts on the words
+    w_units = w.reshape(d, k**b, d)
+    q_w_rho = np.einsum("uv,svh->suh", obs.q, (w @ rho).reshape(d, k**b, d))
+    sigma_q = np.einsum("suh,tuh->st", q_w_rho, w_units.conj())
+    return m, a, c0, lags, sigma_q
 
 
 def stationary_mean(profile, q, cap=DEFAULT_TENSOR_CAP):
@@ -393,7 +401,7 @@ def stationary_mean(profile, q, cap=DEFAULT_TENSOR_CAP):
     profile = _as_profile(profile)
     profile.require_irreducible()
     obs = _observable(profile, q)
-    a = _block_compress(profile.iso, np.eye(profile.d), obs.q, obs.block, cap)
+    a = _block_compress(dilation(profile.iso, obs.block, cap=cap), np.eye(profile.d), obs.q)
     return float(np.trace(profile.rho_ss @ a).real)
 
 
@@ -410,20 +418,10 @@ def asymptotic_variance(profile, q, details=False, cap=DEFAULT_TENSOR_CAP):
     profile = _as_profile(profile)
     profile.require_irreducible()
     obs = _observable(profile, q)
-    iso, d, b = profile.iso, profile.d, obs.block
-    eye_d = np.eye(d)
-    a = _block_compress(iso, eye_d, obs.q, b, cap)
-    m = float(np.trace(profile.rho_ss @ a).real)
-    c0 = float(np.trace(profile.rho_ss @ _block_compress(iso, eye_d, obs.q @ obs.q, b, cap)).real) - m * m
-    lags = []
-    for l in range(1, b):
-        qa = np.kron(obs.q, np.eye(profile.k**l))
-        qb = np.kron(np.eye(profile.k**l), obs.q)
-        sym = 0.5 * (qa @ qb + qb @ qa)
-        val = np.trace(profile.rho_ss @ _block_compress(iso, eye_d, sym, b + l, cap)).real
-        lags.append(float(val) - m * m)
-    x, cond = restricted_resolvent_solve(profile, a - m * eye_d)
-    tail = float(np.trace(profile.rho_ss @ _block_compress(iso, x, obs.q, b, cap)).real)
+    b = obs.block
+    m, a, c0, lags, sigma_q = _block_moments(profile, obs, b - 1, cap)
+    x, cond = restricted_resolvent_solve(profile, a - m * np.eye(profile.d))
+    tail = float(np.trace(x @ sigma_q).real)
     sigma2 = c0 + 2.0 * sum(lags) + 2.0 * tail
     if not details:
         return float(sigma2)
@@ -450,26 +448,15 @@ def finite_window_variance(profile, q, n, cap=DEFAULT_TENSOR_CAP):
     profile = _as_profile(profile)
     profile.require_irreducible()
     obs = _observable(profile, q)
-    iso, d, b = profile.iso, profile.d, obs.block
+    b = obs.block
     nwin = int(n) - b + 1
     if nwin < 1:
         raise DimensionMismatch(f"window n = {n} shorter than the block {b}")
-    eye_d = np.eye(d)
-    a = _block_compress(iso, eye_d, obs.q, b, cap)
-    m = float(np.trace(profile.rho_ss @ a).real)
-    c0 = float(np.trace(profile.rho_ss @ _block_compress(iso, eye_d, obs.q @ obs.q, b, cap)).real) - m * m
-    cs = []
-    for l in range(1, min(b, nwin)):
-        qa = np.kron(obs.q, np.eye(profile.k**l))
-        qb = np.kron(np.eye(profile.k**l), obs.q)
-        sym = 0.5 * (qa @ qb + qb @ qa)
-        val = np.trace(profile.rho_ss @ _block_compress(iso, eye_d, sym, b + l, cap)).real
-        cs.append(float(val) - m * m)
-    th = channel(iso, "heisenberg")
+    m, a, c0, cs, sigma_q = _block_moments(profile, obs, min(b, nwin) - 1, cap)
+    th = channel(profile.iso, "heisenberg")
     cur = a.copy()
     for l in range(b, nwin):
-        val = np.trace(profile.rho_ss @ _block_compress(iso, cur, obs.q, b, cap)).real
-        cs.append(float(val) - m * m)
+        cs.append(float(np.trace(cur @ sigma_q).real) - m * m)
         cur = th(cur)
     total = c0
     for l, c in enumerate(cs, start=1):

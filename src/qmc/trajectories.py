@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DEFAULT_TENSOR_CAP, Isometry, dilation
+from .channels import DEFAULT_TENSOR_CAP, Isometry, block_length, dilation
 from .errors import (
     DegenerateState,
     DimensionMismatch,
@@ -54,11 +54,7 @@ class BlockMeasurement:
         if vecs.ndim != 2:
             raise DimensionMismatch("vectors must be a (n_outcomes, k^b) array")
         dim = vecs.shape[1]
-        b = int(round(np.log(dim) / np.log(self.k)))
-        if self.k**b != dim:
-            raise DimensionMismatch(
-                f"vector length {dim} is not a power of the unit dimension {self.k}"
-            )
+        b = block_length(dim, self.k)
         gram = vecs.conj() @ vecs.T
         res = np.linalg.norm(gram - np.eye(vecs.shape[0]))
         comp = np.linalg.norm(dag(vecs) @ vecs - np.eye(dim))
@@ -209,9 +205,7 @@ def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None, rho_in=None):
     """
     q = np.asarray(q, dtype=complex)
     if meas is None:
-        dim = q.shape[0]
-        b = int(round(np.log(dim) / np.log(iso.k)))
-        meas = standard_measurement(iso.k, b)
+        meas = standard_measurement(iso.k, block_length(q.shape[0], iso.k))
     values = _diagonal_in_basis(q, meas)
     b = meas.block
     n_blocks = int(n) // b

@@ -10,13 +10,20 @@ peripheral eigen-operator from full ``eig`` calls with eigenvectors, and
 the restricted resolvent compressed onto an explicit orthonormal basis of
 {x : Tr(rho_ss x) = 0}.  They cost O(d^6) per call and form several
 d^2 x d^2 matrices, so use them only for small d.
+
+The statmodel routes after them are the earlier finite-n functionals:
+the QFI from the full (n-1) x (n-1) Gram of input states against
+Heisenberg-summed cross operators, and the variances with one dilation
+compression per autocovariance lag.  They cost O(n^2) memory and one
+b-step dilation per lag respectively.
 """
 
 import numpy as np
 
-from qmc.channels import channel
+from qmc.channels import channel, dilation
 from qmc.ergodic import ErgodicTol, _canonical_z
-from qmc.linalg import herm_part, unvec, vec
+from qmc.gauge import restricted_resolvent_solve
+from qmc.linalg import antiherm_part, dag, herm_part, unvec, vec
 
 
 def random_isometry(rng, d, k):
@@ -127,3 +134,110 @@ def split_nullspace(iso, rho_ss, a):
     kgen, cond = resolvent_nullspace(iso, rho_ss, h - theta_c * np.eye(iso.d))
     dmu = theta_c * v - np.kron(kgen, np.eye(iso.k)) @ v + v @ kgen
     return theta_c, kgen, a - dmu, cond
+
+
+def qfi_gram(iso, a, phi, nmax):
+    """F_n for n = 1..nmax from the antidiagonal sums of an (nmax-1)^2 Gram.
+
+    g[i, m] = Tr(rho_i M_m) with rho_i = T_s^i(phi phi*) and
+    M_m = v* (S_m (x) 1) a_eff, S_m = sum_{r<=m} T_h^r(b*); the cross term
+    of F_n sums the antidiagonal i + m = n - 2.
+    """
+    d, k = iso.d, iso.k
+    v = iso.v
+    a = np.asarray(a, dtype=complex)
+    h = dag(v) @ a
+    a_eff = a - v @ antiherm_part(h)
+    b = herm_part(h)
+    phi = np.asarray(phi, dtype=complex).reshape(d)
+    phi = phi / np.linalg.norm(phi)
+    ts = channel(iso, "schrodinger")
+    th = channel(iso, "heisenberg")
+    eye_k = np.eye(k)
+
+    rho = np.outer(phi, phi.conj())
+    rho_vecs = np.empty((nmax, d * d), dtype=complex)
+    local = np.empty(nmax)
+    phase = np.empty(nmax, dtype=complex)
+    aa = dag(a_eff) @ a_eff
+    for i in range(nmax):
+        rho_vecs[i] = rho.T.reshape(-1)
+        local[i] = np.trace(rho @ aa).real
+        phase[i] = np.trace(rho @ b)
+        if i + 1 < nmax:
+            rho = ts(rho)
+
+    mlen = max(nmax - 1, 1)
+    m_vecs = np.zeros((mlen, d * d), dtype=complex)
+    cur = dag(b)
+    s_acc = np.zeros((d, d), dtype=complex)
+    for m in range(nmax - 1):
+        s_acc = s_acc + cur
+        mm = dag(v) @ np.kron(s_acc, eye_k) @ a_eff
+        m_vecs[m] = mm.reshape(-1)
+        if m + 1 < nmax - 1:
+            cur = th(cur)
+
+    f = np.empty(nmax)
+    sum_local = np.cumsum(local)
+    sum_phase = np.cumsum(phase)
+    if nmax > 1:
+        g = rho_vecs[: nmax - 1] @ m_vecs[: nmax - 1].T
+        gf = np.fliplr(g)
+        ncols = g.shape[1]
+        cross = np.array([np.trace(gf, offset=ncols - 1 - c) for c in range(ncols)])
+    else:
+        cross = np.zeros(0, dtype=complex)
+    for n in range(1, nmax + 1):
+        ii = sum_local[n - 1]
+        if n >= 2:
+            ii = ii + 2.0 * cross[n - 2].real
+        f[n - 1] = 4.0 * (ii - abs(sum_phase[n - 1]) ** 2)
+    return f
+
+
+def _compress(iso, x, q, b):
+    """W_b* (x (x) q) W_b, rebuilding the b-step dilation on every call."""
+    w = dilation(iso, b)
+    return dag(w) @ np.kron(x, q) @ w
+
+
+def _per_lag_moments(profile, q, b, n_lags):
+    """(a, m, c0, overlapping-lag autocovariances) of a b-unit observable."""
+    iso, d, k = profile.iso, profile.d, profile.k
+    eye_d = np.eye(d)
+    a = _compress(iso, eye_d, q, b)
+    m = float(np.trace(profile.rho_ss @ a).real)
+    c0 = float(np.trace(profile.rho_ss @ _compress(iso, eye_d, q @ q, b)).real) - m * m
+    lags = []
+    for l in range(1, n_lags + 1):
+        qa = np.kron(q, np.eye(k**l))
+        qb = np.kron(np.eye(k**l), q)
+        sym = 0.5 * (qa @ qb + qb @ qa)
+        val = np.trace(profile.rho_ss @ _compress(iso, eye_d, sym, b + l)).real
+        lags.append(float(val) - m * m)
+    return a, m, c0, lags
+
+
+def asymptotic_variance_per_lag(profile, q, b):
+    """sigma^2 with the resolvent tail read off a fresh b-step compression."""
+    a, m, c0, lags = _per_lag_moments(profile, q, b, b - 1)
+    x, _ = restricted_resolvent_solve(profile, a - m * np.eye(profile.d))
+    tail = float(np.trace(profile.rho_ss @ _compress(profile.iso, x, q, b)).real)
+    return c0 + 2.0 * sum(lags) + 2.0 * tail
+
+
+def finite_window_variance_per_lag(profile, q, b, n):
+    """Var F_n with one b-step compression per lag beyond the block."""
+    nwin = int(n) - b + 1
+    a, m, c0, cs = _per_lag_moments(profile, q, b, min(b, nwin) - 1)
+    th = channel(profile.iso, "heisenberg")
+    cur = a.copy()
+    for l in range(b, nwin):
+        val = np.trace(profile.rho_ss @ _compress(profile.iso, cur, q, b)).real
+        cs.append(float(val) - m * m)
+        cur = th(cur)
+    total = c0
+    for l, c in enumerate(cs, start=1):
+        total += 2.0 * (1.0 - l / nwin) * c
+    return float(total)

@@ -5,12 +5,13 @@ from qmc.channels import (
     DEFAULT_TENSOR_CAP,
     Isometry,
     apply_steps,
+    block_length,
     channel,
     dilation,
     isometry_from_kraus,
     sandwich_map,
 )
-from qmc.errors import NotIsometry, SizeCap
+from qmc.errors import DimensionMismatch, NotIsometry, SizeCap
 from qmc.linalg import dag, vec, unvec
 from qmc.qubit_example import isometry
 
@@ -34,6 +35,30 @@ def test_rejects_non_isometry():
     v = oracles.random_isometry(rng, 2, 2)
     with pytest.raises(NotIsometry):
         Isometry(v + 0.01, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_entries(bad):
+    with pytest.raises(NotIsometry):
+        Isometry(np.full((4, 2), bad), 2, 2)
+    v = oracles.random_isometry(np.random.default_rng(3), 2, 2)
+    v[1, 0] = bad
+    with pytest.raises(NotIsometry):
+        Isometry(v, 2, 2)
+    kraus = [np.eye(2), np.zeros((2, 2))]
+    kraus[1][0, 1] = bad
+    with pytest.raises(NotIsometry):
+        isometry_from_kraus(kraus)
+
+
+def test_block_length_is_exact_integer_power():
+    assert block_length(1, 1) == 1
+    assert block_length(1, 2) == 0
+    assert block_length(8, 2) == 3
+    assert block_length(3**5, 3) == 5
+    for dim, k in [(2, 1), (6, 2), (0, 2), (10, 3)]:
+        with pytest.raises(DimensionMismatch):
+            block_length(dim, k)
 
 
 def test_kraus_round_trip():

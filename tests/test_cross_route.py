@@ -1,20 +1,26 @@
-"""The bordered-solve spectral layer against the dense eigenvector routes.
+"""Fast routes against the earlier implementations they replaced.
 
 ``analyze`` takes the stationary state and the peripheral eigen-operator
 from bordered solves, and ``restricted_resolvent_solve`` solves a bordered
-system instead of compressing onto a null-space basis.  The routes they
-replaced live in ``oracles``; on fixtures with and without periodicity
-both must agree to 1e-10 relative.
+system instead of compressing onto a null-space basis.  ``qfi_curve`` runs
+one forward recurrence instead of summing antidiagonals of an O(n^2)
+Gram, and the variances read every non-overlapping covariance off one
+reduced operator sigma_Q instead of one dilation per lag.  The replaced
+routes live in ``oracles``; on fixtures with and without periodicity both
+must agree to 1e-10 relative.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmc.channels import Isometry
+from qmc.channels import Isometry, dilation
 from qmc.ergodic import analyze
 from qmc.errors import ResolventIllConditioned
 from qmc.gauge import restricted_resolvent_solve, split
-from qmc.qubit_example import fixture_s
+from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement
+from qmc.statmodel import asymptotic_variance, finite_window_variance, qfi_curve
 
 import oracles
 
@@ -82,3 +88,70 @@ def test_one_dimensional_chain_has_trivial_resolvent():
     sp = split(analyze(iso), np.array([[0.3], [1.0]], dtype=complex))
     assert sp.kgen.shape == (1, 1) and sp.kgen[0, 0] == 0
     assert sp.resolvent_cond == 1.0
+
+
+def _qfi_chains():
+    rng = np.random.default_rng(2027)
+    for d in (2, 4, 8):
+        for k in (2, 3):
+            yield f"random-d{d}k{k}", Isometry(oracles.random_isometry(rng, d, k), d, k)
+    yield "cyclic-d4p2", Isometry(oracles.cyclic_isometry(rng, 4, 2, 2), 4, 2)
+
+
+QFI_CHAINS = list(_qfi_chains())
+
+
+@pytest.mark.parametrize("label,iso", QFI_CHAINS, ids=[c[0] for c in QFI_CHAINS])
+def test_qfi_recurrence_matches_gram_oracle(label, iso):
+    rng = np.random.default_rng(iso.d * 10 + iso.k)
+    a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+    phi = rng.standard_normal(iso.d) + 1j * rng.standard_normal(iso.d)
+    nmax = 300
+    f = qfi_curve(iso, a, phi, range(1, nmax + 1))
+    assert _rel(f, oracles.qfi_gram(iso, a, phi, nmax)) <= TOL
+
+
+def _variance_cases():
+    yield "swap", analyze(fixture_s()), np.diag([1.0, 0.0]), 1
+    yield "m1", analyze(isometry("m1", 0.35)), np.diag([1.0, 0.0]), 1
+    yield "m2", analyze(isometry("m2", 0.3)), measurement("m2")[1], 1
+    m3 = isometry("m3", 0.1)
+    q3 = measurement("m3", block=2)[1]
+    yield "m3-two-block", analyze(Isometry(dilation(m3, 2), 2, 4)), q3, 1
+    yield "m3-overlapping", analyze(m3), q3, 2
+    rng = np.random.default_rng(2028)
+    q = rng.standard_normal((4, 4))
+    yield "random-d8", analyze(Isometry(oracles.random_isometry(rng, 8, 2), 8, 2)), q + q.T, 2
+
+
+VARIANCE_CASES = list(_variance_cases())
+
+
+def _close(x, ref):
+    # the absolute floor only matters where the swap point's variances are 0
+    return abs(x - ref) <= TOL * abs(ref) + 1e-15
+
+
+@pytest.mark.parametrize(
+    "label,profile,q,block", VARIANCE_CASES, ids=[c[0] for c in VARIANCE_CASES]
+)
+def test_variances_match_per_lag_oracle(label, profile, q, block):
+    ref = oracles.asymptotic_variance_per_lag(profile, q, block)
+    assert _close(asymptotic_variance(profile, q), ref)
+    for n in (block, block + 1, 5, 64, 1024):
+        ref = oracles.finite_window_variance_per_lag(profile, q, block, n)
+        assert _close(finite_window_variance(profile, q, n), ref), n
+
+
+def test_qfi_curve_memory_is_bounded_in_n():
+    iso = isometry("m1", 0.3)
+    phi = np.linalg.eigh(analyze(iso).rho_ss)[1][:, -1]
+    a = golden_tangent("m1")[0]
+    tracemalloc.start()
+    try:
+        f = qfi_curve(iso, a, phi, [20000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(f[0])
+    assert peak < 10 * 2**20

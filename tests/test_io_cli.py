@@ -120,6 +120,31 @@ def test_cli_analyze_exit_codes(tmp_path):
     assert "kind" in err and "detail" in err
 
 
+def test_cli_rejects_non_finite_isometry(tmp_path):
+    obj = io.isometry_to_json(fixture_s())
+    obj["kraus"][0]["re"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))  # json writes the bare token NaN
+    assert "NaN" in path.read_text()
+    res = _run("analyze", str(path))
+    assert res.returncode == 1
+    assert json.loads(res.stderr.strip())["kind"] == "NotIsometry"
+
+
+def test_cli_zero_tolerance_is_not_the_default(tmp_path):
+    path = _write_iso(tmp_path, fixture_s(), "s.json")
+    res = _run("analyze", path, "--tol-gap", "0")
+    assert res.returncode == 1
+    err = json.loads(res.stderr.strip())
+    assert "simplicity_gap" in err["detail"]
+    # the CSV settings report the tolerances actually used
+    from qmc.cli import _build_parser, _settings
+
+    args = _build_parser().parse_args(["qfi", "--model", "m1", "--theta", "0.3", "--tol-gap", "1e-7"])
+    settings = _settings(args)
+    assert settings["tol_gap"] == 1e-7 and settings["tol_faithful"] == 1e-9
+
+
 def test_cli_equiv(tmp_path):
     from qmc.gauge import act
 

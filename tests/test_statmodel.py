@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmc.channels import Isometry, dilation
-from qmc.errors import RetractionFailure
+from qmc.errors import DimensionMismatch, RetractionFailure
 from qmc.ergodic import analyze
 from qmc.gauge import split, tangent_inner
 from qmc.linalg import dag
@@ -16,6 +16,7 @@ from qmc.qubit_example import (
 )
 from qmc.statmodel import (
     DeformedChannel,
+    LocalObservable,
     asymptotic_variance,
     component_overlap,
     finite_window_variance,
@@ -80,6 +81,27 @@ def test_deformed_channel_accepts_isometries_at_their_tolerance():
     dc = DeformedChannel(left, left)
     assert dc.superop.spectral_radius() > 1.0 + 1e-10
     assert DeformedChannel(left, right).superop.m.shape == (4, 4)
+
+
+def test_iterate_matches_repeated_application():
+    rng = np.random.default_rng(24)
+    dc = DeformedChannel(isometry("m1", 0.3), isometry("m1", 0.31))
+    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    y = x
+    for _ in range(7):
+        y = dc(y)
+    assert np.array_equal(dc.iterate(x, 7), y)
+    assert np.array_equal(dc.iterate(x, 0), x)
+    with pytest.raises(DimensionMismatch):
+        dc.iterate(np.eye(3), 2)
+
+
+def test_local_observable_block_at_unit_dimension_one():
+    assert LocalObservable(np.eye(1), 1).block == 1
+    assert LocalObservable(np.eye(8), 2).block == 3
+    for q, k in [(np.eye(2), 1), (np.eye(3), 2)]:
+        with pytest.raises(DimensionMismatch):
+            LocalObservable(q, k)
 
 
 def test_retract_rejects_non_tangent():

@@ -3,10 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from qmc.errors import ObservableNotDiagonal
+from qmc.channels import Isometry
+from qmc.errors import DimensionMismatch, ObservableNotDiagonal
 from qmc.ergodic import analyze
 from qmc.qubit_example import fixture_s, isometry, measurement
 from qmc.trajectories import (
+    BlockMeasurement,
     block_kraus,
     fluctuation_stats,
     run_estimator,
@@ -110,6 +112,17 @@ def test_fluctuation_stats_rejects_non_diagonal_observable():
     q = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ObservableNotDiagonal):
         fluctuation_stats(iso, profile, q, n=10, trials=2, seed=0)
+
+
+def test_unit_dimension_one_has_block_one():
+    assert BlockMeasurement(np.eye(1), 1).block == 1
+    with pytest.raises(DimensionMismatch):
+        BlockMeasurement(np.eye(2), 1)
+    # a one-dimensional unitary chain emits nothing: zero fluctuations
+    iso = Isometry(np.array([[1j]]), 1, 1)
+    st = fluctuation_stats(iso, analyze(iso), np.array([[2.0]]), n=10, trials=5, seed=3)
+    assert st.block == 1 and st.n_blocks == 10
+    assert np.array_equal(st.f, np.zeros(5)) and st.predicted_var == 0.0
 
 
 def test_run_estimator_concentrates():
