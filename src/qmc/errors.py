@@ -98,6 +98,10 @@ class IncompleteMeasurement(QmcError):
     """Measurement vectors do not resolve the identity on the block."""
 
 
+class InvalidCount(QmcError):
+    """Trial count or thread setting outside its valid range."""
+
+
 class DegenerateState(QmcError):
     """State decomposition hit a degeneracy the caller must resolve."""
 

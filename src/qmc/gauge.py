@@ -198,7 +198,7 @@ class TangentVector:
             raise DimensionMismatch(f"tangent shape {a.shape}, expected {v.shape}")
         skew = antiherm_part(dag(v) @ a)
         res = np.linalg.norm(skew)
-        if res > 1e-8 * max(1.0, np.linalg.norm(a)):
+        if not (res <= 1e-8 * max(1.0, np.linalg.norm(a))):
             raise NotTangent(
                 f"v* a has anti-Hermitian part of norm {res:.3e}; "
                 "pass curve velocities directly to split()"
@@ -233,7 +233,7 @@ def dmu(iso, theta, kgen, profile=None, rho_ss=None):
     d = iso.d
     if kgen.shape != (d, d):
         raise DimensionMismatch(f"generator shape {kgen.shape}, expected ({d}, {d})")
-    if np.linalg.norm(kgen - dag(kgen)) > 1e-10 * max(1.0, np.linalg.norm(kgen)):
+    if not (np.linalg.norm(kgen - dag(kgen)) <= 1e-10 * max(1.0, np.linalg.norm(kgen))):
         raise GaugeConstraintViolated("generator must be Hermitian")
     if abs(complex(theta).imag) > 0:
         raise GaugeConstraintViolated("theta must be real")
@@ -241,7 +241,7 @@ def dmu(iso, theta, kgen, profile=None, rho_ss=None):
         rho_ss = profile.rho_ss
     if rho_ss is not None:
         drift = abs(np.trace(np.asarray(rho_ss) @ kgen))
-        if drift > 1e-8 * max(1.0, np.linalg.norm(kgen)):
+        if not (drift <= 1e-8 * max(1.0, np.linalg.norm(kgen))):
             raise GaugeConstraintViolated(
                 f"Tr(rho_ss kgen) = {drift:.3e}, expected 0 (absorb it into theta)"
             )
@@ -322,6 +322,8 @@ def split(profile, a):
     a = np.asarray(a, dtype=complex)
     if a.shape != iso.v.shape:
         raise DimensionMismatch(f"tangent shape {a.shape}, expected {iso.v.shape}")
+    if not np.isfinite(a).all():
+        raise NotTangent("tangent has non-finite entries")
     h = dag(iso.v) @ a
     theta_c = complex(np.trace(profile.rho_ss @ h))
     kgen, cond = restricted_resolvent_solve(profile, h - theta_c * np.eye(iso.d))
@@ -338,7 +340,7 @@ def split(profile, a):
 def _require_identifiable(iso, a, tol=1e-8):
     a = np.asarray(a, dtype=complex)
     res = np.linalg.norm(dag(iso.v) @ a)
-    if res > tol * max(1.0, np.linalg.norm(a)):
+    if not (res <= tol * max(1.0, np.linalg.norm(a))):
         raise NotIdentifiable(f"v* a has norm {res:.3e}; split off the gauge part first")
     return a
 

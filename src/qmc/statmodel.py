@@ -113,7 +113,9 @@ class LocalObservable:
         b = block_length(q.shape[0], self.k)
         if b > self.max_block:
             raise SizeCap(f"block length {b} exceeds the configured maximum {self.max_block}")
-        if np.linalg.norm(q - dag(q)) > 1e-12 * max(1.0, np.linalg.norm(q)):
+        if not np.isfinite(q).all():
+            raise NotHermitian("local observable has non-finite entries")
+        if not (np.linalg.norm(q - dag(q)) <= 1e-12 * max(1.0, np.linalg.norm(q))):
             raise NotHermitian("local observable must be Hermitian")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "block", b)
@@ -157,7 +159,7 @@ def joint_overlap(iso1, iso2, phi, n):
     dc = DeformedChannel(iso1, iso2)
     phi = np.asarray(phi, dtype=complex).reshape(iso1.d)
     nv = np.linalg.norm(phi)
-    if abs(nv - 1.0) > 1e-6:
+    if not (abs(nv - 1.0) <= 1e-6):
         raise DimensionMismatch(f"phi must be a unit vector, norm {nv:.6f}")
     phi = phi / nv
     x = dc.iterate(np.eye(iso1.d, dtype=complex), n)
@@ -175,7 +177,7 @@ def retract(iso, x, t):
     t = float(t)
     m = iso.v + 1j * t * x
     defect = dag(m) @ m - np.eye(iso.d) - t * t * (dag(x) @ x)
-    if np.linalg.norm(defect) > 1e-6 * max(1.0, abs(t) * np.linalg.norm(x)):
+    if not (np.linalg.norm(defect) <= 1e-6 * max(1.0, abs(t) * np.linalg.norm(x))):
         raise RetractionFailure(
             f"first-order isometry defect {np.linalg.norm(defect):.3e}; "
             "argument is not tangent"

@@ -21,7 +21,9 @@ from .errors import (
     DegenerateState,
     DimensionMismatch,
     IncompleteMeasurement,
+    InvalidCount,
     NotHermitian,
+    NotPSD,
     ObservableNotDiagonal,
 )
 from .ergodic import analyze
@@ -55,10 +57,12 @@ class BlockMeasurement:
             raise DimensionMismatch("vectors must be a (n_outcomes, k^b) array")
         dim = vecs.shape[1]
         b = block_length(dim, self.k)
+        if not np.isfinite(vecs).all():
+            raise IncompleteMeasurement("measurement vectors have non-finite entries")
         gram = vecs.conj() @ vecs.T
         res = np.linalg.norm(gram - np.eye(vecs.shape[0]))
         comp = np.linalg.norm(dag(vecs) @ vecs - np.eye(dim))
-        if res > 1e-10 or comp > 1e-10:
+        if not (res <= 1e-10 and comp <= 1e-10):
             raise IncompleteMeasurement(
                 f"basis orthonormality defect {res:.3e}, completeness defect {comp:.3e}"
             )
@@ -105,7 +109,7 @@ def block_kraus(iso, meas):
     )
     km = np.einsum("jw,swh->jsh", meas.vectors.conj(), w3)
     comp = sum(dag(k) @ k for k in km)
-    if np.linalg.norm(comp - np.eye(iso.d)) > 1e-10:
+    if not (np.linalg.norm(comp - np.eye(iso.d)) <= 1e-10):
         raise IncompleteMeasurement("block Kraus operators do not sum to the identity")
     return km
 
@@ -115,31 +119,77 @@ def _trial_uniforms(seed, trial, count):
     return gen.random(count)
 
 
-def _evolve_batch(km, states, uniforms):
-    """One measurement step on a batch of conditional states."""
-    probs = np.einsum("jab,tbc,jac->tj", km, states, km.conj()).real
-    np.clip(probs, 0.0, None, out=probs)
-    psum = probs.sum(axis=1)
-    if np.any(psum < 1e-14):
-        raise DegenerateState("all outcome probabilities vanished along a trajectory")
-    cdf = np.cumsum(probs, axis=1) / psum[:, None]
-    idx = np.minimum((uniforms[:, None] > cdf).sum(axis=1), km.shape[0] - 1)
-    ksel = km[idx]
-    new = np.einsum("tab,tbc,tdc->tad", ksel, states, ksel.conj())
-    norm = np.einsum("taa->t", new).real
-    return idx, new / norm[:, None, None]
+def _stacked_superop(km):
+    """[S_0^T | ... | S_{k-1}^T] with S_j = K_j (x) conj(K_j) on row-major vec(rho).
+
+    A batch of row vectors vec(rho_t) times this d^2 x k d^2 matrix gives
+    every outcome's unnormalised conditional state K_j rho_t K_j* at once.
+    """
+    k, d, _ = km.shape
+    # s[j, (a, e), (b, c)] = K_j[a, b] conj(K_j[e, c])
+    s = np.einsum("jab,jec->jaebc", km, km.conj()).reshape(k, d * d, d * d)
+    return np.ascontiguousarray(s.transpose(2, 0, 1).reshape(d * d, k * d * d))
 
 
-def _run_batch(km, rho_in, n_blocks, seed, trial_indices):
+def _run_batch(op, rho_in, n_blocks, seed, trial_indices):
+    """Sample n_blocks outcomes per trial with one GEMM per step.
+
+    Row t of ``vecs`` is the row-major vec of trial t's conditional state;
+    ``vecs @ op`` holds all k candidate next states, whose traces (read on
+    the diagonal positions 0, d+1, 2(d+1), ...) are the outcome weights.
+    """
     t = len(trial_indices)
     d = rho_in.shape[0]
-    states = np.broadcast_to(rho_in, (t, d, d)).copy()
+    k = op.shape[1] // (d * d)
+    rows = np.arange(t)
+    diag = np.arange(d) * (d + 1)
+    vecs = np.broadcast_to(rho_in.reshape(d * d), (t, d * d)).copy()
     outcomes = np.empty((t, n_blocks), dtype=np.int64)
     uniforms = np.stack([_trial_uniforms(seed, tr, n_blocks) for tr in trial_indices])
     for step in range(n_blocks):
-        idx, states = _evolve_batch(km, states, uniforms[:, step])
+        cand = (vecs @ op).reshape(t, k, d * d)
+        traces = cand[:, :, diag].real.sum(axis=2)
+        probs = np.clip(traces, 0.0, None)
+        psum = probs.sum(axis=1)
+        if not np.all(psum >= 1e-14):
+            raise DegenerateState("all outcome probabilities vanished along a trajectory")
+        cdf = np.cumsum(probs, axis=1) / psum[:, None]
+        idx = np.minimum((uniforms[:, step, None] > cdf).sum(axis=1), k - 1)
+        vecs = cand[rows, idx] / traces[rows, idx][:, None]
         outcomes[:, step] = idx
-    return outcomes, states
+    return outcomes, vecs.reshape(t, d, d)
+
+
+def _thread_count():
+    """Worker threads for ``sample_batch`` from QMC_THREADS (unset or empty: 1)."""
+    raw = os.environ.get("QMC_THREADS") or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidCount(f"QMC_THREADS must be an integer, got {raw!r}") from None
+
+
+def _prepare(iso, rho_in, n_blocks, meas):
+    """(stacked superoperator, rho_in, n_blocks) of a sampling call, validated."""
+    n_blocks = int(n_blocks)
+    if n_blocks < 0:
+        raise DimensionMismatch(f"n_blocks = {n_blocks}, expected >= 0")
+    rho = np.asarray(rho_in, dtype=complex)
+    if rho.shape != (iso.d, iso.d):
+        raise DimensionMismatch(f"input state shape {rho.shape}, expected ({iso.d}, {iso.d})")
+    if not np.isfinite(rho).all():
+        raise NotHermitian("input state has non-finite entries")
+    scale = max(1.0, np.linalg.norm(rho))
+    skew = np.linalg.norm(rho - dag(rho))
+    if not (skew <= 1e-10 * scale):
+        raise NotHermitian(f"input state is not Hermitian (defect {skew:.3e})")
+    low = np.linalg.eigvalsh(rho)[0]
+    if not (low >= -1e-10 * scale):
+        raise NotPSD(f"input state has eigenvalue {low:.3e} < 0")
+    tr = np.trace(rho).real
+    if not (tr >= 1e-14):
+        raise NotPSD(f"input state has trace {tr:.3e}, expected a positive trace")
+    return _stacked_superop(block_kraus(iso, meas)), rho, n_blocks
 
 
 def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
@@ -148,18 +198,18 @@ def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
     Set QMC_THREADS to spread trials over a thread pool; the per-trial
     streams make the result independent of the partitioning.
     """
-    km = block_kraus(iso, meas)
-    rho_in = np.asarray(rho_in, dtype=complex)
-    if rho_in.shape != (iso.d, iso.d):
-        raise DimensionMismatch(f"input state shape {rho_in.shape}, expected ({iso.d}, {iso.d})")
-    threads = int(os.environ.get("QMC_THREADS", "1") or "1")
+    op, rho_in, n_blocks = _prepare(iso, rho_in, n_blocks, meas)
+    trials = int(trials)
+    if trials < 1:
+        raise InvalidCount(f"trials = {trials}, expected >= 1")
+    threads = _thread_count()
     trial_indices = list(range(trials))
     if threads <= 1 or trials < 2 * threads:
-        return _run_batch(km, rho_in, n_blocks, seed, trial_indices)
+        return _run_batch(op, rho_in, n_blocks, seed, trial_indices)
     chunks = np.array_split(trial_indices, threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(
-            pool.map(lambda ch: _run_batch(km, rho_in, n_blocks, seed, list(ch)), chunks)
+            pool.map(lambda ch: _run_batch(op, rho_in, n_blocks, seed, list(ch)), chunks)
         )
     outcomes = np.concatenate([p[0] for p in parts], axis=0)
     states = np.concatenate([p[1] for p in parts], axis=0)
@@ -168,9 +218,8 @@ def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
 
 def sample(iso, rho_in, n_blocks, meas, seed, trial=0):
     """Single trajectory record; equals row ``trial`` of any batch run."""
-    km = block_kraus(iso, meas)
-    rho_in = np.asarray(rho_in, dtype=complex)
-    outcomes, states = _run_batch(km, rho_in, int(n_blocks), seed, [trial])
+    op, rho_in, n_blocks = _prepare(iso, rho_in, n_blocks, meas)
+    outcomes, states = _run_batch(op, rho_in, n_blocks, seed, [trial])
     return TrajectoryRecord(
         seed=int(seed),
         trial=int(trial),
@@ -183,16 +232,21 @@ def sample(iso, rho_in, n_blocks, meas, seed, trial=0):
 def _diagonal_in_basis(q, meas, tol=1e-10):
     """Outcome values of q when q is diagonal in the measured basis."""
     q = np.asarray(q, dtype=complex)
-    if np.linalg.norm(q - dag(q)) > 1e-10 * max(1.0, np.linalg.norm(q)):
+    if not (np.linalg.norm(q - dag(q)) <= 1e-10 * max(1.0, np.linalg.norm(q))):
         raise NotHermitian("observable must be Hermitian")
     qb = meas.vectors.conj() @ q @ meas.vectors.T
     off = qb - np.diag(np.diag(qb))
-    if np.linalg.norm(off) > tol * max(1.0, np.linalg.norm(qb)):
+    if not (np.linalg.norm(off) <= tol * max(1.0, np.linalg.norm(qb))):
         raise ObservableNotDiagonal(
             "observable is not diagonal in the measurement basis; "
             "time averages of its outcomes would not estimate its mean"
         )
     return np.diag(qb).real
+
+
+def _require_variance_trials(trials):
+    if int(trials) < 2:
+        raise InvalidCount(f"trials = {trials}; a sample variance needs at least 2")
 
 
 def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None, rho_in=None):
@@ -203,6 +257,7 @@ def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None, rho_in=None):
     irreducible: at a periodic point with p dividing b it is not, and the
     analysis will say so).
     """
+    _require_variance_trials(trials)
     q = np.asarray(q, dtype=complex)
     if meas is None:
         meas = standard_measurement(iso.k, block_length(q.shape[0], iso.k))
@@ -252,6 +307,7 @@ def run_estimator(model, theta, n, trials, seed, block=1):
     """
     from . import qubit_example as qe
 
+    _require_variance_trials(trials)
     iso = qe.isometry(model, theta)
     profile = analyze(iso)
     profile.require_irreducible()
@@ -259,6 +315,8 @@ def run_estimator(model, theta, n, trials, seed, block=1):
     values = _diagonal_in_basis(q, meas)
     b = meas.block
     n_blocks = int(n) // b
+    if n_blocks < 1:
+        raise DimensionMismatch(f"n = {n} holds no complete block of length {b}")
     outcomes, _ = sample_batch(iso, profile.rho_ss, n_blocks, meas, seed, trials)
     vals = values[outcomes]
     x_bar = vals.mean(axis=1)

@@ -16,6 +16,10 @@ the QFI from the full (n-1) x (n-1) Gram of input states against
 Heisenberg-summed cross operators, and the variances with one dilation
 compression per autocovariance lag.  They cost O(n^2) memory and one
 b-step dilation per lag respectively.
+
+The sampler route at the end is the earlier trajectory step: three
+``einsum`` contractions per step on the (t, d, d) batch of conditional
+states, with its own Philox substreams per (seed, trial).
 """
 
 import numpy as np
@@ -241,3 +245,42 @@ def finite_window_variance_per_lag(profile, q, b, n):
     for l, c in enumerate(cs, start=1):
         total += 2.0 * (1.0 - l / nwin) * c
     return float(total)
+
+
+def _evolve_batch_einsum(km, states, uniforms):
+    """One measurement step on a batch of conditional states."""
+    probs = np.einsum("jab,tbc,jac->tj", km, states, km.conj()).real
+    np.clip(probs, 0.0, None, out=probs)
+    psum = probs.sum(axis=1)
+    if np.any(psum < 1e-14):
+        raise ValueError("all outcome probabilities vanished along a trajectory")
+    cdf = np.cumsum(probs, axis=1) / psum[:, None]
+    idx = np.minimum((uniforms[:, None] > cdf).sum(axis=1), km.shape[0] - 1)
+    ksel = km[idx]
+    new = np.einsum("tab,tbc,tdc->tad", ksel, states, ksel.conj())
+    norm = np.einsum("taa->t", new).real
+    return idx, new / norm[:, None, None]
+
+
+def sample_batch_einsum(km, rho_in, n_blocks, seed, trials):
+    """(outcomes, final states) of trials 0..trials-1 with the einsum step.
+
+    ``km`` are the block Kraus operators, one per outcome; trial t draws
+    its uniforms from Philox seeded with SeedSequence((seed, t)).
+    """
+    rho_in = np.asarray(rho_in, dtype=complex)
+    d = rho_in.shape[0]
+    states = np.broadcast_to(rho_in, (trials, d, d)).copy()
+    outcomes = np.empty((trials, n_blocks), dtype=np.int64)
+    uniforms = np.stack(
+        [
+            np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, t)))).random(
+                n_blocks
+            )
+            for t in range(trials)
+        ]
+    )
+    for step in range(n_blocks):
+        idx, states = _evolve_batch_einsum(km, states, uniforms[:, step])
+        outcomes[:, step] = idx
+    return outcomes, states

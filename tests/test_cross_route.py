@@ -8,6 +8,10 @@ Gram, and the variances read every non-overlapping covariance off one
 reduced operator sigma_Q instead of one dilation per lag.  The replaced
 routes live in ``oracles``; on fixtures with and without periodicity both
 must agree to 1e-10 relative.
+
+The trajectory sampler steps a batch of vectorised states through one
+stacked superoperator instead of three einsums; its outcomes must equal
+the einsum oracle's exactly, and its final states to 1e-12.
 """
 
 import tracemalloc
@@ -21,6 +25,7 @@ from qmc.errors import ResolventIllConditioned
 from qmc.gauge import restricted_resolvent_solve, split
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement
 from qmc.statmodel import asymptotic_variance, finite_window_variance, qfi_curve
+from qmc.trajectories import block_kraus, sample, sample_batch, standard_measurement
 
 import oracles
 
@@ -155,3 +160,51 @@ def test_qfi_curve_memory_is_bounded_in_n():
         tracemalloc.stop()
     assert np.isfinite(f[0])
     assert peak < 10 * 2**20
+
+
+def _sampler_cases():
+    yield "m1", isometry("m1", 0.35), measurement("m1")[0]
+    yield "m3-block2", isometry("m3", 0.3), measurement("m3", block=2)[0]
+    yield "swap", fixture_s(), standard_measurement(2)
+    rng = np.random.default_rng(2029)
+    for d in (2, 4, 8):
+        for k in (2, 3):
+            iso = Isometry(oracles.random_isometry(rng, d, k), d, k)
+            for b in (1, 2):
+                yield f"random-d{d}k{k}b{b}", iso, standard_measurement(k, b)
+
+
+SAMPLER_CASES = list(_sampler_cases())
+SAMPLER_IDS = [c[0] for c in SAMPLER_CASES]
+
+
+def _assert_same_outcomes(got, ref):
+    bad = np.argwhere(got != ref)
+    assert bad.size == 0, f"first differing (trial, step): {tuple(bad[0])}"
+
+
+@pytest.mark.parametrize("label,iso,meas", SAMPLER_CASES, ids=SAMPLER_IDS)
+def test_superoperator_step_matches_einsum_oracle(label, iso, meas):
+    rho = analyze(iso).rho_ss
+    outcomes, states = sample_batch(iso, rho, 200, meas, 3, 40)
+    ref_out, ref_states = oracles.sample_batch_einsum(block_kraus(iso, meas), rho, 200, 3, 40)
+    _assert_same_outcomes(outcomes, ref_out)
+    assert np.max(np.abs(states - ref_states)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "label", ["m3-block2", "random-d8k3b2"], ids=["m3-block2", "random-d8k3b2"]
+)
+def test_superoperator_step_is_batch_and_thread_invariant(label, monkeypatch):
+    _, iso, meas = SAMPLER_CASES[SAMPLER_IDS.index(label)]
+    rho = analyze(iso).rho_ss
+    monkeypatch.delenv("QMC_THREADS", raising=False)
+    outcomes, states = sample_batch(iso, rho, 150, meas, 9, 12)
+    for t in (0, 5, 11):
+        rec = sample(iso, rho, 150, meas, 9, trial=t)
+        assert np.array_equal(rec.outcomes, outcomes[t])
+        assert np.max(np.abs(rec.final_state - states[t])) <= 1e-12
+    monkeypatch.setenv("QMC_THREADS", "2")
+    out2, states2 = sample_batch(iso, rho, 150, meas, 9, 12)
+    assert np.array_equal(out2, outcomes)
+    assert np.max(np.abs(states2 - states)) <= 1e-12

@@ -3,8 +3,11 @@ import pytest
 
 from qmc.channels import Isometry
 from qmc.ergodic import analyze, output_state
+from qmc.errors import GaugeConstraintViolated, NotIdentifiable, NotTangent
 from qmc.gauge import (
+    TangentVector,
     act,
+    dmu,
     equivalence_witness,
     mode_decompose,
     singular_dimension,
@@ -154,3 +157,21 @@ def test_tangent_inner_is_positive_sesquilinear():
     assert gxx.real > 0 and abs(gxx.imag) < 1e-12
     assert abs(tangent_inner(profile, x, y) - np.conj(tangent_inner(profile, y, x))) < 1e-12
     assert abs(tangent_inner(profile, 2j * x, y) - (-2j) * tangent_inner(profile, x, y)) < 1e-12
+
+
+def test_non_finite_operands_are_rejected():
+    # each guard used to read `x > tol`, which is False for NaN
+    profile = analyze(isometry("m1", 0.3))
+    iso = profile.iso
+    nan = np.full((4, 2), np.nan)
+    for bad in (nan, np.full((4, 2), np.inf)):
+        with pytest.raises(NotTangent):
+            split(profile, bad)
+    with pytest.raises(NotTangent):
+        TangentVector(iso, nan)
+    with pytest.raises(NotIdentifiable):
+        tangent_inner(profile, nan, nan)
+    with pytest.raises(GaugeConstraintViolated):
+        dmu(iso, 0.0, np.full((2, 2), np.nan))
+    with pytest.raises(GaugeConstraintViolated):
+        dmu(iso, 0.0, np.diag([1.0, -1.0]), rho_ss=np.full((2, 2), np.nan))

@@ -15,10 +15,12 @@ from qmc.qubit_example import fixture_s, isometry
 QMC = shutil.which("qmc")
 
 
-def _run(*args, stdin=None):
+def _run(*args, stdin=None, env=None):
     cmd = [QMC] if QMC else [sys.executable, "-m", "qmc.cli"]
+    if env is not None:
+        env = {**os.environ, **env}
     return subprocess.run(
-        cmd + list(args), capture_output=True, text=True, input=stdin, timeout=300
+        cmd + list(args), capture_output=True, text=True, input=stdin, timeout=300, env=env
     )
 
 
@@ -250,6 +252,22 @@ def test_cli_simulate_csv_reproducible(tmp_path):
     body = csv1.read_text()
     header = [l for l in body.splitlines() if not l.startswith("#")][0]
     assert header == "trial,x_bar,estimate"
+
+
+@pytest.mark.parametrize(
+    "flags,env,kind",
+    [
+        (("--model", "m3", "--n", "1", "--block", "2", "--trials", "5"), None, "DimensionMismatch"),
+        (("--model", "m1", "--n", "50", "--trials", "1"), None, "InvalidCount"),
+        (("--model", "m1", "--n", "50", "--trials", "4"), {"QMC_THREADS": "two"}, "InvalidCount"),
+    ],
+    ids=["n-below-block", "one-trial", "bad-threads"],
+)
+def test_cli_simulate_rejects_bad_counts(flags, env, kind):
+    res = _run("simulate", "--theta", "0.3", "--seed", "1", *flags, env=env)
+    assert res.returncode == 1, res.stdout
+    assert res.stdout == ""
+    assert json.loads(res.stderr.strip())["kind"] == kind
 
 
 def test_cli_example_bundle():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmc.channels import Isometry, dilation
-from qmc.errors import DimensionMismatch, RetractionFailure
+from qmc.errors import DimensionMismatch, NotHermitian, RetractionFailure
 from qmc.ergodic import analyze
 from qmc.gauge import split, tangent_inner
 from qmc.linalg import dag
@@ -102,6 +102,22 @@ def test_local_observable_block_at_unit_dimension_one():
     for q, k in [(np.eye(2), 1), (np.eye(3), 2)]:
         with pytest.raises(DimensionMismatch):
             LocalObservable(q, k)
+
+
+def test_non_finite_operands_are_rejected():
+    # each guard used to read `x > tol`, which is False for NaN
+    iso = isometry("m1", 0.3)
+    profile = analyze(iso)
+    nan = np.full((2, 2), np.nan)
+    for bad in (nan, np.diag([np.inf, 0.0])):
+        with pytest.raises(NotHermitian):
+            LocalObservable(bad, 2)
+        with pytest.raises(NotHermitian):
+            asymptotic_variance(profile, bad)
+    with pytest.raises(DimensionMismatch):
+        joint_overlap(iso, iso, np.array([np.nan, 1.0]), 3)
+    with pytest.raises(RetractionFailure):
+        retract(iso, np.full((4, 2), np.nan), 0.05)
 
 
 def test_retract_rejects_non_tangent():

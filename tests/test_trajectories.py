@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 
 from qmc.channels import Isometry
-from qmc.errors import DimensionMismatch, ObservableNotDiagonal
+from qmc.errors import (
+    DegenerateState,
+    DimensionMismatch,
+    IncompleteMeasurement,
+    InvalidCount,
+    NotHermitian,
+    NotPSD,
+    ObservableNotDiagonal,
+)
 from qmc.ergodic import analyze
 from qmc.qubit_example import fixture_s, isometry, measurement
 from qmc.trajectories import (
     BlockMeasurement,
+    _diagonal_in_basis,
+    _run_batch,
+    _stacked_superop,
     block_kraus,
     fluctuation_stats,
     run_estimator,
@@ -139,3 +150,59 @@ def test_run_estimator_block_two():
     assert r["block"] == 2
     assert r["n"] == 600
     assert abs(float(np.mean(r["estimates"])) - 0.2) < 0.05
+
+
+def test_input_state_is_validated():
+    iso = isometry("m1", 0.3)
+    meas = standard_measurement(2, 1)
+    cases = [
+        (np.full((2, 2), np.nan), NotHermitian),
+        (np.diag([np.inf, 0.0]), NotHermitian),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian),
+        (np.diag([2.0, -1.0]), NotPSD),
+        (np.zeros((2, 2)), NotPSD),
+        (np.eye(3) / 3, DimensionMismatch),
+    ]
+    for rho, err in cases:
+        with pytest.raises(err):
+            sample_batch(iso, rho, 5, meas, seed=1, trials=3)
+        with pytest.raises(err):
+            sample(iso, rho, 5, meas, seed=1)
+
+
+def test_step_guard_catches_nan_weights():
+    # a NaN state must not pass the guard: `psum < 1e-14` is False for NaN
+    op = _stacked_superop(block_kraus(isometry("m1", 0.3), standard_measurement(2, 1)))
+    with pytest.raises(DegenerateState):
+        _run_batch(op, np.full((2, 2), np.nan, dtype=complex), 3, 0, [0, 1])
+
+
+def test_counts_are_validated(monkeypatch):
+    iso = isometry("m1", 0.3)
+    profile = analyze(iso)
+    meas = standard_measurement(2, 1)
+    with pytest.raises(InvalidCount):
+        sample_batch(iso, profile.rho_ss, 5, meas, seed=1, trials=0)
+    with pytest.raises(DimensionMismatch):
+        sample_batch(iso, profile.rho_ss, -1, meas, seed=1, trials=2)
+    with pytest.raises(DimensionMismatch):
+        sample(iso, profile.rho_ss, -1, meas, seed=1)
+    outcomes, states = sample_batch(iso, profile.rho_ss, 0, meas, seed=1, trials=2)
+    assert outcomes.shape == (2, 0) and np.array_equal(states[1], profile.rho_ss)
+    with pytest.raises(DimensionMismatch):
+        run_estimator("m3", 0.3, n=1, trials=5, seed=1, block=2)
+    with pytest.raises(InvalidCount):
+        run_estimator("m1", 0.3, n=10, trials=1, seed=1)
+    with pytest.raises(InvalidCount):
+        fluctuation_stats(iso, profile, np.diag([1.0, 0.0]), n=10, trials=1, seed=1)
+    monkeypatch.setenv("QMC_THREADS", "two")
+    with pytest.raises(InvalidCount, match="QMC_THREADS"):
+        sample_batch(iso, profile.rho_ss, 5, meas, seed=1, trials=4)
+
+
+def test_block_measurement_rejects_non_finite_vectors():
+    for vecs in (np.full((2, 2), np.nan), np.array([[1.0, 0.0], [0.0, np.inf]])):
+        with pytest.raises(IncompleteMeasurement):
+            BlockMeasurement(vecs, 2)
+    with pytest.raises(NotHermitian):
+        _diagonal_in_basis(np.full((2, 2), np.nan), standard_measurement(2, 1))
