@@ -14,6 +14,10 @@ Transfer operators act on vectorised matrices with column-stacking ``vec``:
 
 The two matrices are conjugate transposes of each other, matching the
 Hilbert-Schmidt duality Tr(T*(rho) X) = Tr(rho T(X)).
+
+Both maps preserve Hermiticity, so in the orthonormal Hermitian operator
+basis of ``qmc.linalg.herm_coords`` the Schrodinger map is a real matrix R
+(``real_transfer``) and the Heisenberg map is R^T.
 """
 
 from dataclasses import dataclass, field
@@ -21,13 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotIsometry, SizeCap, UnitDimMismatch
-from .linalg import dag, unvec, vec
+from .linalg import dag, herm_pairs, unvec, vec
 
 __all__ = [
     "Isometry",
     "Superoperator",
     "isometry_from_kraus",
     "channel",
+    "real_transfer",
     "sandwich_map",
     "dilation",
     "apply_steps",
@@ -80,6 +85,10 @@ class Isometry:
             and self.k == other.k
             and np.array_equal(self.v, other.v)
         )
+
+    def __hash__(self):
+        # adding 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
+        return hash((self.d, self.k, (self.v + 0.0).tobytes()))
 
 
 def isometry_from_kraus(kraus, tol=1e-8):
@@ -151,6 +160,45 @@ def channel(iso, picture="schrodinger"):
         else:
             m += np.kron(K.T, dag(K))
     return Superoperator(m, picture, (d, d), (d, d))
+
+
+def real_transfer(iso):
+    """Schrodinger transfer operator as a real d^2 x d^2 matrix R.
+
+    R[a, b] = Tr(B_a T(B_b)) in the Hermitian basis B of
+    ``qmc.linalg.herm_coords``; the Heisenberg matrix in that basis is R^T.
+    Column b holds the coordinates of the Hermitian T(B_b), so only the
+    rows j <= l of T(E_pq)[j, l] = sum_u K_u[j, p] conj(K_u[l, q]) are
+    formed, straight from the Kraus operators: O(k d^4) work and no complex
+    d^2 x d^2 intermediate.
+    """
+    d = iso.d
+    n = d * d
+    kr = np.stack(iso.kraus)  # (k, d, d)
+    diag = np.arange(d)
+    ju, lu = herm_pairs(d)
+    h = ju.size
+    rows_j = np.concatenate([diag, ju])
+    rows_l = np.concatenate([diag, lu])
+    # m[r, p, q] = T(E_pq)[j_r, l_r] for the rows j_r <= l_r
+    m = kr[:, rows_j, :].transpose(1, 2, 0) @ kr[:, rows_l, :].conj().transpose(1, 0, 2)
+    r = np.empty((n, n))
+
+    def put(cols, t, diag_scale, off_scale):
+        # coordinates of Hermitian images from their upper-triangle entries
+        # t; the 1/sqrt 2 of a basis row and of a basis column fold into
+        # one factor, which is 1 unless exactly one of them is diagonal
+        r[:d, cols] = t[:d].real * diag_scale
+        r[d : d + h, cols] = t[d:].real * off_scale
+        r[d + h :, cols] = t[d:].imag * off_scale
+
+    s2 = np.sqrt(2.0)
+    put(slice(0, d), m[:, diag, diag], 1.0, s2)
+    up, lo = m[:, ju, lu], m[:, lu, ju]
+    del m
+    put(slice(d, d + h), up + lo, 1.0 / s2, 1.0)
+    put(slice(d + h, n), 1j * (up - lo), 1.0 / s2, 1.0)
+    return r
 
 
 def sandwich_map(iso1, iso2):

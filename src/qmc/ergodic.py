@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DEFAULT_TENSOR_CAP, Isometry, apply_steps, channel
+from .channels import DEFAULT_TENSOR_CAP, Isometry, apply_steps, real_transfer
 from .errors import (
     DimensionMismatch,
     LabelingFailure,
@@ -27,7 +27,7 @@ from .errors import (
     PeripheralMismatch,
     SizeCap,
 )
-from .linalg import bordered_eigvec, bordered_solve, dag, herm_part, unvec, vec
+from .linalg import bordered_eigvec, bordered_solve, dag, herm_coords, herm_part, herm_vec
 
 __all__ = [
     "ErgodicTol",
@@ -59,8 +59,9 @@ class ErgodicTol:
 
     def __post_init__(self):
         for name in ("peripheral_band", "faithfulness_floor", "simplicity_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            val = getattr(self, name)
+            if not (np.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be positive and finite, got {val!r}")
 
 
 @dataclass
@@ -119,10 +120,8 @@ def _canonical_z(u_raw, p, tol):
     # phase c is fixed by the first eigenvalue
     c0 = evals[0] / abs(evals[0])
     labels = np.array([int(np.argmin(np.abs(ev / c0 - gamma ** np.arange(p)))) for ev in evals])
-    spread = max(
-        abs(ev / c0 - gamma ** labels[i]) for i, ev in enumerate(evals)
-    )
-    if spread > 1e-6:
+    spread = float(np.max(np.abs(evals / c0 - gamma**labels)))
+    if not (spread <= 1e-6):
         raise PeripheralMismatch(
             f"stabiliser spectrum deviates from roots of unity by {spread:.3e}"
         )
@@ -151,20 +150,24 @@ def _canonical_z(u_raw, p, tol):
 def analyze(iso, tol=None):
     """Classify the chain and extract its peripheral spectral data.
 
-    One Schrodinger transfer matrix T_s is built per call; the Heisenberg
-    matrix is its conjugate transpose.  The spectrum comes from an
-    eigenvalues-only decomposition, and the stationary state and the
-    peripheral eigen-operator from bordered solves, so no eigenvector
-    matrix is ever formed.
+    One real transfer matrix R (``channels.real_transfer``) is built per
+    call: T_s in the Hermitian operator basis, with the Heisenberg matrix
+    R^T.  The spectrum comes from a real eigenvalues-only decomposition,
+    and the stationary state and the peripheral eigen-operator from
+    bordered solves, so no eigenvector matrix is ever formed.
     """
     if tol is None:
         tol = ErgodicTol()
     d, k = iso.d, iso.k
-    ts = channel(iso, "schrodinger")
-    evals = np.linalg.eigvals(ts.m)
-    order = np.argsort(-np.abs(evals))
-    evals_sorted = evals[order]
-    diagnostics = {}
+    r = real_transfer(iso)
+    evals = np.linalg.eigvals(r).astype(complex)
+    # modulus descending; conjugate pairs of the real eigensolver tie in
+    # modulus exactly, so the imaginary part and then the real part decide
+    evals_sorted = evals[np.lexsort((-evals.real, -evals.imag, -np.abs(evals)))]
+    mods = np.abs(evals)
+    on_rim = mods >= 1.0 - tol.peripheral_band
+    # a NaN modulus is off the rim, so it reaches the gap instead of hiding
+    diagnostics = {"spectral_gap": 1.0 - float(np.max(mods[~on_rim], initial=0.0))}
     profile = SpectralProfile(
         iso=iso,
         d=d,
@@ -180,45 +183,47 @@ def analyze(iso, tol=None):
     i_one = int(np.argmin(dist_to_one))
     near_one = np.sum(dist_to_one <= tol.simplicity_gap)
     diagnostics["distance_to_one"] = float(dist_to_one[i_one])
-    if dist_to_one[i_one] > tol.simplicity_gap:
+    if not (dist_to_one[i_one] <= tol.simplicity_gap):
         diagnostics["reason"] = "no eigenvalue within simplicity_gap of 1"
         return profile
     if near_one > 1:
         diagnostics["reason"] = f"eigenvalue 1 has multiplicity {near_one} within simplicity_gap"
         return profile
 
-    # stationary state: vec(1) is the left 1-eigenvector of the
-    # trace-preserving T_s, so it borders the system and fixes Tr rho = 1
-    one = vec(np.eye(d, dtype=complex))
+    # stationary state: the coordinates of 1 are the left 1-eigenvector of
+    # the trace-preserving R, so they border the system and fix Tr rho = 1
+    one = herm_coords(np.eye(d)).real
     try:
-        x, _ = bordered_solve(ts.m, 1.0, one, one, np.zeros(d * d), 1.0)
+        x, _ = bordered_solve(r, 1.0, one, one, np.zeros(d * d), 1.0)
     except np.linalg.LinAlgError:
         diagnostics["reason"] = "stationary bordered system is singular"
         return profile
-    rho = herm_part(unvec(x, (d, d)))
+    rho = herm_vec(x)
     rho = rho / np.trace(rho).real
     eigs_rho = np.linalg.eigvalsh(rho)
     diagnostics["stationary_min_eigenvalue"] = float(eigs_rho[0])
     profile.rho_ss = rho
-    if eigs_rho[0] < tol.faithfulness_floor:
+    if not (eigs_rho[0] >= tol.faithfulness_floor):
         diagnostics["reason"] = (
             f"stationary state not faithful (min eigenvalue {eigs_rho[0]:.3e})"
         )
         return profile
 
     # peripheral spectrum
-    per_idx = np.where(np.abs(evals) >= 1.0 - tol.peripheral_band)[0]
-    p = len(per_idx)
+    per = evals[on_rim]
+    p = len(per)
+    if p == 0:
+        raise PeripheralMismatch(
+            "no eigenvalue within peripheral_band of the unit circle, though one is within "
+            "simplicity_gap of 1; adjust peripheral_band"
+        )
     gamma = np.exp(2j * np.pi / p)
     targets = gamma ** np.arange(p)
-    assigned = set()
-    worst = 0.0
-    for i in per_idx:
-        j = int(np.argmin(np.abs(evals[i] - targets)))
-        worst = max(worst, float(np.abs(evals[i] - targets[j])))
-        assigned.add(j)
+    gaps = np.abs(per[:, None] - targets[None, :])
+    assigned = set(np.argmin(gaps, axis=1).tolist())
+    worst = float(np.max(np.min(gaps, axis=1)))
     diagnostics["peripheral_deviation"] = worst
-    if len(assigned) != p or worst > 1e-6:
+    if len(assigned) != p or not (worst <= 1e-6):
         raise PeripheralMismatch(
             f"peripheral set of size {p} does not match the p-th roots of unity "
             f"(max deviation {worst:.3e}); adjust peripheral_band"
@@ -232,7 +237,7 @@ def analyze(iso, tol=None):
         projections = [np.eye(d, dtype=complex)]
     else:
         try:
-            u, res = bordered_eigvec(ts.m, gamma, adjoint=True)
+            u, res = bordered_eigvec(r, gamma, adjoint=True)
         except np.linalg.LinAlgError:
             res = np.inf
         if not res <= 1e-6:
@@ -240,17 +245,18 @@ def analyze(iso, tol=None):
                 "Heisenberg transfer operator has no eigen-operator at the expected "
                 f"peripheral eigenvalue (relative residual {res:.3e})"
             )
-        z, projections = _canonical_z(unvec(u, (d, d)), p, tol)
+        z, projections = _canonical_z(herm_vec(u), p, tol)
 
-    # verify the cyclic labeling: T(P_a) = P_{a-1 mod p}, with T = T_s*
+    # verify the cyclic labeling: T(P_a) = P_{a-1 mod p}, with T = R^T
     def th_apply(x):
-        return unvec((vec(x).conj() @ ts.m).conj(), (d, d))
+        # real and imaginary parts apart: R @ complex would copy R to complex
+        c = herm_coords(x)
+        return herm_vec(r.T @ c.real + 1j * (r.T @ c.imag))
 
-    label_res = 0.0
-    for a in range(p):
-        img = th_apply(projections[a])
-        label_res = max(label_res, float(np.linalg.norm(img - projections[(a - 1) % p])))
-    if label_res > 1e-7:
+    label_res = float(
+        np.max([np.linalg.norm(th_apply(projections[a]) - projections[a - 1]) for a in range(p)])
+    )
+    if not (label_res <= 1e-7):
         raise LabelingFailure(
             f"periodic projections fail the cyclic relation (residual {label_res:.3e})"
         )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Isometry, channel, sandwich_map
+from .channels import Isometry, real_transfer, sandwich_map
 from .errors import (
     DimensionMismatch,
     GaugeConstraintViolated,
@@ -43,9 +43,10 @@ from .linalg import (
     bordered_eigvec,
     bordered_solve,
     dag,
+    herm_coords,
+    herm_vec,
     proj_distance,
     unvec,
-    vec,
 )
 
 __all__ = [
@@ -69,11 +70,11 @@ def _check_gauge_element(g, d):
     c, w = g
     c = complex(c)
     w = np.asarray(w, dtype=complex)
-    if abs(abs(c) - 1.0) > 1e-8:
+    if not (abs(abs(c) - 1.0) <= 1e-8):
         raise GaugeConstraintViolated(f"phase has modulus {abs(c):.6f}, expected 1")
     if w.shape != (d, d):
         raise DimensionMismatch(f"unitary shape {w.shape}, expected ({d}, {d})")
-    if np.linalg.norm(dag(w) @ w - np.eye(d)) > 1e-8:
+    if not (np.linalg.norm(dag(w) @ w - np.eye(d)) <= 1e-8):
         raise GaugeConstraintViolated("matrix part of the gauge element is not unitary")
     return c, w
 
@@ -123,10 +124,10 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
     f = unvec(u, (d, d))
     gram = dag(f) @ f
     lam = np.trace(gram).real / d
-    if np.linalg.norm(gram - lam * np.eye(d)) > 1e-6 * max(lam, 1e-12):
+    deviation = np.linalg.norm(gram - lam * np.eye(d))
+    if not (deviation <= 1e-6 * max(lam, 1e-12)):
         raise WitnessInconsistent(
-            "peripheral eigenvector is not proportional to a unitary "
-            f"(deviation {np.linalg.norm(gram - lam * np.eye(d)):.3e})"
+            f"peripheral eigenvector is not proportional to a unitary (deviation {deviation:.3e})"
         )
     u, _, vh = np.linalg.svd(f)
     w = u @ vh
@@ -137,7 +138,7 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
     w = w * np.conj(phase)
     c = evals[imax] / radius
     residual = np.linalg.norm(np.kron(w, np.eye(iso1.k)) @ iso2.v - c * iso1.v @ w)
-    if residual > 1e-6:
+    if not (residual <= 1e-6):
         raise WitnessInconsistent(f"witness relation residual {residual:.3e}")
     return complex(c), w
 
@@ -254,18 +255,21 @@ def _dmu_raw(iso, theta_c, kgen):
     return theta_c * v - np.kron(kgen, np.eye(iso.k)) @ v + v @ kgen
 
 
-def _restricted_cond(th, rho_ss):
+def _restricted_cond(th, r):
     """2-norm condition number of B* (1 - T) B for an orthonormal basis B of
     {x : Tr(rho_ss x) = 0}.
 
-    With u = vec(rho_ss) / ||vec(rho_ss)||, the singular values of
-    (1 - T)(1 - u u*) are those of B* (1 - T) B plus one structural zero
-    (u* is a left null vector of 1 - T), so no basis is formed.
+    ``th`` is the real Heisenberg matrix and ``r`` the real coordinates of
+    rho_ss, both in the Hermitian basis; that basis is orthonormal, so the
+    singular values are those of the vec form.  With u = r / ||r||, the
+    singular values of (1 - T)(1 - u u^T) are those of B* (1 - T) B plus
+    one structural zero (u^T is a left null vector of 1 - T), so no basis
+    is formed.
     """
     n = th.shape[0]
-    u = vec(rho_ss) / np.linalg.norm(rho_ss)
+    u = r / np.linalg.norm(r)
     mu = u - th @ u
-    m = np.multiply.outer(-mu, u.conj())
+    m = np.multiply.outer(-mu, u)
     m -= th
     diag = np.arange(n)
     m[diag, diag] += 1.0
@@ -278,33 +282,34 @@ def _restricted_cond(th, rho_ss):
 def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
     """Solve (Id - T) x = rhs on the subspace {x : Tr(rho_ss x) = 0}.
 
-    T is the Heisenberg transfer operator.  The right-hand side is
-    projected onto the subspace along rho_ss (its component along rho_ss
-    must already be negligible for the equation to make sense): the
-    bordered system [[1 - T, vec rho_ss], [vec(rho_ss)*, 0]] returns the
-    unique x with Tr(rho_ss x) = 0 and (1 - T) x = rhs - s rho_ss.
-    Returns ``(x, cond)`` with the condition number of the compressed
-    resolvent, computed once per profile and checked against ``cond_cap``
-    on every call.
+    T is the Heisenberg transfer operator, the real matrix R^T of
+    ``channels.real_transfer`` in the Hermitian basis.  The right-hand side
+    is projected onto the subspace along rho_ss (its component along rho_ss
+    must already be negligible for the equation to make sense): the real
+    bordered system [[1 - R^T, r], [r^T, 0]], r the coordinates of rho_ss,
+    returns the unique x with Tr(rho_ss x) = 0 and (1 - T) x = rhs - s rho_ss.
+    A complex right-hand side is solved as two real columns.  Returns
+    ``(x, cond)`` with the condition number of the compressed resolvent,
+    computed once per profile and checked against ``cond_cap`` on every
+    call.
     """
     profile.require_irreducible()
-    d = profile.d
-    th = channel(profile.iso, "heisenberg").m
+    rm = real_transfer(profile.iso)
+    r = herm_coords(profile.rho_ss).real
     if profile._resolvent_cond is None:
-        profile._resolvent_cond = _restricted_cond(th, profile.rho_ss)
+        profile._resolvent_cond = _restricted_cond(rm.T, r)
     cond = profile._resolvent_cond
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not (np.isfinite(cond) and cond <= cond_cap):
         raise ResolventIllConditioned(
             f"restricted resolvent condition number {cond:.3e} exceeds {cond_cap:.1e}"
         )
-    r = vec(profile.rho_ss)
-    b = vec(np.asarray(rhs, dtype=complex))
+    b = herm_coords(np.asarray(rhs, dtype=complex))
     try:
-        # [[T - 1, r], [r*, 0]] [x; -s] = [-b; 0]
-        x, _ = bordered_solve(th, 1.0, r, r.conj(), -b)
+        # [[R^T - 1, r], [r^T, 0]] [x; -s] = [-b; 0]
+        x, _ = bordered_solve(rm, 1.0, r, r, -b, adjoint=True)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from None
-    return unvec(x, (d, d)), cond
+    return herm_vec(x), cond
 
 
 def split(profile, a):

@@ -6,6 +6,10 @@ Conventions
 * Tensor products are Kronecker products in C order: for a bipartite space
   H (x) K with dims (d, k), the flat index of ``(s, u)`` is ``s * k + u``,
   i.e. the first factor is the most significant one.
+* The Hermitian operator basis of :func:`herm_coords` lists the d matrices
+  E_jj, then (E_jl + E_lj)/sqrt 2 and then i (E_jl - E_lj)/sqrt 2, each over
+  the pairs j < l of :func:`herm_pairs`.  It is orthonormal, so a
+  Hermiticity-preserving map is a real matrix in it.
 """
 
 import numpy as np
@@ -19,6 +23,9 @@ __all__ = [
     "is_hermitian",
     "vec",
     "unvec",
+    "herm_pairs",
+    "herm_coords",
+    "herm_vec",
     "tensor",
     "partial_trace",
     "matrix_sqrt_psd",
@@ -63,6 +70,41 @@ def unvec(v, shape=None):
             raise DimensionMismatch(f"cannot unvec length {v.size} into a square matrix")
         shape = (n, n)
     return v.reshape(shape, order="F")
+
+
+_RSQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def herm_pairs(d):
+    """Index arrays (j, l), j < l, of the off-diagonal Hermitian basis elements."""
+    return np.triu_indices(d, 1)
+
+
+def herm_coords(x):
+    """Coordinates Tr(B_b x) of a d x d matrix in the Hermitian basis B.
+
+    Complex in general; real (zero imaginary part) when x is Hermitian.
+    """
+    x = np.asarray(x)
+    j, l = herm_pairs(x.shape[0])
+    up, lo = x[j, l], x[l, j]
+    return np.concatenate([np.diagonal(x), (up + lo) * _RSQRT2, 1j * _RSQRT2 * (lo - up)])
+
+
+def herm_vec(c):
+    """The d x d matrix sum_b c_b B_b; inverse of :func:`herm_coords`."""
+    c = np.asarray(c)
+    d = int(round(np.sqrt(c.size)))
+    if d * d != c.size:
+        raise DimensionMismatch(f"cannot map {c.size} coordinates to a square matrix")
+    h = d * (d - 1) // 2
+    s, a = c[d : d + h] * _RSQRT2, c[d + h :] * _RSQRT2
+    j, l = herm_pairs(d)
+    x = np.zeros((d, d), dtype=complex)
+    x[np.arange(d), np.arange(d)] = c[:d]
+    x[j, l] = s + 1j * a
+    x[l, j] = s - 1j * a
+    return x
 
 
 def tensor(*ops):
@@ -149,9 +191,13 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     group-inverse solve of (A - shift 1) x = rhs - s col on {row x = tail}
     (Meyer, SIAM Review 17, 1975).  Returns ``(x, s)``; a singular system
     raises ``LinAlgError``.
+
+    The system takes its dtype from ``m``, ``shift`` and the border, so a
+    real system is factorised in real arithmetic; a complex right-hand
+    side is then solved as two real columns.
     """
     n = m.shape[0]
-    big = np.empty((n + 1, n + 1), dtype=complex)
+    big = np.empty((n + 1, n + 1), dtype=np.result_type(m, shift, col, row))
     if adjoint:
         np.conjugate(m.T, out=big[:n, :n])
     else:
@@ -161,10 +207,14 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     big[:n, n] = col
     big[n, :n] = row
     big[n, n] = 0.0
-    b = np.empty(n + 1, dtype=complex)
+    b = np.empty(n + 1, dtype=np.result_type(big, rhs, tail))
     b[:n] = rhs
     b[n] = tail
-    sol = np.linalg.solve(big, b)
+    if b.dtype == big.dtype:
+        sol = np.linalg.solve(big, b)
+    else:
+        re_im = np.linalg.solve(big, np.stack([b.real, b.imag], axis=1))
+        sol = re_im[:, 0] + 1j * re_im[:, 1]
     return sol[:n], sol[n]
 
 

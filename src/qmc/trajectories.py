@@ -114,8 +114,22 @@ def block_kraus(iso, meas):
     return km
 
 
+def _integer(name, value):
+    """``value`` as an int; InvalidCount unless it is an integer (numpy ones too)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise InvalidCount(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _seed_part(name, value):
+    value = _integer(name, value)
+    if value < 0:
+        raise InvalidCount(f"{name} = {value}, expected >= 0")
+    return value
+
+
 def _trial_uniforms(seed, trial, count):
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(trial)))))
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
     return gen.random(count)
 
 
@@ -169,9 +183,10 @@ def _thread_count():
         raise InvalidCount(f"QMC_THREADS must be an integer, got {raw!r}") from None
 
 
-def _prepare(iso, rho_in, n_blocks, meas):
-    """(stacked superoperator, rho_in, n_blocks) of a sampling call, validated."""
-    n_blocks = int(n_blocks)
+def _prepare(iso, rho_in, n_blocks, meas, seed):
+    """(stacked superoperator, rho_in, n_blocks, seed) of a sampling call, validated."""
+    seed = _seed_part("seed", seed)
+    n_blocks = _integer("n_blocks", n_blocks)
     if n_blocks < 0:
         raise DimensionMismatch(f"n_blocks = {n_blocks}, expected >= 0")
     rho = np.asarray(rho_in, dtype=complex)
@@ -189,7 +204,7 @@ def _prepare(iso, rho_in, n_blocks, meas):
     tr = np.trace(rho).real
     if not (tr >= 1e-14):
         raise NotPSD(f"input state has trace {tr:.3e}, expected a positive trace")
-    return _stacked_superop(block_kraus(iso, meas)), rho, n_blocks
+    return _stacked_superop(block_kraus(iso, meas)), rho, n_blocks, seed
 
 
 def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
@@ -198,8 +213,8 @@ def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
     Set QMC_THREADS to spread trials over a thread pool; the per-trial
     streams make the result independent of the partitioning.
     """
-    op, rho_in, n_blocks = _prepare(iso, rho_in, n_blocks, meas)
-    trials = int(trials)
+    op, rho_in, n_blocks, seed = _prepare(iso, rho_in, n_blocks, meas, seed)
+    trials = _integer("trials", trials)
     if trials < 1:
         raise InvalidCount(f"trials = {trials}, expected >= 1")
     threads = _thread_count()
@@ -218,11 +233,12 @@ def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
 
 def sample(iso, rho_in, n_blocks, meas, seed, trial=0):
     """Single trajectory record; equals row ``trial`` of any batch run."""
-    op, rho_in, n_blocks = _prepare(iso, rho_in, n_blocks, meas)
+    op, rho_in, n_blocks, seed = _prepare(iso, rho_in, n_blocks, meas, seed)
+    trial = _seed_part("trial", trial)
     outcomes, states = _run_batch(op, rho_in, n_blocks, seed, [trial])
     return TrajectoryRecord(
-        seed=int(seed),
-        trial=int(trial),
+        seed=seed,
+        trial=trial,
         outcomes=outcomes[0],
         block=meas.block,
         final_state=states[0],

@@ -11,6 +11,11 @@ the restricted resolvent compressed onto an explicit orthonormal basis of
 {x : Tr(rho_ss x) = 0}.  They cost O(d^6) per call and form several
 d^2 x d^2 matrices, so use them only for small d.
 
+The complex spectrum route is the one the spectral layer used before it
+moved to the real Hermitian-basis matrix: ``eigvals`` of the complex
+d^2 x d^2 Schrodinger matrix, and the basis change U whose columns are
+vec(B_b), which takes that matrix to the real one as U* T U.
+
 The statmodel routes after them are the earlier finite-n functionals:
 the QFI from the full (n-1) x (n-1) Gram of input states against
 Heisenberg-summed cross operators, and the variances with one dilation
@@ -27,7 +32,7 @@ import numpy as np
 from qmc.channels import channel, dilation
 from qmc.ergodic import ErgodicTol, _canonical_z
 from qmc.gauge import restricted_resolvent_solve
-from qmc.linalg import antiherm_part, dag, herm_part, unvec, vec
+from qmc.linalg import antiherm_part, dag, herm_part, herm_vec, unvec, vec
 
 
 def random_isometry(rng, d, k):
@@ -116,6 +121,22 @@ def peripheral_eig(iso, p):
     hvals, hvecs = np.linalg.eig(channel(iso, "heisenberg").m)
     u = unvec(hvecs[:, int(np.argmin(np.abs(hvals - gamma)))])
     return _canonical_z(u, p, ErgodicTol())
+
+
+def herm_basis_unitary(d):
+    """d^2 x d^2 unitary whose column b is vec(B_b), B the Hermitian basis."""
+    return np.stack([vec(herm_vec(e)) for e in np.eye(d * d)], axis=1)
+
+
+def spectrum_complex(iso):
+    """Eigenvalues of the complex Schrodinger matrix."""
+    return np.linalg.eigvals(channel(iso, "schrodinger").m)
+
+
+def spectral_gap_complex(iso, peripheral_band=ErgodicTol().peripheral_band):
+    """1 - max |lambda| over the non-peripheral eigenvalues of the complex matrix."""
+    mods = np.abs(spectrum_complex(iso))
+    return 1.0 - float(np.max(mods[mods < 1.0 - peripheral_band], initial=0.0))
 
 
 def resolvent_nullspace(iso, rho_ss, rhs):

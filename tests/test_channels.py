@@ -13,7 +13,7 @@ from qmc.channels import (
 )
 from qmc.errors import DimensionMismatch, NotIsometry, SizeCap
 from qmc.linalg import dag, vec, unvec
-from qmc.qubit_example import isometry
+from qmc.qubit_example import fixture_s, isometry
 
 import oracles
 
@@ -143,3 +143,15 @@ def test_tensor_cap_enforced():
     with pytest.raises(SizeCap):
         dilation(iso, n_too_big)
     assert dilation(iso, 3, cap=8).shape == (16, 2)
+
+
+def test_equal_isometries_hash_equal():
+    v = fixture_s().v
+    flipped = v.copy()
+    flipped[v == 0] = complex(-0.0, -0.0)  # equal to v under __eq__, other bytes
+    assert flipped.tobytes() != v.tobytes()
+    a, b = Isometry(v, 2, 2), Isometry(flipped, 2, 2)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "swap"}[b] == "swap"
+    assert len({a, b, Isometry(v.copy(), 2, 2)}) == 1
+    assert Isometry(-v, 2, 2) not in {a}

@@ -12,17 +12,24 @@ must agree to 1e-10 relative.
 The trajectory sampler steps a batch of vectorised states through one
 stacked superoperator instead of three einsums; its outcomes must equal
 the einsum oracle's exactly, and its final states to 1e-12.
+
+The spectral layer works on the real matrix R of the Schrodinger map in
+the Hermitian operator basis.  R must equal U* T U for the complex matrix
+T, R^T the Heisenberg matrix in that basis, and its spectrum that of T.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmc.channels import Isometry, dilation
+from qmc.channels import Isometry, channel, dilation, isometry_from_kraus, real_transfer
 from qmc.ergodic import analyze
 from qmc.errors import ResolventIllConditioned
 from qmc.gauge import restricted_resolvent_solve, split
+from qmc.linalg import bordered_solve, herm_coords, herm_vec
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement
 from qmc.statmodel import asymptotic_variance, finite_window_variance, qfi_curve
 from qmc.trajectories import block_kraus, sample, sample_batch, standard_measurement
@@ -208,3 +215,108 @@ def test_superoperator_step_is_batch_and_thread_invariant(label, monkeypatch):
     out2, states2 = sample_batch(iso, rho, 150, meas, 9, 12)
     assert np.array_equal(out2, outcomes)
     assert np.max(np.abs(states2 - states)) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# real Hermitian-basis spectral layer
+
+
+def _random_chain(seed, d, k):
+    rng = np.random.default_rng(seed)
+    return Isometry(oracles.random_isometry(rng, d, k), d, k)
+
+
+def _random_matrix(seed, d):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+DIMS = st.integers(min_value=1, max_value=8)
+UNITS = st.integers(min_value=1, max_value=3)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=DIMS, seed=SEEDS)
+def test_herm_coords_round_trip(d, seed):
+    x = _random_matrix(seed, d)
+    assert np.max(np.abs(herm_vec(herm_coords(x)) - x)) <= 1e-15 * max(1.0, np.max(np.abs(x)))
+    h = x + x.conj().T
+    assert np.array_equal(herm_coords(h).imag, np.zeros(d * d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=DIMS, k=UNITS, seed=SEEDS)
+def test_real_transfer_is_the_basis_change_of_the_complex_matrix(d, k, seed):
+    iso = _random_chain(seed, d, k)
+    u = oracles.herm_basis_unitary(d)
+    r = real_transfer(iso)
+    assert r.dtype == np.float64 and r.shape == (d * d, d * d)
+    schr = u.conj().T @ channel(iso, "schrodinger").m @ u
+    heis = u.conj().T @ channel(iso, "heisenberg").m @ u
+    assert np.max(np.abs(schr - r)) <= 1e-13
+    assert np.max(np.abs(heis - r.T)) <= 1e-13
+
+
+def _spectrum_distance(got, ref):
+    """Largest distance in a greedy nearest-neighbour matching of two multisets."""
+    ref = list(ref)
+    worst = 0.0
+    for lam in sorted(got, key=lambda z: -abs(z)):
+        i = int(np.argmin(np.abs(np.asarray(ref) - lam)))
+        worst = max(worst, abs(ref.pop(i) - lam))
+    return worst
+
+
+def _near_boundary(eps):
+    # |1> is invariant under K0 = diag(sqrt(1 - eps^2), 1) and K1 = eps |1><0|
+    k1 = np.zeros((2, 2))
+    k1[1, 0] = eps
+    return isometry_from_kraus([np.diag([np.sqrt(1.0 - eps * eps), 1.0]), k1])
+
+
+SPECTRUM_CASES = [(label, iso) for label, iso, _ in CHAINS] + [
+    (f"near-boundary-{eps:.0e}", _near_boundary(eps)) for eps in (1e-2, 1e-3, 1e-4)
+]
+
+
+@pytest.mark.parametrize("label,iso", SPECTRUM_CASES, ids=[c[0] for c in SPECTRUM_CASES])
+def test_real_spectrum_matches_complex_oracle(label, iso):
+    profile = analyze(iso)
+    ref = oracles.spectrum_complex(iso)
+    assert len(profile.eigenvalues) == len(ref)
+    assert _spectrum_distance(profile.eigenvalues, ref) <= 1e-12 * np.max(np.abs(ref))
+    gap = profile.diagnostics["spectral_gap"]
+    assert abs(gap - oracles.spectral_gap_complex(iso, profile.tol.peripheral_band)) <= 1e-12
+    if label.startswith("near-boundary"):
+        assert not profile.is_irreducible
+
+
+def test_eigenvalue_order_is_deterministic():
+    # modulus descending, then imaginary part, then real part: a conjugate
+    # pair lists its positive imaginary part first, and 1 comes before -1
+    for label, iso, _ in CHAINS:
+        ev = analyze(iso).eigenvalues
+        keys = list(zip(-np.abs(ev), -ev.imag, -ev.real))
+        assert keys == sorted(keys), label
+
+
+def test_bordered_solve_keeps_a_real_system_real(monkeypatch):
+    rng = np.random.default_rng(2030)
+    m = rng.standard_normal((6, 6))
+    col, row = rng.standard_normal((2, 6))
+    rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    seen = []
+    real_solve = np.linalg.solve
+
+    def spy(a, b):
+        seen.append((a.dtype, b.dtype))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    x, s = bordered_solve(m, 1.0, col, row, rhs, 0.5)
+    monkeypatch.undo()
+    assert seen == [(np.dtype(float), np.dtype(float))]
+    big = np.block([[m - np.eye(6), col[:, None]], [row[None, :], np.zeros((1, 1))]])
+    ref = np.linalg.solve(big.astype(complex), np.append(rhs, 0.5))
+    assert np.max(np.abs(np.append(x, s) - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -159,3 +159,52 @@ def test_tolerance_overrides_change_verdict():
     # set; that is a tolerance misconfiguration, not a verdict
     with pytest.raises(PeripheralMismatch):
         analyze(iso, tol=ErgodicTol(peripheral_band=0.9))
+    # a band narrower than the roundoff of the computed eigenvalue 1 leaves
+    # the peripheral set empty; that used to divide by zero
+    iso = Isometry(oracles.random_isometry(np.random.default_rng(3), 4, 2), 4, 2)
+    with pytest.raises(PeripheralMismatch):
+        analyze(iso, tol=ErgodicTol(peripheral_band=1e-300))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["peripheral_band", "faithfulness_floor", "simplicity_gap"])
+def test_tolerances_must_be_finite(field, value):
+    with pytest.raises(ValueError):
+        ErgodicTol(**{field: value})
+
+
+def test_nan_spectrum_is_not_a_verdict(monkeypatch):
+    # `dist > simplicity_gap` is False for NaN, so a NaN spectrum used to
+    # pass the eigenvalue-1 check and fail later with ZeroDivisionError
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(m.shape[0], np.nan + 0j))
+    profile = analyze(isometry("m2", 0.2))
+    assert not profile.is_irreducible
+    assert profile.diagnostics["reason"] == "no eigenvalue within simplicity_gap of 1"
+
+
+def test_nan_projection_fails_the_cyclic_check(monkeypatch):
+    import qmc.ergodic as ergodic
+    from qmc.errors import LabelingFailure
+
+    canonical = ergodic._canonical_z
+
+    def nan_first_projection(u, p, tol):
+        z, projections = canonical(u, p, tol)
+        projections[0] = np.full_like(projections[0], np.nan)
+        return z, projections
+
+    monkeypatch.setattr(ergodic, "_canonical_z", nan_first_projection)
+    with pytest.raises(LabelingFailure):
+        analyze(fixture_s())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_stabiliser_spectrum_is_rejected(monkeypatch):
+    from qmc.ergodic import _canonical_z
+    from qmc.errors import PeripheralMismatch
+
+    monkeypatch.setattr(
+        np.linalg, "eig", lambda m: (np.full(m.shape[0], np.nan + 0j), np.eye(m.shape[0]))
+    )
+    with pytest.raises(PeripheralMismatch, match="roots of unity"):
+        _canonical_z(np.diag([1.0, -1.0]).astype(complex), 2, ErgodicTol())

@@ -3,7 +3,12 @@ import pytest
 
 from qmc.channels import Isometry
 from qmc.ergodic import analyze, output_state
-from qmc.errors import GaugeConstraintViolated, NotIdentifiable, NotTangent
+from qmc.errors import (
+    GaugeConstraintViolated,
+    NotIdentifiable,
+    NotTangent,
+    WitnessInconsistent,
+)
 from qmc.gauge import (
     TangentVector,
     act,
@@ -175,3 +180,37 @@ def test_non_finite_operands_are_rejected():
         dmu(iso, 0.0, np.full((2, 2), np.nan))
     with pytest.raises(GaugeConstraintViolated):
         dmu(iso, 0.0, np.diag([1.0, -1.0]), rho_ss=np.full((2, 2), np.nan))
+
+
+def test_non_finite_gauge_elements_are_rejected():
+    # the phase and unitarity guards used to read `x > 1e-8`, which is
+    # False for NaN; the NaN then surfaced as NotIsometry from the result
+    iso = isometry("m1", 0.3)
+    with pytest.raises(GaugeConstraintViolated):
+        act((complex("nan+0j"), np.eye(2)), iso)
+    with pytest.raises(GaugeConstraintViolated):
+        act((1.0, np.full((2, 2), np.nan)), iso)
+
+
+def test_witness_rejects_non_finite_eigenvector(monkeypatch):
+    import qmc.gauge as gauge
+
+    monkeypatch.setattr(gauge, "bordered_eigvec", lambda m, lam: (np.full(m.shape[0], np.nan), 0.0))
+    iso = isometry("m2", 0.2)
+    with pytest.raises(WitnessInconsistent):
+        equivalence_witness(iso, iso)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_witness_rejects_non_finite_relation_residual(monkeypatch):
+    # m2 has period 1, so the polar step is the only SVD of the call
+    svd = np.linalg.svd
+
+    def nan_left_factor(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return np.full_like(u, np.nan), s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", nan_left_factor)
+    iso = isometry("m2", 0.2)
+    with pytest.raises(WitnessInconsistent, match="relation residual"):
+        equivalence_witness(iso, iso)

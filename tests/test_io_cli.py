@@ -78,6 +78,22 @@ def test_split_report_round_trips_complex_theta():
     assert np.array_equal(io.matrix_from_json(rep["kgen"]), sp.kgen)
 
 
+def test_profile_report_emits_spectral_gap():
+    from qmc.channels import Isometry
+    from qmc.ergodic import analyze
+
+    v = np.zeros((4, 2))
+    v[0, 0] = v[3, 1] = 1.0
+    for iso in (fixture_s(), isometry("m1", 0.3), Isometry(v, 2, 2)):
+        profile = analyze(iso)
+        gap = profile.diagnostics["spectral_gap"]
+        rep = json.loads(json.dumps(io.profile_report(profile)))
+        assert rep["diagnostics"]["spectral_gap"] == gap
+        mods = np.abs(profile.eigenvalues)
+        inner = mods[mods < 1.0 - profile.tol.peripheral_band]
+        assert gap == 1.0 - (inner.max() if inner.size else 0.0)
+
+
 def test_import_does_not_load_scipy():
     import qmc
 
@@ -260,8 +276,9 @@ def test_cli_simulate_csv_reproducible(tmp_path):
         (("--model", "m3", "--n", "1", "--block", "2", "--trials", "5"), None, "DimensionMismatch"),
         (("--model", "m1", "--n", "50", "--trials", "1"), None, "InvalidCount"),
         (("--model", "m1", "--n", "50", "--trials", "4"), {"QMC_THREADS": "two"}, "InvalidCount"),
+        (("--model", "m1", "--n", "50", "--trials", "4", "--seed", "-1"), None, "InvalidCount"),
     ],
-    ids=["n-below-block", "one-trial", "bad-threads"],
+    ids=["n-below-block", "one-trial", "bad-threads", "negative-seed"],
 )
 def test_cli_simulate_rejects_bad_counts(flags, env, kind):
     res = _run("simulate", "--theta", "0.3", "--seed", "1", *flags, env=env)

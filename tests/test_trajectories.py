@@ -206,3 +206,41 @@ def test_block_measurement_rejects_non_finite_vectors():
             BlockMeasurement(vecs, 2)
     with pytest.raises(NotHermitian):
         _diagonal_in_basis(np.full((2, 2), np.nan), standard_measurement(2, 1))
+
+
+BAD_SAMPLER_ARGS = [
+    ("negative-seed", dict(seed=-1)),
+    ("float-seed", dict(seed=1.5)),
+    ("numpy-float-seed", dict(seed=np.float64(2.0))),
+    ("float-n-blocks", dict(n_blocks=5.0)),
+    ("negative-trial", dict(trial=-1)),
+    ("float-trial", dict(trial=0.5)),
+]
+
+
+@pytest.mark.parametrize("label,bad", BAD_SAMPLER_ARGS, ids=[c[0] for c in BAD_SAMPLER_ARGS])
+def test_sampler_seeds_and_counts_must_be_non_negative_integers(label, bad):
+    iso = isometry("m1", 0.3)
+    rho = analyze(iso).rho_ss
+    args = dict(n_blocks=5, seed=1, trial=0)
+    args.update(bad)
+    meas = standard_measurement(2, 1)
+    if "trial" not in bad:
+        with pytest.raises(InvalidCount):
+            sample_batch(iso, rho, args["n_blocks"], meas, args["seed"], 3)
+    with pytest.raises(InvalidCount):
+        sample(iso, rho, args["n_blocks"], meas, args["seed"], trial=args["trial"])
+
+
+def test_sampler_accepts_numpy_integers():
+    iso = isometry("m1", 0.3)
+    rho = analyze(iso).rho_ss
+    meas = standard_measurement(2, 1)
+    with pytest.raises(InvalidCount):
+        sample_batch(iso, rho, 5, meas, 1, 3.0)
+    outcomes, _ = sample_batch(iso, rho, 40, meas, 7, 3)
+    np_out, _ = sample_batch(iso, rho, np.int64(40), meas, np.uint32(7), np.int16(3))
+    assert np.array_equal(np_out, outcomes)
+    rec = sample(iso, rho, np.int32(40), meas, np.int64(7), trial=np.uint8(2))
+    assert rec.seed == 7 and rec.trial == 2 and type(rec.trial) is int
+    assert np.array_equal(rec.outcomes, outcomes[2])
