@@ -17,7 +17,7 @@ import numpy as np
 from . import gauge, gaussian, io, qubit_example, statmodel, trajectories
 from .channels import DEFAULT_TENSOR_CAP
 from .ergodic import ErgodicTol, analyze
-from .errors import NotIrreducible, QmcError
+from .errors import NotIrreducible, QmcError, as_integer
 
 __all__ = ["main"]
 
@@ -196,6 +196,8 @@ def cmd_variance(args):
 
 
 def cmd_converge(args):
+    as_integer("--pow-min", args.pow_min, 0)
+    as_integer("--pow-max", args.pow_max, args.pow_min)
     iso = _resolve_iso(args, args.isometry)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()

@@ -1,10 +1,12 @@
-"""Exception types used across the package.
+"""Exception types used across the package, and the integer check behind InvalidCount.
 
 Every error carries a ``kind`` tag (stable string, equal to the class name)
 and a human-readable ``detail``.  The CLI serialises failures as a single
 JSON line ``{"kind": ..., "detail": ...}`` on stderr, so the tags are part
 of the public interface and should not be renamed casually.
 """
+
+import numpy as np
 
 
 class QmcError(Exception):
@@ -99,7 +101,7 @@ class IncompleteMeasurement(QmcError):
 
 
 class InvalidCount(QmcError):
-    """Trial count or thread setting outside its valid range."""
+    """Step, trial or seed count, or thread setting, outside its valid range."""
 
 
 class DegenerateState(QmcError):
@@ -120,3 +122,13 @@ class NotHermitian(QmcError):
 
 class ObservableNotDiagonal(QmcError):
     """Observable is not diagonal in the measured block basis."""
+
+
+def as_integer(name, value, minimum=None):
+    """``value`` as an int; InvalidCount unless it is an integer (numpy ones
+    too) and, when ``minimum`` is given, at least ``minimum``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise InvalidCount(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidCount(f"{name} = {value}, expected >= {minimum}")
+    return int(value)

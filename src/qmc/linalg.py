@@ -14,21 +14,17 @@ Conventions
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD
+from .errors import DimensionMismatch
 
 __all__ = [
     "dag",
     "herm_part",
     "antiherm_part",
-    "is_hermitian",
     "vec",
     "unvec",
     "herm_pairs",
     "herm_coords",
     "herm_vec",
-    "tensor",
-    "partial_trace",
-    "matrix_sqrt_psd",
     "trace_norm",
     "proj_distance",
     "bordered_solve",
@@ -47,13 +43,6 @@ def herm_part(a):
 
 def antiherm_part(a):
     return 0.5 * (a - dag(a))
-
-
-def is_hermitian(a, tol=1e-10):
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and np.linalg.norm(a - dag(a)) <= tol * max(
-        1.0, np.linalg.norm(a)
-    )
 
 
 def vec(x):
@@ -105,53 +94,6 @@ def herm_vec(c):
     x[j, l] = s + 1j * a
     x[l, j] = s - 1j * a
     return x
-
-
-def tensor(*ops):
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op))
-    return out
-
-
-def partial_trace(rho, dims, keep):
-    """Trace out all factors except ``keep`` (0-based) of a product space.
-
-    Parameters
-    ----------
-    rho : (N, N) array with N = prod(dims)
-    dims : sequence of factor dimensions, most significant first
-    keep : int, which factor to keep
-    """
-    dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
-    rho = np.asarray(rho)
-    if rho.shape != (n, n):
-        raise DimensionMismatch(f"state shape {rho.shape} does not match dims {dims}")
-    m = len(dims)
-    t = rho.reshape(dims + dims)
-    # contract factors in decreasing order so the row position of factor f
-    # stays equal to f at the moment it is traced out
-    for f in reversed(range(m)):
-        if f == keep:
-            continue
-        t = np.trace(t, axis1=f, axis2=f + t.ndim // 2)
-    return t
-
-
-def matrix_sqrt_psd(a, tol=1e-10):
-    """Hermitian PSD square root via eigh.
-
-    Eigenvalues in ``[-tol, 0)`` are clipped to zero; anything lower raises
-    :class:`NotPSD`.
-    """
-    a = np.asarray(a)
-    w, u = np.linalg.eigh(herm_part(a))
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if np.min(w) < -tol * scale:
-        raise NotPSD(f"minimum eigenvalue {np.min(w):.3e} below -{tol:.1e} * scale")
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ dag(u)
 
 
 def trace_norm(a):

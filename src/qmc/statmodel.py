@@ -34,6 +34,7 @@ from .errors import (
     RetractionFailure,
     SizeCap,
     UnitDimMismatch,
+    as_integer,
 )
 from .gauge import TangentVector, restricted_resolvent_solve, split, tangent_inner
 from .gaussian import _coherent_overlap
@@ -86,14 +87,32 @@ class DeformedChannel:
         return self.superop(x)
 
     def iterate(self, x, n):
-        """The map applied n times to x, as n matvecs on vec(x): O(n d^4)."""
+        """The map applied n times to x, by matvecs on vec(x) and squarings.
+
+        With D = d^2 the side of the dense matrix M, one squaring costs D
+        matvecs.  The number j of squarings minimises the cost
+        j D + floor(n / 2^j) + (n mod 2^j) in matvec units: M is applied
+        n mod 2^j times, squared j times, and M^(2^j) applied floor(n / 2^j)
+        times.  Work is O(min_j(j D + n / 2^j) D^2), at most O(n d^4), and
+        the squarings hold at most two D x D matrices besides M.  For
+        n <= 2 D + 1 the rule picks j = 0, which is n plain matvecs, bit for
+        bit.
+        """
+        n = as_integer("n", n, 0)
         op = self.superop
         x = np.asarray(x, dtype=complex)
         if x.shape != tuple(op.shape_in):
             raise DimensionMismatch(f"operand shape {x.shape}, expected {op.shape_in}")
+        m = op.m
+        side = m.shape[0]
+        j = min(range(n.bit_length() + 1), key=lambda s: s * side + (n >> s) + n % (1 << s))
         y = vec(x)
-        for _ in range(n):
-            y = op.m @ y
+        for _ in range(n % (1 << j)):
+            y = m @ y
+        for _ in range(j):
+            m = m @ m
+        for _ in range(n >> j):
+            y = m @ y
         return unvec(y, tuple(op.shape_out))
 
 
@@ -196,6 +215,7 @@ def weak_qlan_report(profile, x, y, n, phi=None):
     correction, and the prediction is
     exp(-1/2 beta(dx, dx) + i sigma(x_id, y_id)) with dx = x_id - y_id.
     """
+    n = as_integer("n", n, 1)
     profile = _as_profile(profile)
     profile.require_irreducible()
     iso = profile.iso
@@ -216,7 +236,7 @@ def weak_qlan_report(profile, x, y, n, phi=None):
     corrected = overlap * np.exp(1j * (sx.theta - sy.theta) * np.sqrt(n))
     prediction = _coherent_overlap(profile, sx.a_id, sy.a_id)
     return {
-        "n": int(n),
+        "n": n,
         "overlap": overlap,
         "corrected": corrected,
         "prediction": prediction,

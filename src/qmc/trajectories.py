@@ -25,6 +25,7 @@ from .errors import (
     NotHermitian,
     NotPSD,
     ObservableNotDiagonal,
+    as_integer,
 )
 from .ergodic import analyze
 from .linalg import dag
@@ -114,20 +115,6 @@ def block_kraus(iso, meas):
     return km
 
 
-def _integer(name, value):
-    """``value`` as an int; InvalidCount unless it is an integer (numpy ones too)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise InvalidCount(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _seed_part(name, value):
-    value = _integer(name, value)
-    if value < 0:
-        raise InvalidCount(f"{name} = {value}, expected >= 0")
-    return value
-
-
 def _trial_uniforms(seed, trial, count):
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
     return gen.random(count)
@@ -185,8 +172,8 @@ def _thread_count():
 
 def _prepare(iso, rho_in, n_blocks, meas, seed):
     """(stacked superoperator, rho_in, n_blocks, seed) of a sampling call, validated."""
-    seed = _seed_part("seed", seed)
-    n_blocks = _integer("n_blocks", n_blocks)
+    seed = as_integer("seed", seed, 0)
+    n_blocks = as_integer("n_blocks", n_blocks)
     if n_blocks < 0:
         raise DimensionMismatch(f"n_blocks = {n_blocks}, expected >= 0")
     rho = np.asarray(rho_in, dtype=complex)
@@ -214,9 +201,7 @@ def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
     streams make the result independent of the partitioning.
     """
     op, rho_in, n_blocks, seed = _prepare(iso, rho_in, n_blocks, meas, seed)
-    trials = _integer("trials", trials)
-    if trials < 1:
-        raise InvalidCount(f"trials = {trials}, expected >= 1")
+    trials = as_integer("trials", trials, 1)
     threads = _thread_count()
     trial_indices = list(range(trials))
     if threads <= 1 or trials < 2 * threads:
@@ -234,7 +219,7 @@ def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
 def sample(iso, rho_in, n_blocks, meas, seed, trial=0):
     """Single trajectory record; equals row ``trial`` of any batch run."""
     op, rho_in, n_blocks, seed = _prepare(iso, rho_in, n_blocks, meas, seed)
-    trial = _seed_part("trial", trial)
+    trial = as_integer("trial", trial, 0)
     outcomes, states = _run_batch(op, rho_in, n_blocks, seed, [trial])
     return TrajectoryRecord(
         seed=seed,

@@ -17,10 +17,11 @@ d^2 x d^2 Schrodinger matrix, and the basis change U whose columns are
 vec(B_b), which takes that matrix to the real one as U* T U.
 
 The statmodel routes after them are the earlier finite-n functionals:
-the QFI from the full (n-1) x (n-1) Gram of input states against
+the deformed channel applied n times as n sequential matvecs, the QFI
+from the full (n-1) x (n-1) Gram of input states against
 Heisenberg-summed cross operators, and the variances with one dilation
-compression per autocovariance lag.  They cost O(n^2) memory and one
-b-step dilation per lag respectively.
+compression per autocovariance lag.  The QFI and variance routes cost
+O(n^2) memory and one b-step dilation per lag respectively.
 
 The sampler route at the end is the earlier trajectory step: three
 ``einsum`` contractions per step on the (t, d, d) batch of conditional
@@ -65,6 +66,25 @@ def overlap_oracle(iso1, iso2, phi, n):
     a = chain_state(iso1, phi, n)
     b = chain_state(iso2, phi, n)
     return complex(np.vdot(a.reshape(-1), b.reshape(-1)))
+
+
+def iterate_sequential(dc, x, n_values, dtype=complex):
+    """{n: E^n(x)} for the deformed channel ``dc``, by one run of plain matvecs.
+
+    The sweep goes up to max(n_values) and records the iterate at each
+    requested n.  ``dtype`` sets the working precision; np.clongdouble gives
+    an extended-precision reference.
+    """
+    m = np.asarray(dc.superop.m, dtype=dtype)
+    x = np.asarray(x, dtype=dtype)
+    y = vec(x)
+    want = set(int(n) for n in n_values)
+    out = {0: x} if 0 in want else {}
+    for step in range(1, max(want) + 1):
+        y = m @ y
+        if step in want:
+            out[step] = unvec(y, x.shape)
+    return out
 
 
 def string_probs(iso, rho, n):

@@ -31,7 +31,13 @@ from qmc.errors import ResolventIllConditioned
 from qmc.gauge import restricted_resolvent_solve, split
 from qmc.linalg import bordered_solve, herm_coords, herm_vec
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement
-from qmc.statmodel import asymptotic_variance, finite_window_variance, qfi_curve
+from qmc.statmodel import (
+    DeformedChannel,
+    asymptotic_variance,
+    finite_window_variance,
+    qfi_curve,
+    retract,
+)
 from qmc.trajectories import block_kraus, sample, sample_batch, standard_measurement
 
 import oracles
@@ -167,6 +173,79 @@ def test_qfi_curve_memory_is_bounded_in_n():
         tracemalloc.stop()
     assert np.isfinite(f[0])
     assert peak < 10 * 2**20
+
+
+# --------------------------------------------------------------------------
+# deformed-channel powers by squaring
+
+
+EPS = np.finfo(float).eps
+# powers of two per d, so that some n stay at or below 2 d^2 + 1 (no
+# squaring, plain matvecs) and some exceed it (at least one squaring)
+ITERATE_POWERS = {2: (3, 8, 12), 4: (4, 6, 10), 8: (5, 8, 11), 16: (10, 11)}
+
+
+def _iterate_pairs():
+    for d, powers in ITERATE_POWERS.items():
+        rng = np.random.default_rng(300 + d)
+        base = Isometry(oracles.random_isometry(rng, d, 2), d, 2)
+        other = Isometry(oracles.random_isometry(rng, d, 2), d, 2)
+        raw = rng.standard_normal(base.v.shape) + 1j * rng.standard_normal(base.v.shape)
+        h = base.v.conj().T @ raw
+        tangent = raw - base.v @ (0.5 * (h - h.conj().T))
+        cyclic = Isometry(oracles.cyclic_isometry(rng, d, 2, 2), d, 2)
+        rotation = Isometry(oracles.random_unitary(rng, d), d, 1)
+        yield f"random-d{d}", base, other, powers
+        yield f"unital-d{d}", base, base, powers
+        near = (retract(base, tangent, 1e-2), retract(base, tangent, -1e-2))
+        yield f"near-identical-d{d}", *near, powers
+        yield f"period2-d{d}", cyclic, cyclic, powers
+        # X -> U* X U never settles, so every step count gives its own result
+        yield f"rotation-d{d}", rotation, rotation, powers
+    # spectral radius about 1 + 1e-9, as in the statmodel tolerance test
+    rng = np.random.default_rng(23)
+    scale = 1.0 + 5e-10
+    left = Isometry(scale * oracles.random_isometry(rng, 2, 2), 2, 2)
+    yield "radius-above-one-d2", left, left, ITERATE_POWERS[2]
+
+
+ITERATE_PAIRS = list(_iterate_pairs())
+
+
+@pytest.mark.parametrize(
+    "label,left,right,powers", ITERATE_PAIRS, ids=[c[0] for c in ITERATE_PAIRS]
+)
+def test_powered_iterate_matches_sequential_oracle(label, left, right, powers):
+    dc = DeformedChannel(left, right)
+    x = _random_matrix(7, left.d)
+    n_values = {1, 2, 7}
+    for k in powers:
+        n_values |= {2**k - 1, 2**k, 2**k + 1}
+    side = left.d**2
+    assert min(n_values) <= 2 * side + 1 < max(n_values)  # both j = 0 and j > 0
+    ref = oracles.iterate_sequential(dc, x, n_values)
+    for n in sorted(n_values):
+        got = dc.iterate(x, n)
+        if n <= 2 * side + 1:
+            assert np.array_equal(got, ref[n]), n
+        else:
+            assert np.linalg.norm(got - ref[n]) <= n * EPS * np.linalg.norm(x), n
+
+
+def test_powered_iterate_against_extended_precision():
+    # a rotation, so that a wrong step count would change E^n(x)
+    _, left, right, _ = next(c for c in ITERATE_PAIRS if c[0] == "rotation-d2")
+    dc = DeformedChannel(left, right)
+    x = _random_matrix(8, 2)
+    n = 2**16
+    exact = oracles.iterate_sequential(dc, x, [n], dtype=np.clongdouble)[n]
+    errors = {
+        "powered": float(np.linalg.norm(dc.iterate(x, n) - exact)),
+        "sequential": float(np.linalg.norm(oracles.iterate_sequential(dc, x, [n])[n] - exact)),
+    }
+    print(f"n = {n}: error against clongdouble {errors}")
+    for err in errors.values():
+        assert err <= n * EPS * np.linalg.norm(x)
 
 
 def _sampler_cases():

@@ -270,18 +270,32 @@ def test_cli_simulate_csv_reproducible(tmp_path):
     assert header == "trial,x_bar,estimate"
 
 
+SIMULATE = ("simulate", "--theta", "0.3", "--seed", "1")
+CONVERGE = ("converge", "--model", "m1", "--theta", "0.3")
+
+
 @pytest.mark.parametrize(
-    "flags,env,kind",
+    "argv,env,kind",
     [
-        (("--model", "m3", "--n", "1", "--block", "2", "--trials", "5"), None, "DimensionMismatch"),
-        (("--model", "m1", "--n", "50", "--trials", "1"), None, "InvalidCount"),
-        (("--model", "m1", "--n", "50", "--trials", "4"), {"QMC_THREADS": "two"}, "InvalidCount"),
-        (("--model", "m1", "--n", "50", "--trials", "4", "--seed", "-1"), None, "InvalidCount"),
+        (SIMULATE + ("--model", "m3", "--n", "1", "--block", "2", "--trials", "5"), None, "DimensionMismatch"),
+        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "1"), None, "InvalidCount"),
+        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4"), {"QMC_THREADS": "two"}, "InvalidCount"),
+        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4", "--seed", "-1"), None, "InvalidCount"),
+        (CONVERGE + ("--pow-min", "-1", "--pow-max", "3"), None, "InvalidCount"),
+        (CONVERGE + ("--pow-min", "5", "--pow-max", "3"), None, "InvalidCount"),
     ],
-    ids=["n-below-block", "one-trial", "bad-threads", "negative-seed"],
+    ids=[
+        "n-below-block",
+        "one-trial",
+        "bad-threads",
+        "negative-seed",
+        "converge-negative-power",
+        "converge-empty-range",
+    ],
 )
-def test_cli_simulate_rejects_bad_counts(flags, env, kind):
-    res = _run("simulate", "--theta", "0.3", "--seed", "1", *flags, env=env)
+def test_cli_simulate_rejects_bad_counts(argv, env, kind):
+    # the rows cover the count flags of converge as well as simulate
+    res = _run(*argv, env=env)
     assert res.returncode == 1, res.stdout
     assert res.stdout == ""
     assert json.loads(res.stderr.strip())["kind"] == kind

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmc.channels import Isometry, dilation
-from qmc.errors import DimensionMismatch, NotHermitian, RetractionFailure
+from qmc.errors import DimensionMismatch, InvalidCount, NotHermitian, RetractionFailure
 from qmc.ergodic import analyze
 from qmc.gauge import split, tangent_inner
 from qmc.linalg import dag
@@ -94,6 +94,58 @@ def test_iterate_matches_repeated_application():
     assert np.array_equal(dc.iterate(x, 0), x)
     with pytest.raises(DimensionMismatch):
         dc.iterate(np.eye(3), 2)
+
+
+def _count_call(kind, n):
+    profile = analyze(isometry("m1", 0.3))
+    iso = profile.iso
+    x = golden_tangent("m1")[0]
+    if kind == "iterate":
+        return DeformedChannel(iso, iso).iterate(np.eye(2), n)
+    if kind == "weak_qlan_report":
+        return weak_qlan_report(profile, x, -x, n)
+    if kind == "joint_overlap":
+        return joint_overlap(iso, iso, np.array([1.0, 0.0]), n)
+    return qfi_finite(iso, x, np.array([1.0, 0.0]), n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind,n,error",
+    [
+        ("iterate", -3, InvalidCount),
+        ("iterate", 2.5, InvalidCount),
+        ("iterate", np.float64(4.0), InvalidCount),
+        ("weak_qlan_report", 0, InvalidCount),
+        ("weak_qlan_report", -4, InvalidCount),
+        ("weak_qlan_report", 2.5, InvalidCount),
+        ("joint_overlap", 0, DimensionMismatch),
+        ("qfi_finite", 0, DimensionMismatch),
+    ],
+    ids=[
+        "iterate-negative",
+        "iterate-fraction",
+        "iterate-float",
+        "weak-zero",
+        "weak-negative",
+        "weak-fraction",
+        "overlap-zero",
+        "qfi-zero",
+    ],
+)
+def test_n_step_functionals_reject_bad_counts(kind, n, error):
+    with pytest.raises(error):
+        _count_call(kind, n)
+
+
+def test_n_step_functionals_accept_numpy_integers():
+    dc = DeformedChannel(isometry("m1", 0.3), isometry("m1", 0.31))
+    x = np.eye(2, dtype=complex)
+    for n in (7, 100):
+        assert np.array_equal(dc.iterate(x, np.int64(n)), dc.iterate(x, n))
+    rep = _count_call("weak_qlan_report", np.int32(64))
+    assert rep == _count_call("weak_qlan_report", 64)
+    assert type(rep["n"]) is int
 
 
 def test_local_observable_block_at_unit_dimension_one():
