@@ -33,6 +33,7 @@ __all__ = [
     "isometry_from_kraus",
     "channel",
     "real_transfer",
+    "kraus_real_matrix",
     "sandwich_map",
     "dilation",
     "apply_steps",
@@ -167,14 +168,20 @@ def real_transfer(iso):
 
     R[a, b] = Tr(B_a T(B_b)) in the Hermitian basis B of
     ``qmc.linalg.herm_coords``; the Heisenberg matrix in that basis is R^T.
+    """
+    return kraus_real_matrix(np.stack(iso.kraus))
+
+
+def kraus_real_matrix(kr):
+    """Real d^2 x d^2 matrix of rho -> sum_u K_u rho K_u* for a (k, d, d) stack.
+
     Column b holds the coordinates of the Hermitian T(B_b), so only the
     rows j <= l of T(E_pq)[j, l] = sum_u K_u[j, p] conj(K_u[l, q]) are
     formed, straight from the Kraus operators: O(k d^4) work and no complex
     d^2 x d^2 intermediate.
     """
-    d = iso.d
+    d = kr.shape[-1]
     n = d * d
-    kr = np.stack(iso.kraus)  # (k, d, d)
     diag = np.arange(d)
     ju, lu = herm_pairs(d)
     h = ju.size

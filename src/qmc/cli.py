@@ -17,7 +17,7 @@ import numpy as np
 from . import gauge, gaussian, io, qubit_example, statmodel, trajectories
 from .channels import DEFAULT_TENSOR_CAP
 from .ergodic import ErgodicTol, analyze
-from .errors import NotIrreducible, QmcError, as_integer
+from .errors import InvalidCount, NotIrreducible, QmcError, as_integer
 
 __all__ = ["main"]
 
@@ -198,6 +198,10 @@ def cmd_variance(args):
 def cmd_converge(args):
     as_integer("--pow-min", args.pow_min, 0)
     as_integer("--pow-max", args.pow_max, args.pow_min)
+    if args.pow_max == args.pow_min:
+        raise InvalidCount(
+            f"--pow-max = --pow-min = {args.pow_min}; a slope needs at least two sizes"
+        )
     iso = _resolve_iso(args, args.isometry)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
@@ -227,7 +231,7 @@ def cmd_converge(args):
         )
     logs = np.log2(np.asarray(errors))
     powers = np.arange(args.pow_min, args.pow_max + 1, dtype=float)
-    slope = float(np.polyfit(powers, logs, 1)[0]) if len(rows) > 1 else 0.0
+    slope = float(np.polyfit(powers, logs, 1)[0])
     io.write_csv(
         (
             "n",

@@ -70,29 +70,38 @@ def herm_pairs(d):
 
 
 def herm_coords(x):
-    """Coordinates Tr(B_b x) of a d x d matrix in the Hermitian basis B.
+    """Coordinates Tr(B_b x) of d x d matrices in the Hermitian basis B.
 
+    ``x`` may carry leading batch axes: (..., d, d) maps to (..., d^2).
     Complex in general; real (zero imaginary part) when x is Hermitian.
     """
     x = np.asarray(x)
-    j, l = herm_pairs(x.shape[0])
-    up, lo = x[j, l], x[l, j]
-    return np.concatenate([np.diagonal(x), (up + lo) * _RSQRT2, 1j * _RSQRT2 * (lo - up)])
+    j, l = herm_pairs(x.shape[-1])
+    up, lo = x[..., j, l], x[..., l, j]
+    return np.concatenate(
+        [np.diagonal(x, axis1=-2, axis2=-1), (up + lo) * _RSQRT2, 1j * _RSQRT2 * (lo - up)],
+        axis=-1,
+    )
 
 
 def herm_vec(c):
-    """The d x d matrix sum_b c_b B_b; inverse of :func:`herm_coords`."""
+    """The d x d matrices sum_b c_b B_b; inverse of :func:`herm_coords`.
+
+    ``c`` may carry leading batch axes: (..., d^2) maps to (..., d, d).
+    """
     c = np.asarray(c)
-    d = int(round(np.sqrt(c.size)))
-    if d * d != c.size:
-        raise DimensionMismatch(f"cannot map {c.size} coordinates to a square matrix")
+    n = c.shape[-1]
+    d = int(round(np.sqrt(n)))
+    if d * d != n:
+        raise DimensionMismatch(f"cannot map {n} coordinates to a square matrix")
     h = d * (d - 1) // 2
-    s, a = c[d : d + h] * _RSQRT2, c[d + h :] * _RSQRT2
+    s, a = c[..., d : d + h] * _RSQRT2, c[..., d + h :] * _RSQRT2
     j, l = herm_pairs(d)
-    x = np.zeros((d, d), dtype=complex)
-    x[np.arange(d), np.arange(d)] = c[:d]
-    x[j, l] = s + 1j * a
-    x[l, j] = s - 1j * a
+    diag = np.arange(d)
+    x = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    x[..., diag, diag] = c[..., :d]
+    x[..., j, l] = s + 1j * a
+    x[..., l, j] = s - 1j * a
     return x
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DEFAULT_TENSOR_CAP, Isometry, block_length, dilation
+from .channels import DEFAULT_TENSOR_CAP, Isometry, block_length, dilation, kraus_real_matrix
 from .errors import (
     DegenerateState,
     DimensionMismatch,
@@ -28,7 +28,7 @@ from .errors import (
     as_integer,
 )
 from .ergodic import analyze
-from .linalg import dag
+from .linalg import dag, herm_coords, herm_vec
 from .statmodel import asymptotic_variance, stationary_mean
 
 __all__ = [
@@ -120,58 +120,72 @@ def _trial_uniforms(seed, trial, count):
     return gen.random(count)
 
 
-def _stacked_superop(km):
-    """[S_0^T | ... | S_{k-1}^T] with S_j = K_j (x) conj(K_j) on row-major vec(rho).
+def _step_operator(km):
+    """Real (k (n+1)) x n step operator, n = d^2: rows [R_0; w_0; ...; R_{k-1}; w_{k-1}].
 
-    A batch of row vectors vec(rho_t) times this d^2 x k d^2 matrix gives
-    every outcome's unnormalised conditional state K_j rho_t K_j* at once.
+    R_j is the real matrix of rho -> K_j rho K_j* in the Hermitian basis of
+    ``qmc.linalg.herm_coords`` and w_j holds the coordinates of K_j* K_j,
+    so that w_j . c = Tr(K_j rho K_j*) for the coordinates c of rho.  This
+    operator times a batch of coordinate columns gives every outcome's
+    unnormalised conditional state followed by its weight, so one gather
+    reads both the chosen state and its normaliser.
     """
-    k, d, _ = km.shape
-    # s[j, (a, e), (b, c)] = K_j[a, b] conj(K_j[e, c])
-    s = np.einsum("jab,jec->jaebc", km, km.conj()).reshape(k, d * d, d * d)
-    return np.ascontiguousarray(s.transpose(2, 0, 1).reshape(d * d, k * d * d))
+    w = herm_coords(np.conj(np.swapaxes(km, 1, 2)) @ km).real
+    blocks = [np.vstack([kraus_real_matrix(km[j : j + 1]), w[j]]) for j in range(len(km))]
+    return np.ascontiguousarray(np.concatenate(blocks))
 
 
 def _run_batch(op, rho_in, n_blocks, seed, trial_indices):
-    """Sample n_blocks outcomes per trial with one GEMM per step.
+    """Sample n_blocks outcomes per trial with one real GEMM per step.
 
-    Row t of ``vecs`` is the row-major vec of trial t's conditional state;
-    ``vecs @ op`` holds all k candidate next states, whose traces (read on
-    the diagonal positions 0, d+1, 2(d+1), ...) are the outcome weights.
+    Column i of ``c`` holds trial i's conditional state as its n = d^2 real
+    Hermitian-basis coordinates.  ``op @ c`` is then k blocks of n + 1 rows,
+    candidate state j over its weight, so the reductions over the k
+    outcomes and the selection run along contiguous rows of trials.
     """
     t = len(trial_indices)
-    d = rho_in.shape[0]
-    k = op.shape[1] // (d * d)
-    rows = np.arange(t)
-    diag = np.arange(d) * (d + 1)
-    vecs = np.broadcast_to(rho_in.reshape(d * d), (t, d * d)).copy()
-    outcomes = np.empty((t, n_blocks), dtype=np.int64)
-    uniforms = np.stack([_trial_uniforms(seed, tr, n_blocks) for tr in trial_indices])
+    n = op.shape[1]
+    k = op.shape[0] // (n + 1)
+    c = np.broadcast_to(herm_coords(rho_in).real[:, None], (n, t))
+    uniforms = np.empty((n_blocks, t))
+    for i, tr in enumerate(trial_indices):
+        uniforms[:, i] = _trial_uniforms(seed, tr, n_blocks)
+    outcomes = np.empty((n_blocks, t), dtype=np.int64)
+    # flat offset of row r of trial i within a candidate block
+    block = (n + 1) * t
+    offsets = np.arange(block).reshape(n + 1, t)
     for step in range(n_blocks):
-        cand = (vecs @ op).reshape(t, k, d * d)
-        traces = cand[:, :, diag].real.sum(axis=2)
-        probs = np.clip(traces, 0.0, None)
-        psum = probs.sum(axis=1)
-        if not np.all(psum >= 1e-14):
+        cand = op @ c
+        cdf = np.maximum(cand[n :: n + 1], 0.0)
+        # running sums by row: faster than an axis-0 cumsum for a few outcomes
+        for j in range(1, k):
+            cdf[j] += cdf[j - 1]
+        psum = cdf[k - 1]
+        if not psum.min() >= 1e-14:
             raise DegenerateState("all outcome probabilities vanished along a trajectory")
-        cdf = np.cumsum(probs, axis=1) / psum[:, None]
-        idx = np.minimum((uniforms[:, step, None] > cdf).sum(axis=1), k - 1)
-        vecs = cand[rows, idx] / traces[rows, idx][:, None]
-        outcomes[:, step] = idx
-    return outcomes, vecs.reshape(t, d, d)
+        idx = (cdf[: k - 1] < uniforms[step] * psum).sum(axis=0)
+        outcomes[step] = idx
+        chosen = cand.reshape(-1).take(idx * block + offsets)
+        c = chosen[:n] / chosen[n]
+    del uniforms  # before the transposed copy, so peak memory stays at two outcome arrays
+    return np.ascontiguousarray(outcomes.T), herm_vec(c.T)
 
 
 def _thread_count():
-    """Worker threads for ``sample_batch`` from QMC_THREADS (unset or empty: 1)."""
+    """Worker threads for ``sample_batch`` from QMC_THREADS (unset or empty: 1).
+
+    At most ``os.cpu_count()``: results do not depend on the partitioning.
+    """
     raw = os.environ.get("QMC_THREADS") or "1"
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise InvalidCount(f"QMC_THREADS must be an integer, got {raw!r}") from None
+    return min(as_integer("QMC_THREADS", value, 1), os.cpu_count() or 1)
 
 
 def _prepare(iso, rho_in, n_blocks, meas, seed):
-    """(stacked superoperator, rho_in, n_blocks, seed) of a sampling call, validated."""
+    """(step operator, rho_in, n_blocks, seed) of a sampling call, validated."""
     seed = as_integer("seed", seed, 0)
     n_blocks = as_integer("n_blocks", n_blocks)
     if n_blocks < 0:
@@ -191,7 +205,7 @@ def _prepare(iso, rho_in, n_blocks, meas, seed):
     tr = np.trace(rho).real
     if not (tr >= 1e-14):
         raise NotPSD(f"input state has trace {tr:.3e}, expected a positive trace")
-    return _stacked_superop(block_kraus(iso, meas)), rho, n_blocks, seed
+    return _step_operator(block_kraus(iso, meas)), rho, n_blocks, seed
 
 
 def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):

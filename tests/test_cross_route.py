@@ -9,9 +9,12 @@ reduced operator sigma_Q instead of one dilation per lag.  The replaced
 routes live in ``oracles``; on fixtures with and without periodicity both
 must agree to 1e-10 relative.
 
-The trajectory sampler steps a batch of vectorised states through one
-stacked superoperator instead of three einsums; its outcomes must equal
-the einsum oracle's exactly, and its final states to 1e-12.
+The trajectory sampler steps a batch of states, held as real Hermitian-
+basis coordinates, through one stacked real operator instead of three
+einsums; its outcomes must equal the einsum oracle's exactly, and its
+final states to 1e-12.  The blocks of that operator must sum to the real
+transfer matrix of the b-step chain, and its weight rows must give each
+outcome's trace.
 
 The spectral layer works on the real matrix R of the Schrodinger map in
 the Hermitian operator basis.  R must equal U* T U for the complex matrix
@@ -38,7 +41,14 @@ from qmc.statmodel import (
     qfi_curve,
     retract,
 )
-from qmc.trajectories import block_kraus, sample, sample_batch, standard_measurement
+from qmc.trajectories import (
+    BlockMeasurement,
+    _step_operator,
+    block_kraus,
+    sample,
+    sample_batch,
+    standard_measurement,
+)
 
 import oracles
 
@@ -322,6 +332,46 @@ def test_herm_coords_round_trip(d, seed):
     assert np.max(np.abs(herm_vec(herm_coords(x)) - x)) <= 1e-15 * max(1.0, np.max(np.abs(x)))
     h = x + x.conj().T
     assert np.array_equal(herm_coords(h).imag, np.zeros(d * d))
+
+
+BATCH_SHAPES = st.lists(st.integers(min_value=0, max_value=3), max_size=2).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=DIMS, shape=BATCH_SHAPES, seed=SEEDS)
+def test_herm_coords_round_trip_over_batch_axes(d, shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+    c = herm_coords(x)
+    assert c.shape == shape + (d * d,)
+    back = herm_vec(c)
+    assert back.shape == x.shape
+    for i in np.ndindex(shape):
+        assert np.array_equal(c[i], herm_coords(x[i]))
+        assert np.array_equal(back[i], herm_vec(c[i]))
+    assert np.max(np.abs(back - x), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(x), initial=0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=DIMS, k=UNITS, b=st.integers(min_value=1, max_value=2), seed=SEEDS)
+def test_step_operator_blocks_sum_to_the_block_chain_transfer(d, k, b, seed):
+    iso = _random_chain(seed, d, k)
+    rng = np.random.default_rng(seed)
+    dim = k**b
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    meas = BlockMeasurement(basis, k)
+    n = d * d
+    op = _step_operator(block_kraus(iso, meas))
+    blocks = op.reshape(dim, n + 1, n)
+    r, w = blocks[:, :n], blocks[:, n]
+    chain = Isometry(dilation(iso, meas.block), d, k**meas.block)
+    assert np.max(np.abs(r.sum(axis=0) - real_transfer(chain))) <= 1e-13
+    assert np.max(np.abs(w - r[:, :d].sum(axis=1))) <= 1e-13
+    x = _random_matrix(seed + 1, d)
+    rho = x @ x.conj().T
+    c = herm_coords(rho).real
+    tr = np.trace(rho).real
+    assert abs((w @ c).sum() - tr) <= 1e-13 * tr
 
 
 @settings(max_examples=40, deadline=None)

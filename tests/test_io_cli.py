@@ -283,6 +283,7 @@ CONVERGE = ("converge", "--model", "m1", "--theta", "0.3")
         (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4", "--seed", "-1"), None, "InvalidCount"),
         (CONVERGE + ("--pow-min", "-1", "--pow-max", "3"), None, "InvalidCount"),
         (CONVERGE + ("--pow-min", "5", "--pow-max", "3"), None, "InvalidCount"),
+        (CONVERGE + ("--pow-min", "5", "--pow-max", "5"), None, "InvalidCount"),
     ],
     ids=[
         "n-below-block",
@@ -291,6 +292,7 @@ CONVERGE = ("converge", "--model", "m1", "--theta", "0.3")
         "negative-seed",
         "converge-negative-power",
         "converge-empty-range",
+        "converge-one-size",
     ],
 )
 def test_cli_simulate_rejects_bad_counts(argv, env, kind):

@@ -13,13 +13,14 @@ from qmc.errors import (
     NotPSD,
     ObservableNotDiagonal,
 )
+from qmc import trajectories
 from qmc.ergodic import analyze
 from qmc.qubit_example import fixture_s, isometry, measurement
 from qmc.trajectories import (
     BlockMeasurement,
     _diagonal_in_basis,
     _run_batch,
-    _stacked_superop,
+    _step_operator,
     block_kraus,
     fluctuation_stats,
     run_estimator,
@@ -94,6 +95,40 @@ def test_thread_count_does_not_change_outcomes():
         else:
             os.environ["QMC_THREADS"] = old
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_thread_count_below_one_is_rejected(raw, monkeypatch):
+    iso = isometry("m1", 0.3)
+    monkeypatch.setenv("QMC_THREADS", raw)
+    with pytest.raises(InvalidCount, match="QMC_THREADS"):
+        sample_batch(iso, analyze(iso).rho_ss, 5, standard_measurement(2, 1), seed=1, trials=4)
+
+
+def test_thread_pool_never_exceeds_cpu_count(monkeypatch):
+    iso = isometry("m1", 0.3)
+    rho = analyze(iso).rho_ss
+    meas = standard_measurement(2, 1)
+    monkeypatch.delenv("QMC_THREADS", raising=False)
+    ref, _ = sample_batch(iso, rho, 20, meas, seed=4, trials=8)
+    seen = []
+    real_pool = trajectories.ThreadPoolExecutor
+
+    def pool(max_workers):
+        # refuse before any thread starts if the cap were ever lost
+        seen.append(max_workers)
+        assert max_workers <= 2
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(trajectories, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("QMC_THREADS", "1000")
+    assert trajectories._thread_count() == 2
+    out, _ = sample_batch(iso, rho, 20, meas, seed=4, trials=8)
+    assert seen == [2]
+    assert np.array_equal(out, ref)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert trajectories._thread_count() == 1
 
 
 def test_swap_chain_alternates_deterministically():
@@ -172,7 +207,7 @@ def test_input_state_is_validated():
 
 def test_step_guard_catches_nan_weights():
     # a NaN state must not pass the guard: `psum < 1e-14` is False for NaN
-    op = _stacked_superop(block_kraus(isometry("m1", 0.3), standard_measurement(2, 1)))
+    op = _step_operator(block_kraus(isometry("m1", 0.3), standard_measurement(2, 1)))
     with pytest.raises(DegenerateState):
         _run_batch(op, np.full((2, 2), np.nan, dtype=complex), 3, 0, [0, 1])
 
