@@ -22,6 +22,7 @@ from .channels import DEFAULT_TENSOR_CAP, Isometry, apply_steps, real_transfer
 from .errors import (
     DimensionMismatch,
     LabelingFailure,
+    NotHermitian,
     NotIrreducible,
     NotPSD,
     PeripheralMismatch,
@@ -73,14 +74,18 @@ class SpectralProfile:
     the stationary state.  For a chain that fails the irreducibility
     checks only ``is_irreducible``, ``eigenvalues`` and ``diagnostics``
     are guaranteed to be populated.
+
+    ``eigenvalues`` and the spectral keys of ``diagnostics``
+    (``spectral_gap``, ``distance_to_one``, ``peripheral_deviation``) of a
+    chain certified primitive without the spectrum are computed on first
+    read, from a fresh transfer matrix, with the dense route's values and
+    key order.
     """
 
     iso: Isometry
     d: int
     k: int
-    eigenvalues: np.ndarray
     is_irreducible: bool
-    diagnostics: dict
     tol: ErgodicTol
     period: int = 0
     gamma: complex = 0j
@@ -93,6 +98,34 @@ class SpectralProfile:
     # 2-norm condition number of the restricted resolvent; computed on the
     # first gauge.restricted_resolvent_solve call, a scalar (no d^2 x d^2 cache)
     _resolvent_cond: float = field(default=None, repr=False, compare=False)
+    # sorted spectrum; None until first read on the certified route
+    _eigenvalues: np.ndarray = field(default=None, repr=False, compare=False)
+    _diagnostics: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def eigenvalues(self):
+        if self._eigenvalues is None:
+            self._read_spectrum()
+        return self._eigenvalues
+
+    @property
+    def diagnostics(self):
+        if self._eigenvalues is None:
+            self._read_spectrum()
+        return self._diagnostics
+
+    def _read_spectrum(self):
+        # only certified primitive profiles get here: p = 1, and the
+        # non-spectral keys are stationary_min_eigenvalue and reason
+        evals, self._eigenvalues, on_rim, spectral = _spectrum(real_transfer(self.iso), self.tol)
+        _, worst = _root_deviation(evals[on_rim], self.period)
+        rest = self._diagnostics
+        self._diagnostics = {
+            **spectral,
+            "stationary_min_eigenvalue": rest["stationary_min_eigenvalue"],
+            "peripheral_deviation": worst,
+            "reason": rest["reason"],
+        }
 
     def require_irreducible(self):
         if not self.is_irreducible:
@@ -147,19 +180,88 @@ def _canonical_z(u_raw, p, tol):
     return z, projections
 
 
-def analyze(iso, tol=None):
-    """Classify the chain and extract its peripheral spectral data.
+# Primitivity certificate.  Eigenvalues-only dense eig of R costs O(d^6);
+# a block of traceless coordinates stepped by R costs O(d^4) a step, and
+# on a primitive chain it decays like the second-largest eigenvalue
+# modulus, about 0.6 to 0.85 a step on random chains, so 40 to 110 steps
+# suffice.  Below d = 10 the budget of d^2 steps is often too short for
+# that (6 of 10 random d = 8, k = 2 chains declined after 64 steps), and
+# the dense eigensolver takes under 4 ms anyway.
+_CERTIFY_MIN_D = 10
+_CERTIFY_COLUMNS = 4
+# Any fixed seed will do: the start block only has to be generic, i.e. not
+# orthogonal to the spectral projection of any eigenvalue (the argument of
+# linalg.bordered_eigvec's seeded border).
+_CERTIFY_SEED = 20251019
+# The block must decay by this factor.  An eigenvalue that the tolerances
+# count as peripheral or as 1 keeps at least half its component within the
+# step budget, so a false certificate needs a start block whose component
+# along it is below 2e-8 of the block's norm.  For the Gaussian block that
+# has probability about 32 (1e-8)^4 d^4, under 1e-24 at d = 32, and 1e-8
+# lies far above the roundoff of the steps.
+_CERTIFY_DECAY = 1e-8
+_CERTIFY_WINDOW = 8
+# Tolerances below this are within the roundoff of the dense eigenvalue 1,
+# so only the dense route can reproduce its verdict.
+_CERTIFY_TOL_FLOOR = 1e-10
+# largest distance of a peripheral eigenvalue from its root of unity
+_ROOT_DEVIATION = 1e-6
 
-    One real transfer matrix R (``channels.real_transfer``) is built per
-    call: T_s in the Hermitian operator basis, with the Heisenberg matrix
-    R^T.  The spectrum comes from a real eigenvalues-only decomposition,
-    and the stationary state and the peripheral eigen-operator from
-    bordered solves, so no eigenvector matrix is ever formed.
+
+def _certify_primitive(r, d, tol):
+    """True when T, restricted to traceless operators, provably has spectral
+    radius below 1 - max(peripheral_band, simplicity_gap).
+
+    Then eigenvalue 1 is simple and the only peripheral one, which is the
+    dense route's verdict p = 1 as far as the spectrum decides it.  A
+    seeded Gaussian block of traceless coordinates is stepped by Q R, Q the
+    orthogonal projection that removes the trace, so that an isometry
+    defect cannot leak the eigenvalue 1 back in; the certificate holds
+    when the block decays by ``_CERTIFY_DECAY`` within m steps, where
+    (1 - max(band, gap))^m >= 1/2 and m <= d^2.  At m = d^2 steps the n x 4
+    block costs 8 n^3 flops (n = d^2), against about 10 n^3 for the
+    dense eigensolver.  Every ``_CERTIFY_WINDOW`` steps the decay of the last
+    window is extrapolated, and the certificate declines as soon as the
+    budget cannot reach the target, so a periodic or reducible chain,
+    whose block stalls, costs a few windows.  False means undecided: the
+    dense route runs.
     """
-    if tol is None:
-        tol = ErgodicTol()
-    d, k = iso.d, iso.k
-    r = real_transfer(iso)
+    margin = max(tol.peripheral_band, tol.simplicity_gap)
+    if (
+        d < _CERTIFY_MIN_D
+        or min(tol.peripheral_band, tol.simplicity_gap) < _CERTIFY_TOL_FLOOR
+        or not margin < 1.0
+    ):
+        return False
+    n = d * d
+    budget = min(n, int(np.log(0.5) / np.log1p(-margin)))
+    a = r.copy()
+    a[:d] -= a[:d].mean(axis=0)
+    block = np.random.default_rng(_CERTIFY_SEED).standard_normal((n, _CERTIFY_COLUMNS))
+    block[:d] -= block[:d].mean(axis=0)
+    size = np.linalg.norm(block)
+    target = _CERTIFY_DECAY * size
+    for step in range(_CERTIFY_WINDOW, budget + 1, _CERTIFY_WINDOW):
+        for _ in range(_CERTIFY_WINDOW):
+            block = a @ block
+        last, size = size, np.linalg.norm(block)
+        if size <= target:
+            return True
+        rate = size / last
+        # a NaN or a stall fails the first test, a decay too slow for the
+        # budget the second
+        if not rate < 1.0:
+            return False
+        if not step + _CERTIFY_WINDOW * np.log(target / size) / np.log(rate) <= budget:
+            return False
+    return False
+
+
+def _spectrum(r, tol):
+    """Dense spectrum of R: ``(evals, sorted evals, rim mask, diagnostics)``.
+
+    The diagnostics hold ``spectral_gap`` and ``distance_to_one``.
+    """
     evals = np.linalg.eigvals(r).astype(complex)
     # modulus descending; conjugate pairs of the real eigensolver tie in
     # modulus exactly, so the imaginary part and then the real part decide
@@ -167,39 +269,116 @@ def analyze(iso, tol=None):
     mods = np.abs(evals)
     on_rim = mods >= 1.0 - tol.peripheral_band
     # a NaN modulus is off the rim, so it reaches the gap instead of hiding
-    diagnostics = {"spectral_gap": 1.0 - float(np.max(mods[~on_rim], initial=0.0))}
+    dist_to_one = np.abs(evals - 1.0)
+    diagnostics = {
+        "spectral_gap": 1.0 - float(np.max(mods[~on_rim], initial=0.0)),
+        "distance_to_one": float(dist_to_one[int(np.argmin(dist_to_one))]),
+    }
+    return evals, evals_sorted, on_rim, diagnostics
+
+
+def _root_deviation(per, p):
+    """(number of p-th roots of unity hit, largest distance to the nearest)."""
+    targets = np.exp(2j * np.pi / p) ** np.arange(p)
+    gaps = np.abs(per[:, None] - targets[None, :])
+    return len(set(np.argmin(gaps, axis=1).tolist())), float(np.max(np.min(gaps, axis=1)))
+
+
+def _stationary(r, d):
+    """Bordered solve for rho_ss: ``(rho, s)``; LinAlgError when singular.
+
+    The coordinates of 1 are the left 1-eigenvector of the trace-preserving
+    R, so they border the system and fix Tr rho = 1.  The border weight s
+    measures the isometry defect: 1 - d s is the eigenvalue of R near 1, to
+    second order in the defect.
+    """
+    one = herm_coords(np.eye(d)).real
+    x, s = bordered_solve(r, 1.0, one, one, np.zeros(d * d), 1.0)
+    rho = herm_vec(x)
+    return rho / np.trace(rho).real, float(s)
+
+
+def analyze(iso, tol=None):
+    """Classify the chain and extract its peripheral spectral data.
+
+    One real transfer matrix R (``channels.real_transfer``) is built per
+    call: T_s in the Hermitian operator basis, with the Heisenberg matrix
+    R^T.  A chain that :func:`_certify_primitive` certifies, whose
+    eigenvalue 1 from the stationary solve is within half the tolerances
+    of 1 and whose stationary state is faithful, is irreducible with
+    p = 1 without the spectrum; its ``eigenvalues`` are computed when
+    read.  Every other chain takes the dense route: a real
+    eigenvalues-only decomposition gives the spectrum, and bordered solves
+    the stationary state and the peripheral eigen-operator, so no
+    eigenvector matrix is ever formed.  Both routes give the same profile.
+    """
+    if tol is None:
+        tol = ErgodicTol()
+    r = real_transfer(iso)
+    if _certify_primitive(r, iso.d, tol):
+        profile = _certified_profile(iso, r, tol)
+        if profile is not None:
+            return profile
+    return _dense_profile(iso, r, tol)
+
+
+def _certified_profile(iso, r, tol):
+    """Profile of a certified chain, or None when the dense route must decide."""
+    try:
+        rho, s = _stationary(r, iso.d)
+    except np.linalg.LinAlgError:
+        return None
+    lam = 1.0 - iso.d * s
+    # half the tolerances: the dense eigenvalue 1 differs from lam by
+    # roundoff, far below the floor the certificate puts on them
+    if not (
+        abs(lam - 1.0) <= 0.5 * min(tol.simplicity_gap, _ROOT_DEVIATION)
+        and abs(lam) >= 1.0 - 0.5 * tol.peripheral_band
+    ):
+        return None
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if not (min_eig >= tol.faithfulness_floor):
+        return None
+    profile = SpectralProfile(
+        iso=iso,
+        d=iso.d,
+        k=iso.k,
+        is_irreducible=False,
+        tol=tol,
+        _diagnostics={"stationary_min_eigenvalue": min_eig},
+    )
+    profile.rho_ss = rho
+    _finish_irreducible(profile, r, 1)
+    return profile
+
+
+def _dense_profile(iso, r, tol):
+    d = iso.d
+    evals, evals_sorted, on_rim, diagnostics = _spectrum(r, tol)
     profile = SpectralProfile(
         iso=iso,
         d=d,
-        k=k,
-        eigenvalues=evals_sorted,
+        k=iso.k,
         is_irreducible=False,
-        diagnostics=diagnostics,
         tol=tol,
+        _eigenvalues=evals_sorted,
+        _diagnostics=diagnostics,
     )
 
     # eigenvalue 1: simple within the gap?
-    dist_to_one = np.abs(evals - 1.0)
-    i_one = int(np.argmin(dist_to_one))
-    near_one = np.sum(dist_to_one <= tol.simplicity_gap)
-    diagnostics["distance_to_one"] = float(dist_to_one[i_one])
-    if not (dist_to_one[i_one] <= tol.simplicity_gap):
+    near_one = np.sum(np.abs(evals - 1.0) <= tol.simplicity_gap)
+    if not (diagnostics["distance_to_one"] <= tol.simplicity_gap):
         diagnostics["reason"] = "no eigenvalue within simplicity_gap of 1"
         return profile
     if near_one > 1:
         diagnostics["reason"] = f"eigenvalue 1 has multiplicity {near_one} within simplicity_gap"
         return profile
 
-    # stationary state: the coordinates of 1 are the left 1-eigenvector of
-    # the trace-preserving R, so they border the system and fix Tr rho = 1
-    one = herm_coords(np.eye(d)).real
     try:
-        x, _ = bordered_solve(r, 1.0, one, one, np.zeros(d * d), 1.0)
+        rho, _ = _stationary(r, d)
     except np.linalg.LinAlgError:
         diagnostics["reason"] = "stationary bordered system is singular"
         return profile
-    rho = herm_vec(x)
-    rho = rho / np.trace(rho).real
     eigs_rho = np.linalg.eigvalsh(rho)
     diagnostics["stationary_min_eigenvalue"] = float(eigs_rho[0])
     profile.rho_ss = rho
@@ -217,17 +396,21 @@ def analyze(iso, tol=None):
             "no eigenvalue within peripheral_band of the unit circle, though one is within "
             "simplicity_gap of 1; adjust peripheral_band"
         )
-    gamma = np.exp(2j * np.pi / p)
-    targets = gamma ** np.arange(p)
-    gaps = np.abs(per[:, None] - targets[None, :])
-    assigned = set(np.argmin(gaps, axis=1).tolist())
-    worst = float(np.max(np.min(gaps, axis=1)))
+    assigned, worst = _root_deviation(per, p)
     diagnostics["peripheral_deviation"] = worst
-    if len(assigned) != p or not (worst <= 1e-6):
+    if assigned != p or not (worst <= _ROOT_DEVIATION):
         raise PeripheralMismatch(
             f"peripheral set of size {p} does not match the p-th roots of unity "
             f"(max deviation {worst:.3e}); adjust peripheral_band"
         )
+    _finish_irreducible(profile, r, p)
+    return profile
+
+
+def _finish_irreducible(profile, r, p):
+    """Peripheral data of an irreducible chain of period p; sets the verdict."""
+    d, rho = profile.d, profile.rho_ss
+    gamma = np.exp(2j * np.pi / p)
     profile.period = p
     profile.gamma = complex(gamma) if p > 1 else 1.0 + 0j
 
@@ -245,7 +428,7 @@ def analyze(iso, tol=None):
                 "Heisenberg transfer operator has no eigen-operator at the expected "
                 f"peripheral eigenvalue (relative residual {res:.3e})"
             )
-        z, projections = _canonical_z(herm_vec(u), p, tol)
+        z, projections = _canonical_z(herm_vec(u), p, profile.tol)
 
     # verify the cyclic labeling: T(P_a) = P_{a-1 mod p}, with T = R^T
     def th_apply(x):
@@ -279,8 +462,7 @@ def analyze(iso, tol=None):
     profile.peripheral = peripheral
     profile.block_dims = [int(round(np.trace(pj).real)) for pj in projections]
     profile.is_irreducible = True
-    diagnostics["reason"] = "irreducible"
-    return profile
+    profile._diagnostics["reason"] = "irreducible"
 
 
 def periodic_projections(profile):
@@ -295,6 +477,8 @@ def ergodic_projection(profile, rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (profile.d, profile.d):
         raise DimensionMismatch(f"state shape {rho.shape}, expected ({profile.d}, {profile.d})")
+    if not np.isfinite(rho).all():
+        raise NotHermitian("state has non-finite entries")
     p = profile.period
     out = np.zeros_like(rho)
     for a in range(p):
@@ -361,6 +545,8 @@ def output_state(iso, rho_in, n, cap=DEFAULT_TENSOR_CAP):
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (d, d):
         raise DimensionMismatch(f"input state shape {rho_in.shape}, expected ({d}, {d})")
+    if not np.isfinite(rho_in).all():
+        raise NotHermitian("input state has non-finite entries")
     vals, vecs = np.linalg.eigh(herm_part(rho_in))
     if vals[0] < -1e-10:
         raise NotPSD(f"input state has eigenvalue {vals[0]:.3e}")

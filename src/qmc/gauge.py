@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     GaugeConstraintViolated,
     LabelingFailure,
+    NotHermitian,
     NotIdentifiable,
     NotIrreducible,
     NotTangent,
@@ -294,6 +295,9 @@ def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
     call.
     """
     profile.require_irreducible()
+    rhs = np.asarray(rhs, dtype=complex)
+    if not np.isfinite(rhs).all():
+        raise NotHermitian("right-hand side has non-finite entries")
     rm = real_transfer(profile.iso)
     r = herm_coords(profile.rho_ss).real
     if profile._resolvent_cond is None:
@@ -303,7 +307,7 @@ def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
         raise ResolventIllConditioned(
             f"restricted resolvent condition number {cond:.3e} exceeds {cond_cap:.1e}"
         )
-    b = herm_coords(np.asarray(rhs, dtype=complex))
+    b = herm_coords(rhs)
     try:
         # [[R^T - 1, r], [r^T, 0]] [x; -s] = [-b; 0]
         x, _ = bordered_solve(rm, 1.0, r, r, -b, adjoint=True)

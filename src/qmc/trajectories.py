@@ -115,9 +115,19 @@ def block_kraus(iso, meas):
     return km
 
 
-def _trial_uniforms(seed, trial, count):
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
-    return gen.random(count)
+def _trial_generator(seed, trial):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
+
+
+# Uniforms are drawn from each trial's stream this many at a time (16 KiB
+# per trial): runs of up to 2048 blocks take one draw per trial, and longer
+# runs hold one chunk instead of all their uniforms.  Consecutive draws
+# continue one stream, so chunking changes no number.
+_DRAW_BLOCKS = 2048
+# Outcomes are gathered this many steps at a time and then copied into the
+# (trials x n_blocks) result: writing one step's column straight into it
+# touches a memory page per trial at every step.
+_COPY_BLOCKS = 64
 
 
 def _step_operator(km):
@@ -141,20 +151,33 @@ def _run_batch(op, rho_in, n_blocks, seed, trial_indices):
     Column i of ``c`` holds trial i's conditional state as its n = d^2 real
     Hermitian-basis coordinates.  ``op @ c`` is then k blocks of n + 1 rows,
     candidate state j over its weight, so the reductions over the k
-    outcomes and the selection run along contiguous rows of trials.
+    outcomes and the selection run along contiguous rows of trials.  Each
+    trial's uniforms are drawn a chunk of steps at a time, and the outcomes
+    are copied into the (trials x n_blocks) result 64 steps at a time, so
+    on long runs the peak stays near the size of the result.
     """
     t = len(trial_indices)
     n = op.shape[1]
     k = op.shape[0] // (n + 1)
     c = np.broadcast_to(herm_coords(rho_in).real[:, None], (n, t))
-    uniforms = np.empty((n_blocks, t))
-    for i, tr in enumerate(trial_indices):
-        uniforms[:, i] = _trial_uniforms(seed, tr, n_blocks)
-    outcomes = np.empty((n_blocks, t), dtype=np.int64)
+    gens = [None] * t
+    outcomes = np.empty((t, n_blocks), dtype=np.int64)
+    uniforms = np.empty((min(n_blocks, _DRAW_BLOCKS), t))
+    picks = np.empty((min(n_blocks, _COPY_BLOCKS), t), dtype=np.int64)
     # flat offset of row r of trial i within a candidate block
     block = (n + 1) * t
     offsets = np.arange(block).reshape(n + 1, t)
     for step in range(n_blocks):
+        u = step % _DRAW_BLOCKS
+        if u == 0:
+            count = min(_DRAW_BLOCKS, n_blocks - step)
+            last = step + count == n_blocks
+            for i, tr in enumerate(trial_indices):
+                gen = gens[i] or _trial_generator(seed, tr)
+                uniforms[:count, i] = gen.random(count)
+                # kept only while its stream has chunks left, so a one-chunk
+                # run holds one generator at a time
+                gens[i] = None if last else gen
         cand = op @ c
         cdf = np.maximum(cand[n :: n + 1], 0.0)
         # running sums by row: faster than an axis-0 cumsum for a few outcomes
@@ -163,12 +186,14 @@ def _run_batch(op, rho_in, n_blocks, seed, trial_indices):
         psum = cdf[k - 1]
         if not psum.min() >= 1e-14:
             raise DegenerateState("all outcome probabilities vanished along a trajectory")
-        idx = (cdf[: k - 1] < uniforms[step] * psum).sum(axis=0)
-        outcomes[step] = idx
+        idx = (cdf[: k - 1] < uniforms[u] * psum).sum(axis=0)
+        row = step % _COPY_BLOCKS
+        picks[row] = idx
+        if row == _COPY_BLOCKS - 1 or step == n_blocks - 1:
+            outcomes[:, step - row : step + 1] = picks[: row + 1].T
         chosen = cand.reshape(-1).take(idx * block + offsets)
         c = chosen[:n] / chosen[n]
-    del uniforms  # before the transposed copy, so peak memory stays at two outcome arrays
-    return np.ascontiguousarray(outcomes.T), herm_vec(c.T)
+    return outcomes, herm_vec(c.T)
 
 
 def _thread_count():

@@ -19,8 +19,14 @@ outcome's trace.
 The spectral layer works on the real matrix R of the Schrodinger map in
 the Hermitian operator basis.  R must equal U* T U for the complex matrix
 T, R^T the Heisenberg matrix in that basis, and its spectrum that of T.
+
+``analyze`` certifies a primitive chain by a traceless power iteration and
+then computes the spectrum only when it is read.  The certified route must
+give the dense route's profile bit for bit: verdict, period, rho_ss, Z,
+residuals, diagnostics (values and key order) and report bytes.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -29,8 +35,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmc.channels import Isometry, channel, dilation, isometry_from_kraus, real_transfer
-from qmc.ergodic import analyze
-from qmc.errors import ResolventIllConditioned
+from qmc import ergodic, io
+from qmc.ergodic import ErgodicTol, analyze
+from qmc.errors import QmcError, ResolventIllConditioned
 from qmc.gauge import restricted_resolvent_solve, split
 from qmc.linalg import bordered_solve, herm_coords, herm_vec
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement
@@ -449,3 +456,177 @@ def test_bordered_solve_keeps_a_real_system_real(monkeypatch):
     big = np.block([[m - np.eye(6), col[:, None]], [row[None, :], np.zeros((1, 1))]])
     ref = np.linalg.solve(big.astype(complex), np.append(rhs, 0.5))
     assert np.max(np.abs(np.append(x, s) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# --------------------------------------------------------------------------
+# certified primitive route against the dense route
+
+
+def _analysis(iso, tol):
+    try:
+        return analyze(iso, tol)
+    except QmcError as exc:
+        return exc
+
+
+def _both_routes(iso, tol=None):
+    """(certified-route result, dense-route result, the certificate's answer).
+
+    The size rule is lifted, so the certificate is tried at every d; the
+    dense result comes from a certificate patched to decline.
+    """
+    answers = []
+    certify = ergodic._certify_primitive
+
+    def spy(r, d, tol):
+        answers.append(certify(r, d, tol))
+        return answers[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
+        mp.setattr(ergodic, "_certify_primitive", spy)
+        fast = _analysis(iso, tol)
+        mp.setattr(ergodic, "_certify_primitive", lambda r, d, tol: False)
+        dense = _analysis(iso, tol)
+    return fast, dense, answers[0]
+
+
+def _assert_same_analysis(fast, dense):
+    if isinstance(dense, QmcError):
+        assert type(fast) is type(dense) and fast.detail == dense.detail
+        return
+    # diagnostics first: on the certified route this read computes them
+    assert json.dumps(fast.diagnostics) == json.dumps(dense.diagnostics)
+    assert fast.is_irreducible == dense.is_irreducible
+    assert fast.period == dense.period
+    for name in ("rho_ss", "zmat"):
+        got, ref = getattr(fast, name), getattr(dense, name)
+        assert (got is None and ref is None) or np.array_equal(got, ref), name
+    assert fast.residuals == dense.residuals
+    assert fast.block_dims == dense.block_dims
+    assert np.array_equal(fast.eigenvalues, dense.eigenvalues)
+    assert json.dumps(io.profile_report(fast)) == json.dumps(io.profile_report(dense))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=DIMS, k=UNITS, seed=SEEDS)
+def test_certified_route_matches_dense_route_on_random_chains(d, k, seed):
+    fast, dense, _ = _both_routes(_random_chain(seed, d, k))
+    _assert_same_analysis(fast, dense)
+
+
+def _coupled_blocks(eps, seed=2031):
+    # two random 4-dimensional chains joined by a unitary jump of weight
+    # eps^2: reducible at eps = 0, second eigenvalue 1 - O(eps^2)
+    rng = np.random.default_rng(seed)
+    left = Isometry(oracles.random_isometry(rng, 4, 2), 4, 2).kraus
+    right = Isometry(oracles.random_isometry(rng, 4, 2), 4, 2).kraus
+    kraus = []
+    for a, b in zip(left, right):
+        m = np.zeros((8, 8), dtype=complex)
+        m[:4, :4], m[4:, 4:] = a, b
+        kraus.append(np.sqrt(1.0 - eps * eps) * m)
+    kraus.append(eps * oracles.random_unitary(rng, 8))
+    return isometry_from_kraus(kraus)
+
+
+def _reducible(seed, d):
+    h = d // 2
+    kraus = []
+    for a, b in zip(_random_chain(seed, h, 2).kraus, _random_chain(seed + 1, h, 2).kraus):
+        m = np.zeros((d, d), dtype=complex)
+        m[:h, :h], m[h:, h:] = a, b
+        kraus.append(m)
+    return isometry_from_kraus(kraus)
+
+
+def _with_defect(iso, h):
+    """v (1 + eta h), eta set so that ||v* v - 1||_F is 0.9e-8, under 1e-8."""
+    eta = 0.45e-8 / np.linalg.norm(h)
+    return Isometry(iso.v @ (np.eye(iso.d) + eta * h), iso.d, iso.k)
+
+
+def _route_cases():
+    """(label, iso, tol, expected certificate answer or None)."""
+    for label, iso, _ in CHAINS:
+        yield label, iso, None, True if iso.d >= 16 else None
+    rng = np.random.default_rng(2034)
+    yield "cyclic-d16p2", Isometry(oracles.cyclic_isometry(rng, 16, 2, 2), 16, 2), None, False
+    yield "cyclic-d12p3", Isometry(oracles.cyclic_isometry(rng, 12, 2, 3), 12, 2), None, False
+    yield "reducible-d16", _reducible(2035, 16), None, False
+    yield "reducible-d8", _reducible(2036, 8), None, False
+    for eps in (1e-2, 1e-3, 1e-4):
+        yield f"near-boundary-{eps:.0e}", _near_boundary(eps), None, False
+        yield f"coupled-blocks-{eps:.0e}", _coupled_blocks(eps), None, False
+    d16, d24 = _random_chain(2037, 16, 2), _random_chain(2038, 24, 2)
+    yield "random-d16", d16, None, True
+    yield "random-d24", d24, None, True
+    rng = np.random.default_rng(2039)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    defects = {"identity": np.eye(16), "corner": np.diag(np.eye(16)[0]), "random": g + g.conj().T}
+    for name, h in defects.items():
+        yield f"defect-{name}", _with_defect(d16, h), None, True
+    # eigenvalue 1 sits 2.25e-9 from 1.  Outside half a gap of 3e-9 the
+    # certified route defers to the dense one, which still finds it simple;
+    # with a gap of 2e-9 the dense route finds no eigenvalue near 1
+    for gap in (3e-9, 2e-9):
+        yield f"defect-identity-gap-{gap:.0e}", _with_defect(d16, np.eye(16)), ErgodicTol(
+            simplicity_gap=gap
+        ), True
+    for band in (0.9, 1e-300):
+        yield f"random-d16-band-{band:.0e}", d16, ErgodicTol(peripheral_band=band), False
+
+
+ROUTE_CASES = list(_route_cases())
+
+
+@pytest.mark.parametrize(
+    "label,iso,tol,certified", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES]
+)
+def test_certified_route_matches_dense_route(label, iso, tol, certified):
+    fast, dense, answer = _both_routes(iso, tol)
+    if certified is not None:
+        assert answer is certified
+    _assert_same_analysis(fast, dense)
+    if label.startswith("defect"):
+        assert 0.8e-8 <= np.linalg.norm(iso.v.conj().T @ iso.v - np.eye(iso.d)) <= 1e-8
+
+
+def test_spectrum_is_computed_only_when_read(monkeypatch):
+    iso = _random_chain(2040, 16, 2)
+
+    def refuse(m):
+        raise RuntimeError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    profile = analyze(iso)
+    assert profile.is_irreducible and profile.period == 1
+    # the gauge split needs only rho_ss and the resolvent
+    rng = np.random.default_rng(2041)
+    split(profile, rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape))
+    with pytest.raises(RuntimeError, match="dense eigensolver"):
+        profile.eigenvalues
+    with pytest.raises(RuntimeError, match="dense eigensolver"):
+        profile.diagnostics
+    monkeypatch.undo()
+    assert profile.eigenvalues.shape == (256,)
+    assert list(profile.diagnostics) == [
+        "spectral_gap",
+        "distance_to_one",
+        "stationary_min_eigenvalue",
+        "peripheral_deviation",
+        "reason",
+    ]
+
+
+def test_certificate_projects_the_trace_out():
+    # a transfer matrix whose images of traceless operators carry trace
+    # would feed the eigenvalue-1 direction, which never decays, into an
+    # unprojected block; the projected step is blind to it
+    iso = _random_chain(2042, 16, 2)
+    r = real_transfer(iso)
+    one = herm_coords(np.eye(16)).real
+    w = np.random.default_rng(2043).standard_normal(256)
+    leaky = r + 1e-6 * np.outer(one, w)
+    assert ergodic._certify_primitive(r, 16, ErgodicTol())
+    assert ergodic._certify_primitive(leaky, 16, ErgodicTol())

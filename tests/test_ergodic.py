@@ -152,18 +152,23 @@ def test_output_state_matches_string_probabilities():
 def test_tolerance_overrides_change_verdict():
     from qmc.errors import PeripheralMismatch
 
-    iso = isometry("m1", 0.3)
-    assert analyze(iso).is_irreducible
-    assert analyze(iso, tol=ErgodicTol(peripheral_band=1e-6)).is_irreducible
-    # an absurdly wide band sweeps decaying eigenvalues into the peripheral
-    # set; that is a tolerance misconfiguration, not a verdict
-    with pytest.raises(PeripheralMismatch):
-        analyze(iso, tol=ErgodicTol(peripheral_band=0.9))
+    # the d = 16 chain is certified primitive without the spectrum at the
+    # default tolerances.  Its computed eigenvalue 1 has modulus below 1, so
+    # at band 1e-300 the dense route's rim is empty: the certificate must
+    # leave that verdict to it
+    d16 = Isometry(oracles.random_isometry(np.random.default_rng(2035), 16, 2), 16, 2)
+    for iso in (isometry("m1", 0.3), d16):
+        assert analyze(iso).is_irreducible
+        assert analyze(iso, tol=ErgodicTol(peripheral_band=1e-6)).is_irreducible
+        # an absurdly wide band sweeps decaying eigenvalues into the peripheral
+        # set; that is a tolerance misconfiguration, not a verdict
+        with pytest.raises(PeripheralMismatch):
+            analyze(iso, tol=ErgodicTol(peripheral_band=0.9))
     # a band narrower than the roundoff of the computed eigenvalue 1 leaves
     # the peripheral set empty; that used to divide by zero
-    iso = Isometry(oracles.random_isometry(np.random.default_rng(3), 4, 2), 4, 2)
-    with pytest.raises(PeripheralMismatch):
-        analyze(iso, tol=ErgodicTol(peripheral_band=1e-300))
+    for iso in (Isometry(oracles.random_isometry(np.random.default_rng(3), 4, 2), 4, 2), d16):
+        with pytest.raises(PeripheralMismatch):
+            analyze(iso, tol=ErgodicTol(peripheral_band=1e-300))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -208,3 +213,22 @@ def test_nan_stabiliser_spectrum_is_rejected(monkeypatch):
     )
     with pytest.raises(PeripheralMismatch, match="roots of unity"):
         _canonical_z(np.diag([1.0, -1.0]).astype(complex), 2, ErgodicTol())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", ["output_state", "ergodic_projection", "resolvent"])
+def test_non_finite_input_is_rejected(entry, bad):
+    from qmc.errors import NotHermitian
+    from qmc.gauge import restricted_resolvent_solve
+
+    iso = isometry("m1", 0.3)
+    profile = analyze(iso)
+    x = np.eye(2, dtype=complex) / 2
+    x[0, 1] = bad
+    call = {
+        "output_state": lambda: output_state(iso, x, 2),
+        "ergodic_projection": lambda: ergodic_projection(profile, x),
+        "resolvent": lambda: restricted_resolvent_solve(profile, x),
+    }[entry]
+    with pytest.raises(NotHermitian, match="non-finite"):
+        call()

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,35 @@ def test_step_guard_catches_nan_weights():
     op = _step_operator(block_kraus(isometry("m1", 0.3), standard_measurement(2, 1)))
     with pytest.raises(DegenerateState):
         _run_batch(op, np.full((2, 2), np.nan, dtype=complex), 3, 0, [0, 1])
+
+
+def test_chunked_draws_repeat_one_draw(monkeypatch):
+    # each trial's Philox stream continues across chunks, so neither chunk
+    # length changes an outcome or a final state
+    iso, meas = isometry("m3", 0.3), measurement("m3", block=2)[0]
+    rho = analyze(iso).rho_ss
+    monkeypatch.setattr(trajectories, "_DRAW_BLOCKS", 10**6)
+    monkeypatch.setattr(trajectories, "_COPY_BLOCKS", 10**6)
+    ref_out, ref_states = sample_batch(iso, rho, 2500, meas, 4, 7)
+    for draw, copy in ((1, 1), (999, 7), (3, 1000), (2500, 64)):
+        monkeypatch.setattr(trajectories, "_DRAW_BLOCKS", draw)
+        monkeypatch.setattr(trajectories, "_COPY_BLOCKS", copy)
+        out, states = sample_batch(iso, rho, 2500, meas, 4, 7)
+        assert np.array_equal(out, ref_out), (draw, copy)
+        assert np.array_equal(states, ref_states), (draw, copy)
+
+
+def test_sampler_memory_stays_near_the_output():
+    iso, meas = isometry("m1", 0.35), measurement("m1")[0]
+    rho = analyze(iso).rho_ss
+    tracemalloc.start()
+    try:
+        outcomes, _ = sample_batch(iso, rho, 20000, meas, 3, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcomes.shape == (100, 20000)
+    assert peak <= 1.25 * outcomes.nbytes, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_counts_are_validated(monkeypatch):
