@@ -7,24 +7,25 @@ unit vector ``|u>`` is the row slice ``v[u::k]``:
 
     K_u[s, :] = v[s * k + u, :]        (d x d each, sum_u K_u* K_u = 1)
 
-Transfer operators act on vectorised matrices with column-stacking ``vec``:
+The transfer operators
 
     schrodinger   rho  -> sum_u K_u rho K_u*
     heisenberg    X    -> sum_u K_u* X K_u
 
-The two matrices are conjugate transposes of each other, matching the
-Hilbert-Schmidt duality Tr(T*(rho) X) = Tr(rho T(X)).
-
-Both maps preserve Hermiticity, so in the orthonormal Hermitian operator
-basis of ``qmc.linalg.herm_coords`` the Schrodinger map is a real matrix R
-(``real_transfer``) and the Heisenberg map is R^T.
+are adjoint under the Hilbert-Schmidt duality Tr(T*(rho) X) = Tr(rho T(X)).
+Both preserve Hermiticity, so in the orthonormal Hermitian basis of
+``qmc.linalg.herm_coords`` the Schrodinger map is a real matrix R
+(``real_transfer``), the Heisenberg map is R^T, and every channel-level
+functional runs on R.  ``channel``, the complex matrix on column-stacked
+``vec``, is kept as the reference route; otherwise only the sandwich map,
+which does not preserve Hermiticity, uses that ``vec``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotIsometry, SizeCap, UnitDimMismatch
+from .errors import DimensionMismatch, NotIsometry, SizeCap, UnitDimMismatch, as_integer
 from .linalg import dag, herm_pairs, unvec, vec
 
 __all__ = [
@@ -115,22 +116,14 @@ def isometry_from_kraus(kraus, tol=1e-8):
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix of a linear map on (vectorised) matrices."""
+    """Dense matrix of a linear map on column-stacked d1 x d2 matrices."""
 
     m: np.ndarray
-    picture: str
-    shape_in: tuple = field(default=())
-    shape_out: tuple = field(default=())
+    shape_in: tuple
+    shape_out: tuple
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        object.__setattr__(self, "m", m)
-        if not self.shape_in:
-            n = int(round(np.sqrt(m.shape[1])))
-            object.__setattr__(self, "shape_in", (n, n))
-        if not self.shape_out:
-            n = int(round(np.sqrt(m.shape[0])))
-            object.__setattr__(self, "shape_out", (n, n))
+        object.__setattr__(self, "m", np.asarray(self.m, dtype=complex))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=complex)
@@ -145,10 +138,11 @@ class Superoperator:
 
 
 def channel(iso, picture="schrodinger"):
-    """Transfer operator of the chain in the requested picture.
+    """Complex transfer matrix of the chain on column-stacked ``vec``.
 
     ``schrodinger`` propagates states, ``heisenberg`` observables.  The two
     matrices are mutually adjoint for the Hilbert-Schmidt inner product.
+    A reference route: the package computes with :func:`real_transfer`.
     """
     if picture not in ("schrodinger", "heisenberg"):
         raise ValueError(f"unknown picture {picture!r}")
@@ -160,7 +154,7 @@ def channel(iso, picture="schrodinger"):
             m += np.kron(K.conj(), K)
         else:
             m += np.kron(K.T, dag(K))
-    return Superoperator(m, picture, (d, d), (d, d))
+    return Superoperator(m, (d, d), (d, d))
 
 
 def real_transfer(iso):
@@ -221,7 +215,7 @@ def sandwich_map(iso1, iso2):
     m = np.zeros((d1 * d2, d1 * d2), dtype=complex)
     for K1, K2 in zip(iso1.kraus, iso2.kraus):
         m += np.kron(K2.T, dag(K1))
-    return Superoperator(m, "sandwich", (d1, d2), (d1, d2))
+    return Superoperator(m, (d1, d2), (d1, d2))
 
 
 def block_length(dim, k):
@@ -245,6 +239,7 @@ def dilation(iso, n, cap=DEFAULT_TENSOR_CAP):
     emitted unit, i.e. the leftmost (most significant) unit factor.
     """
     d, k = iso.d, iso.k
+    n = as_integer("n", n, 0)
     if k**n > cap:
         raise SizeCap(f"k^n = {k**n} exceeds cap {cap}")
     cols = []
@@ -262,6 +257,7 @@ def apply_steps(iso, phi, n, cap=DEFAULT_TENSOR_CAP):
     unit axes in chronological order (axis 1 = first emitted).
     """
     d, k = iso.d, iso.k
+    n = as_integer("n", n, 0)
     if k**n > cap:
         raise SizeCap(f"k^n = {k**n} exceeds cap {cap}")
     phi = np.asarray(phi, dtype=complex).reshape(d)

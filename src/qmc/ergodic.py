@@ -27,6 +27,7 @@ from .errors import (
     NotPSD,
     PeripheralMismatch,
     SizeCap,
+    as_integer,
 )
 from .linalg import bordered_eigvec, bordered_solve, dag, herm_coords, herm_part, herm_vec
 
@@ -540,6 +541,7 @@ def output_state(iso, rho_in, n, cap=DEFAULT_TENSOR_CAP):
     leftmost (most significant) tensor factor.
     """
     d, k = iso.d, iso.k
+    n = as_integer("n", n, 0)
     if k**n > cap:
         raise SizeCap(f"k^n = {k**n} exceeds cap {cap}")
     rho_in = np.asarray(rho_in, dtype=complex)

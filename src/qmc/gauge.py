@@ -237,8 +237,9 @@ def dmu(iso, theta, kgen, profile=None, rho_ss=None):
         raise DimensionMismatch(f"generator shape {kgen.shape}, expected ({d}, {d})")
     if not (np.linalg.norm(kgen - dag(kgen)) <= 1e-10 * max(1.0, np.linalg.norm(kgen))):
         raise GaugeConstraintViolated("generator must be Hermitian")
-    if abs(complex(theta).imag) > 0:
-        raise GaugeConstraintViolated("theta must be real")
+    theta_c = complex(theta)
+    if not (theta_c.imag == 0 and np.isfinite(theta_c.real)):
+        raise GaugeConstraintViolated(f"theta = {theta} must be real and finite")
     if rho_ss is None and profile is not None:
         rho_ss = profile.rho_ss
     if rho_ss is not None:
@@ -247,7 +248,7 @@ def dmu(iso, theta, kgen, profile=None, rho_ss=None):
             raise GaugeConstraintViolated(
                 f"Tr(rho_ss kgen) = {drift:.3e}, expected 0 (absorb it into theta)"
             )
-    return _dmu_raw(iso, complex(theta), kgen)
+    return _dmu_raw(iso, theta_c, kgen)
 
 
 def _dmu_raw(iso, theta_c, kgen):

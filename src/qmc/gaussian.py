@@ -210,6 +210,8 @@ def mixture_gram(profile, points, psd_tol=1e-9):
 def _embedded_states(gram, groups, clip=1e-10):
     """Rank-one component sums embedded via the Gram square root."""
     gram = np.asarray(gram, dtype=complex)
+    if not np.isfinite(gram).all():
+        raise GramNotPSD("Gram has NaN or Inf entries")
     gram = 0.5 * (gram + dag(gram))
     w, u = np.linalg.eigh(gram)
     if w.min() < -clip:

@@ -16,10 +16,10 @@ import functools
 
 import numpy as np
 
-from .channels import Isometry, channel
+from .channels import Isometry, real_transfer
 from .ergodic import analyze
 from .errors import DimensionMismatch, OutOfInterval, ReducibleParameters
-from .linalg import dag, vec
+from .linalg import dag, herm_coords
 from .statmodel import stationary_mean
 from .trajectories import BlockMeasurement, standard_measurement
 
@@ -360,17 +360,18 @@ def snr_spectral_data(theta):
     if not 0.0 <= theta < np.pi / 2:
         raise OutOfInterval(f"m3 admits theta in [0, pi/2); theta = {theta}")
     iso = isometry("m3", theta)
-    th = channel(iso, "heisenberg")
-    rho_ss = 0.5 * np.eye(2, dtype=complex)
-    deflated = th.m @ th.m - np.outer(vec(np.eye(2, dtype=complex)), vec(rho_ss).conj())
+    # Heisenberg matrix in the Hermitian basis; Tr(rho x) = coords(rho) . coords(x)
+    rt = real_transfer(iso).T
+    rho_ss = 0.5 * np.eye(2)
+    deflated = rt @ rt - np.outer(herm_coords(np.eye(2)).real, herm_coords(rho_ss).real)
     evals = np.linalg.eigvals(deflated)
     order = np.argsort(-np.abs(evals))
     radius = float(np.abs(evals[order[0]]))
     runner_up = float(np.abs(evals[order[1]])) if len(evals) > 1 else 0.0
     predicted = (1.0 - 2.0 * np.sin(theta) ** 2) ** 2
-    z = np.diag([1.0, -1.0]).astype(complex)
+    z = herm_coords(np.diag([1.0, -1.0])).real
     z_eig = -1.0 + 2.0 * np.sin(theta) ** 2
-    z_residual = float(np.linalg.norm(th(z) - z_eig * z))
+    z_residual = float(np.linalg.norm(rt @ z - z_eig * z))
     return {
         "theta": theta,
         "radius": radius,

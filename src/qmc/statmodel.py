@@ -22,8 +22,9 @@ from .channels import (
     Isometry,
     apply_steps,
     block_length,
-    channel,
     dilation,
+    kraus_real_matrix,
+    real_transfer,
     sandwich_map,
 )
 from .ergodic import analyze, stationary_eigenbasis
@@ -31,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotHermitian,
+    NotTangent,
     RetractionFailure,
     SizeCap,
     UnitDimMismatch,
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .gauge import TangentVector, restricted_resolvent_solve, split, tangent_inner
 from .gaussian import _coherent_overlap
-from .linalg import antiherm_part, dag, herm_part, unvec, vec
+from .linalg import antiherm_part, dag, herm_coords, herm_part, unvec, vec
 
 __all__ = [
     "DeformedChannel",
@@ -167,6 +169,15 @@ def _as_profile(obj):
     return obj
 
 
+def _unit_vector(phi, d):
+    """phi / ||phi||; DimensionMismatch unless phi is finite and nonzero."""
+    phi = np.asarray(phi, dtype=complex).reshape(d)
+    nv = np.linalg.norm(phi)
+    if not (np.isfinite(nv) and nv > 0):
+        raise DimensionMismatch(f"phi must be a finite nonzero vector, norm {nv}")
+    return phi / nv
+
+
 def joint_overlap(iso1, iso2, phi, n):
     """Overlap <Psi_1(n)|Psi_2(n)> of the joint system+output states.
 
@@ -219,6 +230,8 @@ def weak_qlan_report(profile, x, y, n, phi=None):
     profile = _as_profile(profile)
     profile.require_irreducible()
     iso = profile.iso
+    if phi is not None:
+        phi = _unit_vector(phi, iso.d)
     x = _as_matrix(iso, x)
     y = _as_matrix(iso, y)
     sx = split(profile, x)
@@ -230,8 +243,6 @@ def weak_qlan_report(profile, x, y, n, phi=None):
     if phi is None:
         overlap = complex(np.trace(profile.rho_ss @ opn))
     else:
-        phi = np.asarray(phi, dtype=complex).reshape(iso.d)
-        phi = phi / np.linalg.norm(phi)
         overlap = complex(np.vdot(phi, opn @ phi))
     corrected = overlap * np.exp(1j * (sx.theta - sy.theta) * np.sqrt(n))
     prediction = _coherent_overlap(profile, sx.a_id, sy.a_id)
@@ -256,54 +267,61 @@ def _qfi_accumulate(iso, a, phi, nmax):
     a cross term summing transfer-operator images of v* a over all time
     lags, and the mean-phase subtraction.  With rho_i = T_s^i(phi phi*)
     and sigma_i = Tr_K(a_eff rho_i v*), the cross term of F_n is
-    sum_{j<=n-2} Tr(W_j b) where W_j = T_s(W_{j-1}) + sigma_j, so one
-    forward sweep carrying rho_i, W_j and three running sums gives every
-    F_n in O(nmax d^4) time, with memory independent of nmax.
+    sum_{j<=n-2} Tr(H_j b), H_j = T_s(H_{j-1}) + Herm(sigma_j) the Hermitian
+    part of W_j = T_s(W_{j-1}) + sigma_j.  One real sweep over the Hermitian
+    coordinates of rho_i and H_j gives every F_n in O(nmax d^4) time, with
+    memory independent of nmax.
     """
-    d, k = iso.d, iso.k
-    v = iso.v
+    d = iso.d
     a = _as_matrix(iso, a)
+    if not np.isfinite(a).all():
+        raise NotTangent("tangent has non-finite entries")
+    phi = _unit_vector(phi, d)
+    v = iso.v
     h = dag(v) @ a
     a_eff = a - v @ antiherm_part(h)  # velocity of the polar curve is i a_eff
     b = herm_part(h)
-    phi = np.asarray(phi, dtype=complex).reshape(d)
-    phi = phi / np.linalg.norm(phi)
-    ts = channel(iso, "schrodinger").m
-    # sigma_i = sum_u A_u rho_i K_u* with A_u = a_eff[u::k], so
-    # vec(sigma_i) = sm @ vec(rho_i); traces read Tr(y z) = vec(z^T) . vec(y)
-    sm = sum(np.kron(kr.conj(), a_eff[u::k]) for u, kr in enumerate(iso.kraus))
-    rows = np.stack([vec((dag(a_eff) @ a_eff).T), vec(b.T)])
+    kr = np.stack(iso.kraus)
+    ar = np.stack([a_eff[u :: iso.k] for u in range(iso.k)])
+    # rho -> Herm(sigma) is (M(K + sA) - M(K - sA)) / 4s, M = kraus_real_matrix; s, the power
+    # of two nearest ||K|| / ||A||, keeps both stacks of one size, so only roundoff is lost
+    s = 2.0 ** np.round(np.log2(np.linalg.norm(kr) / (np.linalg.norm(ar) or 1.0)))
+    hs = (kraus_real_matrix(kr + s * ar) - kraus_real_matrix(kr - s * ar)) / (4.0 * s)
+    r = real_transfer(iso)
+    # traces read Tr(y z) = herm_coords(y) . herm_coords(z)
+    rows = herm_coords(np.stack([dag(a_eff) @ a_eff, b])).real
 
-    state = np.zeros((d * d, 2), dtype=complex)  # columns vec(rho_i), vec(W_{i-1})
-    state[:, 0] = vec(np.outer(phi, phi.conj()))
+    state = np.zeros((d * d, 2))  # columns: coordinates of rho_i, H_{i-1}
+    state[:, 0] = herm_coords(np.outer(phi, phi.conj())).real
     local = 0.0
     phase = 0.0
     cross = 0.0
     f = np.empty(nmax)
     for i in range(nmax):
-        # [[Tr(rho_i a_eff* a_eff), -], [Tr(rho_i b), Tr(W_{i-1} b)]]
-        (tr_local, _), (tr_rho_b, tr_w_b) = (rows @ state).tolist()
-        local += tr_local.real
+        # [[Tr(rho_i a_eff* a_eff), -], [Tr(rho_i b), Tr(H_{i-1} b)]]
+        (tr_local, _), (tr_rho_b, tr_h_b) = (rows @ state).tolist()
+        local += tr_local
         phase += tr_rho_b
-        cross += tr_w_b.real
-        f[i] = 4.0 * (local + 2.0 * cross - abs(phase) ** 2)
+        cross += tr_h_b
+        f[i] = 4.0 * (local + 2.0 * cross - phase**2)
         if i + 1 < nmax:
             rho = state[:, 0]
-            state = ts @ state
-            state[:, 1] += sm @ rho
+            state = r @ state
+            state[:, 1] += hs @ rho
     return f
 
 
 def qfi_finite(iso, a, phi, n):
     """Quantum Fisher information of the joint state at time n."""
+    n = as_integer("n", n)
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
-    return float(_qfi_accumulate(iso, a, phi, int(n))[-1])
+    return float(_qfi_accumulate(iso, a, phi, n)[-1])
 
 
 def qfi_curve(iso, a, phi, n_values):
     """F_n on a grid of n values, sharing the transfer-operator sweeps."""
-    n_values = [int(n) for n in n_values]
+    n_values = [as_integer("n", n) for n in n_values]
     if not n_values or min(n_values) < 1:
         raise DimensionMismatch("n grid must contain positive integers")
     f = _qfi_accumulate(iso, a, phi, max(n_values))
@@ -315,13 +333,8 @@ def qfi_report(profile, a, phi, n_values):
     profile = _as_profile(profile)
     f = qfi_curve(profile.iso, a, phi, n_values)
     rate = qfi_rate(profile, a)
-    n_arr = np.asarray([int(n) for n in n_values], dtype=float)
-    return QfiReport(
-        n_values=[int(n) for n in n_values],
-        f_n=f,
-        rate=rate,
-        residuals=f / n_arr - rate,
-    )
+    n_values = [int(n) for n in n_values]
+    return QfiReport(n_values=n_values, f_n=f, rate=rate, residuals=f / np.array(n_values) - rate)
 
 
 def qfi_rate(profile, a, b=None):
@@ -471,16 +484,18 @@ def finite_window_variance(profile, q, n, cap=DEFAULT_TENSOR_CAP):
     profile.require_irreducible()
     obs = _observable(profile, q)
     b = obs.block
-    nwin = int(n) - b + 1
+    nwin = as_integer("n", n, 0) - b + 1
     if nwin < 1:
         raise DimensionMismatch(f"window n = {n} shorter than the block {b}")
     m, a, c0, cs, sigma_q = _block_moments(profile, obs, min(b, nwin) - 1, cap)
-    th = channel(profile.iso, "heisenberg")
-    cur = a.copy()
-    for l in range(b, nwin):
-        cs.append(float(np.trace(cur @ sigma_q).real) - m * m)
-        cur = th(cur)
+    # on Hermitian coordinates, x -> T*(x) is c -> c @ R and Tr(x y) = c(x) . c(y)
+    r = real_transfer(profile.iso)
+    sq = herm_coords(sigma_q).real
+    c = herm_coords(a).real
+    for _ in range(b, nwin):
+        cs.append(float(c @ sq) - m * m)
+        c = c @ r
     total = c0
-    for l, c in enumerate(cs, start=1):
-        total += 2.0 * (1.0 - l / nwin) * c
+    for l, c_l in enumerate(cs, start=1):
+        total += 2.0 * (1.0 - l / nwin) * c_l
     return float(total)

@@ -3,8 +3,8 @@
 ``analyze`` takes the stationary state and the peripheral eigen-operator
 from bordered solves, and ``restricted_resolvent_solve`` solves a bordered
 system instead of compressing onto a null-space basis.  ``qfi_curve`` runs
-one forward recurrence instead of summing antidiagonals of an O(n^2)
-Gram, and the variances read every non-overlapping covariance off one
+one forward recurrence on real Hermitian-basis coordinates instead of
+summing antidiagonals of an O(n^2) Gram, and the variances read every non-overlapping covariance off one
 reduced operator sigma_Q instead of one dilation per lag.  The replaced
 routes live in ``oracles``; on fixtures with and without periodicity both
 must agree to 1e-10 relative.
@@ -35,12 +35,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmc.channels import Isometry, channel, dilation, isometry_from_kraus, real_transfer
-from qmc import ergodic, io
+from qmc import channels, ergodic, io
 from qmc.ergodic import ErgodicTol, analyze
 from qmc.errors import QmcError, ResolventIllConditioned
 from qmc.gauge import restricted_resolvent_solve, split
 from qmc.linalg import bordered_solve, herm_coords, herm_vec
-from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement
+from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement, snr_spectral_data
 from qmc.statmodel import (
     DeformedChannel,
     asymptotic_variance,
@@ -142,8 +142,11 @@ def test_qfi_recurrence_matches_gram_oracle(label, iso):
     a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
     phi = rng.standard_normal(iso.d) + 1j * rng.standard_normal(iso.d)
     nmax = 300
-    f = qfi_curve(iso, a, phi, range(1, nmax + 1))
-    assert _rel(f, oracles.qfi_gram(iso, a, phi, nmax)) <= TOL
+    # the sweep's polarization of Herm(sigma) must not lose digits when the
+    # tangent is far smaller or larger than the Kraus operators
+    for scale in (1.0, 1e-8, 1e8):
+        f = qfi_curve(iso, scale * a, phi, range(1, nmax + 1))
+        assert _rel(f, oracles.qfi_gram(iso, scale * a, phi, nmax)) <= TOL
 
 
 def _variance_cases():
@@ -617,6 +620,23 @@ def test_spectrum_is_computed_only_when_read(monkeypatch):
         "peripheral_deviation",
         "reason",
     ]
+
+
+def test_channel_functionals_build_no_complex_superoperator(monkeypatch):
+    # the QFI sweep, the window variance and the m3 SNR data run on the real
+    # transfer matrix; the complex column-stacking matrix is the oracle's
+    def refuse(self):
+        raise RuntimeError("complex superoperator built")
+
+    monkeypatch.setattr(channels.Superoperator, "__post_init__", refuse)
+    iso = isometry("m1", 0.3)
+    f = qfi_curve(iso, golden_tangent("m1")[0], np.array([1.0, 0.0]), [1, 50])
+    assert np.isfinite(f).all()
+    m3 = analyze(isometry("m3", 0.3))
+    assert np.isfinite(finite_window_variance(m3, measurement("m3", block=2)[1], 64))
+    assert snr_spectral_data(0.3)["z_residual"] <= 1e-12
+    with pytest.raises(RuntimeError, match="complex superoperator"):
+        channel(iso)
 
 
 def test_certificate_projects_the_trace_out():

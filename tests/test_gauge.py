@@ -180,6 +180,10 @@ def test_non_finite_operands_are_rejected():
         dmu(iso, 0.0, np.full((2, 2), np.nan))
     with pytest.raises(GaugeConstraintViolated):
         dmu(iso, 0.0, np.diag([1.0, -1.0]), rho_ss=np.full((2, 2), np.nan))
+    # complex(nan).imag is 0, so a check on the imaginary part alone let these through
+    for theta in (np.nan, np.inf, complex("nan+0j")):
+        with pytest.raises(GaugeConstraintViolated):
+            dmu(iso, theta, np.diag([1.0, -1.0]))
 
 
 def test_non_finite_gauge_elements_are_rejected():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmc.ergodic import analyze
+from qmc.errors import GramNotPSD
 from qmc.gauge import split, stabiliser_tangent_action, tangent_inner
 from qmc.gaussian import (
     coherent_overlap,
@@ -129,6 +130,19 @@ def test_gram_psd_and_deficiency():
     # relabelling the family only permutes the Gram
     g2 = mixture_gram(profile, [y, x])
     assert abs(np.trace(g.gram) - np.trace(g2.gram)) < 1e-12
+
+
+def test_deficiency_bound_rejects_non_finite_gram():
+    # a NaN entry used to reach eigh and raise numpy's LinAlgError
+    profile = analyze(fixture_s())
+    g = mixture_gram(profile, [_identifiable(profile, 35)]).gram
+    for bad in (np.nan, np.inf):
+        broken = g.copy()
+        broken[0, -1] = bad
+        with pytest.raises(GramNotPSD):
+            gram_deficiency_bound(broken, g)
+        with pytest.raises(GramNotPSD):
+            gram_deficiency_bound(g, broken)
 
 
 def test_triangle_inequality_sampled():

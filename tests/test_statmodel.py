@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from qmc.channels import Isometry, dilation
-from qmc.errors import DimensionMismatch, InvalidCount, NotHermitian, RetractionFailure
-from qmc.ergodic import analyze
+from qmc.channels import Isometry, apply_steps, dilation
+from qmc.errors import (
+    DimensionMismatch,
+    InvalidCount,
+    NotHermitian,
+    NotTangent,
+    RetractionFailure,
+)
+from qmc.ergodic import analyze, output_state
 from qmc.gauge import split, tangent_inner
 from qmc.linalg import dag
 from qmc.qubit_example import (
@@ -106,6 +112,16 @@ def _count_call(kind, n):
         return weak_qlan_report(profile, x, -x, n)
     if kind == "joint_overlap":
         return joint_overlap(iso, iso, np.array([1.0, 0.0]), n)
+    if kind == "qfi_curve":
+        return qfi_curve(iso, x, np.array([1.0, 0.0]), [4, n])
+    if kind == "window_variance":
+        return finite_window_variance(profile, np.diag([1.0, 0.0]), n)
+    if kind == "dilation":
+        return dilation(iso, n)
+    if kind == "apply_steps":
+        return apply_steps(iso, np.array([1.0, 0.0]), n)
+    if kind == "output_state":
+        return output_state(iso, 0.5 * np.eye(2), n)
     return qfi_finite(iso, x, np.array([1.0, 0.0]), n)
 
 
@@ -121,6 +137,13 @@ def _count_call(kind, n):
         ("weak_qlan_report", 2.5, InvalidCount),
         ("joint_overlap", 0, DimensionMismatch),
         ("qfi_finite", 0, DimensionMismatch),
+        ("qfi_finite", 2.5, InvalidCount),
+        ("qfi_curve", 2.5, InvalidCount),
+        ("window_variance", 2.5, InvalidCount),
+        ("window_variance", np.nan, InvalidCount),
+        ("dilation", -1, InvalidCount),
+        ("apply_steps", 2.5, InvalidCount),
+        ("output_state", 2.5, InvalidCount),
     ],
     ids=[
         "iterate-negative",
@@ -131,6 +154,13 @@ def _count_call(kind, n):
         "weak-fraction",
         "overlap-zero",
         "qfi-zero",
+        "qfi-fraction",
+        "qfi-grid-fraction",
+        "window-fraction",
+        "window-nan",
+        "dilation-negative",
+        "apply-steps-fraction",
+        "output-state-fraction",
     ],
 )
 def test_n_step_functionals_reject_bad_counts(kind, n, error):
@@ -170,6 +200,28 @@ def test_non_finite_operands_are_rejected():
         joint_overlap(iso, iso, np.array([np.nan, 1.0]), 3)
     with pytest.raises(RetractionFailure):
         retract(iso, np.full((4, 2), np.nan), 0.05)
+
+
+def test_qfi_rejects_non_finite_or_zero_inputs():
+    # each of these used to return NaN
+    profile = analyze(isometry("m1", 0.3))
+    iso = profile.iso
+    x = golden_tangent("m1")[0]
+    phi = np.array([1.0, 0.0])
+    for bad in (np.nan, np.inf):
+        a = x.copy()
+        a[0, 1] = bad
+        with pytest.raises(NotTangent):
+            qfi_curve(iso, a, phi, [3])
+        with pytest.raises(NotTangent):
+            qfi_finite(iso, a, phi, 3)
+    for bad_phi in (np.array([np.nan, 1.0]), np.array([np.inf, 0.0]), np.zeros(2)):
+        with pytest.raises(DimensionMismatch):
+            qfi_curve(iso, x, bad_phi, [3])
+        with pytest.raises(DimensionMismatch):
+            qfi_finite(iso, x, bad_phi, 3)
+        with pytest.raises(DimensionMismatch):
+            weak_qlan_report(profile, x, -x, 8, phi=bad_phi)
 
 
 def test_retract_rejects_non_tangent():
