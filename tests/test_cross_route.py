@@ -7,7 +7,10 @@ one forward recurrence on real Hermitian-basis coordinates instead of
 summing antidiagonals of an O(n^2) Gram, and the variances read every non-overlapping covariance off one
 reduced operator sigma_Q instead of one dilation per lag.  The replaced
 routes live in ``oracles``; on fixtures with and without periodicity both
-must agree to 1e-10 relative.
+must agree to 1e-10 relative.  ``resolvent_cond`` comes from the Gram
+spectrum of the compressed resolvent when its condition number is at most
+100 and from a values-only SVD above that; the dense SVD oracle pins both
+sides of that cut.
 
 The trajectory sampler steps a batch of states, held as real Hermitian-
 basis coordinates, through one stacked real operator instead of three
@@ -650,3 +653,48 @@ def test_certificate_projects_the_trace_out():
     leaky = r + 1e-6 * np.outer(one, w)
     assert ergodic._certify_primitive(r, 16, ErgodicTol())
     assert ergodic._certify_primitive(leaky, 16, ErgodicTol())
+
+
+# --------------------------------------------------------------------------
+# restricted resolvent condition number: Gram spectrum or values-only SVD
+
+
+def _cond_against_oracle(profile, seed):
+    """(resolvent_cond from split, the dense SVD oracle's, whether split ran an SVD)."""
+    iso = profile.iso
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+    svd = np.linalg.svd
+    values_only = []
+
+    def spy(m, *args, **kwargs):
+        values_only.append(kwargs.get("compute_uv") is False)
+        return svd(m, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", spy)
+        got = split(profile, a).resolvent_cond
+    ref = oracles.split_nullspace(iso, profile.rho_ss, a)[3]
+    return got, ref, any(values_only)
+
+
+@pytest.mark.parametrize("eps", [3e-1, 1e-1, 3e-2, 1e-2], ids=lambda e: f"{e:.0e}")
+def test_resolvent_cond_matches_svd_oracle_across_the_gram_cut(eps):
+    # cond is about 25, 240, 2700 and 24000; the Gram spectrum serves only
+    # the first, since its error grows like eps_mach * cond^2 (1e-9 at 2700)
+    got, ref, ran_svd = _cond_against_oracle(analyze(_coupled_blocks(eps)), seed=2044)
+    assert abs(got - ref) <= TOL * ref
+    assert ran_svd == (ref > 100.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=DIMS, k=UNITS, seed=SEEDS)
+def test_resolvent_cond_matches_svd_oracle_on_random_chains(d, k, seed):
+    profile = analyze(_random_chain(seed, d, k))
+    if not profile.is_irreducible:
+        return
+    if d == 1:  # the subspace is {0}; the oracle has no matrix to condition
+        assert split(profile, np.ones((k, 1), complex)).resolvent_cond == 1.0
+        return
+    got, ref, _ = _cond_against_oracle(profile, seed)
+    assert abs(got - ref) <= TOL * ref

@@ -7,6 +7,7 @@ from qmc.errors import (
     GaugeConstraintViolated,
     NotIdentifiable,
     NotTangent,
+    OutOfInterval,
     WitnessInconsistent,
 )
 from qmc.gauge import (
@@ -78,6 +79,18 @@ def test_gauge_action_preserves_output_statistics():
 
 def test_inequivalent_chains_give_none():
     assert equivalence_witness(isometry("m1", 0.3), isometry("m1", 0.32)) is None
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf, "loose"])
+def test_witness_rejects_tolerance_outside_unit_interval(tol):
+    # a radius-1 pair was reported inequivalent at tol = -1 (1 < 1 - tol),
+    # and an inequivalent pair passed the radius test at tol = 2 or nan
+    rng = np.random.default_rng(14)
+    iso = Isometry(oracles.random_isometry(rng, 2, 2), 2, 2)
+    pairs = [(iso, act(_random_gauge(rng, 2), iso)), (isometry("m1", 0.3), isometry("m1", 0.32))]
+    for iso1, iso2 in pairs:
+        with pytest.raises(OutOfInterval):
+            equivalence_witness(iso1, iso2, tol=tol)
 
 
 def test_swap_point_stabiliser():

@@ -272,6 +272,7 @@ def test_cli_simulate_csv_reproducible(tmp_path):
 
 SIMULATE = ("simulate", "--theta", "0.3", "--seed", "1")
 CONVERGE = ("converge", "--model", "m1", "--theta", "0.3")
+QFI = ("qfi", "--model", "m1", "--theta", "0.3")
 
 
 @pytest.mark.parametrize(
@@ -284,6 +285,7 @@ CONVERGE = ("converge", "--model", "m1", "--theta", "0.3")
         (CONVERGE + ("--pow-min", "-1", "--pow-max", "3"), None, "InvalidCount"),
         (CONVERGE + ("--pow-min", "5", "--pow-max", "3"), None, "InvalidCount"),
         (CONVERGE + ("--pow-min", "5", "--pow-max", "5"), None, "InvalidCount"),
+        (QFI + ("--n-step", "0"), None, "InvalidCount"),
     ],
     ids=[
         "n-below-block",
@@ -293,10 +295,11 @@ CONVERGE = ("converge", "--model", "m1", "--theta", "0.3")
         "converge-negative-power",
         "converge-empty-range",
         "converge-one-size",
+        "qfi-step-zero",
     ],
 )
 def test_cli_simulate_rejects_bad_counts(argv, env, kind):
-    # the rows cover the count flags of converge as well as simulate
+    # the rows cover the count flags of converge and qfi as well as simulate
     res = _run(*argv, env=env)
     assert res.returncode == 1, res.stdout
     assert res.stdout == ""
