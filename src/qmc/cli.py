@@ -145,6 +145,9 @@ def cmd_tangent(args):
 
 def cmd_qfi(args):
     n_step = as_integer("--n-step", args.n_step, 1)
+    n_max = as_integer("--n-max", args.n_max)
+    if n_max < n_step:
+        raise InvalidCount(f"--n-max = {n_max} is below --n-step = {n_step}; the n grid is empty")
     iso = _resolve_iso(args, args.isometry)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
@@ -155,7 +158,7 @@ def cmd_qfi(args):
     # deterministic initial state: dominant eigenvector of rho_ss
     _, vecs = np.linalg.eigh(profile.rho_ss)
     phi = vecs[:, -1]
-    n_values = np.arange(n_step, args.n_max + 1, n_step)
+    n_values = np.arange(n_step, n_max + 1, n_step)
     rep = statmodel.qfi_report(profile, a, phi, n_values)
     rate = statmodel.qfi_rate(profile, a)
     rows = [(int(n), f, f / n) for n, f in zip(rep.n_values, rep.f_n)]

@@ -78,9 +78,9 @@ class SpectralProfile:
 
     ``eigenvalues`` and the spectral keys of ``diagnostics``
     (``spectral_gap``, ``distance_to_one``, ``peripheral_deviation``) of a
-    chain certified primitive without the spectrum are computed on first
-    read, from a fresh transfer matrix, with the dense route's values and
-    key order.
+    chain whose period the certificate decided without the spectrum,
+    primitive or periodic, are computed on first read, from a fresh
+    transfer matrix, with the dense route's values and key order.
     """
 
     iso: Isometry
@@ -116,8 +116,9 @@ class SpectralProfile:
         return self._diagnostics
 
     def _read_spectrum(self):
-        # only certified primitive profiles get here: p = 1, and the
-        # non-spectral keys are stationary_min_eigenvalue and reason
+        # only certified profiles get here, with the period the certificate
+        # found; the non-spectral keys are stationary_min_eigenvalue and
+        # reason, and the dense route's order interleaves them
         evals, self._eigenvalues, on_rim, spectral = _spectrum(real_transfer(self.iso), self.tol)
         _, worst = _root_deviation(evals[on_rim], self.period)
         rest = self._diagnostics
@@ -181,7 +182,7 @@ def _canonical_z(u_raw, p, tol):
     return z, projections
 
 
-# Primitivity certificate.  Eigenvalues-only dense eig of R costs O(d^6);
+# Spectral certificate.  Eigenvalues-only dense eig of R costs O(d^6);
 # a block of traceless coordinates stepped by R costs O(d^4) a step, and
 # on a primitive chain it decays like the second-largest eigenvalue
 # modulus, about 0.6 to 0.85 a step on random chains, so 40 to 110 steps
@@ -190,9 +191,12 @@ def _canonical_z(u_raw, p, tol):
 # the dense eigensolver takes under 4 ms anyway.
 _CERTIFY_MIN_D = 10
 _CERTIFY_COLUMNS = 4
-# Any fixed seed will do: the start block only has to be generic, i.e. not
-# orthogonal to the spectral projection of any eigenvalue (the argument of
-# linalg.bordered_eigvec's seeded border).
+# Width of the periodic stage's block.  Its Ritz values can hold the p - 1
+# non-trivial p-th roots of unity for p <= _RITZ_COLUMNS + 1.
+_RITZ_COLUMNS = 6
+# Any fixed seed will do: the start blocks only have to be generic, i.e.
+# not orthogonal to the spectral projection of any eigenvalue (the argument
+# of linalg.bordered_eigvec's seeded border).
 _CERTIFY_SEED = 20251019
 # The block must decay by this factor.  An eigenvalue that the tolerances
 # count as peripheral or as 1 keeps at least half its component within the
@@ -207,25 +211,35 @@ _CERTIFY_WINDOW = 8
 _CERTIFY_TOL_FLOOR = 1e-10
 # largest distance of a peripheral eigenvalue from its root of unity
 _ROOT_DEVIATION = 1e-6
+# Largest residual of the peripheral Ritz subspace, as a share of the
+# smallest tolerance its Ritz values are judged by.  With residual e they
+# are eigenvalues of a matrix within e of R, so each lies within about
+# kappa e of an eigenvalue of R, kappa that eigenvalue's condition number
+# (1.1 to 1.25 for the peripheral ones of random cyclic chains at d = 8 to
+# 24); 1/20 of the tolerance keeps kappa e inside the half margins for
+# kappa up to 10.
+_RITZ_RESIDUAL = 0.05
 
 
-def _certify_primitive(r, d, tol):
-    """True when T, restricted to traceless operators, provably has spectral
-    radius below 1 - max(peripheral_band, simplicity_gap).
+def _certify(r, d, tol):
+    """Period p > 0 that the spectrum of R certifies, or 0 when undecided.
 
-    Then eigenvalue 1 is simple and the only peripheral one, which is the
-    dense route's verdict p = 1 as far as the spectrum decides it.  A
-    seeded Gaussian block of traceless coordinates is stepped by Q R, Q the
-    orthogonal projection that removes the trace, so that an isometry
-    defect cannot leak the eigenvalue 1 back in; the certificate holds
-    when the block decays by ``_CERTIFY_DECAY`` within m steps, where
-    (1 - max(band, gap))^m >= 1/2 and m <= d^2.  At m = d^2 steps the n x 4
-    block costs 8 n^3 flops (n = d^2), against about 10 n^3 for the
-    dense eigensolver.  Every ``_CERTIFY_WINDOW`` steps the decay of the last
-    window is extrapolated, and the certificate declines as soon as the
-    budget cannot reach the target, so a periodic or reducible chain,
-    whose block stalls, costs a few windows.  False means undecided: the
-    dense route runs.
+    A nonzero p says that, apart from the simple eigenvalue 1, the only
+    eigenvalues with modulus at least 1 - max(peripheral_band,
+    simplicity_gap) are the p - 1 non-trivial p-th roots of unity, each
+    simple; that is the dense route's verdict "period p" as far as the
+    spectrum decides it.  Seeded Gaussian blocks of traceless coordinates
+    are stepped by Q R, Q the orthogonal projection that removes the
+    trace, so that an isometry defect cannot leak the eigenvalue 1 back
+    in.  The primitive stage certifies p = 1 when a block of
+    ``_CERTIFY_COLUMNS`` decays by ``_CERTIFY_DECAY`` within m steps, where
+    (1 - max(band, gap))^m >= 1/2 and m <= d^2.  At m = d^2 steps the
+    n x 4 block costs 8 n^3 flops (n = d^2), against about 10 n^3 for the
+    dense eigensolver.  Every ``_CERTIFY_WINDOW`` steps the decay of the
+    last window is extrapolated, and the stage ends as soon as the budget
+    cannot reach the target, so a periodic or reducible chain, whose block
+    stalls, costs a few windows.  Then :func:`_certify_periodic` looks for
+    the roots.
     """
     margin = max(tol.peripheral_band, tol.simplicity_gap)
     if (
@@ -233,29 +247,134 @@ def _certify_primitive(r, d, tol):
         or min(tol.peripheral_band, tol.simplicity_gap) < _CERTIFY_TOL_FLOOR
         or not margin < 1.0
     ):
-        return False
+        return 0
     n = d * d
     budget = min(n, int(np.log(0.5) / np.log1p(-margin)))
     a = r.copy()
     a[:d] -= a[:d].mean(axis=0)
-    block = np.random.default_rng(_CERTIFY_SEED).standard_normal((n, _CERTIFY_COLUMNS))
+    rng = np.random.default_rng(_CERTIFY_SEED)
+    decayed, block = _decays(a, _traceless_block(rng, d, _CERTIFY_COLUMNS), budget)
+    if decayed:
+        return 1
+    # the stalled block already leans towards the slowest eigenvectors, so
+    # it starts the periodic stage a few windows ahead of a fresh one
+    start = np.hstack([block, _traceless_block(rng, d, _RITZ_COLUMNS - _CERTIFY_COLUMNS)])
+    return _certify_periodic(a, d, tol, budget, rng, start)
+
+
+def _traceless_block(rng, d, columns, basis=None):
+    """Gaussian n x columns block of traceless coordinates, orthogonal to ``basis``."""
+    block = rng.standard_normal((d * d, columns))
     block[:d] -= block[:d].mean(axis=0)
+    if basis is not None:
+        block -= basis @ (basis.T @ block)
+    return block
+
+
+def _decays(a, block, budget, basis=None):
+    """(whether ``block`` decays by ``_CERTIFY_DECAY`` within ``budget``
+    steps, the block after the last step).
+
+    Each step applies ``a`` and, when an orthonormal ``basis`` is given,
+    projects its span out, so the steps act as the compression of ``a``
+    to the orthogonal complement of that span.
+    """
     size = np.linalg.norm(block)
     target = _CERTIFY_DECAY * size
     for step in range(_CERTIFY_WINDOW, budget + 1, _CERTIFY_WINDOW):
         for _ in range(_CERTIFY_WINDOW):
             block = a @ block
+            if basis is not None:
+                block -= basis @ (basis.T @ block)
         last, size = size, np.linalg.norm(block)
         if size <= target:
-            return True
+            return True, block
         rate = size / last
         # a NaN or a stall fails the first test, a decay too slow for the
         # budget the second
         if not rate < 1.0:
-            return False
+            return False, block
         if not step + _CERTIFY_WINDOW * np.log(target / size) / np.log(rate) <= budget:
-            return False
-    return False
+            return False, block
+    return False, block
+
+
+def _certify_periodic(a, d, tol, budget, rng, block):
+    """Period p >= 2 by block subspace iteration with Rayleigh-Ritz, or 0.
+
+    The peripheral spectrum of an irreducible channel is the group of p-th
+    roots of unity, each simple (Evans and Hoegh-Krohn, J. London Math.
+    Soc. 17, 345, 1978), so on the traceless coordinates it is the p - 1
+    non-trivial roots.  ``block``, of ``_RITZ_COLUMNS`` traceless columns,
+    is stepped by ``a`` and orthonormalised once a window; the eigenvalues
+    of its Rayleigh quotient, the Ritz values, converge to the largest
+    eigenvalues of ``a`` (Stewart, Numer. Math. 25, 123, 1976).  The stage
+    returns p when the Ritz values within ``peripheral_band`` of the unit
+    circle are exactly the p - 1 non-trivial p-th roots, within half the
+    tolerances the dense route applies to its eigenvalues, their real
+    invariant subspace has a residual below ``_RITZ_RESIDUAL`` of those
+    tolerances, and a fresh traceless block, with that subspace projected
+    out of every step, decays as in the primitive stage.
+
+    The deflated block cannot decay past an eigenvalue of modulus above
+    ``radius`` within the budget, so the stage returns 0 as soon as a Ritz
+    value lies within 1 - ``radius`` of 1 (a reducible chain's second
+    eigenvalue 1 shows so in the first window, since the stalled block of
+    the primitive stage holds it; no non-trivial root lies that close), or
+    a Ritz pair has converged to a modulus between ``radius`` and the rim.
+    It also returns 0 when the residual of the largest Ritz pair is
+    extrapolated not to reach the tolerance within the budget, as for
+    p > _RITZ_COLUMNS + 1, or when the budget runs out: every undecided
+    chain goes to the dense route.
+    """
+    band = tol.peripheral_band
+    radius = _CERTIFY_DECAY ** (1.0 / max(budget, 1))
+    residual_tol = _RITZ_RESIDUAL * min(band, _ROOT_DEVIATION)
+    error = None
+    for step in range(_CERTIFY_WINDOW, budget + 1, _CERTIFY_WINDOW):
+        q, _ = np.linalg.qr(block)
+        block = a @ q
+        h = q.T @ block
+        if not np.isfinite(h).all():
+            return 0
+        ritz, vecs = np.linalg.eig(h)
+        mods = np.abs(ritz)
+        # residual of each Ritz pair; a pair counts as converged off the rim
+        # when its residual is below 1/100 of its distance to the rim
+        errors = np.linalg.norm(block @ vecs - (q @ vecs) * ritz, axis=0)
+        off_rim = 1.0 - band - mods
+        if np.min(np.abs(ritz - 1.0)) < 1.0 - radius or np.any(
+            (mods > radius) & (errors <= 0.01 * off_rim)
+        ):
+            return 0
+        rim = off_rim <= 0.0
+        p = int(np.count_nonzero(rim)) + 1
+        if p > 1 and np.min(mods[rim]) >= 1.0 - 0.5 * band:
+            assigned, worst = _root_deviation(np.append(1.0, ritz[rim]), p)
+            if assigned == p and worst <= 0.5 * _ROOT_DEVIATION:
+                # real orthonormal basis of the span of the rim Ritz vectors:
+                # a conjugate pair's real and imaginary parts span its plane
+                y = vecs[:, rim]
+                s = np.linalg.svd(np.hstack([y.real, y.imag]), full_matrices=False)[0][:, : p - 1]
+                basis = q @ s
+                image = block @ s  # a @ basis
+                if np.linalg.norm(image - basis @ (basis.T @ image)) <= residual_tol:
+                    deflated = _traceless_block(rng, d, _CERTIFY_COLUMNS, basis)
+                    return p if _decays(a, deflated, budget, basis)[0] else 0
+        # extrapolate the residual of the largest Ritz pair as the primitive
+        # stage extrapolates its decay, past the first three windows: on
+        # random cyclic chains with p = 6 or 7 it reads about 0.2, 0.1 and
+        # 0.02 to 0.05 there before it falls by 10 or more a window
+        last, error = error, float(errors[np.argmax(mods)])
+        if step > 3 * _CERTIFY_WINDOW and error > residual_tol:
+            rate = error / last
+            if not rate < 1.0:
+                return 0
+            if not step + _CERTIFY_WINDOW * np.log(residual_tol / error) / np.log(rate) <= budget:
+                return 0
+        for _ in range(_CERTIFY_WINDOW - 1):
+            block = a @ block
+    return 0
 
 
 def _spectrum(r, tol):
@@ -304,10 +423,10 @@ def analyze(iso, tol=None):
 
     One real transfer matrix R (``channels.real_transfer``) is built per
     call: T_s in the Hermitian operator basis, with the Heisenberg matrix
-    R^T.  A chain that :func:`_certify_primitive` certifies, whose
+    R^T.  A chain whose period p :func:`_certify` certifies, whose
     eigenvalue 1 from the stationary solve is within half the tolerances
     of 1 and whose stationary state is faithful, is irreducible with
-    p = 1 without the spectrum; its ``eigenvalues`` are computed when
+    period p without the spectrum; its ``eigenvalues`` are computed when
     read.  Every other chain takes the dense route: a real
     eigenvalues-only decomposition gives the spectrum, and bordered solves
     the stationary state and the peripheral eigen-operator, so no
@@ -316,15 +435,16 @@ def analyze(iso, tol=None):
     if tol is None:
         tol = ErgodicTol()
     r = real_transfer(iso)
-    if _certify_primitive(r, iso.d, tol):
-        profile = _certified_profile(iso, r, tol)
+    p = _certify(r, iso.d, tol)
+    if p:
+        profile = _certified_profile(iso, r, tol, p)
         if profile is not None:
             return profile
     return _dense_profile(iso, r, tol)
 
 
-def _certified_profile(iso, r, tol):
-    """Profile of a certified chain, or None when the dense route must decide."""
+def _certified_profile(iso, r, tol, p):
+    """Profile of a chain certified with period p, or None when the dense route must decide."""
     try:
         rho, s = _stationary(r, iso.d)
     except np.linalg.LinAlgError:
@@ -349,7 +469,7 @@ def _certified_profile(iso, r, tol):
         _diagnostics={"stationary_min_eigenvalue": min_eig},
     )
     profile.rho_ss = rho
-    _finish_irreducible(profile, r, 1)
+    _finish_irreducible(profile, r, p)
     return profile
 
 

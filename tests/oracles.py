@@ -159,6 +159,16 @@ def spectral_gap_complex(iso, peripheral_band=ErgodicTol().peripheral_band):
     return 1.0 - float(np.max(mods[mods < 1.0 - peripheral_band], initial=0.0))
 
 
+def spectrum_distance(got, ref):
+    """Largest distance in a greedy nearest-neighbour matching of two multisets."""
+    ref = list(ref)
+    worst = 0.0
+    for lam in sorted(got, key=lambda z: -abs(z)):
+        i = int(np.argmin(np.abs(np.asarray(ref) - lam)))
+        worst = max(worst, abs(ref.pop(i) - lam))
+    return worst
+
+
 def resolvent_nullspace(iso, rho_ss, rhs):
     """(x, cond): (1 - T_h) x = rhs compressed onto {Tr(rho_ss x) = 0}."""
     d = iso.d

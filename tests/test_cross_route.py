@@ -23,10 +23,13 @@ The spectral layer works on the real matrix R of the Schrodinger map in
 the Hermitian operator basis.  R must equal U* T U for the complex matrix
 T, R^T the Heisenberg matrix in that basis, and its spectrum that of T.
 
-``analyze`` certifies a primitive chain by a traceless power iteration and
-then computes the spectrum only when it is read.  The certified route must
-give the dense route's profile bit for bit: verdict, period, rho_ss, Z,
-residuals, diagnostics (values and key order) and report bytes.
+``analyze`` certifies a primitive chain by a traceless power iteration, and
+a periodic one by block subspace iteration with Rayleigh-Ritz and a
+deflated decay, and then computes the spectrum only when it is read.  The
+certified route must give the dense route's profile bit for bit: verdict,
+period, rho_ss, Z, residuals, diagnostics (values and key order) and report
+bytes.  Periodic chains pulled off the circle by eps^2 test both routes
+where peripheral_band puts the boundary.
 """
 
 import json
@@ -40,7 +43,7 @@ from hypothesis import strategies as st
 from qmc.channels import Isometry, channel, dilation, isometry_from_kraus, real_transfer
 from qmc import channels, ergodic, io
 from qmc.ergodic import ErgodicTol, analyze
-from qmc.errors import QmcError, ResolventIllConditioned
+from qmc.errors import PeripheralMismatch, QmcError, ResolventIllConditioned
 from qmc.gauge import restricted_resolvent_solve, split
 from qmc.linalg import bordered_solve, herm_coords, herm_vec
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement, snr_spectral_data
@@ -400,16 +403,6 @@ def test_real_transfer_is_the_basis_change_of_the_complex_matrix(d, k, seed):
     assert np.max(np.abs(heis - r.T)) <= 1e-13
 
 
-def _spectrum_distance(got, ref):
-    """Largest distance in a greedy nearest-neighbour matching of two multisets."""
-    ref = list(ref)
-    worst = 0.0
-    for lam in sorted(got, key=lambda z: -abs(z)):
-        i = int(np.argmin(np.abs(np.asarray(ref) - lam)))
-        worst = max(worst, abs(ref.pop(i) - lam))
-    return worst
-
-
 def _near_boundary(eps):
     # |1> is invariant under K0 = diag(sqrt(1 - eps^2), 1) and K1 = eps |1><0|
     k1 = np.zeros((2, 2))
@@ -427,7 +420,7 @@ def test_real_spectrum_matches_complex_oracle(label, iso):
     profile = analyze(iso)
     ref = oracles.spectrum_complex(iso)
     assert len(profile.eigenvalues) == len(ref)
-    assert _spectrum_distance(profile.eigenvalues, ref) <= 1e-12 * np.max(np.abs(ref))
+    assert oracles.spectrum_distance(profile.eigenvalues, ref) <= 1e-12 * np.max(np.abs(ref))
     gap = profile.diagnostics["spectral_gap"]
     assert abs(gap - oracles.spectral_gap_complex(iso, profile.tol.peripheral_band)) <= 1e-12
     if label.startswith("near-boundary"):
@@ -465,7 +458,7 @@ def test_bordered_solve_keeps_a_real_system_real(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# certified primitive route against the dense route
+# certified route against the dense route
 
 
 def _analysis(iso, tol):
@@ -476,13 +469,13 @@ def _analysis(iso, tol):
 
 
 def _both_routes(iso, tol=None):
-    """(certified-route result, dense-route result, the certificate's answer).
+    """(certified-route result, dense-route result, the certified period or 0).
 
     The size rule is lifted, so the certificate is tried at every d; the
     dense result comes from a certificate patched to decline.
     """
     answers = []
-    certify = ergodic._certify_primitive
+    certify = ergodic._certify
 
     def spy(r, d, tol):
         answers.append(certify(r, d, tol))
@@ -490,9 +483,9 @@ def _both_routes(iso, tol=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
-        mp.setattr(ergodic, "_certify_primitive", spy)
+        mp.setattr(ergodic, "_certify", spy)
         fast = _analysis(iso, tol)
-        mp.setattr(ergodic, "_certify_primitive", lambda r, d, tol: False)
+        mp.setattr(ergodic, "_certify", lambda r, d, tol: 0)
         dense = _analysis(iso, tol)
     return fast, dense, answers[0]
 
@@ -552,35 +545,62 @@ def _with_defect(iso, h):
     return Isometry(iso.v @ (np.eye(iso.d) + eta * h), iso.d, iso.k)
 
 
+def _near_periodic(d, p, eps, seed):
+    # a period-p chain with a unitary jump of weight eps^2 mixed in: primitive
+    # for eps > 0, its non-trivial peripheral eigenvalues pulled in by about
+    # eps^2, so 1e-4 puts them at the edge of the default peripheral_band
+    rng = np.random.default_rng(seed)
+    cyclic = Isometry(oracles.cyclic_isometry(rng, d, 2, p), d, 2).kraus
+    jump = eps * oracles.random_unitary(rng, d)
+    return isometry_from_kraus([np.sqrt(1.0 - eps * eps) * k for k in cyclic] + [jump])
+
+
+NEAR_PERIODIC = [
+    (f"near-periodic-p{p}-{eps:.0e}", _near_periodic(12, p, eps, 2044 + p), p)
+    for p in (2, 3)
+    for eps in (1e-2, 1e-4, 1e-6)
+]
+
+
 def _route_cases():
-    """(label, iso, tol, expected certificate answer or None)."""
-    for label, iso, _ in CHAINS:
-        yield label, iso, None, True if iso.d >= 16 else None
+    """(label, iso, tol, expected certificate answer or None).
+
+    The answer is the certified period, or 0 when the certificate declines.
+    """
+    for label, iso, period in CHAINS:
+        yield label, iso, None, period if iso.d >= 16 else None
     rng = np.random.default_rng(2034)
-    yield "cyclic-d16p2", Isometry(oracles.cyclic_isometry(rng, 16, 2, 2), 16, 2), None, False
-    yield "cyclic-d12p3", Isometry(oracles.cyclic_isometry(rng, 12, 2, 3), 12, 2), None, False
-    yield "reducible-d16", _reducible(2035, 16), None, False
-    yield "reducible-d8", _reducible(2036, 8), None, False
+    yield "cyclic-d16p2", Isometry(oracles.cyclic_isometry(rng, 16, 2, 2), 16, 2), None, 2
+    yield "cyclic-d12p3", Isometry(oracles.cyclic_isometry(rng, 12, 2, 3), 12, 2), None, 3
+    yield "cyclic-d10p2", Isometry(oracles.cyclic_isometry(rng, 10, 2, 2), 10, 2), None, 2
+    yield "cyclic-d15p5", Isometry(oracles.cyclic_isometry(rng, 15, 2, 5), 15, 2), None, 5
+    yield "cyclic-d20p5", Isometry(oracles.cyclic_isometry(rng, 20, 2, 5), 20, 2), None, 5
+    # a block of _RITZ_COLUMNS = 6 columns sees at most p = 7
+    yield "cyclic-d16p8", Isometry(oracles.cyclic_isometry(rng, 16, 2, 8), 16, 2), None, 0
+    yield "reducible-d16", _reducible(2035, 16), None, 0
+    yield "reducible-d8", _reducible(2036, 8), None, 0
     for eps in (1e-2, 1e-3, 1e-4):
-        yield f"near-boundary-{eps:.0e}", _near_boundary(eps), None, False
-        yield f"coupled-blocks-{eps:.0e}", _coupled_blocks(eps), None, False
+        yield f"near-boundary-{eps:.0e}", _near_boundary(eps), None, 0
+        yield f"coupled-blocks-{eps:.0e}", _coupled_blocks(eps), None, 0
+    for label, iso, _ in NEAR_PERIODIC:
+        yield label, iso, None, None
     d16, d24 = _random_chain(2037, 16, 2), _random_chain(2038, 24, 2)
-    yield "random-d16", d16, None, True
-    yield "random-d24", d24, None, True
+    yield "random-d16", d16, None, 1
+    yield "random-d24", d24, None, 1
     rng = np.random.default_rng(2039)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     defects = {"identity": np.eye(16), "corner": np.diag(np.eye(16)[0]), "random": g + g.conj().T}
     for name, h in defects.items():
-        yield f"defect-{name}", _with_defect(d16, h), None, True
+        yield f"defect-{name}", _with_defect(d16, h), None, 1
     # eigenvalue 1 sits 2.25e-9 from 1.  Outside half a gap of 3e-9 the
     # certified route defers to the dense one, which still finds it simple;
     # with a gap of 2e-9 the dense route finds no eigenvalue near 1
     for gap in (3e-9, 2e-9):
         yield f"defect-identity-gap-{gap:.0e}", _with_defect(d16, np.eye(16)), ErgodicTol(
             simplicity_gap=gap
-        ), True
+        ), 1
     for band in (0.9, 1e-300):
-        yield f"random-d16-band-{band:.0e}", d16, ErgodicTol(peripheral_band=band), False
+        yield f"random-d16-band-{band:.0e}", d16, ErgodicTol(peripheral_band=band), 0
 
 
 ROUTE_CASES = list(_route_cases())
@@ -592,37 +612,69 @@ ROUTE_CASES = list(_route_cases())
 def test_certified_route_matches_dense_route(label, iso, tol, certified):
     fast, dense, answer = _both_routes(iso, tol)
     if certified is not None:
-        assert answer is certified
+        assert answer == certified
     _assert_same_analysis(fast, dense)
     if label.startswith("defect"):
         assert 0.8e-8 <= np.linalg.norm(iso.v.conj().T @ iso.v - np.eye(iso.d)) <= 1e-8
 
 
+@pytest.mark.parametrize("label,iso,p", NEAR_PERIODIC, ids=[c[0] for c in NEAR_PERIODIC])
+def test_near_periodic_verdict_follows_the_spectrum_oracle(label, iso, p):
+    # the verdict is read off the complex oracle spectrum, not assumed: p when
+    # the p - 1 pulled-in eigenvalues stay within peripheral_band of the
+    # circle, 1 when they leave it.  Near the edge of the band a route may
+    # raise PeripheralMismatch, but neither may report another period.
+    band = ErgodicTol().peripheral_band
+    mods = np.abs(oracles.spectrum_complex(iso))
+    expected = np.count_nonzero(mods >= 1.0 - band)
+    assert expected in (1, p)
+    assert ergodic.access_span_check(iso)
+    for result in _both_routes(iso)[:2]:
+        if isinstance(result, PeripheralMismatch):
+            assert np.min(np.abs(mods - (1.0 - band))) <= 1e-12
+            continue
+        assert result.is_irreducible and result.period == expected
+
+
 def test_spectrum_is_computed_only_when_read(monkeypatch):
-    iso = _random_chain(2040, 16, 2)
+    rng = np.random.default_rng(2040)
+    chains = [
+        (_random_chain(2040, 16, 2), 1),
+        (Isometry(oracles.cyclic_isometry(rng, 16, 2, 2), 16, 2), 2),
+        (Isometry(oracles.cyclic_isometry(rng, 24, 2, 3), 24, 2), 3),
+    ]
+    eigvals = np.linalg.eigvals
 
     def refuse(m):
         raise RuntimeError("dense eigensolver called")
 
-    monkeypatch.setattr(np.linalg, "eigvals", refuse)
-    profile = analyze(iso)
-    assert profile.is_irreducible and profile.period == 1
-    # the gauge split needs only rho_ss and the resolvent
-    rng = np.random.default_rng(2041)
-    split(profile, rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape))
-    with pytest.raises(RuntimeError, match="dense eigensolver"):
-        profile.eigenvalues
-    with pytest.raises(RuntimeError, match="dense eigensolver"):
-        profile.diagnostics
-    monkeypatch.undo()
-    assert profile.eigenvalues.shape == (256,)
-    assert list(profile.diagnostics) == [
-        "spectral_gap",
-        "distance_to_one",
-        "stationary_min_eigenvalue",
-        "peripheral_deviation",
-        "reason",
-    ]
+    for iso, period in chains:
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        profile = analyze(iso)
+        assert profile.is_irreducible and profile.period == period
+        # the gauge split and the CLT variance need only rho_ss, the
+        # projections and the resolvent
+        a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+        split(profile, a)
+        assert np.isfinite(asymptotic_variance(profile, np.diag([1.0, -1.0])))
+        with pytest.raises(RuntimeError, match="dense eigensolver"):
+            profile.eigenvalues
+        with pytest.raises(RuntimeError, match="dense eigensolver"):
+            profile.diagnostics
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        assert profile.eigenvalues.shape == (iso.d**2,)
+        assert list(profile.diagnostics) == [
+            "spectral_gap",
+            "distance_to_one",
+            "stationary_min_eigenvalue",
+            "peripheral_deviation",
+            "reason",
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ergodic, "_certify", lambda r, d, tol: 0)
+            dense = analyze(iso)
+        assert json.dumps(profile.diagnostics) == json.dumps(dense.diagnostics)
+        assert np.array_equal(profile.eigenvalues, dense.eigenvalues)
 
 
 def test_channel_functionals_build_no_complex_superoperator(monkeypatch):
@@ -651,8 +703,38 @@ def test_certificate_projects_the_trace_out():
     one = herm_coords(np.eye(16)).real
     w = np.random.default_rng(2043).standard_normal(256)
     leaky = r + 1e-6 * np.outer(one, w)
-    assert ergodic._certify_primitive(r, 16, ErgodicTol())
-    assert ergodic._certify_primitive(leaky, 16, ErgodicTol())
+    assert ergodic._certify(r, 16, ErgodicTol()) == 1
+    assert ergodic._certify(leaky, 16, ErgodicTol()) == 1
+
+
+def _hidden_eigenvalue_operator(d, block, hidden):
+    """Symmetric operator on traceless coordinates with eigenvalues -1, 0.3 and
+    ``hidden``; the eigenvector of ``hidden`` is orthogonal to ``block``."""
+    n = d * d
+    one = np.zeros(n)
+    one[:d] = 1.0 / np.sqrt(d)
+    rng = np.random.default_rng(2045)
+    frame = np.linalg.qr(np.column_stack([one, block]))[0]
+    unseen = rng.standard_normal(n)
+    unseen -= frame @ (frame.T @ unseen)
+    unseen /= np.linalg.norm(unseen)
+    seen = rng.standard_normal(n) + block[:, 0]
+    for u in (one, unseen):
+        seen -= u * (u @ seen)
+    seen /= np.linalg.norm(seen)
+    rest = np.eye(n) - np.outer(one, one) - np.outer(seen, seen) - np.outer(unseen, unseen)
+    return -np.outer(seen, seen) + hidden * np.outer(unseen, unseen) + 0.3 * rest
+
+
+@pytest.mark.parametrize("hidden,period", [(0.3, 2), (0.99, 0)], ids=["none", "hidden-0.99"])
+def test_periodic_certificate_deflates_before_it_decides(hidden, period):
+    # the Ritz block never sees an eigenvalue whose eigenvector is orthogonal
+    # to its start; only the fresh deflated block can, and 0.99 keeps most of
+    # that block over the 36-step budget
+    d, tol = 6, ErgodicTol()
+    block = ergodic._traceless_block(np.random.default_rng(7), d, ergodic._RITZ_COLUMNS)
+    a = _hidden_eigenvalue_operator(d, block, hidden)
+    assert ergodic._certify_periodic(a, d, tol, d * d, np.random.default_rng(8), block) == period
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qmc import ergodic
 from qmc.channels import Isometry
 from qmc.ergodic import analyze, output_state
 from qmc.errors import (
@@ -231,3 +234,53 @@ def test_witness_rejects_non_finite_relation_residual(monkeypatch):
     iso = isometry("m2", 0.2)
     with pytest.raises(WitnessInconsistent, match="relation residual"):
         equivalence_witness(iso, iso)
+
+
+# draws whose chains both certificates decide: p = 1 and p = 2 at d = 8
+CERTIFIED_DRAWS = {(8, 3, 1, 0): 1, (8, 3, 2, 0): 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=8),
+    k=st.integers(min_value=1, max_value=3),
+    period=st.sampled_from([1, 2, 3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(d=8, k=3, period=1, seed=0)
+@example(d=8, k=3, period=2, seed=0)
+def test_spectral_profile_is_gauge_invariant(d, k, period, seed):
+    # T' = w T(w* . w) w* is T conjugated by an orthogonal map of the real
+    # Hermitian coordinates, so the spectrum, the verdict, the gap and the
+    # condition number are invariant and rho_ss moves to w rho_ss w*.  The
+    # size rule is lifted so that both certificates run at these d.
+    rng = np.random.default_rng(seed)
+    if period > 1 and d % period == 0:
+        iso = Isometry(oracles.cyclic_isometry(rng, d, k, period), d, k)
+    else:
+        iso = Isometry(oracles.random_isometry(rng, d, k), d, k)
+    c, w = _random_gauge(rng, d)
+    answers = []
+    certify = ergodic._certify
+
+    def spy(r, d, tol):
+        answers.append(certify(r, d, tol))
+        return answers[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
+        mp.setattr(ergodic, "_certify", spy)
+        before, after = analyze(iso), analyze(act((c, w), iso))
+    if (d, k, period, seed) in CERTIFIED_DRAWS:
+        assert answers == [CERTIFIED_DRAWS[d, k, period, seed]] * 2
+    assert oracles.spectrum_distance(after.eigenvalues, before.eigenvalues) <= 1e-10
+    assert after.is_irreducible == before.is_irreducible
+    assert after.period == before.period
+    gap = before.diagnostics["spectral_gap"]
+    assert abs(after.diagnostics["spectral_gap"] - gap) <= 1e-10
+    if not before.is_irreducible:
+        return
+    assert np.linalg.norm(after.rho_ss - w @ before.rho_ss @ dag(w)) <= 1e-10
+    a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+    cond = split(before, a).resolvent_cond
+    assert abs(split(after, a).resolvent_cond - cond) <= 1e-8 * cond

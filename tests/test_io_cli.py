@@ -286,6 +286,7 @@ QFI = ("qfi", "--model", "m1", "--theta", "0.3")
         (CONVERGE + ("--pow-min", "5", "--pow-max", "3"), None, "InvalidCount"),
         (CONVERGE + ("--pow-min", "5", "--pow-max", "5"), None, "InvalidCount"),
         (QFI + ("--n-step", "0"), None, "InvalidCount"),
+        (QFI + ("--n-max", "10", "--n-step", "25"), None, "InvalidCount"),
     ],
     ids=[
         "n-below-block",
@@ -296,6 +297,7 @@ QFI = ("qfi", "--model", "m1", "--theta", "0.3")
         "converge-empty-range",
         "converge-one-size",
         "qfi-step-zero",
+        "qfi-max-below-step",
     ],
 )
 def test_cli_simulate_rejects_bad_counts(argv, env, kind):
@@ -303,7 +305,11 @@ def test_cli_simulate_rejects_bad_counts(argv, env, kind):
     res = _run(*argv, env=env)
     assert res.returncode == 1, res.stdout
     assert res.stdout == ""
-    assert json.loads(res.stderr.strip())["kind"] == kind
+    err = json.loads(res.stderr.strip())
+    assert err["kind"] == kind
+    # a flag that fails only against another must name both
+    if "--n-max" in argv:
+        assert "--n-max" in err["detail"] and "--n-step" in err["detail"]
 
 
 def test_cli_example_bundle():
