@@ -253,7 +253,8 @@ def _certify(r, d, tol):
     a = r.copy()
     a[:d] -= a[:d].mean(axis=0)
     rng = np.random.default_rng(_CERTIFY_SEED)
-    decayed, block = _decays(a, _traceless_block(rng, d, _CERTIFY_COLUMNS), budget)
+    first = _traceless_block(rng, d, _CERTIFY_COLUMNS)
+    decayed, block = _decays(lambda b: a @ b, first, budget)
     if decayed:
         return 1
     # the stalled block already leans towards the slowest eigenvectors, so
@@ -271,21 +272,19 @@ def _traceless_block(rng, d, columns, basis=None):
     return block
 
 
-def _decays(a, block, budget, basis=None):
+def _decays(step, block, budget):
     """(whether ``block`` decays by ``_CERTIFY_DECAY`` within ``budget``
-    steps, the block after the last step).
+    calls of ``step``, the block after the last call).
 
-    Each step applies ``a`` and, when an orthonormal ``basis`` is given,
-    projects its span out, so the steps act as the compression of ``a``
-    to the orthogonal complement of that span.
+    ``step`` maps a block to its image: one product with the certificate's
+    matrix, that product followed by a deflation, or p applications of
+    the sandwich map of ``gauge.equivalence_witness`` in Kraus form.
     """
     size = np.linalg.norm(block)
     target = _CERTIFY_DECAY * size
-    for step in range(_CERTIFY_WINDOW, budget + 1, _CERTIFY_WINDOW):
+    for taken in range(_CERTIFY_WINDOW, budget + 1, _CERTIFY_WINDOW):
         for _ in range(_CERTIFY_WINDOW):
-            block = a @ block
-            if basis is not None:
-                block -= basis @ (basis.T @ block)
+            block = step(block)
         last, size = size, np.linalg.norm(block)
         if size <= target:
             return True, block
@@ -294,7 +293,7 @@ def _decays(a, block, budget, basis=None):
         # budget the second
         if not rate < 1.0:
             return False, block
-        if not step + _CERTIFY_WINDOW * np.log(target / size) / np.log(rate) <= budget:
+        if not taken + _CERTIFY_WINDOW * np.log(target / size) / np.log(rate) <= budget:
             return False, block
     return False, block
 
@@ -359,8 +358,15 @@ def _certify_periodic(a, d, tol, budget, rng, block):
                 basis = q @ s
                 image = block @ s  # a @ basis
                 if np.linalg.norm(image - basis @ (basis.T @ image)) <= residual_tol:
+
+                    def deflated_step(b):
+                        # a, compressed to the complement of the rim subspace
+                        b = a @ b
+                        b -= basis @ (basis.T @ b)
+                        return b
+
                     deflated = _traceless_block(rng, d, _CERTIFY_COLUMNS, basis)
-                    return p if _decays(a, deflated, budget, basis)[0] else 0
+                    return p if _decays(deflated_step, deflated, budget)[0] else 0
         # extrapolate the residual of the largest Ritz pair as the primitive
         # stage extrapolates its decay, past the first three windows: on
         # random cyclic chains with p = 6 or 7 it reads about 0.2, 0.1 and

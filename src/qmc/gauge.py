@@ -6,10 +6,23 @@ on isometries by
     act(g, v) = conj(c) (w (x) 1) v w*
 
 Two irreducible chains produce the same output statistics exactly when
-they sit on the same gauge orbit; ``equivalence_witness`` decides this by
-looking at the peripheral spectrum of the two-sided deformed transfer
-operator.  The residual stabiliser of a point is the cyclic group
-generated by (gamma, Z) from the spectral profile.
+they sit on the same gauge orbit; ``equivalence_witness`` decides this from
+the eigenvalues of largest modulus of the sandwich map
+E: X -> sum_u K1_u* X K2_u.  When (w (x) 1) v2 = c v1 w, E is c T
+conjugated by X -> X w, T the Heisenberg transfer operator of the first
+chain, so its radius is 1 and its eigenvector at c is w; otherwise the
+radius is below 1 (Guta and Kiukas, CMP 335, 1397, 2015).  From
+``ergodic._CERTIFY_MIN_D`` on, a power iteration on E^p (p the period)
+that applies E in Kraus form, O(k d^3) a step, looks for the eigenvector
+first.  A decay of the iterate within the half-rule budget of
+``ergodic._certify`` (a modulus of at least 1 - tol keeps half its
+component within it) says inequivalent; a Rayleigh value of E^p converged
+onto the rim gives c and, projected onto one p-th root, w.  Anything else
+is undecided, and the dense route takes every eigenvalue of the d^2 x d^2
+matrix of E and the eigenvector from a bordered solve.  Both routes end in
+the same checks of the eigenvector and of the relation itself.  The
+residual stabiliser of a point is the cyclic group generated by (gamma, Z)
+from the spectral profile.
 
 Tangent machinery: ``dmu`` pushes a Lie-algebra element (theta, kgen) to a
 gauge-orbit direction at v, and ``split`` decomposes an arbitrary tangent
@@ -88,16 +101,34 @@ def act(g, iso):
     return Isometry(v_new, iso.d, iso.k)
 
 
+# Start of the Kraus route's power iteration.  Any fixed seed will do: the
+# start only has to be generic, i.e. not orthogonal to the left eigenvector
+# of any eigenvalue, which X = 1 can be.
+_WITNESS_SEED = 20251021
+# Residual ||E^p x - mu x|| of the unit iterate x at which mu counts as
+# converged onto the rim.  The Rayleigh value of the non-normal E^p is
+# accurate to first order in the residual, so the witness phase agrees with
+# the dense eigenvalue to about this much, times the eigenvalue's condition
+# number; the roundoff of one step at d = 24 is about 1e-14.
+_WITNESS_RESIDUAL = 1e-12
+
+
 def equivalence_witness(iso1, iso2, tol=1e-8):
     """Witness (c, w) with (w (x) 1) v2 = c v1 w, or None when inequivalent.
 
     Both chains must be irreducible and share system and unit dimensions.
-    The witness is read off the peripheral eigenvector of the two-sided
-    deformed transfer operator, found by a bordered solve at the
-    eigenvalue of largest modulus; its phase gauge is fixed by making the
-    first nonzero entry of the first column of w real and positive.  The
-    chains count as equivalent when that modulus is at least 1 - tol, so
-    ``tol`` must lie in (0, 1).
+    The witness is read off an eigenvector of E: X -> sum_u K1_u* X K2_u at
+    an eigenvalue of largest modulus; the chains count as equivalent when
+    that modulus is at least 1 - tol, so ``tol`` must lie in (0, 1).  From
+    ``ergodic._CERTIFY_MIN_D`` on, the Kraus route of
+    :func:`_kraus_peripheral` looks for it by power iteration; when it is
+    undecided, and always below that size, the dense route takes every
+    eigenvalue of the d^2 x d^2 matrix of E and the eigenvector from a
+    bordered solve.  Either way the eigenvector must have a relative
+    residual of at most 1e-6 and be proportional to a unitary, whose polar
+    factor w has its phase fixed by making the first nonzero entry of its
+    first column real and positive, and c = lam / |lam| must satisfy the
+    relation to 1e-6; otherwise WitnessInconsistent is raised.
     """
     try:
         tol = float(tol)
@@ -114,28 +145,26 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
         raise UnitDimMismatch(f"unit dimensions differ ({iso1.k} vs {iso2.k})")
     from .ergodic import analyze
 
+    # iso2 is analysed too: a witness within 1e-6 does not make a chain
+    # near the reducible boundary share iso1's verdict
+    periods = []
     for iso in (iso1, iso2):
         prof = analyze(iso)
         if not prof.is_irreducible:
             raise NotIrreducible(prof.diagnostics.get("reason", "input chain not irreducible"))
+        periods.append(prof.period)
     d = iso1.d
-    smap = sandwich_map(iso1, iso2)
-    evals = np.linalg.eigvals(smap.m)
-    imax = int(np.argmax(np.abs(evals)))
-    radius = abs(evals[imax])
+    found = _kraus_peripheral(iso1, iso2, periods[0], tol)
+    lam, f, res = _dense_peripheral(iso1, iso2, tol) if found is None else found
+    radius = abs(lam)
     if radius < 1.0 - tol:
         return None
-    try:
-        u, res = bordered_eigvec(smap.m, evals[imax])
-    except np.linalg.LinAlgError:
-        res = np.inf
     if not res <= 1e-6:
         raise WitnessInconsistent(f"peripheral eigenvector relative residual {res:.3e}")
-    f = unvec(u, (d, d))
     gram = dag(f) @ f
-    lam = np.trace(gram).real / d
-    deviation = np.linalg.norm(gram - lam * np.eye(d))
-    if not (deviation <= 1e-6 * max(lam, 1e-12)):
+    scale = np.trace(gram).real / d
+    deviation = np.linalg.norm(gram - scale * np.eye(d))
+    if not (deviation <= 1e-6 * max(scale, 1e-12)):
         raise WitnessInconsistent(
             f"peripheral eigenvector is not proportional to a unitary (deviation {deviation:.3e})"
         )
@@ -146,11 +175,128 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
     i0 = int(np.argmax(np.abs(col) > 1e-12))
     phase = col[i0] / abs(col[i0])
     w = w * np.conj(phase)
-    c = evals[imax] / radius
+    c = lam / radius
     residual = np.linalg.norm(np.kron(w, np.eye(iso1.k)) @ iso2.v - c * iso1.v @ w)
     if not (residual <= 1e-6):
         raise WitnessInconsistent(f"witness relation residual {residual:.3e}")
     return complex(c), w
+
+
+def _dense_peripheral(iso1, iso2, tol):
+    """(lam, F, residual) from every eigenvalue of the matrix of E.
+
+    lam is an eigenvalue of largest modulus; F, its eigenvector as a d x d
+    matrix, and the relative residual are only computed when
+    |lam| >= 1 - tol.  F is None when the bordered system is singular, and
+    then the residual is infinite.
+    """
+    smap = sandwich_map(iso1, iso2)
+    evals = np.linalg.eigvals(smap.m)
+    lam = evals[int(np.argmax(np.abs(evals)))]
+    if abs(lam) < 1.0 - tol:
+        return lam, None, 0.0
+    try:
+        u, res = bordered_eigvec(smap.m, lam)
+    except np.linalg.LinAlgError:
+        return lam, None, np.inf
+    return lam, unvec(u, (iso1.d, iso1.d)), res
+
+
+def _sandwich_step(iso1, iso2):
+    """X -> sum_u K1_u* X K2_u on d x d matrices, in O(k d^3) a call.
+
+    The products X K2_u are one batched product, stacked into a (k d) x d
+    array that the row [K1_1*, ..., K1_k*] sums in one more; the d^2 x d^2
+    matrix of ``channels.sandwich_map`` is never formed.
+    """
+    d, k = iso1.d, iso1.k
+    row = np.ascontiguousarray(dag(np.concatenate(iso1.kraus)))
+    k2 = np.stack(iso2.kraus)
+    return lambda x: row @ (x @ k2).reshape(k * d, d)
+
+
+def _kraus_peripheral(iso1, iso2, p, tol):
+    """(lam, F, residual) by power iteration on E^p, or None when undecided.
+
+    p is iso1's period.  When the chains are equivalent, (w (x) 1) v2 =
+    c v1 w, E is c T conjugated by X -> X w, T the Heisenberg transfer
+    operator of iso1 (Guta and Kiukas, CMP 335, 1397, 2015), so its
+    eigenvalues of largest modulus are c gamma^j, j < p, and E^p has the
+    one semisimple eigenvalue c^p there.
+
+    A seeded Gaussian X is stepped by E^p, first through ``ergodic._decays``
+    with the budget of ``ergodic._certify``: m applications of E with
+    (1 - tol)^m >= 1/2 and m <= d^2.  An eigenvalue of modulus at least
+    1 - tol keeps at least half its component within them, so a decay by
+    ``_CERTIFY_DECAY`` says the radius is below 1 - tol, unless the start's
+    component along it was below 2e-8 of its norm, and that is returned as
+    lam = 0.  Otherwise the iteration goes on, normalised, with the Rayleigh
+    value mu of E^p.  Once |mu| >= (1 - tol)^p and the residual is at most
+    ``_WITNESS_RESIDUAL``, lam is the p-th root c0 gamma^j of mu whose
+    projection sum_{m<p} lam^-m E^m(X), an eigenvector of E at lam, is the
+    largest.  Below the rim, lam = mu^(1/p) is returned when the residual is
+    below 1/100 of the distance of mu to the rim (the rule of
+    ``ergodic._certify_periodic``) and, as in the decay test, a rim
+    eigenvalue would have grown by 1 / _CERTIFY_DECAY against mu by then,
+    so its component would have had to start below 1e-10 of mu's.  A tol
+    below ``_CERTIFY_TOL_FLOOR``, a chain below ``_CERTIFY_MIN_D``, a
+    non-finite iterate and a spent budget are undecided.
+    """
+    from . import ergodic
+
+    d = iso1.d
+    if d < ergodic._CERTIFY_MIN_D or tol < ergodic._CERTIFY_TOL_FLOOR:
+        return None
+    budget = min(d * d, int(np.log(0.5) / np.log1p(-tol))) // p
+    apply = _sandwich_step(iso1, iso2)
+    taken = 0
+
+    def step(x):
+        nonlocal taken
+        taken += 1
+        for _ in range(p):
+            x = apply(x)
+        return x
+
+    rng = np.random.default_rng(_WITNESS_SEED)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    decayed, x = ergodic._decays(step, x, budget)
+    if decayed:
+        return 0j, None, 0.0
+    rim = (1.0 - tol) ** p
+    while taken < budget:
+        size = np.linalg.norm(x)
+        if not size > 0.0:  # NaN, or an exact zero
+            return None
+        x = x / size
+        y = step(x)
+        mu = np.vdot(x, y)
+        res = np.linalg.norm(y - mu * x)
+        if not np.isfinite(res):
+            return None
+        if abs(mu) >= rim:
+            if res <= _WITNESS_RESIDUAL:
+                return _rim_eigenpair(apply, x, mu, p)
+        elif (
+            res <= 0.01 * (rim - abs(mu))
+            and abs(mu) <= rim * ergodic._CERTIFY_DECAY ** (1.0 / taken)
+        ):
+            return mu ** (1.0 / p), None, 0.0
+        x = y
+    return None
+
+
+def _rim_eigenpair(apply, x, mu, p):
+    """(lam, F, residual): the eigenvector of E in x at the p-th root lam of
+    mu that carries the largest part of x."""
+    images = [x]
+    for _ in range(p - 1):
+        images.append(apply(images[-1]))
+    roots = mu ** (1.0 / p) * np.exp(2j * np.pi * np.arange(p) / p)
+    parts = [sum(lam ** -m * images[m] for m in range(p)) for lam in roots]
+    j = int(np.argmax([np.linalg.norm(f) for f in parts]))
+    lam, f = roots[j], parts[j]
+    return lam, f, float(np.linalg.norm(apply(f) - lam * f) / np.linalg.norm(f))
 
 
 def witness_matches(profile, witness, g, tol=1e-6):

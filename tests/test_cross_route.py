@@ -30,6 +30,12 @@ certified route must give the dense route's profile bit for bit: verdict,
 period, rho_ss, Z, residuals, diagnostics (values and key order) and report
 bytes.  Periodic chains pulled off the circle by eps^2 test both routes
 where peripheral_band puts the boundary.
+
+``equivalence_witness`` finds the peripheral eigenvector of the sandwich
+map by power iteration in Kraus form and falls back to every eigenvalue of
+its dense matrix when that is undecided.  Both routes must return None on
+the same pairs, and otherwise witnesses that agree to 1e-10 modulo the
+stabiliser family (gamma^m, Z^m).
 """
 
 import json
@@ -41,10 +47,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmc.channels import Isometry, channel, dilation, isometry_from_kraus, real_transfer
-from qmc import channels, ergodic, io
+from qmc import channels, ergodic, gauge, io
 from qmc.ergodic import ErgodicTol, analyze
-from qmc.errors import PeripheralMismatch, QmcError, ResolventIllConditioned
-from qmc.gauge import restricted_resolvent_solve, split
+from qmc.errors import PeripheralMismatch, QmcError, ResolventIllConditioned, WitnessInconsistent
+from qmc.gauge import act, equivalence_witness, restricted_resolvent_solve, split, witness_matches
 from qmc.linalg import bordered_solve, herm_coords, herm_vec
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement, snr_spectral_data
 from qmc.statmodel import (
@@ -780,3 +786,185 @@ def test_resolvent_cond_matches_svd_oracle_on_random_chains(d, k, seed):
         return
     got, ref, _ = _cond_against_oracle(profile, seed)
     assert abs(got - ref) <= TOL * ref
+
+
+# --------------------------------------------------------------------------
+# equivalence witness: Kraus-form power iteration against the dense route
+
+
+def _witness(iso1, iso2, tol):
+    try:
+        return equivalence_witness(iso1, iso2, tol)
+    except QmcError as exc:
+        return exc
+
+
+def _kraus_verdict(found, tol):
+    if found is None:
+        return "undecided"
+    return "inequivalent" if abs(found[0]) < 1.0 - tol else "equivalent"
+
+
+def _both_witness_routes(iso1, iso2, tol=1e-8):
+    """(Kraus-route witness, dense-route witness, the Kraus stage's verdict).
+
+    The size rule is lifted, so the Kraus stage runs at every d; the dense
+    witness comes from a Kraus stage patched to be undecided.
+    """
+    answers = []
+    kraus = gauge._kraus_peripheral
+
+    def spy(*args):
+        answers.append(kraus(*args))
+        return answers[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
+        mp.setattr(gauge, "_kraus_peripheral", spy)
+        fast = _witness(iso1, iso2, tol)
+        mp.setattr(gauge, "_kraus_peripheral", lambda *args: None)
+        dense = _witness(iso1, iso2, tol)
+    return fast, dense, _kraus_verdict(answers[0], tol) if answers else None
+
+
+def _gauge_pair(iso, seed):
+    rng = np.random.default_rng(seed)
+    g = (complex(np.exp(2j * np.pi * rng.random())), oracles.random_unitary(rng, iso.d))
+    return iso, act(g, iso)
+
+
+def _witness_cases():
+    """(label, iso1, iso2, tol, equivalent, expected Kraus verdict or None)."""
+    for d in (2, 8, 12, 16):
+        verdict = "equivalent" if d >= 12 else "undecided"
+        iso1, iso2 = _gauge_pair(_random_chain(2050 + d, d, 2), 2060 + d)
+        yield f"random-d{d}", iso1, iso2, 1e-8, True, verdict
+    rng = np.random.default_rng(2051)
+    for d, p in ((16, 2), (12, 3), (15, 5)):
+        iso = Isometry(oracles.cyclic_isometry(rng, d, 2, p), d, 2)
+        yield f"cyclic-d{d}p{p}", *_gauge_pair(iso, 2070 + p), 1e-8, True, "equivalent"
+    for label, iso, _ in NEAR_PERIODIC:
+        yield label, *_gauge_pair(iso, 2080), 1e-8, True, None
+    m3 = isometry("m3", 0.3)
+    for other in (np.pi - 0.3, -0.3):
+        reflected = isometry("m3", other, strict=False)
+        yield f"m3-reflection-{other:.2f}", m3, reflected, 1e-8, True, None
+    yield "m1-0.3-0.32", isometry("m1", 0.3), isometry("m1", 0.32), 1e-8, False, "undecided"
+    for d in (8, 12, 16):
+        verdict = "inequivalent" if d >= 12 else None
+        iso1, iso2 = _random_chain(2090 + d, d, 2), _random_chain(2100 + d, d, 2)
+        yield f"random-pair-d{d}", iso1, iso2, 1e-8, False, verdict
+        swapped = isometry_from_kraus(iso1.kraus[::-1])
+        yield f"index-swapped-d{d}", iso1, swapped, 1e-8, False, verdict
+    # below ergodic._CERTIFY_TOL_FLOOR only the dense route reproduces the
+    # verdict: at 1 - 1e-300 == 1 it reads the roundoff of the radius
+    d16 = _random_chain(2066, 16, 2)
+    yield "random-d16-tol-1e-300", *_gauge_pair(d16, 2076), 1e-300, None, "undecided"
+    yield "random-pair-d16-tol-1e-300", d16, _random_chain(2116, 16, 2), 1e-300, False, "undecided"
+
+
+WITNESS_CASES = list(_witness_cases())
+
+
+@pytest.mark.parametrize(
+    "label,iso1,iso2,tol,equivalent,verdict", WITNESS_CASES, ids=[c[0] for c in WITNESS_CASES]
+)
+def test_kraus_witness_matches_dense_witness(label, iso1, iso2, tol, equivalent, verdict):
+    fast, dense, answer = _both_witness_routes(iso1, iso2, tol)
+    if verdict is not None:
+        assert answer == verdict
+    if answer == "undecided":
+        # the dense route ran on both sides, so the results are identical
+        assert type(fast) is type(dense)
+        if fast is not None:
+            assert fast[0] == dense[0] and np.array_equal(fast[1], dense[1])
+    if equivalent is False:
+        assert fast is None and dense is None
+    elif equivalent:
+        assert fast is not None and dense is not None
+        # the element that maps iso1 to iso2 according to the dense witness
+        g = (np.conj(dense[0]), dense[1].conj().T)
+        assert witness_matches(analyze(iso1), fast, g, tol=1e-10)
+
+
+def test_witness_route_follows_the_size_rule(monkeypatch):
+    # primitive and period-2 chains at d = 16: the Kraus route decides, and
+    # analyze certifies both chains, so no eigvals call is left
+    rng = np.random.default_rng(2052)
+    pairs = [
+        _gauge_pair(_random_chain(2053, 16, 2), 2054),
+        _gauge_pair(Isometry(oracles.cyclic_isometry(rng, 16, 2, 2), 16, 2), 2055),
+    ]
+
+    def refuse(*args):
+        raise RuntimeError("refused")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", refuse)
+        for iso1, iso2 in pairs:
+            assert equivalence_witness(iso1, iso2) is not None
+    # below the size rule the dense route runs, and the Kraus step never does
+    monkeypatch.setattr(gauge, "_sandwich_step", refuse)
+    assert equivalence_witness(*_gauge_pair(_random_chain(2056, 8, 2), 2057)) is not None
+    with pytest.raises(RuntimeError, match="refused"):
+        equivalence_witness(*pairs[0])
+
+
+def _poisoned_sandwich(monkeypatch, poison):
+    """Patch the Kraus step to return NaN on the calls ``poison`` accepts;
+    returns the list of call numbers seen, from 1."""
+    build = gauge._sandwich_step
+    calls = []
+
+    def patched(iso1, iso2):
+        apply = build(iso1, iso2)
+
+        def step(x):
+            calls.append(len(calls) + 1)
+            y = apply(x)
+            return np.full_like(y, np.nan) if poison(calls[-1]) else y
+
+        return step
+
+    monkeypatch.setattr(gauge, "_sandwich_step", patched)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_witness_kraus_route_rejects_non_finite_iterate(monkeypatch, where):
+    # a NaN in the iteration leaves the stage undecided, so the dense route
+    # answers; a NaN in the final application, after the Rayleigh value has
+    # converged, fails the eigenvector residual.  Never a silent None.
+    iso1, iso2 = _gauge_pair(_random_chain(2058, 16, 2), 2059)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gauge, "_kraus_peripheral", lambda *args: None)
+        dense = equivalence_witness(iso1, iso2)
+    clean = _poisoned_sandwich(monkeypatch, lambda call: False)
+    equivalence_witness(iso1, iso2)
+    n = len(clean)
+    at = {"first": 1, "middle": n // 2, "last": n}[where]
+    _poisoned_sandwich(monkeypatch, lambda call: call >= at)
+    if where == "last":
+        with pytest.raises(WitnessInconsistent, match="eigenvector relative residual"):
+            equivalence_witness(iso1, iso2)
+        return
+    c, w = equivalence_witness(iso1, iso2)
+    assert c == dense[0] and np.array_equal(w, dense[1])
+
+
+def test_kraus_witness_waits_for_a_hidden_rim_eigenvalue(monkeypatch):
+    # E multiplies X entrywise: by 1 at the entry where the seeded start is
+    # smallest and by 0.995 elsewhere.  The start's rim component is 0.003 of
+    # the rest, so the Rayleigh value sits at 0.995 with a residual below
+    # 1/100 of its distance to the rim from the first step, while the radius
+    # is 1.  Over the 256-step budget the rim entry outgrows the rest only by
+    # 3.6, far from 1e8, so the stage must stay undecided
+    d = 16
+    start = np.random.default_rng(gauge._WITNESS_SEED)
+    x0 = start.standard_normal((d, d)) + 1j * start.standard_normal((d, d))
+    weights = np.full((d, d), 0.995, dtype=complex)
+    weights.flat[np.argmin(np.abs(x0))] = 1.0
+    monkeypatch.setattr(gauge, "_sandwich_step", lambda iso1, iso2: lambda x: weights * x)
+    iso = _random_chain(2110, d, 2)
+    assert gauge._kraus_peripheral(iso, iso, 1, 1e-8) is None

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qmc import ergodic
 from qmc.channels import Isometry
 from qmc.ergodic import analyze, output_state
+from qmc.gaussian import mixture_trace_distance
 from qmc.errors import (
     GaugeConstraintViolated,
     NotIdentifiable,
@@ -28,6 +29,7 @@ from qmc.gauge import (
 )
 from qmc.linalg import dag
 from qmc.qubit_example import fixture_s, golden_modes, isometry
+from qmc.statmodel import asymptotic_variance
 
 import oracles
 
@@ -215,6 +217,9 @@ def test_non_finite_gauge_elements_are_rejected():
 def test_witness_rejects_non_finite_eigenvector(monkeypatch):
     import qmc.gauge as gauge
 
+    # the bordered solve belongs to the dense route, which m2 (d = 2) takes
+    # by the size rule; the Kraus stage is made undecided to keep it so
+    monkeypatch.setattr(gauge, "_kraus_peripheral", lambda *args: None)
     monkeypatch.setattr(gauge, "bordered_eigvec", lambda m, lam: (np.full(m.shape[0], np.nan), 0.0))
     iso = isometry("m2", 0.2)
     with pytest.raises(WitnessInconsistent):
@@ -234,6 +239,27 @@ def test_witness_rejects_non_finite_relation_residual(monkeypatch):
     iso = isometry("m2", 0.2)
     with pytest.raises(WitnessInconsistent, match="relation residual"):
         equivalence_witness(iso, iso)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_kraus_witness_rejects_non_finite_relation_residual(monkeypatch):
+    # a primitive d = 16 pair takes the Kraus route, and analyze certifies
+    # both chains without an SVD, so again the polar step is the only one
+    svd = np.linalg.svd
+    calls = []
+
+    def nan_left_factor(a, *args, **kwargs):
+        calls.append(a.shape)
+        u, s, vh = svd(a, *args, **kwargs)
+        return np.full_like(u, np.nan), s, vh
+
+    rng = np.random.default_rng(15)
+    iso = Isometry(oracles.random_isometry(rng, 16, 2), 16, 2)
+    iso2 = act(_random_gauge(rng, 16), iso)
+    monkeypatch.setattr(np.linalg, "svd", nan_left_factor)
+    with pytest.raises(WitnessInconsistent, match="relation residual"):
+        equivalence_witness(iso, iso2)
+    assert calls == [(16, 16)]
 
 
 # draws whose chains both certificates decide: p = 1 and p = 2 at d = 8
@@ -284,3 +310,23 @@ def test_spectral_profile_is_gauge_invariant(d, k, period, seed):
     a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
     cond = split(before, a).resolvent_cond
     assert abs(split(after, a).resolvent_cond - cond) <= 1e-8 * cond
+    # the output process is the same on the whole orbit, so is its CLT
+    # variance; a random Hermitian q has sigma^2 > 0 unless k = 1
+    q = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    q = q + dag(q)
+    s2 = asymptotic_variance(before, q)
+    assert abs(asymptotic_variance(after, q) - s2) <= 1e-10 * max(abs(s2), np.linalg.norm(q) ** 2)
+    # an identifiable tangent moves to conj(c) (w (x) 1) x w*, and the
+    # mixture distance of the limit model is the same at both points; at
+    # k = 1 the identifiable space is {0} and a_id is roundoff
+    points = []
+    for _ in range(2):
+        raw = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+        x = split(before, raw).a_id
+        points.append(x / np.sqrt(tangent_inner(before, x, x).real) if k > 1 else x)
+    moved = [np.conj(c) * np.kron(w, np.eye(k)) @ x @ dag(w) for x in points]
+    dist = mixture_trace_distance(before, *points)
+    assert abs(mixture_trace_distance(after, *moved) - dist) <= 1e-9
+    # and the stabiliser orbit of a point is one point of the limit model
+    orbit = stabiliser_tangent_action(after, 1, moved[0])
+    assert mixture_trace_distance(after, moved[0], orbit) <= 1e-9
