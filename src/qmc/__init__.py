@@ -65,6 +65,7 @@ from .statmodel import (
     qfi_report,
     retract,
     stationary_mean,
+    weak_qlan_curve,
     weak_qlan_error,
     weak_qlan_report,
 )

@@ -208,13 +208,19 @@ def sandwich_map(iso1, iso2):
     Operands X are d1 x d2 matrices; the map is returned as a dense matrix
     acting on vec(X).  Its spectral radius is at most 1 (up to roundoff)
     because the K1 and K2 families each resolve the identity.
+
+    Its entry at ((i, j), (s, l)) is sum_u K2_u[s, i] conj(K1_u[l, j]), so
+    the matrix is one (D x k)(k x D) product of the flattened Kraus stacks,
+    D = d1 d2, followed by a transpose of the index pairs.
     """
     if iso1.k != iso2.k:
         raise UnitDimMismatch(f"unit dimensions differ: {iso1.k} vs {iso2.k}")
-    d1, d2 = iso1.d, iso2.d
-    m = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for K1, K2 in zip(iso1.kraus, iso2.kraus):
-        m += np.kron(K2.T, dag(K1))
+    d1, d2, k = iso1.d, iso2.d, iso1.k
+    k1 = np.stack(iso1.kraus).reshape(k, d1 * d1)
+    k2 = np.stack(iso2.kraus).reshape(k, d2 * d2)
+    # prod[(s, i), (l, j)] = sum_u K2_u[s, i] conj(K1_u[l, j])
+    prod = (k2.T @ k1.conj()).reshape(d2, d2, d1, d1)
+    m = prod.transpose(1, 3, 0, 2).reshape(d2 * d1, d2 * d1)
     return Superoperator(m, (d1, d2), (d1, d2))
 
 

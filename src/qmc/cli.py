@@ -17,7 +17,7 @@ import numpy as np
 from . import gauge, gaussian, io, qubit_example, statmodel, trajectories
 from .channels import DEFAULT_TENSOR_CAP
 from .ergodic import ErgodicTol, analyze
-from .errors import InvalidCount, NotIrreducible, QmcError, as_integer
+from .errors import DimensionMismatch, InvalidCount, NotIrreducible, QmcError, as_integer
 
 __all__ = ["main"]
 
@@ -160,12 +160,11 @@ def cmd_qfi(args):
     phi = vecs[:, -1]
     n_values = np.arange(n_step, n_max + 1, n_step)
     rep = statmodel.qfi_report(profile, a, phi, n_values)
-    rate = statmodel.qfi_rate(profile, a)
     rows = [(int(n), f, f / n) for n, f in zip(rep.n_values, rep.f_n)]
     io.write_csv(
         ("n", "f_n", "f_n_over_n"),
         rows,
-        settings=_settings(args, qfi_rate=rate),
+        settings=_settings(args, qfi_rate=rep.rate),
     )
     return 0
 
@@ -180,10 +179,8 @@ def cmd_variance(args):
         q = io.matrix_from_json(io.load_json(args.observable))
     det = statmodel.asymptotic_variance(profile, q, details=True, cap=args.cap_tensor)
     n_values = [int(s) for s in args.n_list.split(",")]
-    rows = [
-        (n, statmodel.finite_window_variance(profile, q, n, cap=args.cap_tensor))
-        for n in n_values
-    ]
+    windows = statmodel.finite_window_variance(profile, q, n_values, cap=args.cap_tensor)
+    rows = list(zip(n_values, windows))
     io.write_csv(
         ("n", "window_variance"),
         rows,
@@ -217,9 +214,8 @@ def cmd_converge(args):
         y = -x
     rows = []
     errors = []
-    for power in range(args.pow_min, args.pow_max + 1):
-        n = 2**power
-        rep = statmodel.weak_qlan_report(profile, x, y, n)
+    n_values = [2**power for power in range(args.pow_min, args.pow_max + 1)]
+    for n, rep in zip(n_values, statmodel.weak_qlan_curve(profile, x, y, n_values)):
         errors.append(rep["error"])
         ratio = abs(rep["corrected"]) / max(abs(rep["prediction"]), 1e-300)
         rows.append(
@@ -263,13 +259,17 @@ def cmd_limit_model(args):
     else:
         x = _identifiable_from_seed(profile, args.seed)
     y = io.matrix_from_json(io.load_json(args.y)) if args.y else 1.3 * x
+    if np.shape(y) != np.shape(x):
+        raise DimensionMismatch(f"--y has shape {np.shape(y)}, --x {np.shape(x)}")
+    scales = [float(s) for s in args.scale_grid.split(",")]
+    # x, y and every scaled x share one split
+    x, y, *scaled = gaussian.mode_point(profile, np.stack([x, y] + [s * x for s in scales]))
     lam = gaussian.lambda_k(profile, x, y)
     zx = gaussian.zeta_gram(profile, x, x)
     zcross = gaussian.zeta_gram(profile, x, y)
-    scales = [float(s) for s in args.scale_grid.split(",")]
     distances = [
-        {"scale": s, "distance": gaussian.mixture_trace_distance(profile, x, s * x)}
-        for s in scales
+        {"scale": s, "distance": gaussian.mixture_trace_distance(profile, x, sx)}
+        for s, sx in zip(scales, scaled)
     ]
     io.dump_json(
         {
@@ -309,7 +309,8 @@ def cmd_example(args):
     profile.require_irreducible()
     velocity = _model_velocity(args, iso)
     sp = gauge.split(profile, velocity)
-    rate = statmodel.qfi_rate(profile, velocity)
+    # statmodel.qfi_rate of velocity, read off the split already made
+    rate = 4.0 * gauge.tangent_inner(profile, sp.a_id, sp.a_id).real
     meas_mean = qubit_example.closed_form_mean(args.model, args.theta)
     _, q = qubit_example.measurement(args.model)
     out = {

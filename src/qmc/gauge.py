@@ -125,10 +125,15 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
     undecided, and always below that size, the dense route takes every
     eigenvalue of the d^2 x d^2 matrix of E and the eigenvector from a
     bordered solve.  Either way the eigenvector must have a relative
-    residual of at most 1e-6 and be proportional to a unitary, whose polar
-    factor w has its phase fixed by making the first nonzero entry of its
-    first column real and positive, and c = lam / |lam| must satisfy the
-    relation to 1e-6; otherwise WitnessInconsistent is raised.
+    residual of at most 1e-6 and be proportional to a unitary w, the polar
+    factor, with c = lam / |lam|.  For a pair of period p the witnesses
+    form the family (c gamma^m, Z^m w), m < p, with gamma and Z from iso1's
+    profile; the member returned is the one whose w is closest to the
+    identity up to a phase, i.e. with the largest |Tr(Z^m w)|, so both
+    routes return the same member.  The phase of w is fixed by making the
+    first nonzero entry of its first column real and positive, and (c, w)
+    must satisfy the relation to 1e-6; otherwise WitnessInconsistent is
+    raised.
     """
     try:
         tol = float(tol)
@@ -147,14 +152,15 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
 
     # iso2 is analysed too: a witness within 1e-6 does not make a chain
     # near the reducible boundary share iso1's verdict
-    periods = []
+    profiles = []
     for iso in (iso1, iso2):
         prof = analyze(iso)
         if not prof.is_irreducible:
             raise NotIrreducible(prof.diagnostics.get("reason", "input chain not irreducible"))
-        periods.append(prof.period)
+        profiles.append(prof)
+    prof = profiles[0]
     d = iso1.d
-    found = _kraus_peripheral(iso1, iso2, periods[0], tol)
+    found = _kraus_peripheral(iso1, iso2, prof.period, tol)
     lam, f, res = _dense_peripheral(iso1, iso2, tol) if found is None else found
     radius = abs(lam)
     if radius < 1.0 - tol:
@@ -170,12 +176,18 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
         )
     u, _, vh = np.linalg.svd(f)
     w = u @ vh
+    c = lam / radius
+    if prof.period > 1:
+        # (gamma^m, Z^m) fixes v1, so (c gamma^m, Z^m w) is a witness too;
+        # keep the member whose w is closest to 1 up to a phase
+        members = [np.linalg.matrix_power(prof.zmat, m) @ w for m in range(prof.period)]
+        m = int(np.argmax([abs(np.trace(zw)) for zw in members]))
+        w, c = members[m], c * prof.gamma**m
     # fix the free phase of w
     col = w[:, 0]
     i0 = int(np.argmax(np.abs(col) > 1e-12))
     phase = col[i0] / abs(col[i0])
     w = w * np.conj(phase)
-    c = lam / radius
     residual = np.linalg.norm(np.kron(w, np.eye(iso1.k)) @ iso2.v - c * iso1.v @ w)
     if not (residual <= 1e-6):
         raise WitnessInconsistent(f"witness relation residual {residual:.3e}")
@@ -471,13 +483,22 @@ def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
     must already be negligible for the equation to make sense): the real
     bordered system [[1 - R^T, r], [r^T, 0]], r the coordinates of rho_ss,
     returns the unique x with Tr(rho_ss x) = 0 and (1 - T) x = rhs - s rho_ss.
-    A complex right-hand side is solved as two real columns.  Returns
-    ``(x, cond)`` with the condition number of the compressed resolvent,
-    computed once per profile and checked against ``cond_cap`` on every
-    call.
+
+    ``rhs`` is one d x d matrix or an (m, d, d) stack of them; a stack is
+    solved as the columns of one right-hand-side block, so R is built and
+    the bordered system factorised once per call, and x has the shape of
+    ``rhs``.  A complex right-hand side is solved as two real columns.
+    Returns ``(x, cond)`` with the condition number of the compressed
+    resolvent, computed once per profile and checked against ``cond_cap``
+    on every call.
     """
     profile.require_irreducible()
     rhs = np.asarray(rhs, dtype=complex)
+    d = profile.d
+    if rhs.ndim not in (2, 3) or rhs.shape[-2:] != (d, d):
+        raise DimensionMismatch(
+            f"right-hand side shape {rhs.shape}, expected ({d}, {d}) or (m, {d}, {d})"
+        )
     if not np.isfinite(rhs).all():
         raise NotHermitian("right-hand side has non-finite entries")
     rm = real_transfer(profile.iso)
@@ -489,13 +510,13 @@ def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
         raise ResolventIllConditioned(
             f"restricted resolvent condition number {cond:.3e} exceeds {cond_cap:.1e}"
         )
-    b = herm_coords(rhs)
+    b = herm_coords(rhs)  # (d^2,) or (m, d^2)
     try:
         # [[R^T - 1, r], [r^T, 0]] [x; -s] = [-b; 0]
-        x, _ = bordered_solve(rm, 1.0, r, r, -b, adjoint=True)
+        x, _ = bordered_solve(rm, 1.0, r, r, -b.T, adjoint=True)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from None
-    return herm_vec(x), cond
+    return herm_vec(x.T), cond
 
 
 def split(profile, a):
@@ -505,27 +526,46 @@ def split(profile, a):
     matrices are treated complex-linearly without symmetrisation, so curve
     velocities can be passed directly.  The returned ``a_id`` always
     satisfies v* a_id = 0.
+
+    An (m, d k, d) stack of tangents returns a list of m splits, one per
+    member, from one build of R and one factorisation: their resolvent
+    right-hand sides are solved as one block by
+    :func:`restricted_resolvent_solve`.  Members that are equal entry for
+    entry are solved once, so they get equal splits.
     """
     profile.require_irreducible()
     iso = profile.iso
     if isinstance(a, TangentVector):
         a = a.a
     a = np.asarray(a, dtype=complex)
-    if a.shape != iso.v.shape:
-        raise DimensionMismatch(f"tangent shape {a.shape}, expected {iso.v.shape}")
-    if not np.isfinite(a).all():
+    stack = a[None] if a.ndim == 2 else a
+    if stack.ndim != 3 or stack.shape[1:] != iso.v.shape or not len(stack):
+        raise DimensionMismatch(
+            f"tangent shape {a.shape}, expected {iso.v.shape} or (m, *{iso.v.shape}), m >= 1"
+        )
+    if not np.isfinite(stack).all():
         raise NotTangent("tangent has non-finite entries")
-    h = dag(iso.v) @ a
-    theta_c = complex(np.trace(profile.rho_ss @ h))
-    kgen, cond = restricted_resolvent_solve(profile, h - theta_c * np.eye(iso.d))
-    a_id = a - _dmu_raw(iso, theta_c, kgen)
-    return TangentSplit(
-        theta=float(theta_c.real),
-        theta_im=float(theta_c.imag),
-        kgen=kgen,
-        a_id=a_id,
-        resolvent_cond=cond,
-    )
+    first = {}  # bytes of a member -> its index among the distinct members
+    slot = [first.setdefault(t.tobytes(), len(first)) for t in stack]
+    thetas, rhs = [], []
+    for j in range(len(first)):
+        h = dag(iso.v) @ stack[slot.index(j)]
+        theta_c = complex(np.trace(profile.rho_ss @ h))
+        thetas.append(theta_c)
+        rhs.append(h - theta_c * np.eye(iso.d))
+    kgens, cond = restricted_resolvent_solve(profile, np.stack(rhs))
+    out = []
+    for t, j in zip(stack, slot):
+        out.append(
+            TangentSplit(
+                theta=float(thetas[j].real),
+                theta_im=float(thetas[j].imag),
+                kgen=kgens[j],
+                a_id=t - _dmu_raw(iso, thetas[j], kgens[j]),
+                resolvent_cond=cond,
+            )
+        )
+    return out[0] if a.ndim == 2 else out
 
 
 def _require_identifiable(iso, a, tol=1e-8):

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch
-from .gauge import mode_decompose, split, stabiliser_tangent_action, tangent_inner
+from .gauge import (
+    TangentVector,
+    mode_decompose,
+    split,
+    stabiliser_tangent_action,
+    tangent_inner,
+)
 from .ergodic import stationary_eigenbasis
 from .linalg import dag, trace_norm
 
@@ -54,17 +60,37 @@ class ModePoint:
 
 
 def mode_point(profile, a):
-    """Wrap a tangent as a ModePoint, splitting off any gauge component."""
+    """Wrap a tangent as a ModePoint, splitting off any gauge component.
+
+    ``a`` is one (d k, d) tangent, which returns a ModePoint, or an
+    (m, d k, d) stack, which returns a list of m ModePoints from one
+    :func:`gauge.split` of the whole stack.
+    """
     s = split(profile, a)
+    if isinstance(s, list):
+        return [ModePoint(profile, t.a_id, mode_decompose(profile, t.a_id)) for t in s]
     return ModePoint(profile=profile, a_id=s.a_id, modes=mode_decompose(profile, s.a_id))
 
 
-def _as_point(profile, x):
-    if isinstance(x, ModePoint):
-        if x.profile is not profile and not np.array_equal(x.profile.iso.v, profile.iso.v):
-            raise ProfileMismatch("mode point belongs to a different chain")
-        return x
-    return mode_point(profile, x)
+def _as_points(profile, xs):
+    """ModePoints of a sequence of ModePoints and raw tangents, in order.
+
+    The raw tangents are split together, by one :func:`mode_point` call on
+    their stack.
+    """
+    shape = profile.iso.v.shape
+    raw = []
+    for x in xs:
+        if isinstance(x, ModePoint):
+            if x.profile is not profile and not np.array_equal(x.profile.iso.v, profile.iso.v):
+                raise ProfileMismatch("mode point belongs to a different chain")
+        else:
+            x = x.a if isinstance(x, TangentVector) else np.asarray(x, dtype=complex)
+            if x.shape != shape:
+                raise DimensionMismatch(f"tangent shape {x.shape}, expected {shape}")
+            raw.append(x)
+    made = iter(mode_point(profile, np.stack(raw)) if raw else ())
+    return [x if isinstance(x, ModePoint) else next(made) for x in xs]
 
 
 def _norm2(profile, z):
@@ -81,7 +107,8 @@ def _coherent_overlap(profile, x, y):
 
 def coherent_overlap(profile, x, y):
     """Overlap of coherent states exp(-1/2 beta(x-y, x-y) + i sigma(x, y))."""
-    return _coherent_overlap(profile, _as_point(profile, x).a_id, _as_point(profile, y).a_id)
+    x, y = _as_points(profile, (x, y))
+    return _coherent_overlap(profile, x.a_id, y.a_id)
 
 
 def eta_hat(profile, x, y):
@@ -91,8 +118,7 @@ def eta_hat(profile, x, y):
     eta_hat_k = sum_m gamma^{mk} eta_m.
     """
     profile.require_irreducible()
-    x = _as_point(profile, x)
-    y = _as_point(profile, y)
+    x, y = _as_points(profile, (x, y))
     p = profile.period
     eta = np.zeros(p, dtype=complex)
     for m in range(1, p):
@@ -112,8 +138,7 @@ def zeta_gram(profile, x, y):
     Different sectors are exactly orthogonal and are not represented.
     """
     profile.require_irreducible()
-    x = _as_point(profile, x)
-    y = _as_point(profile, y)
+    x, y = _as_points(profile, (x, y))
     p = profile.period
     gamma = profile.gamma if p > 1 else 1.0
     pref = np.exp(-0.5 * (_norm2(profile, x.perp) + _norm2(profile, y.perp))) / p
@@ -132,8 +157,7 @@ def lambda_k(profile, x, y):
     Free per-chart phases are fixed to zero.
     """
     profile.require_irreducible()
-    x = _as_point(profile, x)
-    y = _as_point(profile, y)
+    x, y = _as_points(profile, (x, y))
     d0 = x.mode0 - y.mode0
     base = (
         -0.5 * _norm2(profile, d0)
@@ -185,7 +209,7 @@ class MixtureGram:
 def mixture_gram(profile, points, psd_tol=1e-9):
     """Pairwise component Gram of mixed-Gaussian states at the given points."""
     profile.require_irreducible()
-    pts = [_as_point(profile, x) for x in points]
+    pts = _as_points(profile, points)
     p = profile.period
     n = len(pts)
     coherent = np.empty((n, n), dtype=complex)
@@ -239,8 +263,7 @@ def mixture_trace_distance(profile, x, y):
 def mixture_equivalent(profile, x, y, tol=1e-8):
     """True when y lies on the stabiliser orbit of x (same limit state)."""
     profile.require_irreducible()
-    x = _as_point(profile, x)
-    y = _as_point(profile, y)
+    x, y = _as_points(profile, (x, y))
     best = np.inf
     for m in range(profile.period):
         moved = stabiliser_tangent_action(profile, m, x.a_id)

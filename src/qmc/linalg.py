@@ -143,9 +143,13 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     (Meyer, SIAM Review 17, 1975).  Returns ``(x, s)``; a singular system
     raises ``LinAlgError``.
 
-    The system takes its dtype from ``m``, ``shift`` and the border, so a
-    real system is factorised in real arithmetic; a complex right-hand
-    side is then solved as two real columns.
+    ``rhs`` is one right-hand side of length n, or an (n, m) block of m
+    columns, all solved against one LU; ``tail`` is then a scalar or m
+    values, and x comes back as (n, m) and s as m values.  The system
+    takes its dtype from ``m``, ``shift`` and the border, so a real system
+    is factorised in real arithmetic; complex right-hand sides are then
+    solved as 2m real columns, the real and imaginary part of each side by
+    side as in a lone solve.
     """
     n = m.shape[0]
     big = np.empty((n + 1, n + 1), dtype=np.result_type(m, shift, col, row))
@@ -158,14 +162,16 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     big[:n, n] = col
     big[n, :n] = row
     big[n, n] = 0.0
-    b = np.empty(n + 1, dtype=np.result_type(big, rhs, tail))
+    rhs = np.asarray(rhs)
+    b = np.empty((n + 1,) + rhs.shape[1:], dtype=np.result_type(big, rhs, tail))
     b[:n] = rhs
     b[n] = tail
     if b.dtype == big.dtype:
         sol = np.linalg.solve(big, b)
     else:
-        re_im = np.linalg.solve(big, np.stack([b.real, b.imag], axis=1))
-        sol = re_im[:, 0] + 1j * re_im[:, 1]
+        cols = b.reshape(n + 1, -1)
+        re_im = np.linalg.solve(big, np.stack([cols.real, cols.imag], axis=2).reshape(n + 1, -1))
+        sol = (re_im[:, 0::2] + 1j * re_im[:, 1::2]).reshape(b.shape)
     return sol[:n], sol[n]
 
 

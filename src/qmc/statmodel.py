@@ -48,6 +48,7 @@ __all__ = [
     "QfiReport",
     "joint_overlap",
     "retract",
+    "weak_qlan_curve",
     "weak_qlan_report",
     "weak_qlan_error",
     "qfi_finite",
@@ -216,8 +217,8 @@ def retract(iso, x, t):
     return Isometry(w @ vh, iso.d, iso.k)
 
 
-def weak_qlan_report(profile, x, y, n, phi=None):
-    """Finite-n joint-overlap against its Gaussian limit prediction.
+def weak_qlan_curve(profile, x, y, n_values, phi=None):
+    """Finite-n joint overlaps against their Gaussian limit on a grid of n.
 
     Both tangents are pulled back along the local charts
     ``v(x / sqrt(n))``; the overlap is weighted by the stationary state
@@ -225,8 +226,13 @@ def weak_qlan_report(profile, x, y, n, phi=None):
     per-parameter phases are removed by the e^{i(theta_x-theta_y) sqrt(n)}
     correction, and the prediction is
     exp(-1/2 beta(dx, dx) + i sigma(x_id, y_id)) with dx = x_id - y_id.
+    x and y are split together, once for the whole grid; each n then
+    iterates its own deformed channel, because the chart point depends on
+    n.  Returns one report dict per entry of ``n_values``, in order.
     """
-    n = as_integer("n", n, 1)
+    n_values = [as_integer("n", n, 1) for n in n_values]
+    if not n_values:
+        raise DimensionMismatch("n grid must not be empty")
     profile = _as_profile(profile)
     profile.require_irreducible()
     iso = profile.iso
@@ -234,25 +240,34 @@ def weak_qlan_report(profile, x, y, n, phi=None):
         phi = _unit_vector(phi, iso.d)
     x = _as_matrix(iso, x)
     y = _as_matrix(iso, y)
-    sx = split(profile, x)
-    sy = split(profile, y)
-    t = 1.0 / np.sqrt(n)
-    vx = retract(iso, x, t)
-    vy = retract(iso, y, t)
-    opn = DeformedChannel(vx, vy).iterate(np.eye(iso.d, dtype=complex), n)
-    if phi is None:
-        overlap = complex(np.trace(profile.rho_ss @ opn))
-    else:
-        overlap = complex(np.vdot(phi, opn @ phi))
-    corrected = overlap * np.exp(1j * (sx.theta - sy.theta) * np.sqrt(n))
+    sx, sy = split(profile, np.stack([x, y]))
     prediction = _coherent_overlap(profile, sx.a_id, sy.a_id)
-    return {
-        "n": n,
-        "overlap": overlap,
-        "corrected": corrected,
-        "prediction": prediction,
-        "error": float(abs(corrected - prediction)),
-    }
+    reports = []
+    for n in n_values:
+        t = 1.0 / np.sqrt(n)
+        vx = retract(iso, x, t)
+        vy = retract(iso, y, t)
+        opn = DeformedChannel(vx, vy).iterate(np.eye(iso.d, dtype=complex), n)
+        if phi is None:
+            overlap = complex(np.trace(profile.rho_ss @ opn))
+        else:
+            overlap = complex(np.vdot(phi, opn @ phi))
+        corrected = overlap * np.exp(1j * (sx.theta - sy.theta) * np.sqrt(n))
+        reports.append(
+            {
+                "n": n,
+                "overlap": overlap,
+                "corrected": corrected,
+                "prediction": prediction,
+                "error": float(abs(corrected - prediction)),
+            }
+        )
+    return reports
+
+
+def weak_qlan_report(profile, x, y, n, phi=None):
+    """:func:`weak_qlan_curve` at the one point n: a report dict."""
+    return weak_qlan_curve(profile, x, y, [n], phi=phi)[0]
 
 
 def weak_qlan_error(profile, x, y, n, phi=None):
@@ -338,10 +353,15 @@ def qfi_report(profile, a, phi, n_values):
 
 
 def qfi_rate(profile, a, b=None):
-    """Limit of F_n / n: 4 Re Tr(rho_ss (a_id)* b_id)."""
+    """Limit of F_n / n: 4 Re Tr(rho_ss (a_id)* b_id).
+
+    With ``b`` given, a and b are split together, with one factorisation.
+    """
     profile = _as_profile(profile)
-    sa = split(profile, a)
-    sb = sa if b is None else split(profile, b)
+    if b is None:
+        sa = sb = split(profile, a)
+    else:
+        sa, sb = split(profile, np.stack([_as_matrix(profile.iso, a), _as_matrix(profile.iso, b)]))
     return 4.0 * tangent_inner(profile, sa.a_id, sb.a_id).real
 
 
@@ -479,23 +499,40 @@ def finite_window_variance(profile, q, n, cap=DEFAULT_TENSOR_CAP):
     through iterated transfer-operator applications.  Converges to
     asymptotic_variance as n grows (the triangular weights average out the
     peripheral oscillation).
+
+    ``n`` is one window length, which returns a float, or a sequence of
+    them, which returns a list of floats in the same order, repeats
+    included.  A grid shares one moment build and one lag sweep up to its
+    longest window; each window sums the first N - 1 lags of that sweep in
+    the same order as a lone call, so its value is the same to the bit.
     """
     profile = _as_profile(profile)
     profile.require_irreducible()
     obs = _observable(profile, q)
     b = obs.block
-    nwin = as_integer("n", n, 0) - b + 1
-    if nwin < 1:
-        raise DimensionMismatch(f"window n = {n} shorter than the block {b}")
-    m, a, c0, cs, sigma_q = _block_moments(profile, obs, min(b, nwin) - 1, cap)
+    n_values = [n] if np.ndim(n) == 0 else list(n)
+    if not n_values:
+        raise DimensionMismatch("n grid must not be empty")
+    windows = []
+    for n_i in n_values:
+        nwin = as_integer("n", n_i, 0) - b + 1
+        if nwin < 1:
+            raise DimensionMismatch(f"window n = {n_i} shorter than the block {b}")
+        windows.append(nwin)
+    longest = max(windows)
+    m, a, c0, cs, sigma_q = _block_moments(profile, obs, min(b, longest) - 1, cap)
     # on Hermitian coordinates, x -> T*(x) is c -> c @ R and Tr(x y) = c(x) . c(y)
     r = real_transfer(profile.iso)
     sq = herm_coords(sigma_q).real
     c = herm_coords(a).real
-    for _ in range(b, nwin):
+    for _ in range(b, longest):
         cs.append(float(c @ sq) - m * m)
         c = c @ r
-    total = c0
-    for l, c_l in enumerate(cs, start=1):
-        total += 2.0 * (1.0 - l / nwin) * c_l
-    return float(total)
+    cs = np.array(cs)
+    out = []
+    for nwin in windows:
+        lags = np.arange(1, nwin)
+        # cumsum adds left to right, as the loop total += term would
+        terms = np.concatenate([[c0], 2.0 * (1.0 - lags / nwin) * cs[: nwin - 1]])
+        out.append(float(np.cumsum(terms)[-1]))
+    return out[0] if np.ndim(n) == 0 else out

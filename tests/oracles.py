@@ -126,6 +126,15 @@ def cyclic_isometry(rng, d, k, p):
     return v
 
 
+def sandwich_map_kron(iso1, iso2):
+    """Matrix of X -> sum_u K1_u* X K2_u on vec(X), as a sum of k Kronecker
+    products: vec(A X B) = (B^T kron A) vec(X)."""
+    m = np.zeros((iso1.d * iso2.d, iso1.d * iso2.d), dtype=complex)
+    for k1, k2 in zip(iso1.kraus, iso2.kraus):
+        m += np.kron(k2.T, dag(k1))
+    return m
+
+
 def stationary_state_eig(iso):
     """rho_ss from the eigenvector of T_s closest to eigenvalue 1."""
     evals, evecs = np.linalg.eig(channel(iso, "schrodinger").m)

@@ -111,6 +111,16 @@ def test_sandwich_map_is_two_sided_kraus_sum():
     assert np.linalg.norm(by_vec - by_sum) < 1e-12
 
 
+@pytest.mark.parametrize("d1,d2,k", [(1, 1, 1), (1, 1, 3), (2, 2, 3), (3, 2, 2), (16, 16, 2)])
+def test_sandwich_map_matches_kron_sum_oracle(d1, d2, k):
+    rng = np.random.default_rng(100 * d1 + 10 * d2 + k)
+    i1 = Isometry(oracles.random_isometry(rng, d1, k), d1, k)
+    i2 = Isometry(oracles.random_isometry(rng, d2, k), d2, k)
+    sm = sandwich_map(i1, i2)
+    assert sm.shape_in == sm.shape_out == (d1, d2)
+    assert np.max(np.abs(sm.m - oracles.sandwich_map_kron(i1, i2))) <= 1e-15
+
+
 def test_dilation_matches_stepwise_chain():
     rng = np.random.default_rng(5)
     v = oracles.random_isometry(rng, 2, 2)

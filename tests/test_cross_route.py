@@ -51,7 +51,7 @@ from qmc import channels, ergodic, gauge, io
 from qmc.ergodic import ErgodicTol, analyze
 from qmc.errors import PeripheralMismatch, QmcError, ResolventIllConditioned, WitnessInconsistent
 from qmc.gauge import act, equivalence_witness, restricted_resolvent_solve, split, witness_matches
-from qmc.linalg import bordered_solve, herm_coords, herm_vec
+from qmc.linalg import bordered_solve, herm_coords, herm_vec, proj_distance
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement, snr_spectral_data
 from qmc.statmodel import (
     DeformedChannel,
@@ -885,6 +885,9 @@ def test_kraus_witness_matches_dense_witness(label, iso1, iso2, tol, equivalent,
         # the element that maps iso1 to iso2 according to the dense witness
         g = (np.conj(dense[0]), dense[1].conj().T)
         assert witness_matches(analyze(iso1), fast, g, tol=1e-10)
+        # and both routes return the same member of the stabiliser family
+        assert abs(fast[0] - dense[0]) <= 1e-10
+        assert proj_distance(fast[1], dense[1]) <= 1e-8
 
 
 def test_witness_route_follows_the_size_rule(monkeypatch):

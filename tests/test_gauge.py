@@ -4,12 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmc import ergodic
-from qmc.channels import Isometry
+from qmc.channels import Isometry, isometry_from_kraus
 from qmc.ergodic import analyze, output_state
 from qmc.gaussian import mixture_trace_distance
 from qmc.errors import (
+    DimensionMismatch,
     GaugeConstraintViolated,
+    NotHermitian,
     NotIdentifiable,
+    NotIrreducible,
     NotTangent,
     OutOfInterval,
     WitnessInconsistent,
@@ -20,6 +23,7 @@ from qmc.gauge import (
     dmu,
     equivalence_witness,
     mode_decompose,
+    restricted_resolvent_solve,
     singular_dimension,
     split,
     stabiliser,
@@ -27,9 +31,9 @@ from qmc.gauge import (
     tangent_inner,
     witness_matches,
 )
-from qmc.linalg import dag
+from qmc.linalg import bordered_solve, dag
 from qmc.qubit_example import fixture_s, golden_modes, isometry
-from qmc.statmodel import asymptotic_variance
+from qmc.statmodel import asymptotic_variance, qfi_rate
 
 import oracles
 
@@ -84,6 +88,23 @@ def test_gauge_action_preserves_output_statistics():
 
 def test_inequivalent_chains_give_none():
     assert equivalence_witness(isometry("m1", 0.3), isometry("m1", 0.32)) is None
+
+
+def test_witness_stops_at_a_reducible_first_chain(monkeypatch):
+    # two decoupled blocks: the first chain is reducible, and the second is
+    # never analysed
+    rng = np.random.default_rng(21)
+    blocks = [oracles.random_isometry(rng, 2, 2) for _ in range(2)]
+    kraus = [
+        np.kron(np.diag([1.0, 0.0]), blocks[0][u::2]) + np.kron(np.diag([0.0, 1.0]), blocks[1][u::2])
+        for u in range(2)
+    ]
+    reducible = isometry_from_kraus(kraus)
+    analysed = []
+    monkeypatch.setattr(ergodic, "analyze", lambda iso: analysed.append(iso) or analyze(iso))
+    with pytest.raises(NotIrreducible):
+        equivalence_witness(reducible, isometry_from_kraus(kraus[::-1]))
+    assert analysed == [reducible]
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf, "loose"])
@@ -330,3 +351,114 @@ def test_spectral_profile_is_gauge_invariant(d, k, period, seed):
     # and the stabiliser orbit of a point is one point of the limit model
     orbit = stabiliser_tangent_action(after, 1, moved[0])
     assert mixture_trace_distance(after, moved[0], orbit) <= 1e-9
+    # the QFI rate of a raw tangent carried along by the gauge action is
+    # invariant, and so is the cross rate of two; at k = 1 both are roundoff
+    b = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+    a_moved, b_moved = (np.conj(c) * np.kron(w, np.eye(k)) @ t @ dag(w) for t in (a, b))
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    rate = qfi_rate(before, a)
+    assert abs(qfi_rate(after, a_moved) - rate) <= 1e-10 * max(rate, np.linalg.norm(a) ** 2)
+    cross = qfi_rate(before, a, b)
+    assert abs(qfi_rate(after, a_moved, b_moved) - cross) <= 1e-10 * max(abs(cross), scale)
+
+
+# --------------------------------------------------------------------------
+# stacked tangents: one factorisation per call
+
+
+def _stack_chains():
+    rng = np.random.default_rng(1313)
+    yield "primitive-d5", Isometry(oracles.random_isometry(rng, 5, 2), 5, 2)
+    yield "p2-d6", Isometry(oracles.cyclic_isometry(rng, 6, 2, 2), 6, 2)
+    yield "p3-d6", Isometry(oracles.cyclic_isometry(rng, 6, 2, 3), 6, 2)
+    yield "d1", Isometry(oracles.random_isometry(rng, 1, 3), 1, 3)
+
+
+STACK_PROFILES = [(label, analyze(iso)) for label, iso in _stack_chains()]
+
+
+def _raw_stack(rng, shape, m):
+    return rng.standard_normal((m,) + shape) + 1j * rng.standard_normal((m,) + shape)
+
+
+def _close13(got, ref, scale):
+    return np.linalg.norm(got - ref) <= 1e-13 * max(np.linalg.norm(ref), scale)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("label,profile", STACK_PROFILES, ids=[c[0] for c in STACK_PROFILES])
+def test_stacked_split_equals_member_splits(label, profile, m):
+    assert profile.is_irreducible
+    rng = np.random.default_rng(m)
+    a = _raw_stack(rng, profile.iso.v.shape, m)
+    splits = split(profile, a)
+    assert isinstance(splits, list) and len(splits) == m
+    for t, got in zip(a, splits):
+        ref = split(profile, t)
+        scale = np.linalg.norm(t)
+        assert abs(got.theta - ref.theta) <= 1e-13 * scale
+        assert abs(got.theta_im - ref.theta_im) <= 1e-13 * scale
+        assert _close13(got.kgen, ref.kgen, scale)
+        assert _close13(got.a_id, ref.a_id, scale)
+        assert got.resolvent_cond == ref.resolvent_cond
+    # (I - T) x = rhs - s rho_ss on Tr(rho_ss x) = 0, member by member
+    rhs = _raw_stack(rng, (profile.d, profile.d), m)
+    x, cond = restricted_resolvent_solve(profile, rhs)
+    assert x.shape == rhs.shape and cond == splits[0].resolvent_cond
+    for b, got in zip(rhs, x):
+        ref, _ = restricted_resolvent_solve(profile, b)
+        assert _close13(got, ref, np.linalg.norm(b))
+
+
+def test_stacked_split_gives_equal_members_equal_splits():
+    profile = STACK_PROFILES[0][1]
+    rng = np.random.default_rng(4)
+    a = _raw_stack(rng, profile.iso.v.shape, 2)
+    splits = split(profile, np.stack([a[0], a[1], 1.0 * a[0], a[1]]))
+    for i, j in ((0, 2), (1, 3)):
+        assert np.array_equal(splits[i].a_id, splits[j].a_id)
+        assert np.array_equal(splits[i].kgen, splits[j].kgen)
+    # a lone tangent keeps the single-call result, not a one-member list
+    assert np.array_equal(split(profile, a[0]).a_id, splits[0].a_id)
+
+
+def test_stacked_split_rejects_bad_members():
+    profile = STACK_PROFILES[1][1]
+    rng = np.random.default_rng(5)
+    shape = profile.iso.v.shape
+    a = _raw_stack(rng, shape, 3)
+    a[1, 0, 0] = np.nan
+    with pytest.raises(NotTangent):
+        split(profile, a)
+    for bad in (
+        _raw_stack(rng, (shape[0] + 1, shape[1]), 2),
+        _raw_stack(rng, shape, 0),
+        _raw_stack(rng, (2,) + shape, 2),
+    ):
+        with pytest.raises(DimensionMismatch):
+            split(profile, bad)
+    d = profile.d
+    with pytest.raises(DimensionMismatch):
+        restricted_resolvent_solve(profile, _raw_stack(rng, (d + 1, d + 1), 2))
+    rhs = _raw_stack(rng, (d, d), 3)
+    rhs[2, 1, 1] = np.inf
+    with pytest.raises(NotHermitian):
+        restricted_resolvent_solve(profile, rhs)
+
+
+@pytest.mark.parametrize("system", ["real", "complex"])
+def test_bordered_solve_block_equals_column_solves(system):
+    rng = np.random.default_rng(6)
+    n, m = 9, 4
+    a = rng.standard_normal((n, n))
+    col, row = rng.standard_normal((2, n))
+    if system == "complex":
+        a = a + 1j * rng.standard_normal((n, n))
+    rhs = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    tail = rng.standard_normal(m)
+    x, s = bordered_solve(a, 0.3, col, row, rhs, tail)
+    assert x.shape == (n, m) and s.shape == (m,)
+    for j in range(m):
+        xj, sj = bordered_solve(a, 0.3, col, row, rhs[:, j], tail[j])
+        assert np.linalg.norm(x[:, j] - xj) <= 1e-13 * np.linalg.norm(xj)
+        assert abs(s[j] - sj) <= 1e-13 * max(abs(sj), 1.0)

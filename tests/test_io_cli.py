@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmc import io
+from qmc import cli, gauge, io, linalg
+from qmc.channels import Isometry
 from qmc.errors import DimensionMismatch
 from qmc.qubit_example import fixture_s, isometry
+
+import oracles
 
 QMC = shutil.which("qmc")
 
@@ -247,6 +250,29 @@ def test_cli_limit_model(tmp_path):
     zeta = np.asarray(out["zeta_norms"], dtype=float)
     assert abs(zeta.sum() - 1.0) < 1e-9
     assert len(out["scale_distances"]) == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["limit-model", "CHAIN", "--seed", "3"], ["converge", "CHAIN", "--seed", "5"]],
+    ids=["limit-model", "converge"],
+)
+def test_cli_horizon_grids_factorise_the_resolvent_twice(tmp_path, monkeypatch, capsys, argv):
+    # one LU for the seeded tangent, one for every tangent the grid needs
+    # (the stationary solve of analyze is its own and not counted here)
+    rng = np.random.default_rng(8)
+    iso = Isometry(oracles.random_isometry(rng, 6, 2), 6, 2)
+    path = _write_iso(tmp_path, iso, "chain.json")
+    lus = []
+
+    def spy(*args, **kwargs):
+        lus.append(args[4].shape)
+        return linalg.bordered_solve(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "bordered_solve", spy)
+    assert cli.main([path if a == "CHAIN" else a for a in argv]) == 0
+    assert capsys.readouterr().out
+    assert len(lus) == 2, lus
 
 
 def test_cli_simulate_csv_reproducible(tmp_path):

@@ -33,6 +33,7 @@ from qmc.statmodel import (
     qfi_rate,
     retract,
     stationary_mean,
+    weak_qlan_curve,
     weak_qlan_report,
 )
 
@@ -375,3 +376,49 @@ def test_weak_qlan_overlap_structure():
     assert abs(rep["prediction"]) < 1.0
     assert rep["error"] < 5e-3
     assert abs(rep["corrected"] - rep["prediction"]) == rep["error"]
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_weak_qlan_curve_equals_pointwise_reports(period):
+    rng = np.random.default_rng(40 + period)
+    if period == 1:
+        iso = Isometry(oracles.random_isometry(rng, 4, 2), 4, 2)
+    else:
+        iso = Isometry(oracles.cyclic_isometry(rng, 4, 2, 2), 4, 2)
+    profile = analyze(iso)
+    assert profile.period == period
+    raw = rng.standard_normal((2,) + iso.v.shape) + 1j * rng.standard_normal((2,) + iso.v.shape)
+    x, y = (0.5 * t.a_id for t in split(profile, raw))
+    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    grid = [64, 8, 1, 64, 300]
+    for kwargs in ({}, {"phi": phi}):
+        curve = weak_qlan_curve(profile, x, y, grid, **kwargs)
+        assert [rep["n"] for rep in curve] == grid
+        for n, rep in zip(grid, curve):
+            assert rep == weak_qlan_report(profile, x, y, n, **kwargs)
+    for bad, error in (([], DimensionMismatch), ([8, 0], InvalidCount), ([2.5], InvalidCount)):
+        with pytest.raises(error):
+            weak_qlan_curve(profile, x, y, bad)
+
+
+@pytest.mark.parametrize("model,block", [("m1", 1), ("m3", 2), ("m3", 3)])
+def test_window_variance_grid_equals_lone_calls(model, block):
+    profile = analyze(isometry(model, 0.3))
+    if block < 3:
+        _, q = measurement(model, block=block)
+    else:
+        rng = np.random.default_rng(3)
+        q = rng.standard_normal((profile.k**block,) * 2)
+        q = q + q.T
+    grid = [64, block, 16, 64, block + 1, 300, 5]
+    values = finite_window_variance(profile, q, grid)
+    assert len(values) == len(grid)
+    for n, got in zip(grid, values):
+        # one sweep reads every window off the same lags, in the same order
+        assert got == finite_window_variance(profile, q, n)
+    with pytest.raises(DimensionMismatch, match=f"window n = {block - 1} shorter"):
+        finite_window_variance(profile, q, [16, block - 1, 8])
+    with pytest.raises(DimensionMismatch):
+        finite_window_variance(profile, q, [])
+    with pytest.raises(InvalidCount):
+        finite_window_variance(profile, q, [16, 2.5])
