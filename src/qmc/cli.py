@@ -17,7 +17,8 @@ import numpy as np
 from . import gauge, gaussian, io, qubit_example, statmodel, trajectories
 from .channels import DEFAULT_TENSOR_CAP
 from .ergodic import ErgodicTol, analyze
-from .errors import DimensionMismatch, InvalidCount, NotIrreducible, QmcError, as_integer
+from .errors import DimensionMismatch, InvalidCount, NotIdentifiable, NotIrreducible, QmcError
+from .errors import as_integer
 
 __all__ = ["main"]
 
@@ -46,7 +47,6 @@ def _add_tol_flags(p):
     p.add_argument("--tol-peripheral", type=float, default=None)
     p.add_argument("--tol-faithful", type=float, default=None)
     p.add_argument("--tol-gap", type=float, default=None)
-    p.add_argument("--cap-tensor", type=int, default=DEFAULT_TENSOR_CAP)
 
 
 def _add_model_flags(p):
@@ -57,8 +57,6 @@ def _add_model_flags(p):
 def _resolve_iso(args, positional=None):
     """Isometry from --model/--theta or from a JSON file path."""
     if args.model is not None:
-        if args.theta is None:
-            raise QmcError("--model requires --theta")
         return qubit_example.isometry(args.model, args.theta)
     if positional is None:
         raise QmcError("need either --model/--theta or an isometry JSON path")
@@ -80,7 +78,7 @@ def _settings(args, **extra):
     return out
 
 
-def _model_velocity(args, iso):
+def _model_velocity(args):
     """Tangent for model runs: numeric curve velocity at theta."""
     h = 1e-6
     lo = qubit_example.isometry(args.model, args.theta - h, strict=False)
@@ -89,6 +87,9 @@ def _model_velocity(args, iso):
 
 
 def _identifiable_from_seed(profile, seed):
+    # at k = 1 the isometry is unitary and v* a = 0 forces a = 0
+    if profile.k == 1:
+        raise NotIdentifiable("a chain with k = 1 has no identifiable directions; pass --x")
     rng = np.random.default_rng(seed)
     shape = (profile.d * profile.k, profile.d)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -126,8 +127,7 @@ def cmd_tangent(args):
     iso = io.isometry_from_json(io.load_json(args.isometry))
     a = io.matrix_from_json(io.load_json(args.tangent))
     profile = analyze(iso, tol=_tol(args))
-    profile.require_irreducible()
-    sp = gauge.split(profile, a)
+    sp = gauge.split(profile, a)  # NotIrreducible for a reducible chain
     modes = gauge.mode_decompose(profile, sp.a_id)
     p = profile.period
     gram = np.array(
@@ -152,7 +152,7 @@ def cmd_qfi(args):
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
     if args.model is not None:
-        a = _model_velocity(args, iso)
+        a = _model_velocity(args)
     else:
         a = io.matrix_from_json(io.load_json(args.tangent))
     # deterministic initial state: dominant eigenvector of rho_ss
@@ -255,7 +255,7 @@ def cmd_limit_model(args):
     if args.x is not None:
         x = io.matrix_from_json(io.load_json(args.x))
     elif args.model is not None:
-        x = gauge.split(profile, _model_velocity(args, iso)).a_id
+        x = gauge.split(profile, _model_velocity(args)).a_id
     else:
         x = _identifiable_from_seed(profile, args.seed)
     y = io.matrix_from_json(io.load_json(args.y)) if args.y else 1.3 * x
@@ -307,7 +307,7 @@ def cmd_example(args):
     iso = qubit_example.isometry(args.model, args.theta)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
-    velocity = _model_velocity(args, iso)
+    velocity = _model_velocity(args)
     sp = gauge.split(profile, velocity)
     # statmodel.qfi_rate of velocity, read off the split already made
     rate = 4.0 * gauge.tangent_inner(profile, sp.a_id, sp.a_id).real
@@ -356,7 +356,6 @@ def _build_parser():
     p = sub.add_parser("equiv", help="output-equivalence witness for two chains")
     p.add_argument("first")
     p.add_argument("second")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("tangent", help="identifiable/gauge split of a tangent")
@@ -372,6 +371,7 @@ def _build_parser():
     p.add_argument("--n-max", type=int, default=400)
     p.add_argument("--n-step", type=int, default=25)
     _add_tol_flags(p)
+    p.add_argument("--cap-tensor", type=int, default=DEFAULT_TENSOR_CAP)
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("variance", help="finite-window and asymptotic variance (CSV)")
@@ -381,6 +381,7 @@ def _build_parser():
     p.add_argument("--block", type=int, default=1)
     p.add_argument("--n-list", default="16,32,64,128,256,512")
     _add_tol_flags(p)
+    p.add_argument("--cap-tensor", type=int, default=DEFAULT_TENSOR_CAP)
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("converge", help="weak-convergence error decay table (CSV)")
@@ -392,6 +393,7 @@ def _build_parser():
     p.add_argument("--pow-min", type=int, default=6)
     p.add_argument("--pow-max", type=int, default=12)
     _add_tol_flags(p)
+    p.add_argument("--cap-tensor", type=int, default=DEFAULT_TENSOR_CAP)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("limit-model", help="limit Gaussian/mixture model data (JSON)")
@@ -411,7 +413,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--block", type=int, default=1)
     p.add_argument("--csv", default=None, help="per-trial CSV output path")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("example", help="worked-example analysis bundle (JSON)")

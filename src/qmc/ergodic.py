@@ -134,7 +134,7 @@ class SpectralProfile:
             raise NotIrreducible(self.diagnostics.get("reason", "chain is not irreducible"))
 
 
-def _canonical_z(u_raw, p, tol):
+def _canonical_z(u_raw, p):
     """Polish a peripheral eigen-operator into the canonical stabiliser Z.
 
     ``u_raw`` is any (nonzero) eigenvector of the Heisenberg transfer matrix
@@ -219,6 +219,8 @@ _ROOT_DEVIATION = 1e-6
 # 24); 1/20 of the tolerance keeps kappa e inside the half margins for
 # kappa up to 10.
 _RITZ_RESIDUAL = 0.05
+_DEGENERACY_TOL = 1e-9  # stationary_eigenbasis: rho_ss eigenvalues this close are one cluster
+_SPAN_RANK_TOL = 1e-10  # access_span_check: rank tolerance on unit-norm candidates
 
 
 def _certify(r, d, tol):
@@ -555,7 +557,7 @@ def _finish_irreducible(profile, r, p):
                 "Heisenberg transfer operator has no eigen-operator at the expected "
                 f"peripheral eigenvalue (relative residual {res:.3e})"
             )
-        z, projections = _canonical_z(herm_vec(u), p, profile.tol)
+        z, projections = _canonical_z(herm_vec(u), p)
 
     # verify the cyclic labeling: T(P_a) = P_{a-1 mod p}, with T = R^T
     def th_apply(x):
@@ -615,7 +617,7 @@ def ergodic_projection(profile, rho):
     return out
 
 
-def stationary_eigenbasis(profile, degeneracy_tol=1e-9):
+def stationary_eigenbasis(profile):
     """Block-resolved eigendecomposition of the stationary state.
 
     Returns a list over blocks a of lists of pairs ``(pi, phi)`` with
@@ -639,7 +641,7 @@ def stationary_eigenbasis(profile, degeneracy_tol=1e-9):
         i = 0
         while i < da:
             j = i + 1
-            while j < da and abs(vals[j] - vals[i]) <= degeneracy_tol:
+            while j < da and abs(vals[j] - vals[i]) <= _DEGENERACY_TOL:
                 j += 1
             if j - i > 1:
                 sub = cols @ vecs[:, i:j]  # d x m frame of the cluster
@@ -687,7 +689,7 @@ def output_state(iso, rho_in, n, cap=DEFAULT_TENSOR_CAP):
     return out
 
 
-def access_span_check(iso, depth_cap=None, tol=1e-10):
+def access_span_check(iso):
     """Algebraic irreducibility oracle, independent of the spectral route.
 
     Grows the linear span of all Kraus words K_{w_m} ... K_{w_1} (starting
@@ -703,17 +705,15 @@ def access_span_check(iso, depth_cap=None, tol=1e-10):
     block twice against the basis so far (CGS2, which keeps the basis
     orthonormal to working precision; Bjorck, LAA 197-198, 1994).  The new
     directions are the right singular vectors of the residual block whose
-    singular values exceed ``tol``: a relative rank tolerance, since the
-    candidates had unit norm before projection.
+    singular values exceed ``_SPAN_RANK_TOL``: a relative rank tolerance,
+    since the candidates had unit norm before projection.
     """
     d = iso.d
     full = d * d
-    if depth_cap is None:
-        depth_cap = full
     kraus = np.stack(iso.kraus)
     basis = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(1, full)
     frontier = basis
-    for _ in range(depth_cap):
+    for _ in range(full):
         cand = np.einsum("uij,fjl->fuil", kraus, frontier.reshape(-1, d, d)).reshape(-1, full)
         norms = np.linalg.norm(cand, axis=1)
         cand = cand[norms > 0] / norms[norms > 0, None]
@@ -722,7 +722,7 @@ def access_span_check(iso, depth_cap=None, tol=1e-10):
         cand -= (cand @ basis.conj().T) @ basis
         cand -= (cand @ basis.conj().T) @ basis  # second pass: CGS2
         _, sv, vh = np.linalg.svd(cand, full_matrices=False)
-        frontier = vh[sv > tol]
+        frontier = vh[sv > _SPAN_RANK_TOL]
         if frontier.shape[0] == 0:
             break
         basis = np.concatenate([basis, frontier])

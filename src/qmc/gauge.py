@@ -180,7 +180,7 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
     if prof.period > 1:
         # (gamma^m, Z^m) fixes v1, so (c gamma^m, Z^m w) is a witness too;
         # keep the member whose w is closest to 1 up to a phase
-        members = [np.linalg.matrix_power(prof.zmat, m) @ w for m in range(prof.period)]
+        members = [zm @ w for _, zm, _ in prof.peripheral]
         m = int(np.argmax([abs(np.trace(zw)) for zw in members]))
         w, c = members[m], c * prof.gamma**m
     # fix the free phase of w
@@ -321,11 +321,9 @@ def witness_matches(profile, witness, g, tol=1e-6):
     profile.require_irreducible()
     c_found, w_found = witness
     c_g, w_g = g
-    p = profile.period
     gamma = profile.gamma
     target_w = dag(np.asarray(w_g, dtype=complex))
-    for m in range(p):
-        zm = np.linalg.matrix_power(profile.zmat, m)
+    for m, (_, zm, _) in enumerate(profile.peripheral):
         c_cand = np.conj(complex(c_g)) * gamma**m
         if abs(c_found - c_cand) <= tol and proj_distance(w_found, zm @ target_w) <= tol:
             return True
@@ -337,12 +335,11 @@ def stabiliser(profile):
     profile.require_irreducible()
     out = []
     worst = 0.0
-    for m in range(profile.period):
+    for m, (_, zm, _) in enumerate(profile.peripheral):
         c = profile.gamma**m
-        zm = np.linalg.matrix_power(profile.zmat, m)
         fixed = act((c, zm), profile.iso)
         worst = max(worst, float(np.linalg.norm(fixed.v - profile.iso.v)))
-        out.append((complex(c), zm))
+        out.append((complex(c), zm.copy()))  # the profile keeps its own
     if worst > 1e-7:
         raise LabelingFailure(f"stabiliser candidates move the base point by {worst:.3e}")
     return out
@@ -430,6 +427,7 @@ def _dmu_raw(iso, theta_c, kgen):
 # 1.1e-9 at 2700.
 _GRAM_RATIO_MAX = 1e4
 _GRAM_ROWS = 128  # rows per step of the rank-one update, bounding its temporary
+_COND_CAP = 1e12  # largest condition number restricted_resolvent_solve accepts
 
 
 def _restricted_cond(th, r):
@@ -474,7 +472,7 @@ def _restricted_cond(th, r):
     return float(s[0] / s[-2])
 
 
-def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
+def restricted_resolvent_solve(profile, rhs):
     """Solve (Id - T) x = rhs on the subspace {x : Tr(rho_ss x) = 0}.
 
     T is the Heisenberg transfer operator, the real matrix R^T of
@@ -489,7 +487,7 @@ def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
     the bordered system factorised once per call, and x has the shape of
     ``rhs``.  A complex right-hand side is solved as two real columns.
     Returns ``(x, cond)`` with the condition number of the compressed
-    resolvent, computed once per profile and checked against ``cond_cap``
+    resolvent, computed once per profile and checked against ``_COND_CAP``
     on every call.
     """
     profile.require_irreducible()
@@ -506,9 +504,9 @@ def restricted_resolvent_solve(profile, rhs, cond_cap=1e12):
     if profile._resolvent_cond is None:
         profile._resolvent_cond = _restricted_cond(rm.T, r)
     cond = profile._resolvent_cond
-    if not (np.isfinite(cond) and cond <= cond_cap):
+    if not (np.isfinite(cond) and cond <= _COND_CAP):
         raise ResolventIllConditioned(
-            f"restricted resolvent condition number {cond:.3e} exceeds {cond_cap:.1e}"
+            f"restricted resolvent condition number {cond:.3e} exceeds {_COND_CAP:.1e}"
         )
     b = herm_coords(rhs)  # (d^2,) or (m, d^2)
     try:
@@ -568,10 +566,10 @@ def split(profile, a):
     return out[0] if a.ndim == 2 else out
 
 
-def _require_identifiable(iso, a, tol=1e-8):
+def _require_identifiable(iso, a):
     a = np.asarray(a, dtype=complex)
     res = np.linalg.norm(dag(iso.v) @ a)
-    if not (res <= tol * max(1.0, np.linalg.norm(a))):
+    if not (res <= 1e-8 * max(1.0, np.linalg.norm(a))):
         raise NotIdentifiable(f"v* a has norm {res:.3e}; split off the gauge part first")
     return a
 
@@ -592,7 +590,7 @@ def stabiliser_tangent_action(profile, m, a):
     profile.require_irreducible()
     a = _require_identifiable(profile.iso, a)
     m = int(m) % profile.period
-    zm = np.linalg.matrix_power(profile.zmat, m)
+    zm = profile.peripheral[m][1]
     out = profile.gamma**m * np.kron(dag(zm), np.eye(profile.k)) @ a @ zm
     return out
 

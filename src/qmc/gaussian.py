@@ -41,6 +41,9 @@ __all__ = [
     "gram_deficiency_bound",
 ]
 
+_PSD_TOL = 1e-9  # mixture_gram rejects a Gram eigenvalue below -_PSD_TOL
+_GRAM_CLIP = 1e-10  # _embedded_states rejects one below -_GRAM_CLIP and clips the rest at 0
+
 
 @dataclass(frozen=True)
 class ModePoint:
@@ -206,7 +209,7 @@ class MixtureGram:
     index: list = field(default_factory=list)
 
 
-def mixture_gram(profile, points, psd_tol=1e-9):
+def mixture_gram(profile, points):
     """Pairwise component Gram of mixed-Gaussian states at the given points."""
     profile.require_irreducible()
     pts = _as_points(profile, points)
@@ -226,19 +229,19 @@ def mixture_gram(profile, points, psd_tol=1e-9):
                 continue
             gram[ra, rb] = coherent[ipt_a, ipt_b] * zetas[(ipt_a, ipt_b)][ma]
     wmin = float(np.linalg.eigvalsh(gram).min())
-    if wmin < -psd_tol:
+    if wmin < -_PSD_TOL:
         raise GramNotPSD(f"mixture Gram has eigenvalue {wmin:.3e}")
     return MixtureGram(points=pts, gram=gram, coherent=coherent, index=index)
 
 
-def _embedded_states(gram, groups, clip=1e-10):
+def _embedded_states(gram, groups):
     """Rank-one component sums embedded via the Gram square root."""
     gram = np.asarray(gram, dtype=complex)
     if not np.isfinite(gram).all():
         raise GramNotPSD("Gram has NaN or Inf entries")
     gram = 0.5 * (gram + dag(gram))
     w, u = np.linalg.eigh(gram)
-    if w.min() < -clip:
+    if w.min() < -_GRAM_CLIP:
         raise GramNotPSD(f"Gram has eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     # kill numerically-zero directions outright: their square roots would
@@ -254,14 +257,14 @@ def _embedded_states(gram, groups, clip=1e-10):
 
 def mixture_trace_distance(profile, x, y):
     """Exact trace distance (1/2)||rho(x) - rho(y)||_1 of two limit mixtures."""
-    mg = mixture_gram(profile, [x, y], psd_tol=1e-9)
+    mg = mixture_gram(profile, [x, y])
     p = profile.period
     states, _ = _embedded_states(mg.gram, [range(0, p), range(p, 2 * p)])
     return float(0.5 * trace_norm(states[0] - states[1]))
 
 
-def mixture_equivalent(profile, x, y, tol=1e-8):
-    """True when y lies on the stabiliser orbit of x (same limit state)."""
+def mixture_equivalent(profile, x, y):
+    """True when y lies within 1e-8 of the stabiliser orbit of x (same limit state)."""
     profile.require_irreducible()
     x, y = _as_points(profile, (x, y))
     best = np.inf
@@ -269,10 +272,10 @@ def mixture_equivalent(profile, x, y, tol=1e-8):
         moved = stabiliser_tangent_action(profile, m, x.a_id)
         diff = y.a_id - moved
         best = min(best, np.sqrt(max(_norm2(profile, diff), 0.0)))
-    return bool(best <= tol)
+    return bool(best <= 1e-8)
 
 
-def gram_deficiency_bound(gram_a, gram_b, groups=None, clip=1e-10):
+def gram_deficiency_bound(gram_a, gram_b, groups=None):
     """Computable upper bound on the Le Cam deficiency between Gram families.
 
     Both Grams must index the same component set; ``groups`` collects the
@@ -290,8 +293,8 @@ def gram_deficiency_bound(gram_a, gram_b, groups=None, clip=1e-10):
         )
     if groups is None:
         groups = [[i] for i in range(gram_a.shape[0])]
-    states_a, ea = _embedded_states(gram_a, groups, clip=clip)
-    states_b, eb = _embedded_states(gram_b, groups, clip=clip)
+    states_a, ea = _embedded_states(gram_a, groups)
+    states_b, eb = _embedded_states(gram_b, groups)
     c = eb @ np.linalg.pinv(ea)
     worst = 0.0
     for rho, sigma in zip(states_a, states_b):

@@ -35,7 +35,6 @@ from .errors import (
     NotTangent,
     RetractionFailure,
     SizeCap,
-    UnitDimMismatch,
     as_integer,
 )
 from .gauge import TangentVector, restricted_resolvent_solve, split, tangent_inner
@@ -62,6 +61,8 @@ __all__ = [
     "finite_window_variance",
 ]
 
+_MAX_BLOCK = 3  # longest block of output units a LocalObservable may act on
+
 
 @dataclass(frozen=True)
 class DeformedChannel:
@@ -79,10 +80,6 @@ class DeformedChannel:
         if self.iso_left.d != self.iso_right.d:
             raise DimensionMismatch(
                 f"system dimensions differ: {self.iso_left.d} vs {self.iso_right.d}"
-            )
-        if self.iso_left.k != self.iso_right.k:
-            raise UnitDimMismatch(
-                f"unit dimensions differ: {self.iso_left.k} vs {self.iso_right.k}"
             )
         object.__setattr__(self, "superop", sandwich_map(self.iso_left, self.iso_right))
 
@@ -126,15 +123,14 @@ class LocalObservable:
     q: np.ndarray
     k: int
     block: int = field(init=False)
-    max_block: int = 3
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=complex)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise DimensionMismatch(f"observable must be square, got {q.shape}")
         b = block_length(q.shape[0], self.k)
-        if b > self.max_block:
-            raise SizeCap(f"block length {b} exceeds the configured maximum {self.max_block}")
+        if b > _MAX_BLOCK:
+            raise SizeCap(f"block length {b} exceeds the configured maximum {_MAX_BLOCK}")
         if not np.isfinite(q).all():
             raise NotHermitian("local observable has non-finite entries")
         if not (np.linalg.norm(q - dag(q)) <= 1e-12 * max(1.0, np.linalg.norm(q))):
@@ -397,7 +393,6 @@ def component_overlap(iso_x, iso_y, profile, a, b, i, j, n):
     Iterates the deformed channel of (iso_x, iso_y) n times on the rank-one
     projector of phi^b_j and closes with phi^a_i; O(n d^4).
     """
-    profile.require_irreducible()
     basis = stationary_eigenbasis(profile)
     p = profile.period
     if not (0 <= a < p and 0 <= b < p):
@@ -410,10 +405,10 @@ def component_overlap(iso_x, iso_y, profile, a, b, i, j, n):
     return complex(np.vdot(phi_a, x @ phi_a))
 
 
-def _observable(profile, q, max_block=3):
+def _observable(profile, q):
     if isinstance(q, LocalObservable):
         return q
-    return LocalObservable(q, profile.k, max_block=max_block)
+    return LocalObservable(q, profile.k)
 
 
 def _block_compress(w, x, q):

@@ -269,14 +269,14 @@ def sample(iso, rho_in, n_blocks, meas, seed, trial=0):
     )
 
 
-def _diagonal_in_basis(q, meas, tol=1e-10):
+def _diagonal_in_basis(q, meas):
     """Outcome values of q when q is diagonal in the measured basis."""
     q = np.asarray(q, dtype=complex)
     if not (np.linalg.norm(q - dag(q)) <= 1e-10 * max(1.0, np.linalg.norm(q))):
         raise NotHermitian("observable must be Hermitian")
     qb = meas.vectors.conj() @ q @ meas.vectors.T
     off = qb - np.diag(np.diag(qb))
-    if not (np.linalg.norm(off) <= tol * max(1.0, np.linalg.norm(qb))):
+    if not (np.linalg.norm(off) <= 1e-10 * max(1.0, np.linalg.norm(qb))):
         raise ObservableNotDiagonal(
             "observable is not diagonal in the measurement basis; "
             "time averages of its outcomes would not estimate its mean"

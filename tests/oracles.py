@@ -149,7 +149,7 @@ def peripheral_eig(iso, p):
     gamma = np.exp(2j * np.pi / p)
     hvals, hvecs = np.linalg.eig(channel(iso, "heisenberg").m)
     u = unvec(hvecs[:, int(np.argmin(np.abs(hvals - gamma)))])
-    return _canonical_z(u, p, ErgodicTol())
+    return _canonical_z(u, p)
 
 
 def herm_basis_unitary(d):

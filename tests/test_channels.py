@@ -11,7 +11,7 @@ from qmc.channels import (
     isometry_from_kraus,
     sandwich_map,
 )
-from qmc.errors import DimensionMismatch, NotIsometry, SizeCap
+from qmc.errors import DimensionMismatch, NotIsometry, SizeCap, UnitDimMismatch
 from qmc.linalg import dag, vec, unvec
 from qmc.qubit_example import fixture_s, isometry
 
@@ -35,6 +35,9 @@ def test_rejects_non_isometry():
     v = oracles.random_isometry(rng, 2, 2)
     with pytest.raises(NotIsometry):
         Isometry(v + 0.01, 2, 2)
+    # the Isometry it builds checks sum K* K = 1
+    with pytest.raises(NotIsometry):
+        isometry_from_kraus([kop + 0.01 for kop in Isometry(v, 2, 2).kraus])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -49,6 +52,12 @@ def test_rejects_non_finite_entries(bad):
     kraus[1][0, 1] = bad
     with pytest.raises(NotIsometry):
         isometry_from_kraus(kraus)
+
+
+def test_sandwich_map_rejects_unequal_unit_dimensions():
+    iso3 = Isometry(oracles.random_isometry(np.random.default_rng(4), 2, 3), 2, 3)
+    with pytest.raises(UnitDimMismatch):
+        sandwich_map(isometry("m1", 0.3), iso3)
 
 
 def test_block_length_is_exact_integer_power():

@@ -114,7 +114,7 @@ def test_bordered_routes_match_dense_oracles(label, iso, period):
     assert abs(sp.resolvent_cond - cond) <= TOL * cond
 
 
-def test_condition_cap_checked_on_every_call():
+def test_condition_cap_checked_on_every_call(monkeypatch):
     profile = analyze(next(iso for label, iso, _ in CHAINS if label == "random-d8k2"))
     rhs = np.diag(np.arange(profile.d)).astype(complex)
     rhs -= np.trace(profile.rho_ss @ rhs) * np.eye(profile.d)
@@ -122,8 +122,10 @@ def test_condition_cap_checked_on_every_call():
     assert cond > 1.0
     # the condition number is stored after the first call; a smaller cap on
     # a later call must still be enforced
-    with pytest.raises(ResolventIllConditioned):
-        restricted_resolvent_solve(profile, rhs, cond_cap=0.5 * cond)
+    with monkeypatch.context() as m:
+        m.setattr(gauge, "_COND_CAP", 0.5 * cond)
+        with pytest.raises(ResolventIllConditioned):
+            restricted_resolvent_solve(profile, rhs)
     x, cond2 = restricted_resolvent_solve(profile, rhs)
     assert cond2 == cond
     assert abs(np.trace(profile.rho_ss @ x)) <= 1e-12 * np.linalg.norm(x)

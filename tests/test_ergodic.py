@@ -193,8 +193,8 @@ def test_nan_projection_fails_the_cyclic_check(monkeypatch):
 
     canonical = ergodic._canonical_z
 
-    def nan_first_projection(u, p, tol):
-        z, projections = canonical(u, p, tol)
+    def nan_first_projection(u, p):
+        z, projections = canonical(u, p)
         projections[0] = np.full_like(projections[0], np.nan)
         return z, projections
 
@@ -212,7 +212,7 @@ def test_nan_stabiliser_spectrum_is_rejected(monkeypatch):
         np.linalg, "eig", lambda m: (np.full(m.shape[0], np.nan + 0j), np.eye(m.shape[0]))
     )
     with pytest.raises(PeripheralMismatch, match="roots of unity"):
-        _canonical_z(np.diag([1.0, -1.0]).astype(complex), 2, ErgodicTol())
+        _canonical_z(np.diag([1.0, -1.0]).astype(complex), 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

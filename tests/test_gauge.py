@@ -15,6 +15,8 @@ from qmc.errors import (
     NotIrreducible,
     NotTangent,
     OutOfInterval,
+    SingularResolvent,
+    UnitDimMismatch,
     WitnessInconsistent,
 )
 from qmc.gauge import (
@@ -119,6 +121,25 @@ def test_witness_rejects_tolerance_outside_unit_interval(tol):
             equivalence_witness(iso1, iso2, tol=tol)
 
 
+def test_witness_rejects_unequal_unit_dimensions():
+    iso3 = Isometry(oracles.random_isometry(np.random.default_rng(4), 2, 3), 2, 3)
+    with pytest.raises(UnitDimMismatch):
+        equivalence_witness(isometry("m1", 0.3), iso3)
+
+
+def test_singular_bordered_system_raises_singular_resolvent(monkeypatch):
+    from qmc import gauge
+
+    profile = analyze(isometry("m1", 0.3))
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(gauge, "bordered_solve", singular)
+    with pytest.raises(SingularResolvent):
+        restricted_resolvent_solve(profile, np.diag([1.0, -1.0]).astype(complex))
+
+
 def test_swap_point_stabiliser():
     profile = analyze(fixture_s())
     gens = stabiliser(profile)
@@ -130,6 +151,12 @@ def test_swap_point_stabiliser():
     for g in gens:
         fixed = act(g, profile.iso)
         assert np.linalg.norm(fixed.v - profile.iso.v) < 1e-9
+    # the generators are the caller's to change; the profile keeps its own
+    z = profile.zmat.copy()
+    for _, w in gens:
+        w[:] = 0.0
+    assert np.array_equal(profile.zmat, z)
+    assert np.array_equal(stabiliser(profile)[0][1], np.eye(2))
 
 
 def test_model3_reflection_equivalences():

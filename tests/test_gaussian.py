@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmc.ergodic import analyze
-from qmc.errors import GramNotPSD
+from qmc.errors import GramNotPSD, IndexOutOfRange, ProfileMismatch
 from qmc.gauge import split, stabiliser_tangent_action, tangent_inner
 from qmc.gaussian import (
     coherent_overlap,
@@ -12,6 +12,7 @@ from qmc.gaussian import (
     mixture_equivalent,
     mixture_gram,
     mixture_trace_distance,
+    mode_point,
     predicted_component_limit,
     zeta_gram,
 )
@@ -143,6 +144,25 @@ def test_deficiency_bound_rejects_non_finite_gram():
             gram_deficiency_bound(broken, g)
         with pytest.raises(GramNotPSD):
             gram_deficiency_bound(g, broken)
+
+
+def test_mode_point_of_another_chain_is_rejected():
+    profile = analyze(fixture_s())
+    other = analyze(isometry("m2", 0.2))
+    point = mode_point(other, _identifiable(other, 40))
+    for fn in (coherent_overlap, lambda_k, zeta_gram):
+        with pytest.raises(ProfileMismatch):
+            fn(profile, point, point)
+    with pytest.raises(ProfileMismatch):
+        mixture_gram(profile, [point])
+
+
+def test_predicted_limit_rejects_indices_outside_the_blocks():
+    profile = analyze(fixture_s())  # period 2, one eigenvector per block
+    x = _identifiable(profile, 41)
+    for a, b, i, j, r in [(2, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, 0, 0, 2), (0, 1, 1, 0, 0)]:
+        with pytest.raises(IndexOutOfRange):
+            predicted_component_limit(profile, a, b, i, j, r, x, x)
 
 
 def test_triangle_inequality_sampled():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 import shutil
@@ -358,6 +360,77 @@ def test_cli_usage_errors():
     assert err["kind"] == "UsageError"
     res2 = _run("qfi", "--model", "m1")
     assert res2.returncode == 1
+
+
+@pytest.mark.parametrize("subcommand", ["converge", "limit-model"])
+@pytest.mark.parametrize("unit", [1.0, 0.6 + 0.8j], ids=["one", "phase"])
+def test_cli_seeded_tangent_needs_identifiable_directions(tmp_path, subcommand, unit):
+    # at d = k = 1 no direction is identifiable, so no seeded tangent exists
+    path = _write_iso(tmp_path, Isometry(np.array([[unit]]), 1, 1), "unit.json")
+    res = _run(subcommand, path)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert json.loads(lines[0])["kind"] == "NotIdentifiable"
+
+
+# flags these subcommands used to accept without reading them
+TOL_AND_CAP = [("--tol-peripheral", "0.5"), ("--tol-faithful", "0.5"), ("--tol-gap", "0.5"),
+               ("--cap-tensor", "1")]
+DROPPED_FLAGS = [
+    base + list(flag)
+    for base in (["equiv", "a.json", "b.json"], list(SIMULATE) + ["--model", "m1", "--n", "5", "--trials", "2"])
+    for flag in TOL_AND_CAP
+] + [
+    base + ["--cap-tensor", "1"]
+    for base in (["analyze", "a.json"], ["tangent", "a.json", "t.json"], ["limit-model", "a.json"],
+                 ["example", "--model", "m1", "--theta", "0.3"])
+]
+
+
+@pytest.mark.parametrize("argv", DROPPED_FLAGS, ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_cli_flags_no_command_reads_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    assert exc.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "UsageError"
+
+
+def _args_read(fn, seen=None):
+    """Attribute names of ``args`` that a cli function reads, following the
+    module-level helpers it hands ``args`` to."""
+    seen = set() if seen is None else seen
+    if fn.__name__ in seen:
+        return set()
+    seen.add(fn.__name__)
+    tree = ast.parse(inspect.getsource(fn))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "args" and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        passed = [a for a in node.args if isinstance(a, ast.Name) and a.id == "args"]
+        if node.func.id == "getattr" and passed:
+            reads.add(node.args[1].value)
+        elif passed and callable(getattr(cli, node.func.id, None)):
+            reads |= _args_read(getattr(cli, node.func.id), seen)
+    return reads
+
+
+def test_cli_every_flag_is_read_by_its_command():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
+    unread = {}
+    for name, parser in sub.choices.items():
+        declared = {a.dest for a in parser._actions if a.dest != "help"}
+        missing = declared - _args_read(parser.get_default("func"))
+        if missing:
+            unread[name] = sorted(missing)
+    assert not unread
 
 
 def test_cli_stdin_dash(tmp_path):

@@ -4,10 +4,12 @@ import pytest
 from qmc.channels import Isometry, apply_steps, dilation
 from qmc.errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidCount,
     NotHermitian,
     NotTangent,
     RetractionFailure,
+    UnitDimMismatch,
 )
 from qmc.ergodic import analyze, output_state
 from qmc.gauge import split, tangent_inner
@@ -361,6 +363,20 @@ def test_component_overlap_against_vector_enumeration():
             fast = component_overlap(vx, vy, profile, a, b, 0, 0, n)
             ref = np.vdot(vecs_y[(a, 0, b, 0)], vecs_x[(a, 0, b, 0)])
             assert abs(fast - ref) < 1e-12
+
+
+def test_component_overlap_rejects_indices_outside_the_blocks():
+    profile = analyze(fixture_s())  # period 2, one eigenvector per block
+    iso = profile.iso
+    for a, b, i, j in [(2, 0, 0, 0), (0, -1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)]:
+        with pytest.raises(IndexOutOfRange):
+            component_overlap(iso, iso, profile, a, b, i, j, 3)
+
+
+def test_deformed_channel_rejects_unequal_unit_dimensions():
+    iso3 = Isometry(oracles.random_isometry(np.random.default_rng(4), 2, 3), 2, 3)
+    with pytest.raises(UnitDimMismatch):
+        DeformedChannel(isometry("m1", 0.3), iso3)
 
 
 def test_weak_qlan_overlap_structure():
