@@ -23,7 +23,6 @@ from .ergodic import (
 )
 from .gauge import (
     TangentSplit,
-    TangentVector,
     act,
     dmu,
     equivalence_witness,

@@ -18,7 +18,7 @@ from . import gauge, gaussian, io, qubit_example, statmodel, trajectories
 from .channels import DEFAULT_TENSOR_CAP
 from .ergodic import ErgodicTol, analyze
 from .errors import DimensionMismatch, InvalidCount, NotIdentifiable, NotIrreducible, QmcError
-from .errors import as_integer
+from .errors import OutOfInterval, as_integer
 
 __all__ = ["main"]
 
@@ -52,6 +52,21 @@ def _add_tol_flags(p):
 def _add_model_flags(p):
     p.add_argument("--model", choices=qubit_example.MODELS, default=None)
     p.add_argument("--theta", type=float, default=None)
+
+
+def _list_flag(flag, text, parse, valid, error):
+    """Comma-separated entries of a flag, each read by ``parse``; the first
+    that ``parse`` or ``valid`` rejects raises ``error`` naming the flag."""
+    out = []
+    for entry in text.split(","):
+        try:
+            value = parse(entry)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise error(f"{flag} entry {entry!r} is out of range or not a number")
+        out.append(value)
+    return out
 
 
 def _resolve_iso(args, positional=None):
@@ -170,6 +185,7 @@ def cmd_qfi(args):
 
 
 def cmd_variance(args):
+    n_values = _list_flag("--n-list", args.n_list, int, lambda n: n >= 1, InvalidCount)
     iso = _resolve_iso(args, args.isometry)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
@@ -178,7 +194,6 @@ def cmd_variance(args):
     else:
         q = io.matrix_from_json(io.load_json(args.observable))
     det = statmodel.asymptotic_variance(profile, q, details=True, cap=args.cap_tensor)
-    n_values = [int(s) for s in args.n_list.split(",")]
     windows = statmodel.finite_window_variance(profile, q, n_values, cap=args.cap_tensor)
     rows = list(zip(n_values, windows))
     io.write_csv(
@@ -249,6 +264,7 @@ def cmd_converge(args):
 
 
 def cmd_limit_model(args):
+    scales = _list_flag("--scale-grid", args.scale_grid, float, np.isfinite, OutOfInterval)
     iso = _resolve_iso(args, args.isometry)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
@@ -261,7 +277,6 @@ def cmd_limit_model(args):
     y = io.matrix_from_json(io.load_json(args.y)) if args.y else 1.3 * x
     if np.shape(y) != np.shape(x):
         raise DimensionMismatch(f"--y has shape {np.shape(y)}, --x {np.shape(x)}")
-    scales = [float(s) for s in args.scale_grid.split(",")]
     # x, y and every scaled x share one split
     x, y, *scaled = gaussian.mode_point(profile, np.stack([x, y] + [s * x for s in scales]))
     lam = gaussian.lambda_k(profile, x, y)

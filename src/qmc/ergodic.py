@@ -3,9 +3,8 @@
 ``analyze`` classifies a chain as irreducible or not and, in the
 irreducible case, extracts the full peripheral data: period p, the
 peripheral eigenvalues gamma^a (p-th roots of unity), a canonical
-stabiliser unitary Z with T(Z) = gamma Z, the cyclic family of periodic
-projections P_a with T(P_a) = P_{a-1 mod p}, and the dual Schrodinger
-eigen-operators J_j with T_*(J_j) = gamma^j J_j.
+stabiliser unitary Z with T(Z) = gamma Z, and the cyclic family of
+periodic projections P_a with T(P_a) = P_{a-1 mod p}.
 
 The canonical Z is gauged so that the projection attached to eigenvalue 1
 has the largest possible overlap with the first standard basis vector
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DEFAULT_TENSOR_CAP, Isometry, apply_steps, real_transfer
+from .channels import Isometry, apply_steps, real_transfer
 from .errors import (
     DimensionMismatch,
     LabelingFailure,
@@ -26,7 +25,6 @@ from .errors import (
     NotIrreducible,
     NotPSD,
     PeripheralMismatch,
-    SizeCap,
     as_integer,
 )
 from .linalg import bordered_eigvec, bordered_solve, dag, herm_coords, herm_part, herm_vec
@@ -70,7 +68,7 @@ class ErgodicTol:
 class SpectralProfile:
     """Result of :func:`analyze`.
 
-    ``peripheral`` is a list of triples ``(gamma^j, Z^j, J_j)`` for
+    ``peripheral`` is a list of pairs ``(gamma^j, Z^j)`` for
     j = 0..p-1; ``projections`` the periodic projections P_a; ``rho_ss``
     the stationary state.  For a chain that fails the irreducibility
     checks only ``is_irreducible``, ``eigenvalues`` and ``diagnostics``
@@ -577,18 +575,11 @@ def _finish_irreducible(profile, r, p):
         np.linalg.norm(th_apply(z) - gamma * z)
     ) if p > 1 else 0.0
 
-    # block weights and dual eigen-operators
-    rho_blocks = [projections[a] @ rho @ projections[a] for a in range(p)]
-    weights = [float(np.trace(rb).real) for rb in rho_blocks]
+    weights = [float(np.trace(pj @ rho @ pj).real) for pj in projections]
     profile.residuals["block_weights"] = max(abs(wt - 1.0 / p) for wt in weights)
-    peripheral = []
-    for j in range(p):
-        zj = np.linalg.matrix_power(z, j) if j else np.eye(d, dtype=complex)
-        jj = sum(np.conj(gamma ** (a * j)) * rho_blocks[a] for a in range(p))
-        peripheral.append((complex(gamma**j), zj, jj))
     profile.zmat = z
     profile.projections = projections
-    profile.peripheral = peripheral
+    profile.peripheral = [(complex(gamma**j), np.linalg.matrix_power(z, j)) for j in range(p)]
     profile.block_dims = [int(round(np.trace(pj).real)) for pj in projections]
     profile.is_irreducible = True
     profile._diagnostics["reason"] = "irreducible"
@@ -662,7 +653,7 @@ def stationary_eigenbasis(profile):
     return out
 
 
-def output_state(iso, rho_in, n, cap=DEFAULT_TENSOR_CAP):
+def output_state(iso, rho_in, n):
     """Reduced state of the first n output units, system traced out.
 
     Unit factors are ordered chronologically: the first emitted unit is the
@@ -670,8 +661,6 @@ def output_state(iso, rho_in, n, cap=DEFAULT_TENSOR_CAP):
     """
     d, k = iso.d, iso.k
     n = as_integer("n", n, 0)
-    if k**n > cap:
-        raise SizeCap(f"k^n = {k**n} exceeds cap {cap}")
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (d, d):
         raise DimensionMismatch(f"input state shape {rho_in.shape}, expected ({d}, {d})")
@@ -680,12 +669,13 @@ def output_state(iso, rho_in, n, cap=DEFAULT_TENSOR_CAP):
     vals, vecs = np.linalg.eigh(herm_part(rho_in))
     if vals[0] < -1e-10:
         raise NotPSD(f"input state has eigenvalue {vals[0]:.3e}")
+    # apply_steps enforces the tensor cap, so it runs before the k^n x k^n
+    # result is allocated
+    psis = [apply_steps(iso, phi, n).reshape(d, k**n) for phi in vecs.T]
     out = np.zeros((k**n, k**n), dtype=complex)
-    for pi, phi in zip(vals, vecs.T):
-        if pi <= 1e-14:
-            continue
-        psi = apply_steps(iso, phi, n, cap=cap).reshape(d, k**n)
-        out += pi * dag(psi) @ psi
+    for pi, psi in zip(vals, psis):
+        if pi > 1e-14:
+            out += pi * dag(psi) @ psi
     return out
 
 

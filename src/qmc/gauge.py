@@ -54,7 +54,6 @@ from .errors import (
     WitnessInconsistent,
 )
 from .linalg import (
-    antiherm_part,
     bordered_eigvec,
     bordered_solve,
     dag,
@@ -69,7 +68,6 @@ __all__ = [
     "equivalence_witness",
     "witness_matches",
     "stabiliser",
-    "TangentVector",
     "TangentSplit",
     "dmu",
     "split",
@@ -180,7 +178,7 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
     if prof.period > 1:
         # (gamma^m, Z^m) fixes v1, so (c gamma^m, Z^m w) is a witness too;
         # keep the member whose w is closest to 1 up to a phase
-        members = [zm @ w for _, zm, _ in prof.peripheral]
+        members = [zm @ w for _, zm in prof.peripheral]
         m = int(np.argmax([abs(np.trace(zw)) for zw in members]))
         w, c = members[m], c * prof.gamma**m
     # fix the free phase of w
@@ -323,7 +321,7 @@ def witness_matches(profile, witness, g, tol=1e-6):
     c_g, w_g = g
     gamma = profile.gamma
     target_w = dag(np.asarray(w_g, dtype=complex))
-    for m, (_, zm, _) in enumerate(profile.peripheral):
+    for m, (_, zm) in enumerate(profile.peripheral):
         c_cand = np.conj(complex(c_g)) * gamma**m
         if abs(c_found - c_cand) <= tol and proj_distance(w_found, zm @ target_w) <= tol:
             return True
@@ -335,7 +333,7 @@ def stabiliser(profile):
     profile.require_irreducible()
     out = []
     worst = 0.0
-    for m, (_, zm, _) in enumerate(profile.peripheral):
+    for m, (_, zm) in enumerate(profile.peripheral):
         c = profile.gamma**m
         fixed = act((c, zm), profile.iso)
         worst = max(worst, float(np.linalg.norm(fixed.v - profile.iso.v)))
@@ -343,33 +341,6 @@ def stabiliser(profile):
     if worst > 1e-7:
         raise LabelingFailure(f"stabiliser candidates move the base point by {worst:.3e}")
     return out
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent direction at an isometry, normalised so v* a is Hermitian.
-
-    Raw matrices are accepted; an anti-Hermitian component of v* a below
-    1e-8 in norm (finite-difference noise) is projected away, anything
-    larger is rejected.
-    """
-
-    iso: Isometry
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        v = self.iso.v
-        if a.shape != v.shape:
-            raise DimensionMismatch(f"tangent shape {a.shape}, expected {v.shape}")
-        skew = antiherm_part(dag(v) @ a)
-        res = np.linalg.norm(skew)
-        if not (res <= 1e-8 * max(1.0, np.linalg.norm(a))):
-            raise NotTangent(
-                f"v* a has anti-Hermitian part of norm {res:.3e}; "
-                "pass curve velocities directly to split()"
-            )
-        object.__setattr__(self, "a", a - v @ skew)
 
 
 @dataclass(frozen=True)
@@ -389,11 +360,11 @@ class TangentSplit:
     resolvent_cond: float
 
 
-def dmu(iso, theta, kgen, profile=None, rho_ss=None):
+def dmu(iso, theta, kgen, rho_ss=None):
     """Push a Lie-algebra element to the gauge-orbit tangent direction.
 
-    ``theta`` must be real and ``kgen`` Hermitian with Tr(rho_ss kgen) = 0.
-    Returns theta v - (kgen (x) 1) v + v kgen.
+    ``theta`` must be real and ``kgen`` Hermitian; with ``rho_ss`` given,
+    Tr(rho_ss kgen) must vanish too.  Returns theta v - (kgen (x) 1) v + v kgen.
     """
     kgen = np.asarray(kgen, dtype=complex)
     d = iso.d
@@ -404,8 +375,6 @@ def dmu(iso, theta, kgen, profile=None, rho_ss=None):
     theta_c = complex(theta)
     if not (theta_c.imag == 0 and np.isfinite(theta_c.real)):
         raise GaugeConstraintViolated(f"theta = {theta} must be real and finite")
-    if rho_ss is None and profile is not None:
-        rho_ss = profile.rho_ss
     if rho_ss is not None:
         drift = abs(np.trace(np.asarray(rho_ss) @ kgen))
         if not (drift <= 1e-8 * max(1.0, np.linalg.norm(kgen))):
@@ -520,10 +489,9 @@ def restricted_resolvent_solve(profile, rhs):
 def split(profile, a):
     """Split a tangent as gauge-orbit part plus identifiable part.
 
-    ``a`` may be a :class:`TangentVector` or a raw (d k, d) matrix; raw
-    matrices are treated complex-linearly without symmetrisation, so curve
-    velocities can be passed directly.  The returned ``a_id`` always
-    satisfies v* a_id = 0.
+    ``a`` is a (d k, d) matrix, treated complex-linearly without
+    symmetrisation, so curve velocities can be passed directly.  The
+    returned ``a_id`` always satisfies v* a_id = 0.
 
     An (m, d k, d) stack of tangents returns a list of m splits, one per
     member, from one build of R and one factorisation: their resolvent
@@ -533,8 +501,6 @@ def split(profile, a):
     """
     profile.require_irreducible()
     iso = profile.iso
-    if isinstance(a, TangentVector):
-        a = a.a
     a = np.asarray(a, dtype=complex)
     stack = a[None] if a.ndim == 2 else a
     if stack.ndim != 3 or stack.shape[1:] != iso.v.shape or not len(stack):

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch
-from .gauge import (
-    TangentVector,
-    mode_decompose,
-    split,
-    stabiliser_tangent_action,
-    tangent_inner,
-)
+from .gauge import mode_decompose, split, stabiliser_tangent_action, tangent_inner
 from .ergodic import stationary_eigenbasis
 from .linalg import dag, trace_norm
 
@@ -88,7 +82,7 @@ def _as_points(profile, xs):
             if x.profile is not profile and not np.array_equal(x.profile.iso.v, profile.iso.v):
                 raise ProfileMismatch("mode point belongs to a different chain")
         else:
-            x = x.a if isinstance(x, TangentVector) else np.asarray(x, dtype=complex)
+            x = np.asarray(x, dtype=complex)
             if x.shape != shape:
                 raise DimensionMismatch(f"tangent shape {x.shape}, expected {shape}")
             raw.append(x)

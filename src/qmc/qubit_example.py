@@ -5,22 +5,19 @@ two-parameter family of periodic points.  Everything printable is stored
 in closed form: isometries, measurement bases, mean curves and their
 derivatives, reference tangent vectors with their identifiable parts and
 mode splits, the QFI rate of m1, and the spectral data behind the
-two-block signal-to-noise bound of m3.
+two-block signal-to-noise bound of m3, whose pair-outcome mean is closed
+form too.
 
 All four families have stationary state 1/2 on the system qubit.  m1 is
 period 2 on its whole interval; m2 and m3 are period 2 exactly at
 theta = 0 and primitive elsewhere.
 """
 
-import functools
-
 import numpy as np
 
 from .channels import Isometry, real_transfer
-from .ergodic import analyze
 from .errors import DimensionMismatch, OutOfInterval, ReducibleParameters
 from .linalg import dag, herm_coords
-from .statmodel import stationary_mean
 from .trajectories import BlockMeasurement, standard_measurement
 
 __all__ = [
@@ -46,6 +43,11 @@ MODELS = ("m1", "m2", "m3")
 
 _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
+# m3's pair-outcome mean is sin^2(th) (A cos^2(th) + B) / 216
+_PAIR_A = 90.0 + 68.0 * _SQ2 + 68.0 * _SQ3 + 34.0 * np.sqrt(6.0)
+_PAIR_B = 63.0 - 34.0 * _SQ2
+# its maximum, at sin^2(th) = (A + B) / 2A, th about 0.8047
+_PAIR_MAX = (_PAIR_A + _PAIR_B) ** 2 / (864.0 * _PAIR_A)
 
 
 def theta_interval(model):
@@ -154,8 +156,11 @@ def closed_form_mean(model, theta, block=1):
     """Printed mean curve of the model's distinguished measurement outcome."""
     theta = float(theta)
     _check_interval(model, theta, strict=False)
+    if model == "m3" and block == 2:
+        s2 = np.sin(theta) ** 2
+        return s2 * (_PAIR_A * (1.0 - s2) + _PAIR_B) / 216.0
     if block != 1:
-        raise DimensionMismatch("closed forms are single-site; block means are numeric")
+        raise DimensionMismatch(f"no block-{block} measurement defined for {model}")
     if model == "m1":
         return 0.5 - 1.5 * theta**2
     if model == "m2":
@@ -166,7 +171,7 @@ def closed_form_mean(model, theta, block=1):
 
 
 def mean_derivative(model, theta, block=1):
-    """d/dtheta of the measured mean; numeric for the m3 pair measurement."""
+    """d/dtheta of the measured mean."""
     theta = float(theta)
     if block == 1:
         if model == "m1":
@@ -177,8 +182,8 @@ def mean_derivative(model, theta, block=1):
             return np.sin(2.0 * theta) / 6.0
         raise DimensionMismatch(f"unknown model {model!r}")
     if model == "m3" and block == 2:
-        h = 1e-5
-        return (_m3_two_block_mean(theta + h) - _m3_two_block_mean(theta - h)) / (2 * h)
+        s2 = np.sin(theta) ** 2
+        return np.sin(2.0 * theta) * (_PAIR_A + _PAIR_B - 2.0 * _PAIR_A * s2) / 216.0
     raise DimensionMismatch(f"no block-{block} measurement defined for {model}")
 
 
@@ -221,23 +226,6 @@ def measurement(model, block=1):
     raise DimensionMismatch(f"no block-{block} measurement defined for {model}")
 
 
-@functools.lru_cache(maxsize=None)
-def _m3_two_block_mean(theta):
-    prof = analyze(isometry("m3", float(theta)))
-    prof.require_irreducible()
-    om = omega_vector()
-    return stationary_mean(prof, np.outer(om, om.conj()))
-
-
-@functools.lru_cache(maxsize=1)
-def _m3_two_block_grid():
-    thetas = np.linspace(0.002, 0.45, 300)
-    means = np.array([_m3_two_block_mean(t) for t in thetas])
-    if not np.all(np.diff(means) > 0):
-        raise DimensionMismatch("pair-outcome mean is not monotone on the inversion grid")
-    return thetas, means
-
-
 def invert_mean(model, x_bar, block=1):
     """Map empirical outcome frequencies to parameter estimates."""
     x = np.atleast_1d(np.asarray(x_bar, dtype=float))
@@ -254,8 +242,12 @@ def invert_mean(model, x_bar, block=1):
         else:
             raise DimensionMismatch(f"unknown model {model!r}")
     elif model == "m3" and block == 2:
-        thetas, means = _m3_two_block_grid()
-        est = np.interp(np.clip(x, means[0], means[-1]), means, thetas)
+        # the smaller root of A u^2 - (A + B) u + 216 x = 0, u = sin^2(th):
+        # the rising branch, th in [0, 0.8047]
+        x = np.clip(x, 0.0, _PAIR_MAX)
+        disc = np.clip((_PAIR_A + _PAIR_B) ** 2 - 864.0 * _PAIR_A * x, 0.0, None)
+        u = 432.0 * x / (_PAIR_A + _PAIR_B + np.sqrt(disc))
+        est = np.arcsin(np.sqrt(u))
     else:
         raise DimensionMismatch(f"no block-{block} estimator defined for {model}")
     return est if np.ndim(x_bar) else float(est[0])

@@ -11,6 +11,9 @@ anti-Hermitian part of ``v* a`` has been projected away.  Raw curve
 velocities (finite differences of ``v(theta)``) can be passed everywhere;
 they are symmetrised internally where the curve parametrisation matters
 and handled complex-linearly where it does not (gauge splitting).
+Functionals of the stationary output take the chain's profile from
+``ergodic.analyze``, tangents as (d k, d) matrices and block observables
+as square matrices.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +30,7 @@ from .channels import (
     real_transfer,
     sandwich_map,
 )
-from .ergodic import analyze, stationary_eigenbasis
+from .ergodic import stationary_eigenbasis
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -37,7 +40,7 @@ from .errors import (
     SizeCap,
     as_integer,
 )
-from .gauge import TangentVector, restricted_resolvent_solve, split, tangent_inner
+from .gauge import restricted_resolvent_solve, split, tangent_inner
 from .gaussian import _coherent_overlap
 from .linalg import antiherm_part, dag, herm_coords, herm_part, unvec, vec
 
@@ -82,9 +85,6 @@ class DeformedChannel:
                 f"system dimensions differ: {self.iso_left.d} vs {self.iso_right.d}"
             )
         object.__setattr__(self, "superop", sandwich_map(self.iso_left, self.iso_right))
-
-    def __call__(self, x):
-        return self.superop(x)
 
     def iterate(self, x, n):
         """The map applied n times to x, by matvecs on vec(x) and squarings.
@@ -150,20 +150,10 @@ class QfiReport:
 
 
 def _as_matrix(iso, a):
-    if isinstance(a, TangentVector):
-        a = a.a
     a = np.asarray(a, dtype=complex)
     if a.shape != iso.v.shape:
         raise DimensionMismatch(f"tangent shape {a.shape}, expected {iso.v.shape}")
     return a
-
-
-def _as_profile(obj):
-    if isinstance(obj, Isometry):
-        prof = analyze(obj)
-        prof.require_irreducible()
-        return prof
-    return obj
 
 
 def _unit_vector(phi, d):
@@ -229,7 +219,6 @@ def weak_qlan_curve(profile, x, y, n_values, phi=None):
     n_values = [as_integer("n", n, 1) for n in n_values]
     if not n_values:
         raise DimensionMismatch("n grid must not be empty")
-    profile = _as_profile(profile)
     profile.require_irreducible()
     iso = profile.iso
     if phi is not None:
@@ -341,7 +330,6 @@ def qfi_curve(iso, a, phi, n_values):
 
 def qfi_report(profile, a, phi, n_values):
     """Finite-n QFI curve together with the limiting rate 4 beta(a_id, a_id)."""
-    profile = _as_profile(profile)
     f = qfi_curve(profile.iso, a, phi, n_values)
     rate = qfi_rate(profile, a)
     n_values = [int(n) for n in n_values]
@@ -353,7 +341,6 @@ def qfi_rate(profile, a, b=None):
 
     With ``b`` given, a and b are split together, with one factorisation.
     """
-    profile = _as_profile(profile)
     if b is None:
         sa = sb = split(profile, a)
     else:
@@ -361,7 +348,7 @@ def qfi_rate(profile, a, b=None):
     return 4.0 * tangent_inner(profile, sa.a_id, sb.a_id).real
 
 
-def output_component_vectors(iso, profile, n, cap=DEFAULT_TENSOR_CAP):
+def output_component_vectors(iso, profile, n):
     """Component vectors psi^{ab}_{ij}(n)[w] = <phi^b_j| K_w |phi^a_i>.
 
     The eigenbasis phi (and the weights pi) comes from ``profile``, which
@@ -374,13 +361,11 @@ def output_component_vectors(iso, profile, n, cap=DEFAULT_TENSOR_CAP):
     d, k = iso.d, iso.k
     if profile.d != d or profile.k != k:
         raise DimensionMismatch("profile and isometry dimensions differ")
-    if k**n > cap:
-        raise SizeCap(f"k^n = {k**n} exceeds cap {cap}")
     basis = stationary_eigenbasis(profile)
     vectors = {}
     for a, blk_a in enumerate(basis):
         for i, (_, phi_a) in enumerate(blk_a):
-            mat = apply_steps(iso, phi_a, n, cap=cap).reshape(d, k**n)
+            mat = apply_steps(iso, phi_a, n).reshape(d, k**n)
             for b, blk_b in enumerate(basis):
                 for j, (_, phi_b) in enumerate(blk_b):
                     vectors[(a, i, b, j)] = phi_b.conj() @ mat
@@ -403,12 +388,6 @@ def component_overlap(iso_x, iso_y, profile, a, b, i, j, n):
     phi_b = basis[b][j][1]
     x = DeformedChannel(iso_x, iso_y).iterate(np.outer(phi_b, phi_b.conj()), n)
     return complex(np.vdot(phi_a, x @ phi_a))
-
-
-def _observable(profile, q):
-    if isinstance(q, LocalObservable):
-        return q
-    return LocalObservable(q, profile.k)
 
 
 def _block_compress(w, x, q):
@@ -446,12 +425,11 @@ def _block_moments(profile, obs, n_lags, cap):
     return m, a, c0, lags, sigma_q
 
 
-def stationary_mean(profile, q, cap=DEFAULT_TENSOR_CAP):
+def stationary_mean(profile, q):
     """Mean of a block observable in the stationary output, position-free."""
-    profile = _as_profile(profile)
     profile.require_irreducible()
-    obs = _observable(profile, q)
-    a = _block_compress(dilation(profile.iso, obs.block, cap=cap), np.eye(profile.d), obs.q)
+    obs = LocalObservable(q, profile.k)
+    a = _block_compress(dilation(profile.iso, obs.block), np.eye(profile.d), obs.q)
     return float(np.trace(profile.rho_ss @ a).real)
 
 
@@ -465,9 +443,8 @@ def asymptotic_variance(profile, q, details=False, cap=DEFAULT_TENSOR_CAP):
     transfer operator on the complement of the stationary direction, which
     Abel-sums the oscillating peripheral contributions of periodic chains.
     """
-    profile = _as_profile(profile)
     profile.require_irreducible()
-    obs = _observable(profile, q)
+    obs = LocalObservable(q, profile.k)
     b = obs.block
     m, a, c0, lags, sigma_q = _block_moments(profile, obs, b - 1, cap)
     x, cond = restricted_resolvent_solve(profile, a - m * np.eye(profile.d))
@@ -501,9 +478,8 @@ def finite_window_variance(profile, q, n, cap=DEFAULT_TENSOR_CAP):
     longest window; each window sums the first N - 1 lags of that sweep in
     the same order as a lone call, so its value is the same to the bit.
     """
-    profile = _as_profile(profile)
     profile.require_irreducible()
-    obs = _observable(profile, q)
+    obs = LocalObservable(q, profile.k)
     b = obs.block
     n_values = [n] if np.ndim(n) == 0 else list(n)
     if not n_values:

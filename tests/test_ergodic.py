@@ -121,6 +121,20 @@ def test_stationary_eigenbasis_shapes_and_weights():
     assert abs(total - 1.0) < 1e-12
 
 
+def test_stationary_eigenbasis_aligns_degenerate_clusters():
+    # rho_ss = 1/2 on the single block of m3, so both eigenvectors form one
+    # cluster, rotated onto the QR of the projected standard basis: up to a
+    # phase each, e_0 and e_1
+    profile = analyze(isometry("m3", 0.3))
+    (block,) = stationary_eigenbasis(profile)
+    frame = np.stack([phi for _, phi in block], axis=1)
+    q, _ = np.linalg.qr(frame @ dag(frame))
+    for (pi, phi), col, e in zip(block, q.T, np.eye(2)):
+        assert abs(pi - 0.5) < 1e-12
+        assert abs(abs(np.vdot(col, phi)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(e, phi)) - 1.0) < 1e-12
+
+
 def test_ergodic_projection_is_cycle_aligned_limit():
     profile = analyze(isometry("m1", 0.3))
     rho0 = np.array([[0.9, 0.2], [0.2, 0.1]], dtype=complex)

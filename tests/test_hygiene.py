@@ -1,4 +1,5 @@
-"""Source hygiene: every function parameter in the package is read."""
+"""Source hygiene: every function parameter in the package is read, and
+every class the package tests with isinstance is one it constructs."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,44 @@ def test_every_parameter_is_read():
 def test_scan_finds_an_unread_parameter():
     tree = ast.parse("def f(a, b, *rest):\n    return a\n\ng = lambda x: [x for _ in ()]\n")
     assert _unread_parameters(tree) == [(1, "f", "b"), (1, "f", "rest")]
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _unbuilt_isinstance_classes(trees):
+    """(file, line, class) for each isinstance test against a class that the
+    trees, a {file: tree} dict, define but never call: an input form that
+    nothing can pass."""
+    nodes = {name: list(ast.walk(tree)) for name, tree in trees.items()}
+    every = [n for found in nodes.values() for n in found]
+    defined = {n.name for n in every if isinstance(n, ast.ClassDef)}
+    unbuilt = defined - {_name(n.func) for n in every if isinstance(n, ast.Call)}
+    out = []
+    for name, found in nodes.items():
+        for call in found:
+            if not (isinstance(call, ast.Call) and _name(call.func) == "isinstance"):
+                continue
+            kinds = call.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                if _name(kind) in unbuilt:
+                    out.append((name, call.lineno, _name(kind)))
+    return out
+
+
+def test_every_isinstance_class_is_constructed():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert not _unbuilt_isinstance_classes(trees)
+
+
+def test_scan_finds_an_unbuilt_isinstance_class():
+    tree = ast.parse(
+        "class A:\n    pass\n\nclass B:\n    pass\n\n"
+        "def f(x):\n    return isinstance(x, (A, B)), B()\n"
+    )
+    assert _unbuilt_isinstance_classes({"m.py": tree}) == [("m.py", 8, "A")]

@@ -301,20 +301,27 @@ def test_cli_simulate_csv_reproducible(tmp_path):
 SIMULATE = ("simulate", "--theta", "0.3", "--seed", "1")
 CONVERGE = ("converge", "--model", "m1", "--theta", "0.3")
 QFI = ("qfi", "--model", "m1", "--theta", "0.3")
+VARIANCE = ("variance", "--model", "m1", "--theta", "0.35", "--n-list")
+LIMIT = ("limit-model", "--model", "m1", "--theta", "0.3", "--scale-grid")
 
 
 @pytest.mark.parametrize(
-    "argv,env,kind",
+    "argv,env,kind,flag",
     [
-        (SIMULATE + ("--model", "m3", "--n", "1", "--block", "2", "--trials", "5"), None, "DimensionMismatch"),
-        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "1"), None, "InvalidCount"),
-        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4"), {"QMC_THREADS": "two"}, "InvalidCount"),
-        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4", "--seed", "-1"), None, "InvalidCount"),
-        (CONVERGE + ("--pow-min", "-1", "--pow-max", "3"), None, "InvalidCount"),
-        (CONVERGE + ("--pow-min", "5", "--pow-max", "3"), None, "InvalidCount"),
-        (CONVERGE + ("--pow-min", "5", "--pow-max", "5"), None, "InvalidCount"),
-        (QFI + ("--n-step", "0"), None, "InvalidCount"),
-        (QFI + ("--n-max", "10", "--n-step", "25"), None, "InvalidCount"),
+        (SIMULATE + ("--model", "m3", "--n", "1", "--block", "2", "--trials", "5"), None, "DimensionMismatch", None),
+        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "1"), None, "InvalidCount", None),
+        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4"), {"QMC_THREADS": "two"}, "InvalidCount", None),
+        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4", "--seed", "-1"), None, "InvalidCount", None),
+        (CONVERGE + ("--pow-min", "-1", "--pow-max", "3"), None, "InvalidCount", "--pow-min"),
+        (CONVERGE + ("--pow-min", "5", "--pow-max", "3"), None, "InvalidCount", "--pow-max"),
+        (CONVERGE + ("--pow-min", "5", "--pow-max", "5"), None, "InvalidCount", "--pow-max"),
+        (QFI + ("--n-step", "0"), None, "InvalidCount", "--n-step"),
+        (QFI + ("--n-max", "10", "--n-step", "25"), None, "InvalidCount", "--n-max"),
+        (VARIANCE + ("16,x",), None, "InvalidCount", "--n-list"),
+        (VARIANCE + (",",), None, "InvalidCount", "--n-list"),
+        (VARIANCE + ("16,-4",), None, "InvalidCount", "--n-list"),
+        (LIMIT + ("1,nan",), None, "OutOfInterval", "--scale-grid"),
+        (LIMIT + ("1,,2",), None, "OutOfInterval", "--scale-grid"),
     ],
     ids=[
         "n-below-block",
@@ -326,15 +333,24 @@ QFI = ("qfi", "--model", "m1", "--theta", "0.3")
         "converge-one-size",
         "qfi-step-zero",
         "qfi-max-below-step",
+        "n-list-not-a-number",
+        "n-list-empty-entries",
+        "n-list-negative",
+        "scale-grid-nan",
+        "scale-grid-empty-entry",
     ],
 )
-def test_cli_simulate_rejects_bad_counts(argv, env, kind):
-    # the rows cover the count flags of converge and qfi as well as simulate
+def test_cli_simulate_rejects_bad_counts(argv, env, kind, flag):
+    # the rows cover the count and list flags of converge, qfi, variance and
+    # limit-model as well as simulate
     res = _run(*argv, env=env)
     assert res.returncode == 1, res.stdout
     assert res.stdout == ""
-    err = json.loads(res.stderr.strip())
+    (line,) = res.stderr.splitlines()
+    err = json.loads(line)
     assert err["kind"] == kind
+    if flag is not None:
+        assert flag in err["detail"]
     # a flag that fails only against another must name both
     if "--n-max" in argv:
         assert "--n-max" in err["detail"] and "--n-step" in err["detail"]

@@ -23,6 +23,7 @@ from qmc.qubit_example import (
     snr_spectral_data,
     theta_interval,
 )
+from qmc.statmodel import stationary_mean
 
 
 def test_model_inventory_and_reference_points():
@@ -114,12 +115,23 @@ def test_model2_golden_modes_content():
 
 def test_means_and_derivatives_match_numerics():
     h = 1e-6
-    grids = {"m1": (0.27, 0.42), "m2": (-0.5, 0.5), "m3": (0.2, 1.3)}
-    for model, (lo, hi) in grids.items():
+    grids = {
+        ("m1", 1): (0.27, 0.42),
+        ("m2", 1): (-0.5, 0.5),
+        ("m3", 1): (0.2, 1.3),
+        ("m3", 2): (0.0, 1.55),
+    }
+    for (model, block), (lo, hi) in grids.items():
         for theta in np.linspace(lo, hi, 9):
             theta = float(theta)
-            num = (closed_form_mean(model, theta + h) - closed_form_mean(model, theta - h)) / (2 * h)
-            assert abs(num - mean_derivative(model, theta)) < 1e-6, (model, theta)
+            up = closed_form_mean(model, theta + h, block)
+            num = (up - closed_form_mean(model, theta - h, block)) / (2 * h)
+            assert abs(num - mean_derivative(model, theta, block)) < 1e-6, (model, block, theta)
+    # the pair-outcome closed form against the transfer-operator mean
+    _, q = measurement("m3", block=2)
+    for theta in np.linspace(0.0, 1.55, 32):
+        mean = stationary_mean(analyze(isometry("m3", float(theta))), q)
+        assert abs(mean - closed_form_mean("m3", theta, block=2)) < 1e-12, theta
 
 
 def test_invert_mean_round_trips():
@@ -136,13 +148,12 @@ def test_invert_mean_round_trips():
     for theta in (0.45, 0.52, -0.5):
         x = closed_form_mean("m2", theta)
         assert abs(closed_form_mean("m2", invert_mean("m2", x)) - x) < 1e-9
-    # the two-block curve is tabulated, not closed form
-    from qmc.qubit_example import _m3_two_block_mean
-
-    for theta in np.linspace(0.05, 0.42, 9):
+    # the pair-outcome curve of m3 peaks at theta about 0.8047; the
+    # estimator lives on the rising branch
+    for theta in np.linspace(0.05, 0.78, 21):
         theta = float(theta)
-        x = _m3_two_block_mean(theta)
-        assert abs(invert_mean("m3", x, block=2) - theta) < 1e-4, theta
+        x = closed_form_mean("m3", theta, block=2)
+        assert abs(invert_mean("m3", x, block=2) - theta) < 1e-9, theta
 
 
 def test_invert_mean_clips_out_of_range_observations():
@@ -153,13 +164,14 @@ def test_invert_mean_clips_out_of_range_observations():
     assert np.isfinite(invert_mean("m2", 1.2))
     est = invert_mean("m2", np.array([0.1, 0.4, 0.9]))
     assert est.shape == (3,)
+    # m3's pair estimator clips to its rising branch [0, asin sqrt((A + B) / 2A)]
+    est = invert_mean("m3", np.array([-0.1, 0.9]), block=2)
+    assert est[0] == 0.0 and abs(est[1] - 0.8046638238862884) < 1e-7
 
 
 def test_closed_forms_are_single_site_only():
     with pytest.raises(DimensionMismatch):
         closed_form_mean("m1", 0.3, block=2)
-    with pytest.raises(DimensionMismatch):
-        closed_form_mean("m3", 0.3, block=2)
 
 
 def test_omega_vector_and_completion():

@@ -98,7 +98,7 @@ def test_iterate_matches_repeated_application():
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     y = x
     for _ in range(7):
-        y = dc(y)
+        y = dc.superop(y)
     assert np.array_equal(dc.iterate(x, 7), y)
     assert np.array_equal(dc.iterate(x, 0), x)
     with pytest.raises(DimensionMismatch):

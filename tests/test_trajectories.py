@@ -153,6 +153,14 @@ def test_fluctuation_stats_model1():
     assert abs(st.f.mean()) < 5 * np.sqrt(st.predicted_var / 400)
 
 
+def test_fluctuation_stats_block_two_predicts_from_the_power_chain():
+    iso = isometry("m3", 0.3)
+    meas, q = measurement("m3", block=2)
+    st = fluctuation_stats(iso, analyze(iso), q, n=2000, trials=400, seed=3, meas=meas)
+    assert st.block == 2 and st.n_blocks == 1000
+    assert abs(st.empirical_var - st.predicted_var) <= 4 * st.var_stderr
+
+
 def test_fluctuation_stats_rejects_non_diagonal_observable():
     iso = isometry("m1", 0.3)
     profile = analyze(iso)
