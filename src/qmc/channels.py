@@ -254,13 +254,17 @@ def apply_steps(iso, phi, n, cap=DEFAULT_TENSOR_CAP):
     """Apply n chain steps to a system vector, keeping the full output tensor.
 
     Returns an ndarray of shape (d, k, ..., k) with the system axis first and
-    unit axes in chronological order (axis 1 = first emitted).
+    unit axes in chronological order (axis 1 = first emitted).  ``phi``
+    must be a finite vector of d entries, else DimensionMismatch.
     """
     d, k = iso.d, iso.k
     n = as_integer("n", n, 0)
     if k**n > cap:
         raise SizeCap(f"k^n = {k**n} exceeds cap {cap}")
-    phi = np.asarray(phi, dtype=complex).reshape(d)
+    phi = np.asarray(phi, dtype=complex)
+    if phi.size != d or not np.isfinite(phi).all():
+        raise DimensionMismatch(f"phi must be a finite vector of length {d}, got shape {phi.shape}")
+    phi = phi.reshape(d)
     vt = iso.v.reshape(d, k, d)  # vt[s, u, h] = v[(s, u), h]
     psi = phi
     for _ in range(n):

@@ -193,6 +193,10 @@ def cmd_variance(args):
         _, q = qubit_example.measurement(args.model, block=args.block)
     else:
         q = io.matrix_from_json(io.load_json(args.observable))
+    block = statmodel.LocalObservable(q, profile.k).block
+    short = [n for n in n_values if n < block]
+    if short:
+        raise InvalidCount(f"--n-list entry {short[0]} is shorter than the block {block}")
     det = statmodel.asymptotic_variance(profile, q, details=True, cap=args.cap_tensor)
     windows = statmodel.finite_window_variance(profile, q, n_values, cap=args.cap_tensor)
     rows = list(zip(n_values, windows))
@@ -339,7 +343,7 @@ def cmd_example(args):
         },
         "qfi_rate": rate,
         "limit_model": "gaussian-shift" if profile.period == 1 else "mixed-gaussian",
-        "resolvent_cond": sp.resolvent_cond,
+        "resolvent_cond": profile.resolvent_cond,
     }
     if args.model == "m1":
         out["qfi_rate_closed_form"] = qubit_example.closed_form_qfi_rate(args.theta)

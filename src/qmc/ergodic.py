@@ -79,6 +79,14 @@ class SpectralProfile:
     chain whose period the certificate decided without the spectrum,
     primitive or periodic, are computed on first read, from a fresh
     transfer matrix, with the dense route's values and key order.
+
+    ``resolvent_cond``, the 2-norm condition number of the restricted
+    resolvent behind ``gauge.restricted_resolvent_solve``, is computed on
+    first read too, by ``gauge._restricted_cond`` from a fresh transfer
+    matrix, and kept.  The solve itself checks a cheap probabilistic bound
+    against the cap and reads this value only when the bound exceeds the
+    cap or is not finite, or the system is singular.  An irreducible
+    profile is required.
     """
 
     iso: Isometry
@@ -94,8 +102,8 @@ class SpectralProfile:
     projections: list = field(default_factory=list)
     block_dims: list = field(default_factory=list)
     residuals: dict = field(default_factory=dict)
-    # 2-norm condition number of the restricted resolvent; computed on the
-    # first gauge.restricted_resolvent_solve call, a scalar (no d^2 x d^2 cache)
+    # 2-norm condition number of the restricted resolvent; None until first
+    # read, a scalar (no d^2 x d^2 cache)
     _resolvent_cond: float = field(default=None, repr=False, compare=False)
     # sorted spectrum; None until first read on the certified route
     _eigenvalues: np.ndarray = field(default=None, repr=False, compare=False)
@@ -126,6 +134,16 @@ class SpectralProfile:
             "peripheral_deviation": worst,
             "reason": rest["reason"],
         }
+
+    @property
+    def resolvent_cond(self):
+        if self._resolvent_cond is None:
+            from .gauge import _restricted_cond
+
+            self.require_irreducible()
+            r = herm_coords(self.rho_ss).real
+            self._resolvent_cond = _restricted_cond(real_transfer(self.iso).T, r)
+        return self._resolvent_cond
 
     def require_irreducible(self):
         if not self.is_irreducible:

@@ -34,7 +34,7 @@ the image of ``dmu`` the recovered pair is exactly the Hermitian one that
 produced them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -315,14 +315,17 @@ def witness_matches(profile, witness, g, tol=1e-6):
     ``g = (c_g, w_g)`` is the element that produced iso2 = act(g, iso1);
     the witness family for that pair is (conj(c_g) gamma^m, Z^m w_g*) over
     m = 0..p-1, each determined only up to a global phase on the unitary.
+    Both pairs must be gauge elements on the profile's system: a phase of
+    modulus 1 and a d x d unitary, else GaugeConstraintViolated or
+    DimensionMismatch.
     """
     profile.require_irreducible()
-    c_found, w_found = witness
-    c_g, w_g = g
+    c_found, w_found = _check_gauge_element(witness, profile.d)
+    c_g, w_g = _check_gauge_element(g, profile.d)
     gamma = profile.gamma
-    target_w = dag(np.asarray(w_g, dtype=complex))
+    target_w = dag(w_g)
     for m, (_, zm) in enumerate(profile.peripheral):
-        c_cand = np.conj(complex(c_g)) * gamma**m
+        c_cand = np.conj(c_g) * gamma**m
         if abs(c_found - c_cand) <= tol and proj_distance(w_found, zm @ target_w) <= tol:
             return True
     return False
@@ -350,14 +353,20 @@ class TangentSplit:
     ``theta`` is the real part of the complex mean Tr(rho_ss v* a); its
     imaginary part is kept in ``theta_im`` (zero for tangents satisfying
     the Hermitian convention).  ``resolvent_cond`` reports the condition
-    number of the restricted resolvent solve that produced ``kgen``.
+    number of the restricted resolvent solve that produced ``kgen``: it
+    reads ``profile``, the spectral profile the tangent was split on, which
+    computes the exact value on first read.
     """
 
     theta: float
     theta_im: float
     kgen: np.ndarray
     a_id: np.ndarray
-    resolvent_cond: float
+    profile: object = field(compare=False, repr=False)
+
+    @property
+    def resolvent_cond(self):
+        return self.profile.resolvent_cond
 
 
 def dmu(iso, theta, kgen, rho_ss=None):
@@ -397,6 +406,10 @@ def _dmu_raw(iso, theta_c, kgen):
 _GRAM_RATIO_MAX = 1e4
 _GRAM_ROWS = 128  # rows per step of the rank-one update, bounding its temporary
 _COND_CAP = 1e12  # largest condition number restricted_resolvent_solve accepts
+# Gaussian probe columns of the condition bound, and their seed.  Any fixed
+# seed will do; with r probes the bound fails with probability at most 10^-r.
+_PROBES = 10
+_PROBE_SEED = 20251019
 
 
 def _restricted_cond(th, r):
@@ -441,6 +454,44 @@ def _restricted_cond(th, r):
     return float(s[0] / s[-2])
 
 
+def _probes(r):
+    """``_PROBES`` seeded standard Gaussian columns projected onto u-perp,
+    u = r / ||r||: the subspace {x : Tr(rho_ss x) = 0} in coordinates."""
+    u = r / np.linalg.norm(r)
+    omega = np.random.default_rng(_PROBE_SEED).standard_normal((r.size, _PROBES))
+    omega -= np.multiply.outer(u, u @ omega)
+    return omega
+
+
+def _cond_bound(iso, y):
+    """Upper bound on the restricted condition number from y = A^-1 omega.
+
+    A is B* (1 - T) B and the columns of ``y`` its inverse applied to the
+    probes of :func:`_probes`.  ||A^-1|| <= 10 sqrt(2/pi) max_i ||y_i||
+    except with probability 10^-r for r unscaled Gaussian probes (Halko,
+    Martinsson and Tropp, SIAM Rev. 53, 217, 2011, Lemma 4.1), and
+    ||A|| <= 1 + ||T||_2 <= 1 + ||sum_u K_u K_u*||^(1/2): for the positive
+    map T, ||T||_oo->oo = ||T(1)|| = 1 and ||T||_1->1 = ||sum_u K_u K_u*||,
+    and Riesz-Thorin interpolates between them.  sum_u K_u K_u* is W W*
+    for the d x (k d) row W = [K_1, ..., K_k], a reshape of v.  A
+    non-finite column gives a non-finite bound.
+    """
+    w = iso.v.reshape(iso.d, iso.k * iso.d)
+    t_norm = np.sqrt(np.linalg.eigvalsh(w @ dag(w))[-1])
+    inv_norm = 10.0 * np.sqrt(2.0 / np.pi) * np.linalg.norm(y, axis=0).max()
+    return float((1.0 + t_norm) * inv_norm)
+
+
+def _check_cond(profile):
+    """ResolventIllConditioned unless the exact condition number, computed
+    on first read of ``profile.resolvent_cond``, is finite and at most the cap."""
+    cond = profile.resolvent_cond
+    if not (np.isfinite(cond) and cond <= _COND_CAP):
+        raise ResolventIllConditioned(
+            f"restricted resolvent condition number {cond:.3e} exceeds {_COND_CAP:.1e}"
+        )
+
+
 def restricted_resolvent_solve(profile, rhs):
     """Solve (Id - T) x = rhs on the subspace {x : Tr(rho_ss x) = 0}.
 
@@ -455,9 +506,17 @@ def restricted_resolvent_solve(profile, rhs):
     solved as the columns of one right-hand-side block, so R is built and
     the bordered system factorised once per call, and x has the shape of
     ``rhs``.  A complex right-hand side is solved as two real columns.
-    Returns ``(x, cond)`` with the condition number of the compressed
-    resolvent, computed once per profile and checked against ``_COND_CAP``
-    on every call.
+    Returns x.
+
+    Every call checks the condition number of the compressed resolvent
+    against ``_COND_CAP``.  ``_PROBES`` seeded Gaussian columns on the
+    subspace ride in the same block; on it the bordered solve returns the
+    inverse applied to them exactly, and :func:`_cond_bound` bounds the
+    condition number from them.  When that bound exceeds the cap or is not
+    finite, or the system is singular, the exact value
+    ``profile.resolvent_cond`` is computed (once per profile) and checked
+    instead: ResolventIllConditioned above the cap, else the solution, or
+    SingularResolvent for a singular system.
     """
     profile.require_irreducible()
     rhs = np.asarray(rhs, dtype=complex)
@@ -470,20 +529,21 @@ def restricted_resolvent_solve(profile, rhs):
         raise NotHermitian("right-hand side has non-finite entries")
     rm = real_transfer(profile.iso)
     r = herm_coords(profile.rho_ss).real
-    if profile._resolvent_cond is None:
-        profile._resolvent_cond = _restricted_cond(rm.T, r)
-    cond = profile._resolvent_cond
-    if not (np.isfinite(cond) and cond <= _COND_CAP):
-        raise ResolventIllConditioned(
-            f"restricted resolvent condition number {cond:.3e} exceeds {_COND_CAP:.1e}"
-        )
-    b = herm_coords(rhs)  # (d^2,) or (m, d^2)
+    n = r.size
+    b = herm_coords(rhs).reshape(-1, n).T  # (d^2, m)
+    m2 = 2 * b.shape[1]
+    # the real and imaginary part of each side by side, then the probes
+    block = np.concatenate([np.stack([b.real, b.imag], axis=2).reshape(n, m2), _probes(r)], axis=1)
     try:
         # [[R^T - 1, r], [r^T, 0]] [x; -s] = [-b; 0]
-        x, _ = bordered_solve(rm, 1.0, r, r, -b.T, adjoint=True)
+        sol, _ = bordered_solve(rm, 1.0, r, r, -block, adjoint=True)
     except np.linalg.LinAlgError as exc:
+        _check_cond(profile)
         raise SingularResolvent(str(exc)) from None
-    return herm_vec(x.T), cond
+    if not _cond_bound(profile.iso, sol[:, m2:]) <= _COND_CAP:
+        _check_cond(profile)
+    x = sol[:, 0:m2:2] + 1j * sol[:, 1:m2:2]
+    return herm_vec(x.T).reshape(rhs.shape)
 
 
 def split(profile, a):
@@ -517,7 +577,7 @@ def split(profile, a):
         theta_c = complex(np.trace(profile.rho_ss @ h))
         thetas.append(theta_c)
         rhs.append(h - theta_c * np.eye(iso.d))
-    kgens, cond = restricted_resolvent_solve(profile, np.stack(rhs))
+    kgens = restricted_resolvent_solve(profile, np.stack(rhs))
     out = []
     for t, j in zip(stack, slot):
         out.append(
@@ -526,7 +586,7 @@ def split(profile, a):
                 theta_im=float(thetas[j].imag),
                 kgen=kgens[j],
                 a_id=t - _dmu_raw(iso, thetas[j], kgens[j]),
-                resolvent_cond=cond,
+                profile=profile,
             )
         )
     return out[0] if a.ndim == 2 else out

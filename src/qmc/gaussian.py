@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch
+from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch, as_integer
 from .gauge import mode_decompose, split, stabiliser_tangent_action, tangent_inner
 from .ergodic import stationary_eigenbasis
 from .linalg import dag, trace_norm
@@ -172,13 +172,14 @@ def predicted_component_limit(profile, a, b, i, j, r, x, y):
     sum) unless b = a + r mod p when x = y = 0.
     """
     profile.require_irreducible()
+    a, b, i, j, r = (as_integer(name, val) for name, val in zip("abijr", (a, b, i, j, r)))
     p = profile.period
     if not (0 <= a < p and 0 <= b < p):
         raise IndexOutOfRange(f"block labels ({a}, {b}) outside 0..{p - 1}")
     if not 0 <= r < p:
         raise IndexOutOfRange(f"remainder r = {r} outside 0..{p - 1}")
     basis = stationary_eigenbasis(profile)
-    if i >= len(basis[a]) or j >= len(basis[b]):
+    if not (0 <= i < len(basis[a]) and 0 <= j < len(basis[b])):
         raise IndexOutOfRange("eigenvector index outside its block")
     pi_bj = basis[b][j][0]
     lam = lambda_k(profile, x, y)

@@ -330,6 +330,7 @@ def qfi_curve(iso, a, phi, n_values):
 
 def qfi_report(profile, a, phi, n_values):
     """Finite-n QFI curve together with the limiting rate 4 beta(a_id, a_id)."""
+    profile.require_irreducible()  # before the sweep, which does not need it
     f = qfi_curve(profile.iso, a, phi, n_values)
     rate = qfi_rate(profile, a)
     n_values = [int(n) for n in n_values]
@@ -378,11 +379,12 @@ def component_overlap(iso_x, iso_y, profile, a, b, i, j, n):
     Iterates the deformed channel of (iso_x, iso_y) n times on the rank-one
     projector of phi^b_j and closes with phi^a_i; O(n d^4).
     """
+    a, b, i, j = (as_integer(name, val) for name, val in zip("abij", (a, b, i, j)))
     basis = stationary_eigenbasis(profile)
     p = profile.period
     if not (0 <= a < p and 0 <= b < p):
         raise IndexOutOfRange(f"block labels ({a}, {b}) outside 0..{p - 1}")
-    if i >= len(basis[a]) or j >= len(basis[b]):
+    if not (0 <= i < len(basis[a]) and 0 <= j < len(basis[b])):
         raise IndexOutOfRange("eigenvector index outside its block")
     phi_a = basis[a][i][1]
     phi_b = basis[b][j][1]
@@ -447,7 +449,7 @@ def asymptotic_variance(profile, q, details=False, cap=DEFAULT_TENSOR_CAP):
     obs = LocalObservable(q, profile.k)
     b = obs.block
     m, a, c0, lags, sigma_q = _block_moments(profile, obs, b - 1, cap)
-    x, cond = restricted_resolvent_solve(profile, a - m * np.eye(profile.d))
+    x = restricted_resolvent_solve(profile, a - m * np.eye(profile.d))
     tail = float(np.trace(x @ sigma_q).real)
     sigma2 = c0 + 2.0 * sum(lags) + 2.0 * tail
     if not details:
@@ -458,7 +460,7 @@ def asymptotic_variance(profile, q, details=False, cap=DEFAULT_TENSOR_CAP):
         "c0": c0,
         "lags": lags,
         "tail": tail,
-        "resolvent_cond": cond,
+        "resolvent_cond": profile.resolvent_cond,
         "block": b,
     }
 

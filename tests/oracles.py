@@ -286,7 +286,7 @@ def _per_lag_moments(profile, q, b, n_lags):
 def asymptotic_variance_per_lag(profile, q, b):
     """sigma^2 with the resolvent tail read off a fresh b-step compression."""
     a, m, c0, lags = _per_lag_moments(profile, q, b, b - 1)
-    x, _ = restricted_resolvent_solve(profile, a - m * np.eye(profile.d))
+    x = restricted_resolvent_solve(profile, a - m * np.eye(profile.d))
     tail = float(np.trace(profile.rho_ss @ _compress(profile.iso, x, q, b)).real)
     return c0 + 2.0 * sum(lags) + 2.0 * tail
 

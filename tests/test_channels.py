@@ -156,6 +156,14 @@ def test_apply_steps_vs_oracle():
     assert np.linalg.norm(out.reshape(-1) - ref) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "phi", [np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.ones(3)], ids=["nan", "inf", "length-3"]
+)
+def test_apply_steps_rejects_a_bad_system_vector(phi):
+    with pytest.raises(DimensionMismatch):
+        apply_steps(isometry("m1", 0.3), phi, 2)
+
+
 def test_tensor_cap_enforced():
     iso = isometry("m1", 0.3)
     n_too_big = 1 + int(np.log2(DEFAULT_TENSOR_CAP))

@@ -10,7 +10,9 @@ routes live in ``oracles``; on fixtures with and without periodicity both
 must agree to 1e-10 relative.  ``resolvent_cond`` comes from the Gram
 spectrum of the compressed resolvent when its condition number is at most
 100 and from a values-only SVD above that; the dense SVD oracle pins both
-sides of that cut.
+sides of that cut.  It is computed only when read: each solve checks the
+cap with a bound from Gaussian probe columns, which must never read below
+the exact value, and falls back to the exact value above the cap.
 
 The trajectory sampler steps a batch of states, held as real Hermitian-
 basis coordinates, through one stacked real operator instead of three
@@ -49,7 +51,13 @@ from hypothesis import strategies as st
 from qmc.channels import Isometry, channel, dilation, isometry_from_kraus, real_transfer
 from qmc import channels, ergodic, gauge, io
 from qmc.ergodic import ErgodicTol, analyze
-from qmc.errors import PeripheralMismatch, QmcError, ResolventIllConditioned, WitnessInconsistent
+from qmc.errors import (
+    PeripheralMismatch,
+    QmcError,
+    ResolventIllConditioned,
+    SingularResolvent,
+    WitnessInconsistent,
+)
 from qmc.gauge import act, equivalence_witness, restricted_resolvent_solve, split, witness_matches
 from qmc.linalg import bordered_solve, herm_coords, herm_vec, proj_distance
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement, snr_spectral_data
@@ -118,15 +126,17 @@ def test_condition_cap_checked_on_every_call(monkeypatch):
     profile = analyze(next(iso for label, iso, _ in CHAINS if label == "random-d8k2"))
     rhs = np.diag(np.arange(profile.d)).astype(complex)
     rhs -= np.trace(profile.rho_ss @ rhs) * np.eye(profile.d)
-    _, cond = restricted_resolvent_solve(profile, rhs)
+    restricted_resolvent_solve(profile, rhs)
+    cond = profile.resolvent_cond
     assert cond > 1.0
-    # the condition number is stored after the first call; a smaller cap on
+    # the condition number is stored after the first read; a smaller cap on
     # a later call must still be enforced
     with monkeypatch.context() as m:
         m.setattr(gauge, "_COND_CAP", 0.5 * cond)
         with pytest.raises(ResolventIllConditioned):
             restricted_resolvent_solve(profile, rhs)
-    x, cond2 = restricted_resolvent_solve(profile, rhs)
+    x = restricted_resolvent_solve(profile, rhs)
+    cond2 = profile.resolvent_cond
     assert cond2 == cond
     assert abs(np.trace(profile.rho_ss @ x)) <= 1e-12 * np.linalg.norm(x)
 
@@ -788,6 +798,107 @@ def test_resolvent_cond_matches_svd_oracle_on_random_chains(d, k, seed):
         return
     got, ref, _ = _cond_against_oracle(profile, seed)
     assert abs(got - ref) <= TOL * ref
+
+
+# --------------------------------------------------------------------------
+# restricted resolvent condition number: the probe bound on every call, the
+# exact value only when read or when the bound exceeds the cap
+
+
+BOUND_CHAINS = [(label, iso) for label, iso, _ in CHAINS] + [
+    (f"coupled-blocks-{eps:.0e}", _coupled_blocks(eps)) for eps in (3e-1, 1e-1, 3e-2, 1e-2)
+]
+
+
+def _spy(monkeypatch, name):
+    """Replace gauge.<name> by a wrapper; returns the list of its results."""
+    seen, fn = [], getattr(gauge, name)
+
+    def spy(*args):
+        seen.append(fn(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(gauge, name, spy)
+    return seen
+
+
+def _tangent(iso, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+
+
+@pytest.mark.parametrize("label,iso", BOUND_CHAINS, ids=[c[0] for c in BOUND_CHAINS])
+def test_probe_bound_is_at_least_the_exact_condition_number(label, iso, monkeypatch):
+    # the coupled blocks reach cond 24000; the bound must hold there too
+    profile = analyze(iso)
+    bounds = _spy(monkeypatch, "_cond_bound")
+    split(profile, _tangent(iso, 2048))
+    assert len(bounds) == 1
+    assert profile.resolvent_cond <= bounds[0] <= gauge._COND_CAP
+
+
+def test_exact_condition_number_is_computed_only_when_read(monkeypatch):
+    iso = next(iso for label, iso, _ in CHAINS if label == "cyclic-d8p2")
+    profile = analyze(iso)
+    exact = _spy(monkeypatch, "_restricted_cond")
+    split(profile, _tangent(iso, 2049))
+    asymptotic_variance(profile, np.diag([1.0, 0.0]))
+    assert exact == []
+    cond = profile.resolvent_cond
+    assert exact == [cond]
+    assert split(profile, _tangent(iso, 2050)).resolvent_cond == cond
+    assert asymptotic_variance(profile, np.diag([1.0, 0.0]), details=True)["resolvent_cond"] == cond
+    assert exact == [cond]
+
+
+def test_exact_condition_number_runs_once_when_the_cap_is_below_the_bound(monkeypatch):
+    iso = next(iso for label, iso, _ in CHAINS if label == "random-d16k2")
+    a = _tangent(iso, 2051)
+    with monkeypatch.context() as m:
+        bounds = _spy(m, "_cond_bound")
+        ref = split(analyze(iso), a)
+    profile = analyze(iso)
+    exact = _spy(monkeypatch, "_restricted_cond")
+    # between the exact value (about 10) and the bound: the fallback runs
+    # and accepts, and the solution is the one the bound let through
+    monkeypatch.setattr(gauge, "_COND_CAP", 0.5 * bounds[0])
+    for _ in range(2):
+        got = split(profile, a)
+        assert np.array_equal(got.kgen, ref.kgen) and np.array_equal(got.a_id, ref.a_id)
+    assert len(exact) == 1 and exact[0] < gauge._COND_CAP
+    monkeypatch.setattr(gauge, "_COND_CAP", 0.5 * exact[0])
+    with pytest.raises(ResolventIllConditioned):
+        split(profile, a)
+    assert len(exact) == 1
+
+
+def test_non_finite_bound_falls_back_to_the_exact_value(monkeypatch):
+    iso = next(iso for label, iso, _ in CHAINS if label == "random-d8k3")
+    a = _tangent(iso, 2052)
+    ref = split(analyze(iso), a)
+    profile = analyze(iso)
+    exact = _spy(monkeypatch, "_restricted_cond")
+    monkeypatch.setattr(gauge, "_cond_bound", lambda iso, y: np.nan)
+    for _ in range(2):
+        assert np.array_equal(split(profile, a).kgen, ref.kgen)
+    assert len(exact) == 1
+
+
+def test_singular_system_is_checked_against_the_exact_value(monkeypatch):
+    # as when the exact value was checked before every solve, a condition
+    # number above the cap wins over the singular LU
+    iso = next(iso for label, iso, _ in CHAINS if label == "random-d8k2")
+    profile = analyze(iso)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(gauge, "bordered_solve", singular)
+    with pytest.raises(SingularResolvent):
+        split(profile, _tangent(iso, 2053))
+    monkeypatch.setattr(gauge, "_COND_CAP", 0.5 * profile.resolvent_cond)
+    with pytest.raises(ResolventIllConditioned):
+        split(profile, _tangent(iso, 2053))
 
 
 # --------------------------------------------------------------------------

@@ -172,6 +172,19 @@ def test_model3_reflection_equivalences():
         assert witness_matches(profile, witness, (c_expected, z)), other
 
 
+def test_witness_matches_rejects_pairs_that_are_not_gauge_elements():
+    profile = analyze(isometry("m1", 0.3))
+    g = (1.0, np.eye(2))
+    for bad in ((np.nan, 1), (1.0, np.full((2, 2), np.nan)), (1.0, 2.0 * np.eye(2))):
+        with pytest.raises(GaugeConstraintViolated):
+            witness_matches(profile, bad, g)
+        with pytest.raises(GaugeConstraintViolated):
+            witness_matches(profile, g, bad)
+    with pytest.raises(DimensionMismatch):
+        witness_matches(profile, (1.0, np.eye(3)), g)
+    assert witness_matches(profile, g, g)
+
+
 def test_split_idempotent_and_orthogonal():
     rng = np.random.default_rng(14)
     profile = analyze(isometry("m1", 0.3))
@@ -451,10 +464,10 @@ def test_stacked_split_equals_member_splits(label, profile, m):
         assert got.resolvent_cond == ref.resolvent_cond
     # (I - T) x = rhs - s rho_ss on Tr(rho_ss x) = 0, member by member
     rhs = _raw_stack(rng, (profile.d, profile.d), m)
-    x, cond = restricted_resolvent_solve(profile, rhs)
-    assert x.shape == rhs.shape and cond == splits[0].resolvent_cond
+    x = restricted_resolvent_solve(profile, rhs)
+    assert x.shape == rhs.shape and profile.resolvent_cond == splits[0].resolvent_cond
     for b, got in zip(rhs, x):
-        ref, _ = restricted_resolvent_solve(profile, b)
+        ref = restricted_resolvent_solve(profile, b)
         assert _close13(got, ref, np.linalg.norm(b))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmc.ergodic import analyze
-from qmc.errors import GramNotPSD, IndexOutOfRange, ProfileMismatch
+from qmc.errors import GramNotPSD, IndexOutOfRange, InvalidCount, ProfileMismatch
 from qmc.gauge import split, stabiliser_tangent_action, tangent_inner
 from qmc.gaussian import (
     coherent_overlap,
@@ -160,7 +160,9 @@ def test_mode_point_of_another_chain_is_rejected():
 def test_predicted_limit_rejects_indices_outside_the_blocks():
     profile = analyze(fixture_s())  # period 2, one eigenvector per block
     x = _identifiable(profile, 41)
-    for a, b, i, j, r in [(2, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, 0, 0, 2), (0, 1, 1, 0, 0)]:
+    for a, b, i, j, r in [
+        (2, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, 0, 0, 2), (0, 1, 1, 0, 0), (0, 0, -1, 0, 0)
+    ]:
         with pytest.raises(IndexOutOfRange):
             predicted_component_limit(profile, a, b, i, j, r, x, x)
 
@@ -174,3 +176,13 @@ def test_triangle_inequality_sampled():
     dyz = mixture_trace_distance(profile, y, z)
     dxz = mixture_trace_distance(profile, x, z)
     assert dxz <= dxy + dyz + 1e-10
+
+
+@pytest.mark.parametrize("label", [0.5, 1.0, np.array([0, 1])], ids=["half", "float-one", "array"])
+def test_predicted_component_limit_rejects_labels_that_are_not_integers(label):
+    profile = analyze(fixture_s())
+    x = _identifiable(profile, 41)
+    for args in [(label, 0, 0, 0, 0), (0, label, 0, 0, 0), (0, 0, label, 0, 0),
+                 (0, 0, 0, label, 0), (0, 0, 0, 0, label)]:
+        with pytest.raises(InvalidCount):
+            predicted_component_limit(profile, *args, x, x)

@@ -455,3 +455,16 @@ def test_cli_stdin_dash(tmp_path):
     res = _run("analyze", "-", stdin=payload)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["irreducible"] is True
+
+
+def test_cli_variance_names_n_list_when_a_window_is_shorter_than_the_block(capsys):
+    # the block is known only once the observable is read; the window check
+    # of finite_window_variance would name no flag
+    argv = ["variance", "--model", "m3", "--theta", "0.3", "--block", "2", "--n-list", "4,1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["kind"] == "InvalidCount" and "--n-list" in err["detail"]

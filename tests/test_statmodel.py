@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from qmc.channels import Isometry, apply_steps, dilation
+from qmc.channels import Isometry, apply_steps, dilation, isometry_from_kraus
 from qmc.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidCount,
     NotHermitian,
+    NotIrreducible,
     NotTangent,
     RetractionFailure,
     UnitDimMismatch,
@@ -368,7 +369,7 @@ def test_component_overlap_against_vector_enumeration():
 def test_component_overlap_rejects_indices_outside_the_blocks():
     profile = analyze(fixture_s())  # period 2, one eigenvector per block
     iso = profile.iso
-    for a, b, i, j in [(2, 0, 0, 0), (0, -1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)]:
+    for a, b, i, j in [(2, 0, 0, 0), (0, -1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1), (0, 1, -1, 0)]:
         with pytest.raises(IndexOutOfRange):
             component_overlap(iso, iso, profile, a, b, i, j, 3)
 
@@ -438,3 +439,33 @@ def test_window_variance_grid_equals_lone_calls(model, block):
         finite_window_variance(profile, q, [])
     with pytest.raises(InvalidCount):
         finite_window_variance(profile, q, [16, 2.5])
+
+
+@pytest.mark.parametrize("label", [0.5, 1.0, np.array([0, 1])], ids=["half", "float-one", "array"])
+def test_component_overlap_rejects_labels_that_are_not_integers(label):
+    profile = analyze(fixture_s())
+    iso = profile.iso
+    for args in [(label, 0, 0, 0), (0, label, 0, 0), (0, 0, label, 0), (0, 1, 0, label)]:
+        with pytest.raises(InvalidCount):
+            component_overlap(iso, iso, profile, *args, 3)
+
+
+def test_qfi_report_checks_irreducibility_before_the_sweep(monkeypatch):
+    from qmc import statmodel
+
+    rng = np.random.default_rng(48)
+    kraus = []
+    for a, b in zip(*(Isometry(oracles.random_isometry(rng, 4, 2), 4, 2).kraus for _ in "ab")):
+        m = np.zeros((8, 8), dtype=complex)
+        m[:4, :4], m[4:, 4:] = a, b
+        kraus.append(m)
+    profile = analyze(isometry_from_kraus(kraus))
+    assert not profile.is_irreducible
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("qfi_curve ran on a reducible chain")
+
+    monkeypatch.setattr(statmodel, "qfi_curve", sweep)
+    a = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+    with pytest.raises(NotIrreducible):
+        statmodel.qfi_report(profile, a, np.eye(8)[0], [1, 2, 4])
