@@ -101,7 +101,7 @@ class IncompleteMeasurement(QmcError):
 
 
 class InvalidCount(QmcError):
-    """Step, trial or seed count, or thread setting, outside its valid range."""
+    """Step, trial or seed count outside its valid range."""
 
 
 class DegenerateState(QmcError):

@@ -52,6 +52,7 @@ from .errors import (
     SingularResolvent,
     UnitDimMismatch,
     WitnessInconsistent,
+    as_integer,
 )
 from .linalg import (
     bordered_eigvec,
@@ -592,8 +593,16 @@ def split(profile, a):
     return out[0] if a.ndim == 2 else out
 
 
-def _require_identifiable(iso, a):
+def _as_matrix(iso, a):
+    """``a`` as a complex array of the isometry's shape; DimensionMismatch otherwise."""
     a = np.asarray(a, dtype=complex)
+    if a.shape != iso.v.shape:
+        raise DimensionMismatch(f"tangent shape {a.shape}, expected {iso.v.shape}")
+    return a
+
+
+def _require_identifiable(iso, a):
+    a = _as_matrix(iso, a)
     res = np.linalg.norm(dag(iso.v) @ a)
     if not (res <= 1e-8 * max(1.0, np.linalg.norm(a))):
         raise NotIdentifiable(f"v* a has norm {res:.3e}; split off the gauge part first")
@@ -615,7 +624,7 @@ def stabiliser_tangent_action(profile, m, a):
     """
     profile.require_irreducible()
     a = _require_identifiable(profile.iso, a)
-    m = int(m) % profile.period
+    m = as_integer("m", m) % profile.period  # any integer: m is read mod p
     zm = profile.peripheral[m][1]
     out = profile.gamma**m * np.kron(dag(zm), np.eye(profile.k)) @ a @ zm
     return out

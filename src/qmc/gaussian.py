@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch, as_integer
-from .gauge import mode_decompose, split, stabiliser_tangent_action, tangent_inner
+from .gauge import _as_matrix, mode_decompose, split, stabiliser_tangent_action, tangent_inner
 from .ergodic import stationary_eigenbasis
 from .linalg import dag, trace_norm
 
@@ -75,17 +75,13 @@ def _as_points(profile, xs):
     The raw tangents are split together, by one :func:`mode_point` call on
     their stack.
     """
-    shape = profile.iso.v.shape
     raw = []
     for x in xs:
         if isinstance(x, ModePoint):
             if x.profile is not profile and not np.array_equal(x.profile.iso.v, profile.iso.v):
                 raise ProfileMismatch("mode point belongs to a different chain")
         else:
-            x = np.asarray(x, dtype=complex)
-            if x.shape != shape:
-                raise DimensionMismatch(f"tangent shape {x.shape}, expected {shape}")
-            raw.append(x)
+            raw.append(_as_matrix(profile.iso, x))
     made = iter(mode_point(profile, np.stack(raw)) if raw else ())
     return [x if isinstance(x, ModePoint) else next(made) for x in xs]
 
@@ -208,6 +204,8 @@ def mixture_gram(profile, points):
     """Pairwise component Gram of mixed-Gaussian states at the given points."""
     profile.require_irreducible()
     pts = _as_points(profile, points)
+    if not pts:
+        raise DimensionMismatch("mixture_gram needs at least one point")
     p = profile.period
     n = len(pts)
     coherent = np.empty((n, n), dtype=complex)

@@ -40,7 +40,7 @@ from .errors import (
     SizeCap,
     as_integer,
 )
-from .gauge import restricted_resolvent_solve, split, tangent_inner
+from .gauge import _as_matrix, restricted_resolvent_solve, split, tangent_inner
 from .gaussian import _coherent_overlap
 from .linalg import antiherm_part, dag, herm_coords, herm_part, unvec, vec
 
@@ -149,16 +149,17 @@ class QfiReport:
     residuals: np.ndarray
 
 
-def _as_matrix(iso, a):
-    a = np.asarray(a, dtype=complex)
-    if a.shape != iso.v.shape:
-        raise DimensionMismatch(f"tangent shape {a.shape}, expected {iso.v.shape}")
-    return a
+def _system_vector(phi, d):
+    """phi as a length-d complex vector; DimensionMismatch for any other length."""
+    phi = np.asarray(phi, dtype=complex)
+    if phi.size != d:
+        raise DimensionMismatch(f"phi has {phi.size} entries, expected d = {d}")
+    return phi.reshape(d)
 
 
 def _unit_vector(phi, d):
-    """phi / ||phi||; DimensionMismatch unless phi is finite and nonzero."""
-    phi = np.asarray(phi, dtype=complex).reshape(d)
+    """phi / ||phi||; DimensionMismatch unless phi is a finite nonzero length-d vector."""
+    phi = _system_vector(phi, d)
     nv = np.linalg.norm(phi)
     if not (np.isfinite(nv) and nv > 0):
         raise DimensionMismatch(f"phi must be a finite nonzero vector, norm {nv}")
@@ -171,10 +172,9 @@ def joint_overlap(iso1, iso2, phi, n):
     Computed by n applications of the deformed channel to the identity,
     O(n d^4), never building the k^n-dimensional output space.
     """
-    if n < 1:
-        raise DimensionMismatch("n must be >= 1")
+    n = as_integer("n", n, 1)
     dc = DeformedChannel(iso1, iso2)
-    phi = np.asarray(phi, dtype=complex).reshape(iso1.d)
+    phi = _system_vector(phi, iso1.d)
     nv = np.linalg.norm(phi)
     if not (abs(nv - 1.0) <= 1e-6):
         raise DimensionMismatch(f"phi must be a unit vector, norm {nv:.6f}")

@@ -6,12 +6,11 @@ trajectory only ever tracks the d-dimensional conditional system state.
 
 Determinism contract: trial t of a run with master seed s draws all its
 uniforms from Philox seeded with SeedSequence((s, t)).  Results are
-therefore identical however trials are batched or distributed over
-threads (QMC_THREADS).
+therefore identical however trials are batched.  A batch runs on one
+Python thread; BLAS's own threads, inside the one GEMM per step, are the
+only parallelism.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,19 +195,6 @@ def _run_batch(op, rho_in, n_blocks, seed, trial_indices):
     return outcomes, herm_vec(c.T)
 
 
-def _thread_count():
-    """Worker threads for ``sample_batch`` from QMC_THREADS (unset or empty: 1).
-
-    At most ``os.cpu_count()``: results do not depend on the partitioning.
-    """
-    raw = os.environ.get("QMC_THREADS") or "1"
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidCount(f"QMC_THREADS must be an integer, got {raw!r}") from None
-    return min(as_integer("QMC_THREADS", value, 1), os.cpu_count() or 1)
-
-
 def _prepare(iso, rho_in, n_blocks, meas, seed):
     """(step operator, rho_in, n_blocks, seed) of a sampling call, validated."""
     seed = as_integer("seed", seed, 0)
@@ -234,25 +220,10 @@ def _prepare(iso, rho_in, n_blocks, meas, seed):
 
 
 def sample_batch(iso, rho_in, n_blocks, meas, seed, trials):
-    """Outcome records for trials 0..trials-1; deterministic per (seed, trial).
-
-    Set QMC_THREADS to spread trials over a thread pool; the per-trial
-    streams make the result independent of the partitioning.
-    """
+    """Outcome records for trials 0..trials-1; deterministic per (seed, trial)."""
     op, rho_in, n_blocks, seed = _prepare(iso, rho_in, n_blocks, meas, seed)
     trials = as_integer("trials", trials, 1)
-    threads = _thread_count()
-    trial_indices = list(range(trials))
-    if threads <= 1 or trials < 2 * threads:
-        return _run_batch(op, rho_in, n_blocks, seed, trial_indices)
-    chunks = np.array_split(trial_indices, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda ch: _run_batch(op, rho_in, n_blocks, seed, list(ch)), chunks)
-        )
-    outcomes = np.concatenate([p[0] for p in parts], axis=0)
-    states = np.concatenate([p[1] for p in parts], axis=0)
-    return outcomes, states
+    return _run_batch(op, rho_in, n_blocks, seed, range(trials))
 
 
 def sample(iso, rho_in, n_blocks, meas, seed, trial=0):
@@ -284,9 +255,20 @@ def _diagonal_in_basis(q, meas):
     return np.diag(qb).real
 
 
-def _require_variance_trials(trials):
-    if int(trials) < 2:
+def _variance_trials(trials):
+    """``trials`` as an int; InvalidCount unless it is an integer of at least 2."""
+    trials = as_integer("trials", trials)
+    if trials < 2:
         raise InvalidCount(f"trials = {trials}; a sample variance needs at least 2")
+    return trials
+
+
+def _block_count(n, b):
+    """(n, n // b) for an integer n; DimensionMismatch if it holds no block of length b."""
+    n = as_integer("n", n)
+    if n // b < 1:
+        raise DimensionMismatch(f"n = {n} holds no complete block of length {b}")
+    return n, n // b
 
 
 def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None, rho_in=None):
@@ -297,15 +279,13 @@ def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None, rho_in=None):
     irreducible: at a periodic point with p dividing b it is not, and the
     analysis will say so).
     """
-    _require_variance_trials(trials)
+    trials = _variance_trials(trials)
     q = np.asarray(q, dtype=complex)
     if meas is None:
         meas = standard_measurement(iso.k, block_length(q.shape[0], iso.k))
     values = _diagonal_in_basis(q, meas)
     b = meas.block
-    n_blocks = int(n) // b
-    if n_blocks < 1:
-        raise DimensionMismatch(f"n = {n} holds no complete block of length {b}")
+    n, n_blocks = _block_count(n, b)
     if rho_in is None:
         rho_in = profile.rho_ss
     m = stationary_mean(profile, q)
@@ -324,7 +304,7 @@ def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None, rho_in=None):
     m4 = float(np.mean(centred**4))
     stderr = float(np.sqrt(max(m4 - emp**2, 0.0) / trials))
     return FluctuationStats(
-        n=int(n),
+        n=n,
         block=b,
         n_blocks=n_blocks,
         q_bar=q_bar,
@@ -347,16 +327,14 @@ def run_estimator(model, theta, n, trials, seed, block=1):
     """
     from . import qubit_example as qe
 
-    _require_variance_trials(trials)
+    trials = _variance_trials(trials)
     iso = qe.isometry(model, theta)
     profile = analyze(iso)
     profile.require_irreducible()
     meas, q = qe.measurement(model, block=block)
     values = _diagonal_in_basis(q, meas)
     b = meas.block
-    n_blocks = int(n) // b
-    if n_blocks < 1:
-        raise DimensionMismatch(f"n = {n} holds no complete block of length {b}")
+    _, n_blocks = _block_count(n, b)
     outcomes, _ = sample_batch(iso, profile.rho_ss, n_blocks, meas, seed, trials)
     vals = values[outcomes]
     x_bar = vals.mean(axis=1)
@@ -381,7 +359,7 @@ def run_estimator(model, theta, n, trials, seed, block=1):
         "theta": float(theta),
         "n": int(n_used),
         "block": b,
-        "trials": int(trials),
+        "trials": trials,
         "estimates": estimates,
         "x_bar": x_bar,
         "rmse": rmse,

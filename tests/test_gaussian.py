@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from qmc.ergodic import analyze
-from qmc.errors import GramNotPSD, IndexOutOfRange, InvalidCount, ProfileMismatch
-from qmc.gauge import split, stabiliser_tangent_action, tangent_inner
+from qmc.errors import (
+    DimensionMismatch,
+    GramNotPSD,
+    IndexOutOfRange,
+    InvalidCount,
+    ProfileMismatch,
+)
+from qmc.gauge import mode_decompose, split, stabiliser_tangent_action, tangent_inner
 from qmc.gaussian import (
     coherent_overlap,
     eta_hat,
@@ -117,6 +123,33 @@ def test_mixture_invariant_under_stabiliser_orbit():
     gx = stabiliser_tangent_action(profile, 1, x)
     assert mixture_trace_distance(profile, x, gx) < 1e-9
     assert mixture_equivalent(profile, x, gx)
+
+
+@pytest.mark.parametrize("kind", ["tangent_inner", "mode_decompose"])
+def test_identifiable_tangent_of_the_wrong_shape_is_rejected(kind):
+    profile = analyze(fixture_s())
+    bad = np.zeros((3, 2), dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        if kind == "tangent_inner":
+            tangent_inner(profile, bad, bad)
+        else:
+            mode_decompose(profile, bad)
+
+
+def test_stabiliser_index_must_be_an_integer():
+    profile = analyze(fixture_s())
+    x = _identifiable(profile, 37)
+    with pytest.raises(InvalidCount):
+        stabiliser_tangent_action(profile, 1.5, x)
+    # any integer is read mod p, negative ones included
+    assert np.array_equal(
+        stabiliser_tangent_action(profile, -1, x), stabiliser_tangent_action(profile, 1, x)
+    )
+
+
+def test_mixture_gram_needs_a_point():
+    with pytest.raises(DimensionMismatch):
+        mixture_gram(analyze(fixture_s()), [])
 
 
 def test_gram_psd_and_deficiency():

@@ -87,3 +87,41 @@ def test_scan_finds_an_unbuilt_isinstance_class():
         "def f(x):\n    return isinstance(x, (A, B)), B()\n"
     )
     assert _unbuilt_isinstance_classes({"m.py": tree}) == [("m.py", 8, "A")]
+
+
+_ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """(line, name) for each read of the process environment: os.environ,
+    os.getenv and their bytes forms, by attribute or by ``from os import``.
+    The package takes its settings as arguments, never from the environment."""
+    out = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENV_READERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            out.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [(node.lineno, a.name) for a in node.names if a.name in _ENV_READERS]
+    return sorted(out)
+
+
+def test_package_reads_no_environment_variable():
+    reads = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _environment_reads(ast.parse(path.read_text()))
+    ]
+    assert not reads
+
+
+def test_scan_finds_an_environment_read():
+    tree = ast.parse(
+        "import os\nfrom os import getenv, path\n\n"
+        "def f():\n    return os.environ.get('X'), os.getenv('Y'), os.path.sep\n"
+    )
+    assert _environment_reads(tree) == [(2, "getenv"), (5, "os.environ"), (5, "os.getenv")]

@@ -20,12 +20,10 @@ import oracles
 QMC = shutil.which("qmc")
 
 
-def _run(*args, stdin=None, env=None):
+def _run(*args, stdin=None):
     cmd = [QMC] if QMC else [sys.executable, "-m", "qmc.cli"]
-    if env is not None:
-        env = {**os.environ, **env}
     return subprocess.run(
-        cmd + list(args), capture_output=True, text=True, input=stdin, timeout=300, env=env
+        cmd + list(args), capture_output=True, text=True, input=stdin, timeout=300
     )
 
 
@@ -306,27 +304,25 @@ LIMIT = ("limit-model", "--model", "m1", "--theta", "0.3", "--scale-grid")
 
 
 @pytest.mark.parametrize(
-    "argv,env,kind,flag",
+    "argv,kind,flag",
     [
-        (SIMULATE + ("--model", "m3", "--n", "1", "--block", "2", "--trials", "5"), None, "DimensionMismatch", None),
-        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "1"), None, "InvalidCount", None),
-        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4"), {"QMC_THREADS": "two"}, "InvalidCount", None),
-        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4", "--seed", "-1"), None, "InvalidCount", None),
-        (CONVERGE + ("--pow-min", "-1", "--pow-max", "3"), None, "InvalidCount", "--pow-min"),
-        (CONVERGE + ("--pow-min", "5", "--pow-max", "3"), None, "InvalidCount", "--pow-max"),
-        (CONVERGE + ("--pow-min", "5", "--pow-max", "5"), None, "InvalidCount", "--pow-max"),
-        (QFI + ("--n-step", "0"), None, "InvalidCount", "--n-step"),
-        (QFI + ("--n-max", "10", "--n-step", "25"), None, "InvalidCount", "--n-max"),
-        (VARIANCE + ("16,x",), None, "InvalidCount", "--n-list"),
-        (VARIANCE + (",",), None, "InvalidCount", "--n-list"),
-        (VARIANCE + ("16,-4",), None, "InvalidCount", "--n-list"),
-        (LIMIT + ("1,nan",), None, "OutOfInterval", "--scale-grid"),
-        (LIMIT + ("1,,2",), None, "OutOfInterval", "--scale-grid"),
+        (SIMULATE + ("--model", "m3", "--n", "1", "--block", "2", "--trials", "5"), "DimensionMismatch", None),
+        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "1"), "InvalidCount", None),
+        (SIMULATE + ("--model", "m1", "--n", "50", "--trials", "4", "--seed", "-1"), "InvalidCount", None),
+        (CONVERGE + ("--pow-min", "-1", "--pow-max", "3"), "InvalidCount", "--pow-min"),
+        (CONVERGE + ("--pow-min", "5", "--pow-max", "3"), "InvalidCount", "--pow-max"),
+        (CONVERGE + ("--pow-min", "5", "--pow-max", "5"), "InvalidCount", "--pow-max"),
+        (QFI + ("--n-step", "0"), "InvalidCount", "--n-step"),
+        (QFI + ("--n-max", "10", "--n-step", "25"), "InvalidCount", "--n-max"),
+        (VARIANCE + ("16,x",), "InvalidCount", "--n-list"),
+        (VARIANCE + (",",), "InvalidCount", "--n-list"),
+        (VARIANCE + ("16,-4",), "InvalidCount", "--n-list"),
+        (LIMIT + ("1,nan",), "OutOfInterval", "--scale-grid"),
+        (LIMIT + ("1,,2",), "OutOfInterval", "--scale-grid"),
     ],
     ids=[
         "n-below-block",
         "one-trial",
-        "bad-threads",
         "negative-seed",
         "converge-negative-power",
         "converge-empty-range",
@@ -340,10 +336,10 @@ LIMIT = ("limit-model", "--model", "m1", "--theta", "0.3", "--scale-grid")
         "scale-grid-empty-entry",
     ],
 )
-def test_cli_simulate_rejects_bad_counts(argv, env, kind, flag):
+def test_cli_simulate_rejects_bad_counts(argv, kind, flag):
     # the rows cover the count and list flags of converge, qfi, variance and
     # limit-model as well as simulate
-    res = _run(*argv, env=env)
+    res = _run(*argv)
     assert res.returncode == 1, res.stdout
     assert res.stdout == ""
     (line,) = res.stderr.splitlines()

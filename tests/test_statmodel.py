@@ -139,7 +139,8 @@ def _count_call(kind, n):
         ("weak_qlan_report", 0, InvalidCount),
         ("weak_qlan_report", -4, InvalidCount),
         ("weak_qlan_report", 2.5, InvalidCount),
-        ("joint_overlap", 0, DimensionMismatch),
+        ("joint_overlap", 0, InvalidCount),
+        ("joint_overlap", "3", InvalidCount),
         ("qfi_finite", 0, DimensionMismatch),
         ("qfi_finite", 2.5, InvalidCount),
         ("qfi_curve", 2.5, InvalidCount),
@@ -157,6 +158,7 @@ def _count_call(kind, n):
         "weak-negative",
         "weak-fraction",
         "overlap-zero",
+        "overlap-string",
         "qfi-zero",
         "qfi-fraction",
         "qfi-grid-fraction",
@@ -219,13 +221,16 @@ def test_qfi_rejects_non_finite_or_zero_inputs():
             qfi_curve(iso, a, phi, [3])
         with pytest.raises(NotTangent):
             qfi_finite(iso, a, phi, 3)
-    for bad_phi in (np.array([np.nan, 1.0]), np.array([np.inf, 0.0]), np.zeros(2)):
+    bad_phis = (np.array([np.nan, 1.0]), np.array([np.inf, 0.0]), np.zeros(2), np.ones(3))
+    for bad_phi in bad_phis:
         with pytest.raises(DimensionMismatch):
             qfi_curve(iso, x, bad_phi, [3])
         with pytest.raises(DimensionMismatch):
             qfi_finite(iso, x, bad_phi, 3)
         with pytest.raises(DimensionMismatch):
             weak_qlan_report(profile, x, -x, 8, phi=bad_phi)
+        with pytest.raises(DimensionMismatch):
+            joint_overlap(iso, iso, bad_phi, 3)
 
 
 def test_retract_rejects_non_tangent():

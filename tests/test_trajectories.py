@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -78,58 +77,6 @@ def test_sampling_is_deterministic_and_batch_invariant():
     for t in range(6):
         rec = sample(iso, profile.rho_ss, 40, meas, seed=5, trial=t)
         assert np.array_equal(rec.outcomes, a[t])
-
-
-def test_thread_count_does_not_change_outcomes():
-    iso = isometry("m2", 0.3)
-    profile = analyze(iso)
-    meas = standard_measurement(2, 1)
-    old = os.environ.get("QMC_THREADS")
-    try:
-        os.environ["QMC_THREADS"] = "1"
-        a, _ = sample_batch(iso, profile.rho_ss, 30, meas, seed=8, trials=8)
-        os.environ["QMC_THREADS"] = "4"
-        b, _ = sample_batch(iso, profile.rho_ss, 30, meas, seed=8, trials=8)
-    finally:
-        if old is None:
-            os.environ.pop("QMC_THREADS", None)
-        else:
-            os.environ["QMC_THREADS"] = old
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("raw", ["0", "-3"])
-def test_thread_count_below_one_is_rejected(raw, monkeypatch):
-    iso = isometry("m1", 0.3)
-    monkeypatch.setenv("QMC_THREADS", raw)
-    with pytest.raises(InvalidCount, match="QMC_THREADS"):
-        sample_batch(iso, analyze(iso).rho_ss, 5, standard_measurement(2, 1), seed=1, trials=4)
-
-
-def test_thread_pool_never_exceeds_cpu_count(monkeypatch):
-    iso = isometry("m1", 0.3)
-    rho = analyze(iso).rho_ss
-    meas = standard_measurement(2, 1)
-    monkeypatch.delenv("QMC_THREADS", raising=False)
-    ref, _ = sample_batch(iso, rho, 20, meas, seed=4, trials=8)
-    seen = []
-    real_pool = trajectories.ThreadPoolExecutor
-
-    def pool(max_workers):
-        # refuse before any thread starts if the cap were ever lost
-        seen.append(max_workers)
-        assert max_workers <= 2
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(trajectories, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("QMC_THREADS", "1000")
-    assert trajectories._thread_count() == 2
-    out, _ = sample_batch(iso, rho, 20, meas, seed=4, trials=8)
-    assert seen == [2]
-    assert np.array_equal(out, ref)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert trajectories._thread_count() == 1
 
 
 def test_swap_chain_alternates_deterministically():
@@ -250,7 +197,7 @@ def test_sampler_memory_stays_near_the_output():
     assert peak <= 1.25 * outcomes.nbytes, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_counts_are_validated(monkeypatch):
+def test_counts_are_validated():
     iso = isometry("m1", 0.3)
     profile = analyze(iso)
     meas = standard_measurement(2, 1)
@@ -268,9 +215,6 @@ def test_counts_are_validated(monkeypatch):
         run_estimator("m1", 0.3, n=10, trials=1, seed=1)
     with pytest.raises(InvalidCount):
         fluctuation_stats(iso, profile, np.diag([1.0, 0.0]), n=10, trials=1, seed=1)
-    monkeypatch.setenv("QMC_THREADS", "two")
-    with pytest.raises(InvalidCount, match="QMC_THREADS"):
-        sample_batch(iso, profile.rho_ss, 5, meas, seed=1, trials=4)
 
 
 def test_block_measurement_rejects_non_finite_vectors():
@@ -303,6 +247,33 @@ def test_sampler_seeds_and_counts_must_be_non_negative_integers(label, bad):
             sample_batch(iso, rho, args["n_blocks"], meas, args["seed"], 3)
     with pytest.raises(InvalidCount):
         sample(iso, rho, args["n_blocks"], meas, args["seed"], trial=args["trial"])
+
+
+BAD_STATS_COUNTS = [
+    ("stats-float-n", "stats", dict(n=1.7), InvalidCount),
+    ("stats-string-n", "stats", dict(n="x"), InvalidCount),
+    ("stats-string-trials", "stats", dict(trials="x"), InvalidCount),
+    ("stats-n-below-block", "stats", dict(n=1, block=2), DimensionMismatch),
+    ("estimator-float-n", "estimator", dict(n=1.7), InvalidCount),
+    ("estimator-string-n", "estimator", dict(n="x"), InvalidCount),
+    ("estimator-string-trials", "estimator", dict(trials="x"), InvalidCount),
+]
+
+
+@pytest.mark.parametrize(
+    "label,path,bad,error", BAD_STATS_COUNTS, ids=[c[0] for c in BAD_STATS_COUNTS]
+)
+def test_sampled_statistics_read_counts_as_integers(label, path, bad, error):
+    args = dict(n=10, trials=4, block=1)
+    args.update(bad)
+    n, trials, b = args["n"], args["trials"], args["block"]
+    iso = isometry("m3", 0.3)
+    q = np.kron(np.eye(2 ** (b - 1)), np.diag([1.0, 0.0]))
+    with pytest.raises(error):
+        if path == "estimator":
+            run_estimator("m3", 0.3, n=n, trials=trials, seed=1, block=b)
+        else:
+            fluctuation_stats(iso, analyze(iso), q, n=n, trials=trials, seed=1)
 
 
 def test_sampler_accepts_numpy_integers():
