@@ -82,7 +82,7 @@ class SpectralProfile:
 
     ``resolvent_cond``, the 2-norm condition number of the restricted
     resolvent behind ``gauge.restricted_resolvent_solve``, is computed on
-    first read too, by ``gauge._restricted_cond`` from a fresh transfer
+    first read too, by :func:`_restricted_cond` from a fresh transfer
     matrix, and kept.  The solve itself checks a cheap probabilistic bound
     against the cap and reads this value only when the bound exceeds the
     cap or is not finite, or the system is singular.  An irreducible
@@ -138,8 +138,6 @@ class SpectralProfile:
     @property
     def resolvent_cond(self):
         if self._resolvent_cond is None:
-            from .gauge import _restricted_cond
-
             self.require_irreducible()
             r = herm_coords(self.rho_ss).real
             self._resolvent_cond = _restricted_cond(real_transfer(self.iso).T, r)
@@ -148,6 +146,29 @@ class SpectralProfile:
     def require_irreducible(self):
         if not self.is_irreducible:
             raise NotIrreducible(self.diagnostics.get("reason", "chain is not irreducible"))
+
+
+def _restricted_cond(th, r):
+    """2-norm condition number of B* (1 - T) B for an orthonormal basis B of
+    {x : Tr(rho_ss x) = 0}.
+
+    ``th`` is the real Heisenberg matrix and ``r`` the real coordinates of
+    rho_ss, both in the Hermitian basis; that basis is orthonormal, so the
+    singular values are those of the vec form.  With u = r / ||r||, the
+    singular values of M = (1 - T)(1 - u u^T) are those of B* (1 - T) B
+    plus one structural zero (u^T is a left null vector of 1 - T), so no
+    basis is formed and one values-only SVD of M gives
+    sigma_max / sigma_min+, its largest over its second smallest value.
+    """
+    n = th.shape[0]
+    if n < 2:  # d = 1: the subspace is {0}
+        return 1.0
+    u = r / np.linalg.norm(r)
+    m = np.multiply.outer(th @ u - u, u)
+    m -= th
+    m[np.diag_indices(n)] += 1.0
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[0] / s[-2])
 
 
 def _canonical_z(u_raw, p):

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ergodic
 from .channels import Isometry, real_transfer, sandwich_map
 from .errors import (
     DimensionMismatch,
@@ -147,13 +148,11 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
         )
     if iso1.k != iso2.k:
         raise UnitDimMismatch(f"unit dimensions differ ({iso1.k} vs {iso2.k})")
-    from .ergodic import analyze
-
     # iso2 is analysed too: a witness within 1e-6 does not make a chain
     # near the reducible boundary share iso1's verdict
     profiles = []
     for iso in (iso1, iso2):
-        prof = analyze(iso)
+        prof = ergodic.analyze(iso)
         if not prof.is_irreducible:
             raise NotIrreducible(prof.diagnostics.get("reason", "input chain not irreducible"))
         profiles.append(prof)
@@ -253,8 +252,6 @@ def _kraus_peripheral(iso1, iso2, p, tol):
     below ``_CERTIFY_TOL_FLOOR``, a chain below ``_CERTIFY_MIN_D``, a
     non-finite iterate and a spent budget are undecided.
     """
-    from . import ergodic
-
     d = iso1.d
     if d < ergodic._CERTIFY_MIN_D or tol < ergodic._CERTIFY_TOL_FLOOR:
         return None
@@ -400,59 +397,11 @@ def _dmu_raw(iso, theta_c, kgen):
     return theta_c * v - np.kron(kgen, np.eye(iso.k)) @ v + v @ kgen
 
 
-# Largest e_max / e_1 of the Gram spectrum trusted for the condition number,
-# i.e. cond <= 100.  The squared route loses accuracy like eps * cond^2:
-# against the SVD it reads 1.2e-13 relative at cond 25, 8.5e-12 at 240 and
-# 1.1e-9 at 2700.
-_GRAM_RATIO_MAX = 1e4
-_GRAM_ROWS = 128  # rows per step of the rank-one update, bounding its temporary
 _COND_CAP = 1e12  # largest condition number restricted_resolvent_solve accepts
 # Gaussian probe columns of the condition bound, and their seed.  Any fixed
 # seed will do; with r probes the bound fails with probability at most 10^-r.
 _PROBES = 10
 _PROBE_SEED = 20251019
-
-
-def _restricted_cond(th, r):
-    """2-norm condition number of B* (1 - T) B for an orthonormal basis B of
-    {x : Tr(rho_ss x) = 0}.
-
-    ``th`` is the real Heisenberg matrix and ``r`` the real coordinates of
-    rho_ss, both in the Hermitian basis; that basis is orthonormal, so the
-    singular values are those of the vec form.  With u = r / ||r||, the
-    singular values of M = (1 - T)(1 - u u^T) are those of B* (1 - T) B
-    plus one structural zero (u^T is a left null vector of 1 - T), so no
-    basis is formed.
-
-    The singular values are read as square roots of the eigenvalues e of
-    M M^T = (1 - T)(1 - T^T) - mu mu^T, mu = (1 - T) u, whose smallest one
-    is the structural zero.  T T^T is one symmetric rank-k product of the
-    caller's matrix, so M is not formed and the Gram is the only n x n
-    array held beside the copy ``eigvalsh`` makes.  When e_max / e_1
-    exceeds ``_GRAM_RATIO_MAX`` the squared route is no longer accurate to
-    1e-10, and a values-only SVD of M runs instead.
-    """
-    n = th.shape[0]
-    if n < 2:  # d = 1: the subspace is {0}
-        return 1.0
-    u = r / np.linalg.norm(r)
-    mu = u - th @ u
-    diag = np.arange(n)
-    g = th @ th.T
-    g -= th
-    g -= th.T
-    g[diag, diag] += 1.0
-    for lo in range(0, n, _GRAM_ROWS):
-        g[lo : lo + _GRAM_ROWS] -= np.multiply.outer(mu[lo : lo + _GRAM_ROWS], mu)
-    e = np.linalg.eigvalsh(g)
-    del g
-    if e[1] > 0 and e[-1] <= _GRAM_RATIO_MAX * e[1]:
-        return float(np.sqrt(e[-1] / e[1]))
-    m = np.multiply.outer(-mu, u)
-    m -= th
-    m[diag, diag] += 1.0
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0] / s[-2])
 
 
 def _probes(r):

@@ -280,12 +280,17 @@ def gram_deficiency_bound(gram_a, gram_b, groups=None):
     """
     gram_a = np.asarray(gram_a, dtype=complex)
     gram_b = np.asarray(gram_b, dtype=complex)
-    if gram_a.shape != gram_b.shape or gram_a.shape[0] != gram_a.shape[1]:
+    if gram_a.shape != gram_b.shape or gram_a.ndim != 2 or gram_a.shape[0] != gram_a.shape[1]:
         raise DimensionMismatch(
             f"Gram shapes {gram_a.shape} and {gram_b.shape} must match and be square"
         )
+    n = gram_a.shape[0]
     if groups is None:
-        groups = [[i] for i in range(gram_a.shape[0])]
+        groups = [[i] for i in range(n)]
+    for grp in groups:
+        for i in grp:
+            if not 0 <= as_integer("component index", i) < n:
+                raise IndexOutOfRange(f"component index {i} outside 0..{n - 1}")
     states_a, ea = _embedded_states(gram_a, groups)
     states_b, eb = _embedded_states(gram_b, groups)
     c = eb @ np.linalg.pinv(ea)

@@ -50,15 +50,9 @@ def vec(x):
     return np.asarray(x).reshape(-1, order="F")
 
 
-def unvec(v, shape=None):
-    """Inverse of :func:`vec`. Square target inferred when ``shape`` is None."""
-    v = np.asarray(v)
-    if shape is None:
-        n = int(round(np.sqrt(v.size)))
-        if n * n != v.size:
-            raise DimensionMismatch(f"cannot unvec length {v.size} into a square matrix")
-        shape = (n, n)
-    return v.reshape(shape, order="F")
+def unvec(v, shape):
+    """Inverse of :func:`vec`: ``v`` as a matrix of ``shape``."""
+    return np.asarray(v).reshape(shape, order="F")
 
 
 _RSQRT2 = 1.0 / np.sqrt(2.0)

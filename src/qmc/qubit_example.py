@@ -63,6 +63,7 @@ def theta_interval(model):
 
 def reference_theta(model):
     """Parameter value at which the golden tangent data is quoted."""
+    theta_interval(model)  # DimensionMismatch for an unknown model
     return {"m1": 0.3, "m2": 0.0, "m3": 0.0}[model]
 
 
@@ -318,9 +319,12 @@ def closed_form_qfi_rate(theta):
 
     Equals 4 Tr(rho_ss A* A) with the golden tangent, which is entirely
     identifiable (v* A = 0); see consistency_notes for the rejected
-    variant formula.
+    variant formula.  OutOfInterval where it is undefined: |th| >= 1/2 or
+    th not finite.
     """
     theta = float(theta)
+    if not abs(theta) < 0.5:
+        raise OutOfInterval(f"closed-form m1 QFI rate needs |theta| < 1/2; theta = {theta}")
     return 2.0 * (
         16.0 * theta**2 / (1.0 - 4.0 * theta**2)
         + 5.0

@@ -36,6 +36,7 @@ from .errors import (
     IndexOutOfRange,
     NotHermitian,
     NotTangent,
+    OutOfInterval,
     RetractionFailure,
     SizeCap,
     as_integer,
@@ -191,7 +192,10 @@ def retract(iso, x, t):
     first order.  Larger defects raise RetractionFailure.
     """
     x = _as_matrix(iso, x)
-    t = float(t)
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise OutOfInterval(f"t = {t!r} is not a number") from None
     m = iso.v + 1j * t * x
     defect = dag(m) @ m - np.eye(iso.d) - t * t * (dag(x) @ x)
     if not (np.linalg.norm(defect) <= 1e-6 * max(1.0, abs(t) * np.linalg.norm(x))):
@@ -313,17 +317,15 @@ def _qfi_accumulate(iso, a, phi, nmax):
 
 def qfi_finite(iso, a, phi, n):
     """Quantum Fisher information of the joint state at time n."""
-    n = as_integer("n", n)
-    if n < 1:
-        raise DimensionMismatch("n must be >= 1")
+    n = as_integer("n", n, 1)
     return float(_qfi_accumulate(iso, a, phi, n)[-1])
 
 
 def qfi_curve(iso, a, phi, n_values):
     """F_n on a grid of n values, sharing the transfer-operator sweeps."""
-    n_values = [as_integer("n", n) for n in n_values]
-    if not n_values or min(n_values) < 1:
-        raise DimensionMismatch("n grid must contain positive integers")
+    n_values = [as_integer("n", n, 1) for n in n_values]
+    if not n_values:
+        raise DimensionMismatch("n grid must not be empty")
     f = _qfi_accumulate(iso, a, phi, max(n_values))
     return np.array([f[n - 1] for n in n_values])
 
@@ -460,7 +462,6 @@ def asymptotic_variance(profile, q, details=False, cap=DEFAULT_TENSOR_CAP):
         "c0": c0,
         "lags": lags,
         "tail": tail,
-        "resolvent_cond": profile.resolvent_cond,
         "block": b,
     }
 

@@ -72,6 +72,7 @@ class BlockMeasurement:
 
 def standard_measurement(k, b=1):
     """Computational-basis measurement on a block of b units."""
+    b = as_integer("b", b, 1)
     return BlockMeasurement(np.eye(k**b, dtype=complex), k)
 
 

@@ -138,7 +138,7 @@ def sandwich_map_kron(iso1, iso2):
 def stationary_state_eig(iso):
     """rho_ss from the eigenvector of T_s closest to eigenvalue 1."""
     evals, evecs = np.linalg.eig(channel(iso, "schrodinger").m)
-    rho = herm_part(unvec(evecs[:, int(np.argmin(np.abs(evals - 1.0)))]))
+    rho = herm_part(unvec(evecs[:, int(np.argmin(np.abs(evals - 1.0)))], (iso.d, iso.d)))
     return rho / np.trace(rho).real
 
 
@@ -148,7 +148,7 @@ def peripheral_eig(iso, p):
         return np.eye(iso.d, dtype=complex), [np.eye(iso.d, dtype=complex)]
     gamma = np.exp(2j * np.pi / p)
     hvals, hvecs = np.linalg.eig(channel(iso, "heisenberg").m)
-    u = unvec(hvecs[:, int(np.argmin(np.abs(hvals - gamma)))])
+    u = unvec(hvecs[:, int(np.argmin(np.abs(hvals - gamma)))], (iso.d, iso.d))
     return _canonical_z(u, p)
 
 

@@ -125,3 +125,53 @@ def test_scan_finds_an_environment_read():
         "def f():\n    return os.environ.get('X'), os.getenv('Y'), os.path.sep\n"
     )
     assert _environment_reads(tree) == [(2, "getenv"), (5, "os.environ"), (5, "os.getenv")]
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _unloaded_private_names(trees):
+    """(file, line, name) for each private module-level name that the trees,
+    a {file: tree} dict, define but never load.  A load is a ``Name`` read,
+    an attribute of that name or an import of it; leading underscore,
+    dunders excepted, marks private."""
+    defined, loaded = [], set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(file, node.lineno, name) for name in names if _private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    return [entry for entry in defined if entry[2] not in loaded]
+
+
+def test_every_private_name_is_loaded():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert not _unloaded_private_names(trees)
+
+
+def test_scan_finds_an_unloaded_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "__all__ = []\n_A, _B = 1, 2\n_C: int = 3\n_D = 4\n\n"
+            "def _f():\n    return _A\n\nclass _K:\n    pass\n"
+        ),
+        "b.py": ast.parse("from a import _f\nimport a\n\nx = a._C + _f()\n"),
+    }
+    assert _unloaded_private_names(trees) == [
+        ("a.py", 2, "_B"),
+        ("a.py", 4, "_D"),
+        ("a.py", 9, "_K"),
+    ]

@@ -9,11 +9,13 @@ from qmc.errors import (
     NotHermitian,
     NotIrreducible,
     NotTangent,
+    OutOfInterval,
     RetractionFailure,
     UnitDimMismatch,
 )
 from qmc.ergodic import analyze, output_state
 from qmc.gauge import split, tangent_inner
+from qmc.gaussian import gram_deficiency_bound
 from qmc.linalg import dag
 from qmc.qubit_example import (
     closed_form_mean,
@@ -22,6 +24,7 @@ from qmc.qubit_example import (
     golden_tangent,
     isometry,
     measurement,
+    reference_theta,
 )
 from qmc.statmodel import (
     DeformedChannel,
@@ -39,6 +42,7 @@ from qmc.statmodel import (
     weak_qlan_curve,
     weak_qlan_report,
 )
+from qmc.trajectories import standard_measurement
 
 import oracles
 
@@ -141,9 +145,10 @@ def _count_call(kind, n):
         ("weak_qlan_report", 2.5, InvalidCount),
         ("joint_overlap", 0, InvalidCount),
         ("joint_overlap", "3", InvalidCount),
-        ("qfi_finite", 0, DimensionMismatch),
+        ("qfi_finite", 0, InvalidCount),
         ("qfi_finite", 2.5, InvalidCount),
         ("qfi_curve", 2.5, InvalidCount),
+        ("qfi_curve", 0, InvalidCount),
         ("window_variance", 2.5, InvalidCount),
         ("window_variance", np.nan, InvalidCount),
         ("dilation", -1, InvalidCount),
@@ -162,6 +167,7 @@ def _count_call(kind, n):
         "qfi-zero",
         "qfi-fraction",
         "qfi-grid-fraction",
+        "qfi-grid-zero",
         "window-fraction",
         "window-nan",
         "dilation-negative",
@@ -172,6 +178,29 @@ def _count_call(kind, n):
 def test_n_step_functionals_reject_bad_counts(kind, n, error):
     with pytest.raises(error):
         _count_call(kind, n)
+
+
+BAD_INPUTS = [
+    ("measurement-negative-block", lambda: standard_measurement(2, -1), InvalidCount),
+    ("measurement-fractional-block", lambda: standard_measurement(2, 1.5), InvalidCount),
+    ("retract-string-t", lambda: retract(isometry("m1", 0.3), np.zeros((4, 2)), "x"), OutOfInterval),
+    ("deficiency-vector-gram", lambda: gram_deficiency_bound(np.ones(3), np.ones(3)), DimensionMismatch),
+    (
+        "deficiency-group-index",
+        lambda: gram_deficiency_bound(np.eye(2), np.eye(2), [[5]]),
+        IndexOutOfRange,
+    ),
+    ("closed-form-rate-pole", lambda: closed_form_qfi_rate(0.5), OutOfInterval),
+    ("closed-form-rate-nan", lambda: closed_form_qfi_rate(np.nan), OutOfInterval),
+    ("reference-theta-unknown-model", lambda: reference_theta("m9"), DimensionMismatch),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label,call,error", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_inputs_raise_typed_errors(label, call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_n_step_functionals_accept_numpy_integers():
@@ -221,6 +250,8 @@ def test_qfi_rejects_non_finite_or_zero_inputs():
             qfi_curve(iso, a, phi, [3])
         with pytest.raises(NotTangent):
             qfi_finite(iso, a, phi, 3)
+    with pytest.raises(DimensionMismatch):
+        qfi_curve(iso, x, phi, [])
     bad_phis = (np.array([np.nan, 1.0]), np.array([np.inf, 0.0]), np.zeros(2), np.ones(3))
     for bad_phi in bad_phis:
         with pytest.raises(DimensionMismatch):
@@ -308,7 +339,7 @@ def test_variance_details_at_swap_point():
     assert abs(det["sigma2"]) < 1e-12
     assert abs(det["c0"] - 0.25) < 1e-12
     assert abs(det["tail"] - (-0.125)) < 1e-12
-    assert abs(det["resolvent_cond"] - 2.0) < 1e-9
+    assert abs(profile.resolvent_cond - 2.0) < 1e-9
     assert det["lags"] == []
     # the exact finite window variance vanishes at even n as well
     assert abs(finite_window_variance(profile, np.diag([1.0, 0.0]), 64)) < 1e-12
