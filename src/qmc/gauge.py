@@ -61,6 +61,7 @@ from .linalg import (
     dag,
     herm_coords,
     herm_vec,
+    over_cap,
     proj_distance,
     unvec,
 )
@@ -517,8 +518,7 @@ def split(profile, a):
         raise DimensionMismatch(
             f"tangent shape {a.shape}, expected {iso.v.shape} or (m, *{iso.v.shape}), m >= 1"
         )
-    if not np.isfinite(stack).all():
-        raise NotTangent("tangent has non-finite entries")
+    _check_tangent_entries(stack)
     first = {}  # bytes of a member -> its index among the distinct members
     slot = [first.setdefault(t.tobytes(), len(first)) for t in stack]
     thetas, rhs = [], []
@@ -548,6 +548,14 @@ def _as_matrix(iso, a):
     if a.shape != iso.v.shape:
         raise DimensionMismatch(f"tangent shape {a.shape}, expected {iso.v.shape}")
     return a
+
+
+def _check_tangent_entries(a):
+    """NotTangent unless every entry of ``a`` is finite and within ``linalg.ENTRY_CAP``."""
+    if not np.isfinite(a).all():
+        raise NotTangent("tangent has non-finite entries")
+    if over_cap(a):
+        raise NotTangent("tangent has an entry beyond 2^400; quadratic functionals would overflow")
 
 
 def _require_identifiable(iso, a):

@@ -285,9 +285,13 @@ def gram_deficiency_bound(gram_a, gram_b, groups=None):
             f"Gram shapes {gram_a.shape} and {gram_b.shape} must match and be square"
         )
     n = gram_a.shape[0]
+    if n == 0:
+        raise DimensionMismatch("Grams must index at least one component")
     if groups is None:
         groups = [[i] for i in range(n)]
     for grp in groups:
+        if not np.iterable(grp):
+            raise DimensionMismatch(f"group {grp!r} is not a list of component indices")
         for i in grp:
             if not 0 <= as_integer("component index", i) < n:
                 raise IndexOutOfRange(f"component index {i} outside 0..{n - 1}")

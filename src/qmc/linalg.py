@@ -29,7 +29,15 @@ __all__ = [
     "proj_distance",
     "bordered_solve",
     "bordered_eigvec",
+    "ENTRY_CAP",
+    "over_cap",
 ]
+
+# Largest real or imaginary part accepted in a tangent or an observable.  The
+# functionals of either are at most quadratic in it, so their squares stay
+# below 2^800 and leave 2^223 of headroom for the sums over steps, lags and
+# matrix entries that follow.
+ENTRY_CAP = 2.0**400
 
 
 def dag(a):
@@ -53,6 +61,12 @@ def vec(x):
 def unvec(v, shape):
     """Inverse of :func:`vec`: ``v`` as a matrix of ``shape``."""
     return np.asarray(v).reshape(shape, order="F")
+
+
+def over_cap(x):
+    """True when some real or imaginary part of the finite array x exceeds ENTRY_CAP."""
+    x = np.asarray(x)
+    return bool(max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0)) > ENTRY_CAP)
 
 
 _RSQRT2 = 1.0 / np.sqrt(2.0)

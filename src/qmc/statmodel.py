@@ -35,15 +35,20 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotHermitian,
-    NotTangent,
     OutOfInterval,
     RetractionFailure,
     SizeCap,
     as_integer,
 )
-from .gauge import _as_matrix, restricted_resolvent_solve, split, tangent_inner
+from .gauge import (
+    _as_matrix,
+    _check_tangent_entries,
+    restricted_resolvent_solve,
+    split,
+    tangent_inner,
+)
 from .gaussian import _coherent_overlap
-from .linalg import antiherm_part, dag, herm_coords, herm_part, unvec, vec
+from .linalg import antiherm_part, dag, herm_coords, herm_part, over_cap, unvec, vec
 
 __all__ = [
     "DeformedChannel",
@@ -134,6 +139,8 @@ class LocalObservable:
             raise SizeCap(f"block length {b} exceeds the configured maximum {_MAX_BLOCK}")
         if not np.isfinite(q).all():
             raise NotHermitian("local observable has non-finite entries")
+        if over_cap(q):
+            raise NotHermitian("local observable has an entry beyond 2^400; moments would overflow")
         if not (np.linalg.norm(q - dag(q)) <= 1e-12 * max(1.0, np.linalg.norm(q))):
             raise NotHermitian("local observable must be Hermitian")
         object.__setattr__(self, "q", q)
@@ -264,22 +271,101 @@ def weak_qlan_error(profile, x, y, n, phi=None):
     return weak_qlan_report(profile, x, y, n, phi=phi)["error"]
 
 
-def _qfi_accumulate(iso, a, phi, nmax):
-    """F_n for n = 1..nmax along the polar curve through ``a``.
+class _Lower:
+    """The block matrix [[r, 0], [h, r]] acting on stacked coordinates (top, bottom).
+
+    Its products keep the form, [[r_1 r_2, 0], [h_1 r_2 + r_1 h_2, r_1 r_2]], so
+    a squaring costs three products of the blocks and a step one r-product
+    of both halves plus one h-product, against eight and four for the dense
+    matrix of twice the side.
+    """
+
+    __array_ufunc__ = None  # ndarray @ _Lower calls __rmatmul__
+
+    def __init__(self, r, h):
+        self.r, self.h = r, h
+        self.shape = (2 * len(r),) * 2
+
+    def __matmul__(self, other):
+        """The product with another _Lower, or the image of a vector of length 2 len(r)."""
+        if isinstance(other, _Lower):
+            return _Lower(self.r @ other.r, self.h @ other.r + self.r @ other.h)
+        half = len(self.r)
+        out = (other.reshape(2, half) @ self.r.T).reshape(-1)  # r top, r bottom
+        out[half:] += self.h @ other[:half]
+        return out
+
+    def __rmatmul__(self, rows):
+        left, right = np.hsplit(rows, 2)
+        return np.hstack([left @ self.r + right @ self.h, right @ self.r])
+
+
+_ORBIT_LEVELS = 8  # a chunk is at most 2^8 steps
+_ORBIT_BLOCK = 2**_ORBIT_LEVELS  # steps read out per yielded block
+
+
+def _orbit_chunk(size):
+    """Steps per chunk for an operator of side ``size``: 2^j, j the largest
+    j <= 8 with j size <= 2^j, so that the j squarings cost at most the flops
+    of 2^j plain steps.  That is 256 up to size 32 and 1 above."""
+    return 2 ** max(j for j in range(_ORBIT_LEVELS + 1) if j * size <= 2**j)
+
+
+def _orbit(a, z0, count, readout):
+    """Yield readout @ a^i z0 for i < count as (rows, <= 256) blocks, in order of i.
+
+    With chunk length c = ``_orbit_chunk(a.shape[0])``, the readout rows
+    readout @ a^i for i < c are built once by doubling, [L, L a^(2^l)] with one
+    squaring of a per level, and so is a^c.  Each block then advances its
+    chunk starts z <- a^c z, 256 / c of them, and reads every step of the
+    block off them with one product (L stacked) @ (starts).  The chunk length
+    depends on a.shape alone and every block is read by a product of one
+    shape, so a step's value does not depend on ``count``.  Memory is the
+    (rows c) x size stack L, a^c and one block of 256 steps, whatever
+    ``count`` is.  ``a`` is a square ndarray or a :class:`_Lower`.
+    """
+    if count < 1:
+        return
+    chunk = _orbit_chunk(a.shape[0])
+    rows, power = readout, a
+    while len(rows) < chunk * len(readout):
+        rows = np.concatenate([rows, rows @ power])
+        power = power @ power
+    starts = np.zeros((_ORBIT_BLOCK // chunk, len(z0)))  # one chunk start per row
+    z = z0
+    for done in range(0, count, _ORBIT_BLOCK):
+        steps = min(_ORBIT_BLOCK, count - done)
+        for t in range(-(-steps // chunk)):
+            starts[t] = z
+            z = power @ z
+        # [t, i, row] is readout[row] @ a^i of start t, the step t chunk + i of the block
+        vals = (starts @ rows.T).reshape(len(starts), chunk, len(readout)).transpose(2, 0, 1)
+        yield vals.reshape(len(readout), _ORBIT_BLOCK)[:, :steps]
+
+
+def _qfi_sweep(iso, a, phi, n_values):
+    """F_n at each n of ``n_values`` (positive ints) along the polar curve through ``a``.
 
     Three-term expansion of 4(||dPsi||^2 - |<Psi|dPsi>|^2): a local term,
     a cross term summing transfer-operator images of v* a over all time
     lags, and the mean-phase subtraction.  With rho_i = T_s^i(phi phi*)
     and sigma_i = Tr_K(a_eff rho_i v*), the cross term of F_n is
     sum_{j<=n-2} Tr(H_j b), H_j = T_s(H_{j-1}) + Herm(sigma_j) the Hermitian
-    part of W_j = T_s(W_{j-1}) + sigma_j.  One real sweep over the Hermitian
-    coordinates of rho_i and H_j gives every F_n in O(nmax d^4) time, with
-    memory independent of nmax.
+    part of W_j = T_s(W_{j-1}) + sigma_j.  On real Hermitian coordinates the
+    pair (rho_i, H_{i-1}) is the orbit of [[R, 0], [H_sigma, R]], and the
+    three traces are its read-out rows.  :func:`_orbit` yields them 256
+    steps at a time by chunked doubling, with chunks of 256 steps up to
+    d = 4 and of one step above (its size rule), and the local, phase and
+    cross sums carry across blocks by one cumsum each, adding left to right
+    as a running total would; F_n is formed only at the requested n.  Time
+    is O(max(n) d^4) at most, and memory O(d^4 + 256 d^2 + len(n_values)),
+    whatever max(n) is.  Step i of chunk t reads (readout a^i)(a^(c t) z_0),
+    c the chunk length, instead of i + c t single steps, which moves the
+    last digits only.
     """
     d = iso.d
     a = _as_matrix(iso, a)
-    if not np.isfinite(a).all():
-        raise NotTangent("tangent has non-finite entries")
+    _check_tangent_entries(a)
     phi = _unit_vector(phi, d)
     v = iso.v
     h = dag(v) @ a
@@ -291,34 +377,31 @@ def _qfi_accumulate(iso, a, phi, nmax):
     # of two nearest ||K|| / ||A||, keeps both stacks of one size, so only roundoff is lost
     s = 2.0 ** np.round(np.log2(np.linalg.norm(kr) / (np.linalg.norm(ar) or 1.0)))
     hs = (kraus_real_matrix(kr + s * ar) - kraus_real_matrix(kr - s * ar)) / (4.0 * s)
-    r = real_transfer(iso)
-    # traces read Tr(y z) = herm_coords(y) . herm_coords(z)
-    rows = herm_coords(np.stack([dag(a_eff) @ a_eff, b])).real
-
-    state = np.zeros((d * d, 2))  # columns: coordinates of rho_i, H_{i-1}
-    state[:, 0] = herm_coords(np.outer(phi, phi.conj())).real
-    local = 0.0
-    phase = 0.0
-    cross = 0.0
-    f = np.empty(nmax)
-    for i in range(nmax):
-        # [[Tr(rho_i a_eff* a_eff), -], [Tr(rho_i b), Tr(H_{i-1} b)]]
-        (tr_local, _), (tr_rho_b, tr_h_b) = (rows @ state).tolist()
-        local += tr_local
-        phase += tr_rho_b
-        cross += tr_h_b
-        f[i] = 4.0 * (local + 2.0 * cross - phase**2)
-        if i + 1 < nmax:
-            rho = state[:, 0]
-            state = r @ state
-            state[:, 1] += hs @ rho
+    # traces read Tr(y z) = herm_coords(y) . herm_coords(z); the rows give
+    # Tr(rho_i a_eff* a_eff), Tr(rho_i b) and Tr(H_{i-1} b)
+    dd = d * d
+    readout = np.zeros((3, 2 * dd))
+    readout[:2, :dd] = herm_coords(np.stack([dag(a_eff) @ a_eff, b])).real
+    readout[2, dd:] = readout[1, :dd]
+    z0 = np.zeros(2 * dd)  # rho_0 = phi phi*, H_{-1} = 0
+    z0[:dd] = herm_coords(np.outer(phi, phi.conj())).real
+    ns = np.array(n_values)
+    f = np.empty(len(ns))
+    sums = np.zeros((3, 1))  # local, phase, cross over the steps so far
+    done = 0
+    for vals in _orbit(_Lower(real_transfer(iso), hs), z0, int(ns.max()), readout):
+        sums = np.cumsum(np.concatenate([sums[:, -1:], vals], axis=1), axis=1)
+        hit = (ns > done) & (ns <= done + vals.shape[1])
+        local, phase, cross = sums[:, ns[hit] - done]
+        f[hit] = 4.0 * (local + 2.0 * cross - phase**2)
+        done += vals.shape[1]
     return f
 
 
 def qfi_finite(iso, a, phi, n):
     """Quantum Fisher information of the joint state at time n."""
     n = as_integer("n", n, 1)
-    return float(_qfi_accumulate(iso, a, phi, n)[-1])
+    return float(_qfi_sweep(iso, a, phi, [n])[0])
 
 
 def qfi_curve(iso, a, phi, n_values):
@@ -326,8 +409,7 @@ def qfi_curve(iso, a, phi, n_values):
     n_values = [as_integer("n", n, 1) for n in n_values]
     if not n_values:
         raise DimensionMismatch("n grid must not be empty")
-    f = _qfi_accumulate(iso, a, phi, max(n_values))
-    return np.array([f[n - 1] for n in n_values])
+    return _qfi_sweep(iso, a, phi, n_values)
 
 
 def qfi_report(profile, a, phi, n_values):
@@ -470,8 +552,12 @@ def finite_window_variance(profile, q, n, cap=DEFAULT_TENSOR_CAP):
     """Exact variance of F_n(Q) over the n-unit window (oracle path).
 
     Var F_n = c_0 + 2 sum_{l=1}^{N-1} (1 - l/N) c_l with N = n - b + 1
-    overlapping positions; autocovariances beyond the block are chained
-    through iterated transfer-operator applications.  Converges to
+    overlapping positions.  Autocovariance l >= b is Tr(T*^(l-b)(a - m) sigma_Q),
+    read off the orbit of R^T from the coordinates of a - m by
+    :func:`_orbit`'s chunked doubling: chunks of 256 steps up to d = 5 and
+    of one step above, memory O(256 d^2 + d^4) whatever n is.  Centring a
+    first gives c_l directly, not as a difference with m^2, so the orbit
+    carries no stationary part and its roundoff does not drift with l.  Converges to
     asymptotic_variance as n grows (the triangular weights average out the
     peripheral oscillation).
 
@@ -495,14 +581,12 @@ def finite_window_variance(profile, q, n, cap=DEFAULT_TENSOR_CAP):
         windows.append(nwin)
     longest = max(windows)
     m, a, c0, cs, sigma_q = _block_moments(profile, obs, min(b, longest) - 1, cap)
-    # on Hermitian coordinates, x -> T*(x) is c -> c @ R and Tr(x y) = c(x) . c(y)
-    r = real_transfer(profile.iso)
+    # on Hermitian coordinates, x -> T*(x) is c -> c @ R and Tr(x y) = c(x) . c(y), so
+    # lag l >= b is c R^(l-b) . sq with c = herm_coords(a - m), as Tr(sigma_Q) = m
     sq = herm_coords(sigma_q).real
-    c = herm_coords(a).real
-    for _ in range(b, longest):
-        cs.append(float(c @ sq) - m * m)
-        c = c @ r
-    cs = np.array(cs)
+    c = herm_coords(a - m * np.eye(profile.d)).real
+    tail = _orbit(real_transfer(profile.iso).T, c, longest - b, sq[None])
+    cs = np.concatenate([cs, *(vals[0] for vals in tail)])
     out = []
     for nwin in windows:
         lags = np.arange(1, nwin)

@@ -23,6 +23,13 @@ Heisenberg-summed cross operators, and the variances with one dilation
 compression per autocovariance lag.  The QFI and variance routes cost
 O(n^2) memory and one b-step dilation per lag respectively.
 
+The two sequential references after them are the QFI and window-variance
+sweeps as they were before ``statmodel._orbit`` took over: one interpreter
+step per n, the QFI on two real coordinate columns (rho_i, H_{i-1}) with
+Python running sums, the window variance by c <- c @ R per lag.  They share
+the statmodel set-up (polarised H_sigma, block moments) and differ from the
+fast routes only in how the orbit is stepped and read out.
+
 The sampler route at the end is the earlier trajectory step: three
 ``einsum`` contractions per step on the (t, d, d) batch of conditional
 states, with its own Philox substreams per (seed, trial).
@@ -30,10 +37,18 @@ states, with its own Philox substreams per (seed, trial).
 
 import numpy as np
 
-from qmc.channels import channel, dilation
+from qmc.channels import (
+    DEFAULT_TENSOR_CAP,
+    channel,
+    dilation,
+    kraus_real_matrix,
+    real_transfer,
+)
 from qmc.ergodic import ErgodicTol, _canonical_z
-from qmc.gauge import restricted_resolvent_solve
-from qmc.linalg import antiherm_part, dag, herm_part, herm_vec, unvec, vec
+from qmc.errors import DimensionMismatch, NotTangent, as_integer
+from qmc.gauge import _as_matrix, restricted_resolvent_solve
+from qmc.linalg import antiherm_part, dag, herm_coords, herm_part, herm_vec, unvec, vec
+from qmc.statmodel import LocalObservable, _block_moments, _unit_vector
 
 
 def random_isometry(rng, d, k):
@@ -305,6 +320,103 @@ def finite_window_variance_per_lag(profile, q, b, n):
     for l, c in enumerate(cs, start=1):
         total += 2.0 * (1.0 - l / nwin) * c
     return float(total)
+
+
+def qfi_sequential(iso, a, phi, nmax):
+    """F_n for n = 1..nmax, one interpreter step per n.
+
+    Three-term expansion of 4(||dPsi||^2 - |<Psi|dPsi>|^2): a local term,
+    a cross term summing transfer-operator images of v* a over all time
+    lags, and the mean-phase subtraction.  With rho_i = T_s^i(phi phi*)
+    and sigma_i = Tr_K(a_eff rho_i v*), the cross term of F_n is
+    sum_{j<=n-2} Tr(H_j b), H_j = T_s(H_{j-1}) + Herm(sigma_j) the Hermitian
+    part of W_j = T_s(W_{j-1}) + sigma_j.  Each step advances the real
+    coordinates of rho_i and H_{i-1} and adds the three traces to Python
+    running sums; every F_n is kept, so memory grows with nmax.
+    """
+    d = iso.d
+    a = _as_matrix(iso, a)
+    if not np.isfinite(a).all():
+        raise NotTangent("tangent has non-finite entries")
+    phi = _unit_vector(phi, d)
+    v = iso.v
+    h = dag(v) @ a
+    a_eff = a - v @ antiherm_part(h)  # velocity of the polar curve is i a_eff
+    b = herm_part(h)
+    kr = np.stack(iso.kraus)
+    ar = np.stack([a_eff[u :: iso.k] for u in range(iso.k)])
+    # rho -> Herm(sigma) is (M(K + sA) - M(K - sA)) / 4s, M = kraus_real_matrix; s, the power
+    # of two nearest ||K|| / ||A||, keeps both stacks of one size, so only roundoff is lost
+    s = 2.0 ** np.round(np.log2(np.linalg.norm(kr) / (np.linalg.norm(ar) or 1.0)))
+    hs = (kraus_real_matrix(kr + s * ar) - kraus_real_matrix(kr - s * ar)) / (4.0 * s)
+    r = real_transfer(iso)
+    # traces read Tr(y z) = herm_coords(y) . herm_coords(z)
+    rows = herm_coords(np.stack([dag(a_eff) @ a_eff, b])).real
+
+    state = np.zeros((d * d, 2))  # columns: coordinates of rho_i, H_{i-1}
+    state[:, 0] = herm_coords(np.outer(phi, phi.conj())).real
+    local = 0.0
+    phase = 0.0
+    cross = 0.0
+    f = np.empty(nmax)
+    for i in range(nmax):
+        # [[Tr(rho_i a_eff* a_eff), -], [Tr(rho_i b), Tr(H_{i-1} b)]]
+        (tr_local, _), (tr_rho_b, tr_h_b) = (rows @ state).tolist()
+        local += tr_local
+        phase += tr_rho_b
+        cross += tr_h_b
+        f[i] = 4.0 * (local + 2.0 * cross - phase**2)
+        if i + 1 < nmax:
+            rho = state[:, 0]
+            state = r @ state
+            state[:, 1] += hs @ rho
+    return f
+
+
+def finite_window_variance_sequential(profile, q, n, cap=DEFAULT_TENSOR_CAP):
+    """Exact variance of F_n(Q) over the n-unit window, one step c <- c @ R per lag.
+
+    Var F_n = c_0 + 2 sum_{l=1}^{N-1} (1 - l/N) c_l with N = n - b + 1
+    overlapping positions; autocovariances beyond the block are chained
+    through iterated transfer-operator applications.  Converges to
+    asymptotic_variance as n grows (the triangular weights average out the
+    peripheral oscillation).
+
+    ``n`` is one window length, which returns a float, or a sequence of
+    them, which returns a list of floats in the same order, repeats
+    included.  A grid shares one moment build and one lag sweep up to its
+    longest window; each window sums the first N - 1 lags of that sweep in
+    the same order as a lone call, so its value is the same to the bit.
+    """
+    profile.require_irreducible()
+    obs = LocalObservable(q, profile.k)
+    b = obs.block
+    n_values = [n] if np.ndim(n) == 0 else list(n)
+    if not n_values:
+        raise DimensionMismatch("n grid must not be empty")
+    windows = []
+    for n_i in n_values:
+        nwin = as_integer("n", n_i, 0) - b + 1
+        if nwin < 1:
+            raise DimensionMismatch(f"window n = {n_i} shorter than the block {b}")
+        windows.append(nwin)
+    longest = max(windows)
+    m, a, c0, cs, sigma_q = _block_moments(profile, obs, min(b, longest) - 1, cap)
+    # on Hermitian coordinates, x -> T*(x) is c -> c @ R and Tr(x y) = c(x) . c(y)
+    r = real_transfer(profile.iso)
+    sq = herm_coords(sigma_q).real
+    c = herm_coords(a).real
+    for _ in range(b, longest):
+        cs.append(float(c @ sq) - m * m)
+        c = c @ r
+    cs = np.array(cs)
+    out = []
+    for nwin in windows:
+        lags = np.arange(1, nwin)
+        # cumsum adds left to right, as the loop total += term would
+        terms = np.concatenate([[c0], 2.0 * (1.0 - lags / nwin) * cs[: nwin - 1]])
+        out.append(float(np.cumsum(terms)[-1]))
+    return out[0] if np.ndim(n) == 0 else out
 
 
 def _evolve_batch_einsum(km, states, uniforms):

@@ -4,10 +4,13 @@
 from bordered solves, and ``restricted_resolvent_solve`` solves a bordered
 system instead of compressing onto a null-space basis.  ``qfi_curve`` runs
 one forward recurrence on real Hermitian-basis coordinates instead of
-summing antidiagonals of an O(n^2) Gram, and the variances read every non-overlapping covariance off one
-reduced operator sigma_Q instead of one dilation per lag.  The replaced
-routes live in ``oracles``; on fixtures with and without periodicity both
-must agree to 1e-10 relative.  ``resolvent_cond`` comes from one
+summing antidiagonals of an O(n^2) Gram, and the variances read every
+non-overlapping covariance off one reduced operator sigma_Q instead of one
+dilation per lag.  The replaced routes live in ``oracles``; on fixtures
+with and without periodicity both must agree to 1e-10 relative.  Both
+sweeps read their orbit through ``statmodel._orbit``, a chunk of steps per
+product; they must agree to 1e-10 with the one-step-per-n loops they
+replaced at chunk edges, on both sides of the chunk size rule.  ``resolvent_cond`` comes from one
 values-only SVD of the compressed resolvent, which the dense SVD oracle
 pins up to condition number 24000.  It is computed only when read: each
 solve checks the cap with a bound from Gaussian probe columns, which must
@@ -62,7 +65,11 @@ from qmc.gauge import act, equivalence_witness, restricted_resolvent_solve, spli
 from qmc.linalg import bordered_solve, herm_coords, herm_vec, proj_distance
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement, snr_spectral_data
 from qmc.statmodel import (
+    _ORBIT_BLOCK,
     DeformedChannel,
+    _Lower,
+    _orbit,
+    _orbit_chunk,
     asymptotic_variance,
     finite_window_variance,
     qfi_curve,
@@ -217,6 +224,83 @@ def test_qfi_curve_memory_is_bounded_in_n():
         tracemalloc.stop()
     assert np.isfinite(f[0])
     assert peak < 10 * 2**20
+
+
+def test_qfi_curve_peak_memory_does_not_grow_with_n():
+    iso = isometry("m1", 0.3)
+    phi = np.linalg.eigh(analyze(iso).rho_ss)[1][:, -1]
+    a = golden_tangent("m1")[0]
+    tracemalloc.start()
+    try:
+        f = qfi_curve(iso, a, phi, [200000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(f[0])
+    assert peak < 2**20
+
+
+# --------------------------------------------------------------------------
+# orbit read-out by chunked doubling
+
+
+def _edge_counts(chunk):
+    """Counts at the chunk and block edges, where the orbit changes how it reads."""
+    counts = {1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5}
+    counts |= {_ORBIT_BLOCK - 1, _ORBIT_BLOCK, _ORBIT_BLOCK + 1}
+    return sorted(c for c in counts if c >= 1)
+
+
+@pytest.mark.parametrize("size", [4, 32, 33, 64])
+def test_orbit_reads_plain_powers_in_order(size):
+    rng = np.random.default_rng(size)
+    half = size // 2
+    ops = [rng.standard_normal((size, size)) / np.sqrt(size)]
+    if size % 2 == 0:
+        ops.append(_Lower(*(rng.standard_normal((2, half, half)) / np.sqrt(half))))
+    z0 = rng.standard_normal(size)
+    readout = rng.standard_normal((3, size))
+    assert _orbit_chunk(size) == (256 if size <= 32 else 1)
+    for a in ops:
+        dense = a if isinstance(a, np.ndarray) else np.block([[a.r, 0 * a.r], [a.h, a.r]])
+        for count in _edge_counts(_orbit_chunk(size)):
+            got = np.concatenate(list(_orbit(a, z0, count, readout)), axis=1)
+            ref, z = [], z0
+            for _ in range(count):
+                ref.append(readout @ z)
+                z = dense @ z
+            assert got.shape == (3, count)
+            assert _rel(got, np.array(ref).T) <= 1e-12, count
+    assert list(_orbit(ops[0], z0, 0, readout)) == []
+
+
+def _sequential_chains():
+    rng = np.random.default_rng(2029)
+    for d in (2, 4, 8):
+        yield f"random-d{d}k2", Isometry(oracles.random_isometry(rng, d, 2), d, 2)
+    for d in (4, 8):
+        yield f"cyclic-d{d}p2", Isometry(oracles.cyclic_isometry(rng, d, 2, 2), d, 2)
+
+
+SEQUENTIAL_CHAINS = list(_sequential_chains())
+
+
+@pytest.mark.parametrize("label,iso", SEQUENTIAL_CHAINS, ids=[c[0] for c in SEQUENTIAL_CHAINS])
+def test_orbit_sweeps_match_sequential_references(label, iso):
+    rng = np.random.default_rng(iso.d)
+    a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+    phi = rng.standard_normal(iso.d) + 1j * rng.standard_normal(iso.d)
+    counts = _edge_counts(_orbit_chunk(2 * iso.d**2))
+    ref = oracles.qfi_sequential(iso, a, phi, max(counts))
+    assert _rel(qfi_curve(iso, a, phi, counts), ref[np.array(counts) - 1]) <= TOL
+
+    profile = analyze(iso)
+    q = rng.standard_normal((4, 4))
+    q = q + q.T  # two-unit block, so lag l >= 2 is orbit step l - 2
+    windows = [2 + c for c in _edge_counts(_orbit_chunk(iso.d**2))]
+    ref = oracles.finite_window_variance_sequential(profile, q, windows)
+    for n, x, r in zip(windows, finite_window_variance(profile, q, windows), ref):
+        assert _close(x, r), n
 
 
 # --------------------------------------------------------------------------

@@ -180,6 +180,19 @@ def test_n_step_functionals_reject_bad_counts(kind, n, error):
         _count_call(kind, n)
 
 
+def _huge_input(kind):
+    profile = analyze(isometry("m1", 0.3))
+    a = golden_tangent("m1")[0]
+    q = np.diag([1.0, 0.0])
+    if kind == "qfi_curve":
+        return qfi_curve(profile.iso, 1e300 * a, np.array([1.0, 0.0]), [3])
+    if kind == "qfi_rate":
+        return qfi_rate(profile, 1e300 * a)
+    if kind == "window_variance":
+        return finite_window_variance(profile, 1e200 * q, 16)
+    return asymptotic_variance(profile, 1e200 * q)
+
+
 BAD_INPUTS = [
     ("measurement-negative-block", lambda: standard_measurement(2, -1), InvalidCount),
     ("measurement-fractional-block", lambda: standard_measurement(2, 1.5), InvalidCount),
@@ -193,6 +206,25 @@ BAD_INPUTS = [
     ("closed-form-rate-pole", lambda: closed_form_qfi_rate(0.5), OutOfInterval),
     ("closed-form-rate-nan", lambda: closed_form_qfi_rate(np.nan), OutOfInterval),
     ("reference-theta-unknown-model", lambda: reference_theta("m9"), DimensionMismatch),
+    (
+        "deficiency-empty-grams",
+        lambda: gram_deficiency_bound(np.zeros((0, 0)), np.zeros((0, 0))),
+        DimensionMismatch,
+    ),
+    (
+        "deficiency-group-not-a-list",
+        lambda: gram_deficiency_bound(np.eye(2), np.eye(2), [5]),
+        DimensionMismatch,
+    ),
+    ("closed-form-rate-string", lambda: closed_form_qfi_rate("x"), OutOfInterval),
+    ("isometry-string-theta", lambda: isometry("m1", "x"), OutOfInterval),
+    ("measurement-fractional-unit-dim", lambda: standard_measurement(2.5, 1), InvalidCount),
+    ("measurement-negative-unit-dim", lambda: standard_measurement(-1, 1), InvalidCount),
+    # finite but huge inputs: the functionals are quadratic in them and would overflow
+    ("qfi-curve-huge-tangent", lambda: _huge_input("qfi_curve"), NotTangent),
+    ("qfi-rate-huge-tangent", lambda: _huge_input("qfi_rate"), NotTangent),
+    ("window-variance-huge-q", lambda: _huge_input("window_variance"), NotHermitian),
+    ("asymptotic-variance-huge-q", lambda: _huge_input("asymptotic_variance"), NotHermitian),
 ]
 
 
