@@ -143,7 +143,7 @@ def channel(iso, picture="schrodinger"):
     A reference route: the package computes with :func:`real_transfer`.
     """
     if picture not in ("schrodinger", "heisenberg"):
-        raise ValueError(f"unknown picture {picture!r}")
+        raise DimensionMismatch(f"unknown picture {picture!r}")
     kraus = iso.kraus
     d = iso.d
     m = np.zeros((d * d, d * d), dtype=complex)

@@ -94,7 +94,7 @@ def _settings(args, **extra):
 
 
 def _model_velocity(args):
-    """Tangent for model runs: numeric curve velocity at theta."""
+    """Numeric curve velocity dv/dtheta of the model at theta."""
     h = 1e-6
     lo = qubit_example.isometry(args.model, args.theta - h, strict=False)
     hi = qubit_example.isometry(args.model, args.theta + h, strict=False)
@@ -167,7 +167,8 @@ def cmd_qfi(args):
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
     if args.model is not None:
-        a = _model_velocity(args)
+        # the tangent a whose curve polar(v + i t a) has velocity dv/dtheta
+        a = -1j * _model_velocity(args)
     else:
         a = io.matrix_from_json(io.load_json(args.tangent))
     # deterministic initial state: dominant eigenvector of rho_ss

@@ -13,7 +13,9 @@ not depend on the labeling beyond the cyclic relations above; tests check
 relabeling invariance of everything built on top.
 """
 
-from dataclasses import dataclass, field
+import functools
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import (
     NotHermitian,
     NotIrreducible,
     NotPSD,
+    OutOfInterval,
     PeripheralMismatch,
     as_integer,
 )
@@ -60,8 +63,8 @@ class ErgodicTol:
     def __post_init__(self):
         for name in ("peripheral_band", "faithfulness_floor", "simplicity_gap"):
             val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be positive and finite, got {val!r}")
+            if not (isinstance(val, numbers.Real) and np.isfinite(val) and val > 0):
+                raise OutOfInterval(f"{name} must be a positive finite number, got {val!r}")
 
 
 @dataclass
@@ -74,11 +77,10 @@ class SpectralProfile:
     checks only ``is_irreducible``, ``eigenvalues`` and ``diagnostics``
     are guaranteed to be populated.
 
-    ``eigenvalues`` and the spectral keys of ``diagnostics``
-    (``spectral_gap``, ``distance_to_one``, ``peripheral_deviation``) of a
-    chain whose period the certificate decided without the spectrum,
-    primitive or periodic, are computed on first read, from a fresh
-    transfer matrix, with the dense route's values and key order.
+    ``eigenvalues`` and ``diagnostics`` of a chain whose period the
+    certificate decided without the spectrum are computed on first read,
+    by the dense checks of :func:`_dense_period` on a fresh transfer
+    matrix with the rho_ss already found; the certified verdict stands.
 
     ``resolvent_cond``, the 2-norm condition number of the restricted
     resolvent behind ``gauge.restricted_resolvent_solve``, is computed on
@@ -111,29 +113,19 @@ class SpectralProfile:
 
     @property
     def eigenvalues(self):
-        if self._eigenvalues is None:
-            self._read_spectrum()
-        return self._eigenvalues
+        return self._read_spectrum()[0]
 
     @property
     def diagnostics(self):
-        if self._eigenvalues is None:
-            self._read_spectrum()
-        return self._diagnostics
+        return self._read_spectrum()[1]
 
     def _read_spectrum(self):
-        # only certified profiles get here, with the period the certificate
-        # found; the non-spectral keys are stationary_min_eigenvalue and
-        # reason, and the dense route's order interleaves them
-        evals, self._eigenvalues, on_rim, spectral = _spectrum(real_transfer(self.iso), self.tol)
-        _, worst = _root_deviation(evals[on_rim], self.period)
-        rest = self._diagnostics
-        self._diagnostics = {
-            **spectral,
-            "stationary_min_eigenvalue": rest["stationary_min_eigenvalue"],
-            "peripheral_deviation": worst,
-            "reason": rest["reason"],
-        }
+        if self._eigenvalues is None:  # certified profiles only
+            rho, fresh = self.rho_ss, replace(self, _diagnostics={})
+            _dense_period(fresh, real_transfer(self.iso), lambda: (rho, _min_eigenvalue(rho)))
+            self._eigenvalues = fresh._eigenvalues
+            self._diagnostics = {**fresh._diagnostics, **self._diagnostics}
+        return self._eigenvalues, self._diagnostics
 
     @property
     def resolvent_cond(self):
@@ -422,26 +414,6 @@ def _certify_periodic(a, d, tol, budget, rng, block):
     return 0
 
 
-def _spectrum(r, tol):
-    """Dense spectrum of R: ``(evals, sorted evals, rim mask, diagnostics)``.
-
-    The diagnostics hold ``spectral_gap`` and ``distance_to_one``.
-    """
-    evals = np.linalg.eigvals(r).astype(complex)
-    # modulus descending; conjugate pairs of the real eigensolver tie in
-    # modulus exactly, so the imaginary part and then the real part decide
-    evals_sorted = evals[np.lexsort((-evals.real, -evals.imag, -np.abs(evals)))]
-    mods = np.abs(evals)
-    on_rim = mods >= 1.0 - tol.peripheral_band
-    # a NaN modulus is off the rim, so it reaches the gap instead of hiding
-    dist_to_one = np.abs(evals - 1.0)
-    diagnostics = {
-        "spectral_gap": 1.0 - float(np.max(mods[~on_rim], initial=0.0)),
-        "distance_to_one": float(dist_to_one[int(np.argmin(dist_to_one))]),
-    }
-    return evals, evals_sorted, on_rim, diagnostics
-
-
 def _root_deviation(per, p):
     """(number of p-th roots of unity hit, largest distance to the nearest)."""
     targets = np.exp(2j * np.pi / p) ** np.arange(p)
@@ -463,96 +435,99 @@ def _stationary(r, d):
     return rho / np.trace(rho).real, float(s)
 
 
+def _min_eigenvalue(rho):
+    """Smallest eigenvalue of rho, which the faithfulness check reads."""
+    return float(np.linalg.eigvalsh(rho)[0])
+
+
 def analyze(iso, tol=None):
     """Classify the chain and extract its peripheral spectral data.
 
     One real transfer matrix R (``channels.real_transfer``) is built per
     call: T_s in the Hermitian operator basis, with the Heisenberg matrix
-    R^T.  A chain whose period p :func:`_certify` certifies, whose
-    eigenvalue 1 from the stationary solve is within half the tolerances
-    of 1 and whose stationary state is faithful, is irreducible with
-    period p without the spectrum; its ``eigenvalues`` are computed when
-    read.  Every other chain takes the dense route: a real
-    eigenvalues-only decomposition gives the spectrum, and bordered solves
-    the stationary state and the peripheral eigen-operator, so no
-    eigenvector matrix is ever formed.  Both routes give the same profile.
+    R^T.  The period p comes from :func:`_certify`, or, when the
+    certificate declines, from the dense checks of :func:`_dense_period`.
+    A call makes at most one bordered solve for rho_ss and one
+    faithfulness check of it: first, when the certificate gave p, which
+    stands if the solve puts the eigenvalue of R near 1 within half the
+    tolerances of 1 and rho_ss is faithful (the spectrum is then computed
+    when read); otherwise the dense checks reuse that solve, or make it
+    once eigenvalue 1 is simple, so a reducible chain makes none.  No
+    eigenvector matrix is ever formed; both routes give the same profile.
     """
     if tol is None:
         tol = ErgodicTol()
+    d = iso.d
     r = real_transfer(iso)
-    p = _certify(r, iso.d, tol)
-    if p:
-        profile = _certified_profile(iso, r, tol, p)
-        if profile is not None:
-            return profile
-    return _dense_profile(iso, r, tol)
+    profile = SpectralProfile(iso=iso, d=d, k=iso.k, is_irreducible=False, tol=tol)
 
+    @functools.cache
+    def solve():
+        # (rho, its smallest eigenvalue, the eigenvalue of R near 1), or
+        # None when the bordered system is singular
+        try:
+            rho, s = _stationary(r, d)
+        except np.linalg.LinAlgError:
+            return None
+        return rho, _min_eigenvalue(rho), 1.0 - d * s
 
-def _certified_profile(iso, r, tol, p):
-    """Profile of a chain certified with period p, or None when the dense route must decide."""
-    try:
-        rho, s = _stationary(r, iso.d)
-    except np.linalg.LinAlgError:
-        return None
-    lam = 1.0 - iso.d * s
-    # half the tolerances: the dense eigenvalue 1 differs from lam by
-    # roundoff, far below the floor the certificate puts on them
-    if not (
-        abs(lam - 1.0) <= 0.5 * min(tol.simplicity_gap, _ROOT_DEVIATION)
-        and abs(lam) >= 1.0 - 0.5 * tol.peripheral_band
+    p = _certify(r, d, tol)
+    solved = solve() if p else None
+    # half the tolerances: the dense eigenvalue 1 differs from solved[2]
+    # by roundoff, far below the floor the certificate puts on them
+    if solved is not None and (
+        abs(solved[2] - 1.0) <= 0.5 * min(tol.simplicity_gap, _ROOT_DEVIATION)
+        and abs(solved[2]) >= 1.0 - 0.5 * tol.peripheral_band
+        and solved[1] >= tol.faithfulness_floor
     ):
-        return None
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if not (min_eig >= tol.faithfulness_floor):
-        return None
-    profile = SpectralProfile(
-        iso=iso,
-        d=iso.d,
-        k=iso.k,
-        is_irreducible=False,
-        tol=tol,
-        _diagnostics={"stationary_min_eigenvalue": min_eig},
-    )
-    profile.rho_ss = rho
-    _finish_irreducible(profile, r, p)
+        profile.rho_ss = solved[0]
+    else:
+        p = _dense_period(profile, r, solve)
+    if p:
+        _finish_irreducible(profile, r, p)
     return profile
 
 
-def _dense_profile(iso, r, tol):
-    d = iso.d
-    evals, evals_sorted, on_rim, diagnostics = _spectrum(r, tol)
-    profile = SpectralProfile(
-        iso=iso,
-        d=d,
-        k=iso.k,
-        is_irreducible=False,
-        tol=tol,
-        _eigenvalues=evals_sorted,
-        _diagnostics=diagnostics,
-    )
+def _dense_period(profile, r, solve):
+    """Period p from the dense spectrum of R, or 0 with the reason recorded.
+
+    Sets the profile's sorted spectrum and fills its diagnostics in their
+    key order: ``spectral_gap``, ``distance_to_one``, then, once eigenvalue
+    1 is simple, ``stationary_min_eigenvalue`` and ``rho_ss`` from
+    ``solve()`` (``(rho, smallest eigenvalue, ...)``, or None when
+    singular), then, once rho_ss is faithful, ``peripheral_deviation`` of
+    the rim, which must be the p-th roots of unity.
+    """
+    tol, diagnostics = profile.tol, profile._diagnostics
+    evals = np.linalg.eigvals(r).astype(complex)
+    # modulus descending; conjugate pairs of the real eigensolver tie in
+    # modulus exactly, so the imaginary part and then the real part decide
+    profile._eigenvalues = evals[np.lexsort((-evals.real, -evals.imag, -np.abs(evals)))]
+    mods = np.abs(evals)
+    on_rim = mods >= 1.0 - tol.peripheral_band
+    # a NaN modulus is off the rim, so it reaches the gap instead of hiding
+    dist_to_one = np.abs(evals - 1.0)
+    diagnostics["spectral_gap"] = 1.0 - float(np.max(mods[~on_rim], initial=0.0))
+    diagnostics["distance_to_one"] = float(dist_to_one[int(np.argmin(dist_to_one))])
 
     # eigenvalue 1: simple within the gap?
-    near_one = np.sum(np.abs(evals - 1.0) <= tol.simplicity_gap)
+    near_one = np.sum(dist_to_one <= tol.simplicity_gap)
     if not (diagnostics["distance_to_one"] <= tol.simplicity_gap):
         diagnostics["reason"] = "no eigenvalue within simplicity_gap of 1"
-        return profile
+        return 0
     if near_one > 1:
         diagnostics["reason"] = f"eigenvalue 1 has multiplicity {near_one} within simplicity_gap"
-        return profile
+        return 0
 
-    try:
-        rho, _ = _stationary(r, d)
-    except np.linalg.LinAlgError:
+    solved = solve()
+    if solved is None:
         diagnostics["reason"] = "stationary bordered system is singular"
-        return profile
-    eigs_rho = np.linalg.eigvalsh(rho)
-    diagnostics["stationary_min_eigenvalue"] = float(eigs_rho[0])
-    profile.rho_ss = rho
-    if not (eigs_rho[0] >= tol.faithfulness_floor):
-        diagnostics["reason"] = (
-            f"stationary state not faithful (min eigenvalue {eigs_rho[0]:.3e})"
-        )
-        return profile
+        return 0
+    profile.rho_ss, min_eig = solved[:2]
+    diagnostics["stationary_min_eigenvalue"] = min_eig
+    if not (min_eig >= tol.faithfulness_floor):
+        diagnostics["reason"] = f"stationary state not faithful (min eigenvalue {min_eig:.3e})"
+        return 0
 
     # peripheral spectrum
     per = evals[on_rim]
@@ -569,8 +544,7 @@ def _dense_profile(iso, r, tol):
             f"peripheral set of size {p} does not match the p-th roots of unity "
             f"(max deviation {worst:.3e}); adjust peripheral_band"
         )
-    _finish_irreducible(profile, r, p)
-    return profile
+    return p
 
 
 def _finish_irreducible(profile, r, p):

@@ -155,10 +155,9 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     ``rhs`` is one right-hand side of length n, or an (n, m) block of m
     columns, all solved against one LU; ``tail`` is then a scalar or m
     values, and x comes back as (n, m) and s as m values.  The system
-    takes its dtype from ``m``, ``shift`` and the border, so a real system
-    is factorised in real arithmetic; complex right-hand sides are then
-    solved as 2m real columns, the real and imaginary part of each side by
-    side as in a lone solve.
+    takes its dtype from ``m``, ``shift``, the border and ``rhs``, so a real
+    system is factorised in real arithmetic unless a right-hand side is
+    complex.
     """
     n = m.shape[0]
     big = np.empty((n + 1, n + 1), dtype=np.result_type(m, shift, col, row))
@@ -175,12 +174,7 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     b = np.empty((n + 1,) + rhs.shape[1:], dtype=np.result_type(big, rhs, tail))
     b[:n] = rhs
     b[n] = tail
-    if b.dtype == big.dtype:
-        sol = np.linalg.solve(big, b)
-    else:
-        cols = b.reshape(n + 1, -1)
-        re_im = np.linalg.solve(big, np.stack([cols.real, cols.imag], axis=2).reshape(n + 1, -1))
-        sol = (re_im[:, 0::2] + 1j * re_im[:, 1::2]).reshape(b.shape)
+    sol = np.linalg.solve(big, b)
     return sol[:n], sol[n]
 
 

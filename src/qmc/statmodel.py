@@ -7,10 +7,12 @@ asymptotic variance of local output observables.
 
 Conventions.  A tangent ``a`` at an isometry ``v`` parametrises the curve
 ``t -> polar(v + i t a)``; the curve's velocity is ``i a`` once the
-anti-Hermitian part of ``v* a`` has been projected away.  Raw curve
-velocities (finite differences of ``v(theta)``) can be passed everywhere;
-they are symmetrised internally where the curve parametrisation matters
-and handled complex-linearly where it does not (gauge splitting).
+anti-Hermitian part of ``v* a`` has been projected away.  A curve
+``theta -> v(theta)`` of isometries has the tangent ``a = -i dv/dtheta``:
+its ``v* a`` is Hermitian, so nothing is projected away.  The raw
+velocity ``dv/dtheta`` is the tangent of another curve; :func:`qfi_curve`
+tells the two apart, while :func:`qfi_rate` and the gauge split,
+complex-linear in the tangent, give both the same rate.
 Functionals of the stationary output take the chain's profile from
 ``ergodic.analyze``, tangents as (d k, d) matrices and block observables
 as square matrices.

@@ -99,6 +99,11 @@ def test_channel_matrix_matches_kraus_sum():
         assert abs(np.trace(unvec(schro.m @ vec(rho), (2, 2))) - np.trace(rho)) < 1e-12
 
 
+def test_channel_rejects_an_unknown_picture():
+    with pytest.raises(DimensionMismatch):
+        channel(fixture_s(), "x")
+
+
 def test_superoperator_call_on_matrix():
     iso = isometry("m1", 0.3)
     schro = channel(iso, "schrodinger")

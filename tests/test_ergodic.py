@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import qmc.ergodic as ergodic
 from qmc.channels import Isometry, channel, isometry_from_kraus
-from qmc.errors import NotIrreducible
+from qmc.errors import NotIrreducible, OutOfInterval
 from qmc.ergodic import (
     ErgodicTol,
     access_span_check,
@@ -185,11 +186,64 @@ def test_tolerance_overrides_change_verdict():
             analyze(iso, tol=ErgodicTol(peripheral_band=1e-300))
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), 0.0, -1e-8, "x"],
+    ids=["nan", "inf", "zero", "negative", "string"],
+)
 @pytest.mark.parametrize("field", ["peripheral_band", "faithfulness_floor", "simplicity_gap"])
 def test_tolerances_must_be_finite(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfInterval):
         ErgodicTol(**{field: value})
+
+
+def _amplitude_damping():
+    k1 = np.zeros((2, 2), dtype=complex)
+    k1[0, 1] = np.sqrt(0.3)
+    return isometry_from_kraus([np.diag([1.0, np.sqrt(0.7)]).astype(complex), k1])
+
+
+def _count_stationary_solves(monkeypatch):
+    calls = []
+    solve = ergodic._stationary
+
+    def spy(r, d):
+        calls.append(d)
+        return solve(r, d)
+
+    monkeypatch.setattr(ergodic, "_stationary", spy)
+    return calls
+
+
+def test_declined_certificate_reuses_the_stationary_solve(monkeypatch):
+    # amplitude damping: eigenvalue 1 is simple but rho_ss = |0><0| is not
+    # faithful, so a certified period is declined and the dense checks
+    # read the one solve already made
+    iso = _amplitude_damping()
+    reason = analyze(iso).diagnostics["reason"]
+    assert reason.startswith("stationary state not faithful")
+    calls = _count_stationary_solves(monkeypatch)
+    monkeypatch.setattr(ergodic, "_certify", lambda r, d, tol: 1)
+    profile = analyze(iso)
+    assert len(calls) == 1
+    assert not profile.is_irreducible
+    assert profile.diagnostics["reason"] == reason
+
+
+def test_reducible_chain_makes_no_stationary_solve(monkeypatch):
+    rng = np.random.default_rng(12)
+    kraus = []
+    for a, b in zip(*(Isometry(oracles.random_isometry(rng, 6, 2), 6, 2).kraus for _ in range(2))):
+        m = np.zeros((12, 12), dtype=complex)
+        m[:6, :6], m[6:, 6:] = a, b
+        kraus.append(m)
+    calls = _count_stationary_solves(monkeypatch)
+    # the d = 12 chain reaches the certificate, which declines it
+    for iso in (_block_diag_iso(), isometry_from_kraus(kraus)):
+        profile = analyze(iso)
+        assert not profile.is_irreducible
+        assert profile.diagnostics["reason"].startswith("eigenvalue 1 has multiplicity 2")
+    assert calls == []
 
 
 def test_nan_spectrum_is_not_a_verdict(monkeypatch):

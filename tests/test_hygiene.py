@@ -1,7 +1,9 @@
-"""Source hygiene: every function parameter in the package is read, and
-every class the package tests with isinstance is one it constructs."""
+"""Source hygiene: every function parameter in the package is read,
+every class the package tests with isinstance is one it constructs, and
+every exception it raises is one of its own typed errors."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import qmc
@@ -175,3 +177,42 @@ def test_scan_finds_an_unloaded_private_name():
         ("a.py", 4, "_D"),
         ("a.py", 9, "_K"),
     ]
+
+
+# argparse's error exit, re-routed by cli._Parser.error, is the one
+# built-in exception the package raises
+_BUILTIN_EXCEPTIONS = {
+    name
+    for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+} - {"SystemExit"}
+
+
+def _builtin_raises(tree):
+    """(line, name) for each ``raise`` of a Python built-in exception, as a
+    call or as a class; the package raises typed ``QmcError`` subclasses."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in _BUILTIN_EXCEPTIONS:
+                out.append((node.lineno, exc.id))
+    return sorted(out)
+
+
+def test_package_raises_no_builtin_exception():
+    raised = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _builtin_raises(ast.parse(path.read_text()))
+    ]
+    assert not raised
+
+
+def test_scan_finds_a_builtin_raise():
+    tree = ast.parse(
+        "def f(x, error):\n    if x:\n        raise ValueError('x')\n    raise KeyError\n\n"
+        "def g(error):\n    try:\n        raise SystemExit(1)\n    except SystemExit:\n"
+        "        raise\n    raise error('y') from None\n"
+    )
+    assert _builtin_raises(tree) == [(3, "ValueError"), (4, "KeyError")]

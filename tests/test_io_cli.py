@@ -219,6 +219,19 @@ def test_cli_qfi_csv():
     assert abs(float(rate_n) - float(fn) / 100) < 1e-12
 
 
+@pytest.mark.parametrize("model", ["m2", "m3"])
+def test_cli_qfi_model_sweeps_the_curve_of_its_rate(capsys, model):
+    # the sweep follows the model's own curve v(theta), so F_n / n tends to
+    # the printed rate; for m2 the raw velocity's curve settles 32% below it
+    argv = ["qfi", "--model", model, "--theta", "0.3", "--n-max", "4000", "--n-step", "1000"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rate = float(next(l for l in lines if l.startswith("# qfi_rate=")).split("=")[1])
+    n, _, ratio = lines[-1].split(",")
+    assert int(n) == 4000
+    assert abs(float(ratio) - rate) <= 1e-3 * rate
+
+
 def test_cli_variance_csv():
     res = _run("variance", "--model", "m1", "--theta", "0.35", "--n-list", "16,64")
     assert res.returncode == 0, res.stderr
