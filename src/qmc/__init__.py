@@ -16,15 +16,12 @@ from .ergodic import (
     SpectralProfile,
     access_span_check,
     analyze,
-    ergodic_projection,
     output_state,
-    periodic_projections,
     stationary_eigenbasis,
 )
 from .gauge import (
     TangentSplit,
     act,
-    dmu,
     equivalence_witness,
     mode_decompose,
     restricted_resolvent_solve,
@@ -40,9 +37,7 @@ from .gaussian import (
     ModePoint,
     coherent_overlap,
     eta_hat,
-    gram_deficiency_bound,
     lambda_k,
-    mixture_equivalent,
     mixture_gram,
     mixture_trace_distance,
     mode_point,
@@ -57,9 +52,7 @@ from .statmodel import (
     component_overlap,
     finite_window_variance,
     joint_overlap,
-    output_component_vectors,
     qfi_curve,
-    qfi_finite,
     qfi_rate,
     qfi_report,
     retract,

@@ -36,8 +36,6 @@ __all__ = [
     "ErgodicTol",
     "SpectralProfile",
     "analyze",
-    "periodic_projections",
-    "ergodic_projection",
     "stationary_eigenbasis",
     "output_state",
     "access_span_check",
@@ -596,29 +594,6 @@ def _finish_irreducible(profile, r, p):
     profile.block_dims = [int(round(np.trace(pj).real)) for pj in projections]
     profile.is_irreducible = True
     profile._diagnostics["reason"] = "irreducible"
-
-
-def periodic_projections(profile):
-    """Cyclic family P_a with T(P_a) = P_{a-1 mod p}; see :func:`analyze`."""
-    profile.require_irreducible()
-    return [pj.copy() for pj in profile.projections]
-
-
-def ergodic_projection(profile, rho):
-    """Time-average limit projection E_*(rho) = p sum_a Tr(rho P_a) rho_a^ss."""
-    profile.require_irreducible()
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (profile.d, profile.d):
-        raise DimensionMismatch(f"state shape {rho.shape}, expected ({profile.d}, {profile.d})")
-    if not np.isfinite(rho).all():
-        raise NotHermitian("state has non-finite entries")
-    p = profile.period
-    out = np.zeros_like(rho)
-    for a in range(p):
-        pj = profile.projections[a]
-        weight = np.trace(rho @ pj)
-        out = out + p * weight * (pj @ profile.rho_ss @ pj)
-    return out
 
 
 def stationary_eigenbasis(profile):

@@ -1,4 +1,5 @@
-"""Exception types used across the package, and the integer check behind InvalidCount.
+"""Exception types used across the package, and the integer and array
+conversions behind InvalidCount and DimensionMismatch.
 
 Every error carries a ``kind`` tag (stable string, equal to the class name)
 and a human-readable ``detail``.  The CLI serialises failures as a single
@@ -132,3 +133,13 @@ def as_integer(name, value, minimum=None):
     if minimum is not None and value < minimum:
         raise InvalidCount(f"{name} = {value}, expected >= {minimum}")
     return int(value)
+
+
+def as_complex_array(name, value):
+    """``value`` as a complex ndarray; DimensionMismatch when numpy cannot
+    read it as numbers (a string, a ragged nesting, a non-numeric object)."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError):
+        kind = type(value).__name__
+        raise DimensionMismatch(f"{name} is not an array of numbers, got a {kind}") from None

@@ -24,14 +24,15 @@ the same checks of the eigenvector and of the relation itself.  The
 residual stabiliser of a point is the cyclic group generated by (gamma, Z)
 from the spectral profile.
 
-Tangent machinery: ``dmu`` pushes a Lie-algebra element (theta, kgen) to a
-gauge-orbit direction at v, and ``split`` decomposes an arbitrary tangent
-as ``a = dmu(theta, kgen) + a_id`` with ``v* a_id = 0``.  The split is
+Tangent machinery: a Lie-algebra element (theta, kgen) pushes forward to
+the gauge-orbit direction dmu(theta, kgen) = theta v - (kgen (x) 1) v + v kgen
+at v, and ``split`` decomposes an arbitrary tangent as
+``a = dmu(theta, kgen) + a_id`` with ``v* a_id = 0``.  The split is
 complex-linear: raw curve velocities (whose ``v* a`` is anti-Hermitian)
 are accepted as-is, and then ``theta`` reports the real part of the
 complex mean while ``kgen`` may come out non-Hermitian.  For tangents in
-the image of ``dmu`` the recovered pair is exactly the Hermitian one that
-produced them.
+the image of dmu, with theta real, kgen Hermitian and Tr(rho_ss kgen) = 0,
+the recovered pair is exactly the one that produced them.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ from .errors import (
     SingularResolvent,
     UnitDimMismatch,
     WitnessInconsistent,
+    as_complex_array,
     as_integer,
 )
 from .linalg import (
@@ -72,7 +74,6 @@ __all__ = [
     "witness_matches",
     "stabiliser",
     "TangentSplit",
-    "dmu",
     "split",
     "restricted_resolvent_solve",
     "tangent_inner",
@@ -117,9 +118,10 @@ _WITNESS_RESIDUAL = 1e-12
 def equivalence_witness(iso1, iso2, tol=1e-8):
     """Witness (c, w) with (w (x) 1) v2 = c v1 w, or None when inequivalent.
 
-    Both chains must be irreducible and share system and unit dimensions.
-    The witness is read off an eigenvector of E: X -> sum_u K1_u* X K2_u at
-    an eigenvalue of largest modulus; the chains count as equivalent when
+    Both chains must be ``Isometry`` instances, else DimensionMismatch,
+    irreducible, and share system and unit dimensions.  The witness is read
+    off an eigenvector of E: X -> sum_u K1_u* X K2_u at an eigenvalue of
+    largest modulus; the chains count as equivalent when
     that modulus is at least 1 - tol, so ``tol`` must lie in (0, 1).  From
     ``ergodic._CERTIFY_MIN_D`` on, the Kraus route of
     :func:`_kraus_peripheral` looks for it by power iteration; when it is
@@ -142,6 +144,9 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
         raise OutOfInterval(f"tol = {tol!r} is not a number") from None
     if not 0.0 < tol < 1.0:
         raise OutOfInterval(f"tol = {tol}, expected a finite value in (0, 1)")
+    for name, iso in (("iso1", iso1), ("iso2", iso2)):
+        if not isinstance(iso, Isometry):
+            raise DimensionMismatch(f"{name} must be an Isometry, got a {type(iso).__name__}")
     if iso1.d != iso2.d:
         raise DimensionMismatch(
             f"system dimensions differ ({iso1.d} vs {iso2.d}); chains on different "
@@ -368,32 +373,9 @@ class TangentSplit:
         return self.profile.resolvent_cond
 
 
-def dmu(iso, theta, kgen, rho_ss=None):
-    """Push a Lie-algebra element to the gauge-orbit tangent direction.
-
-    ``theta`` must be real and ``kgen`` Hermitian; with ``rho_ss`` given,
-    Tr(rho_ss kgen) must vanish too.  Returns theta v - (kgen (x) 1) v + v kgen.
-    """
-    kgen = np.asarray(kgen, dtype=complex)
-    d = iso.d
-    if kgen.shape != (d, d):
-        raise DimensionMismatch(f"generator shape {kgen.shape}, expected ({d}, {d})")
-    if not (np.linalg.norm(kgen - dag(kgen)) <= 1e-10 * max(1.0, np.linalg.norm(kgen))):
-        raise GaugeConstraintViolated("generator must be Hermitian")
-    theta_c = complex(theta)
-    if not (theta_c.imag == 0 and np.isfinite(theta_c.real)):
-        raise GaugeConstraintViolated(f"theta = {theta} must be real and finite")
-    if rho_ss is not None:
-        drift = abs(np.trace(np.asarray(rho_ss) @ kgen))
-        if not (drift <= 1e-8 * max(1.0, np.linalg.norm(kgen))):
-            raise GaugeConstraintViolated(
-                f"Tr(rho_ss kgen) = {drift:.3e}, expected 0 (absorb it into theta)"
-            )
-    return _dmu_raw(iso, theta_c, kgen)
-
-
 def _dmu_raw(iso, theta_c, kgen):
-    """Unvalidated push-forward with complex theta and arbitrary kgen."""
+    """The push-forward dmu(theta, kgen) = theta v - (kgen (x) 1) v + v kgen,
+    with complex theta and any kgen, unvalidated."""
     v = iso.v
     return theta_c * v - np.kron(kgen, np.eye(iso.k)) @ v + v @ kgen
 
@@ -470,7 +452,7 @@ def restricted_resolvent_solve(profile, rhs):
     SingularResolvent for a singular system.
     """
     profile.require_irreducible()
-    rhs = np.asarray(rhs, dtype=complex)
+    rhs = as_complex_array("right-hand side", rhs)
     d = profile.d
     if rhs.ndim not in (2, 3) or rhs.shape[-2:] != (d, d):
         raise DimensionMismatch(
@@ -512,7 +494,7 @@ def split(profile, a):
     """
     profile.require_irreducible()
     iso = profile.iso
-    a = np.asarray(a, dtype=complex)
+    a = as_complex_array("tangent", a)
     stack = a[None] if a.ndim == 2 else a
     if stack.ndim != 3 or stack.shape[1:] != iso.v.shape or not len(stack):
         raise DimensionMismatch(
@@ -544,7 +526,7 @@ def split(profile, a):
 
 def _as_matrix(iso, a):
     """``a`` as a complex array of the isometry's shape; DimensionMismatch otherwise."""
-    a = np.asarray(a, dtype=complex)
+    a = as_complex_array("tangent", a)
     if a.shape != iso.v.shape:
         raise DimensionMismatch(f"tangent shape {a.shape}, expected {iso.v.shape}")
     return a

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch, as_integer
-from .gauge import _as_matrix, mode_decompose, split, stabiliser_tangent_action, tangent_inner
+from .gauge import _as_matrix, mode_decompose, split, tangent_inner
 from .ergodic import stationary_eigenbasis
 from .linalg import dag, trace_norm
 
@@ -31,8 +31,6 @@ __all__ = [
     "predicted_component_limit",
     "mixture_gram",
     "mixture_trace_distance",
-    "mixture_equivalent",
-    "gram_deficiency_bound",
 ]
 
 _PSD_TOL = 1e-9  # mixture_gram rejects a Gram eigenvalue below -_PSD_TOL
@@ -73,8 +71,10 @@ def _as_points(profile, xs):
     """ModePoints of a sequence of ModePoints and raw tangents, in order.
 
     The raw tangents are split together, by one :func:`mode_point` call on
-    their stack.
+    their stack.  DimensionMismatch when ``xs`` is not iterable.
     """
+    if not np.iterable(xs):
+        raise DimensionMismatch(f"points must be a sequence, got a {type(xs).__name__}")
     raw = []
     for x in xs:
         if isinstance(x, ModePoint):
@@ -245,62 +245,12 @@ def _embedded_states(gram, groups):
     for grp in groups:
         vecs = e[:, list(grp)]
         states.append(vecs @ dag(vecs))
-    return states, e
+    return states
 
 
 def mixture_trace_distance(profile, x, y):
     """Exact trace distance (1/2)||rho(x) - rho(y)||_1 of two limit mixtures."""
     mg = mixture_gram(profile, [x, y])
     p = profile.period
-    states, _ = _embedded_states(mg.gram, [range(0, p), range(p, 2 * p)])
+    states = _embedded_states(mg.gram, [range(0, p), range(p, 2 * p)])
     return float(0.5 * trace_norm(states[0] - states[1]))
-
-
-def mixture_equivalent(profile, x, y):
-    """True when y lies within 1e-8 of the stabiliser orbit of x (same limit state)."""
-    profile.require_irreducible()
-    x, y = _as_points(profile, (x, y))
-    best = np.inf
-    for m in range(profile.period):
-        moved = stabiliser_tangent_action(profile, m, x.a_id)
-        diff = y.a_id - moved
-        best = min(best, np.sqrt(max(_norm2(profile, diff), 0.0)))
-    return bool(best <= 1e-8)
-
-
-def gram_deficiency_bound(gram_a, gram_b, groups=None):
-    """Computable upper bound on the Le Cam deficiency between Gram families.
-
-    Both Grams must index the same component set; ``groups`` collects the
-    component indices of each state (default: one state per component).
-    The connecting map is built from the two Gram square roots,
-    C = sqrt(G_B) pinv(sqrt(G_A)); the returned value is
-    max_i [ (1/2)||C rho_i C* - sigma_i||_1 + (1/2)(1 - Tr C rho_i C*) ],
-    the trace-norm error of the completed channel on the family.
-    """
-    gram_a = np.asarray(gram_a, dtype=complex)
-    gram_b = np.asarray(gram_b, dtype=complex)
-    if gram_a.shape != gram_b.shape or gram_a.ndim != 2 or gram_a.shape[0] != gram_a.shape[1]:
-        raise DimensionMismatch(
-            f"Gram shapes {gram_a.shape} and {gram_b.shape} must match and be square"
-        )
-    n = gram_a.shape[0]
-    if n == 0:
-        raise DimensionMismatch("Grams must index at least one component")
-    if groups is None:
-        groups = [[i] for i in range(n)]
-    for grp in groups:
-        if not np.iterable(grp):
-            raise DimensionMismatch(f"group {grp!r} is not a list of component indices")
-        for i in grp:
-            if not 0 <= as_integer("component index", i) < n:
-                raise IndexOutOfRange(f"component index {i} outside 0..{n - 1}")
-    states_a, ea = _embedded_states(gram_a, groups)
-    states_b, eb = _embedded_states(gram_b, groups)
-    c = eb @ np.linalg.pinv(ea)
-    worst = 0.0
-    for rho, sigma in zip(states_a, states_b):
-        moved = c @ rho @ dag(c)
-        defect = max(0.0, float((np.trace(rho) - np.trace(moved)).real))
-        worst = max(worst, 0.5 * trace_norm(moved - sigma) + 0.5 * defect)
-    return float(worst)

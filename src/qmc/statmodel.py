@@ -25,7 +25,6 @@ import numpy as np
 from .channels import (
     DEFAULT_TENSOR_CAP,
     Isometry,
-    apply_steps,
     block_length,
     dilation,
     kraus_real_matrix,
@@ -40,6 +39,7 @@ from .errors import (
     OutOfInterval,
     RetractionFailure,
     SizeCap,
+    as_complex_array,
     as_integer,
 )
 from .gauge import (
@@ -61,11 +61,9 @@ __all__ = [
     "weak_qlan_curve",
     "weak_qlan_report",
     "weak_qlan_error",
-    "qfi_finite",
     "qfi_curve",
     "qfi_report",
     "qfi_rate",
-    "output_component_vectors",
     "component_overlap",
     "stationary_mean",
     "asymptotic_variance",
@@ -133,7 +131,7 @@ class LocalObservable:
     block: int = field(init=False)
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=complex)
+        q = as_complex_array("observable", self.q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise DimensionMismatch(f"observable must be square, got {q.shape}")
         b = block_length(q.shape[0], self.k)
@@ -161,7 +159,7 @@ class QfiReport:
 
 def _system_vector(phi, d):
     """phi as a length-d complex vector; DimensionMismatch for any other length."""
-    phi = np.asarray(phi, dtype=complex)
+    phi = as_complex_array("phi", phi)
     if phi.size != d:
         raise DimensionMismatch(f"phi has {phi.size} entries, expected d = {d}")
     return phi.reshape(d)
@@ -216,6 +214,17 @@ def retract(iso, x, t):
     return Isometry(w @ vh, iso.d, iso.k)
 
 
+def _n_grid(n_values):
+    """A grid of n as a list of ints >= 1, read once: DimensionMismatch for a
+    grid that is not iterable or is empty, InvalidCount for a bad entry."""
+    if not np.iterable(n_values):
+        raise DimensionMismatch(f"n grid must be a sequence of counts, got {n_values!r}")
+    n_values = [as_integer("n", n, 1) for n in n_values]
+    if not n_values:
+        raise DimensionMismatch("n grid must not be empty")
+    return n_values
+
+
 def weak_qlan_curve(profile, x, y, n_values, phi=None):
     """Finite-n joint overlaps against their Gaussian limit on a grid of n.
 
@@ -229,9 +238,7 @@ def weak_qlan_curve(profile, x, y, n_values, phi=None):
     iterates its own deformed channel, because the chart point depends on
     n.  Returns one report dict per entry of ``n_values``, in order.
     """
-    n_values = [as_integer("n", n, 1) for n in n_values]
-    if not n_values:
-        raise DimensionMismatch("n grid must not be empty")
+    n_values = _n_grid(n_values)
     profile.require_irreducible()
     iso = profile.iso
     if phi is not None:
@@ -400,26 +407,17 @@ def _qfi_sweep(iso, a, phi, n_values):
     return f
 
 
-def qfi_finite(iso, a, phi, n):
-    """Quantum Fisher information of the joint state at time n."""
-    n = as_integer("n", n, 1)
-    return float(_qfi_sweep(iso, a, phi, [n])[0])
-
-
 def qfi_curve(iso, a, phi, n_values):
     """F_n on a grid of n values, sharing the transfer-operator sweeps."""
-    n_values = [as_integer("n", n, 1) for n in n_values]
-    if not n_values:
-        raise DimensionMismatch("n grid must not be empty")
-    return _qfi_sweep(iso, a, phi, n_values)
+    return _qfi_sweep(iso, a, phi, _n_grid(n_values))
 
 
 def qfi_report(profile, a, phi, n_values):
     """Finite-n QFI curve together with the limiting rate 4 beta(a_id, a_id)."""
     profile.require_irreducible()  # before the sweep, which does not need it
+    n_values = _n_grid(n_values)
     f = qfi_curve(profile.iso, a, phi, n_values)
     rate = qfi_rate(profile, a)
-    n_values = [int(n) for n in n_values]
     return QfiReport(n_values=n_values, f_n=f, rate=rate, residuals=f / np.array(n_values) - rate)
 
 
@@ -433,30 +431,6 @@ def qfi_rate(profile, a, b=None):
     else:
         sa, sb = split(profile, np.stack([_as_matrix(profile.iso, a), _as_matrix(profile.iso, b)]))
     return 4.0 * tangent_inner(profile, sa.a_id, sb.a_id).real
-
-
-def output_component_vectors(iso, profile, n):
-    """Component vectors psi^{ab}_{ij}(n)[w] = <phi^b_j| K_w |phi^a_i>.
-
-    The eigenbasis phi (and the weights pi) comes from ``profile``, which
-    may belong to a reference point different from ``iso``; this is what
-    makes components of perturbed chains comparable across n.  Words w are
-    enumerated chronologically (first emitted unit most significant).
-    Returns ``(vectors, basis)`` where vectors maps (a, i, b, j) to a
-    length-k^n array and basis is the stationary_eigenbasis list.
-    """
-    d, k = iso.d, iso.k
-    if profile.d != d or profile.k != k:
-        raise DimensionMismatch("profile and isometry dimensions differ")
-    basis = stationary_eigenbasis(profile)
-    vectors = {}
-    for a, blk_a in enumerate(basis):
-        for i, (_, phi_a) in enumerate(blk_a):
-            mat = apply_steps(iso, phi_a, n).reshape(d, k**n)
-            for b, blk_b in enumerate(basis):
-                for j, (_, phi_b) in enumerate(blk_b):
-                    vectors[(a, i, b, j)] = phi_b.conj() @ mat
-    return vectors, basis
 
 
 def component_overlap(iso_x, iso_y, profile, a, b, i, j, n):

@@ -2,7 +2,9 @@
 
 Everything here works on explicit k^n tensors and plain loops, so it is
 only usable for very small n, which is the point: none of it shares code
-with the transfer-operator implementations under test.
+with the transfer-operator implementations under test.  ``dmu``,
+``ergodic_projection`` and ``output_component_vectors`` write out the
+paper's formulas on a profile's fields, without argument checks.
 
 The dense-spectral routes at the end are the earlier implementations of
 the spectral layer, kept as references: the stationary state and the
@@ -44,7 +46,7 @@ from qmc.channels import (
     kraus_real_matrix,
     real_transfer,
 )
-from qmc.ergodic import ErgodicTol, _canonical_z
+from qmc.ergodic import ErgodicTol, _canonical_z, stationary_eigenbasis
 from qmc.errors import DimensionMismatch, NotTangent, as_integer
 from qmc.gauge import _as_matrix, restricted_resolvent_solve
 from qmc.linalg import antiherm_part, dag, herm_coords, herm_part, herm_vec, unvec, vec
@@ -121,6 +123,21 @@ def string_probs(iso, rho, n):
     return probs
 
 
+def output_component_vectors(iso, profile, n):
+    """{(a, i, b, j): psi} with psi[w] = <phi^b_j| K_w |phi^a_i> over the k^n
+    words w, first emitted unit most significant; phi is the profile's
+    stationary eigenbasis, which may belong to another chain than ``iso``."""
+    basis = stationary_eigenbasis(profile)
+    vectors = {}
+    for a, blk_a in enumerate(basis):
+        for i, (_, phi_a) in enumerate(blk_a):
+            rows = chain_state(iso, phi_a, n)
+            for b, blk_b in enumerate(basis):
+                for j, (_, phi_b) in enumerate(blk_b):
+                    vectors[(a, i, b, j)] = rows @ phi_b.conj()
+    return vectors
+
+
 def trace_norm(m):
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
@@ -148,6 +165,12 @@ def sandwich_map_kron(iso1, iso2):
     for k1, k2 in zip(iso1.kraus, iso2.kraus):
         m += np.kron(k2.T, dag(k1))
     return m
+
+
+def ergodic_projection(profile, rho):
+    """Time-average limit E_*(rho) = p sum_a Tr(rho P_a) P_a rho_ss P_a."""
+    p = profile.period
+    return sum(p * np.trace(rho @ pa) * (pa @ profile.rho_ss @ pa) for pa in profile.projections)
 
 
 def stationary_state_eig(iso):
@@ -205,14 +228,19 @@ def resolvent_nullspace(iso, rho_ss, rhs):
     return unvec(basis @ y, (d, d)), float(np.linalg.cond(r))
 
 
+def dmu(iso, theta, kgen):
+    """Gauge-orbit direction theta v - (kgen (x) 1) v + v kgen of the
+    Lie-algebra element (theta, kgen) at v."""
+    v = iso.v
+    return theta * v - np.kron(kgen, np.eye(iso.k)) @ v + v @ kgen
+
+
 def split_nullspace(iso, rho_ss, a):
     """(theta_c, kgen, a_id, cond) of the tangent split, via the null-space route."""
-    v = iso.v
-    h = v.conj().T @ a
+    h = iso.v.conj().T @ a
     theta_c = complex(np.trace(rho_ss @ h))
     kgen, cond = resolvent_nullspace(iso, rho_ss, h - theta_c * np.eye(iso.d))
-    dmu = theta_c * v - np.kron(kgen, np.eye(iso.k)) @ v + v @ kgen
-    return theta_c, kgen, a - dmu, cond
+    return theta_c, kgen, a - dmu(iso, theta_c, kgen), cond
 
 
 def qfi_gram(iso, a, phi, nmax):

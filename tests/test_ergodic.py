@@ -8,9 +8,7 @@ from qmc.ergodic import (
     ErgodicTol,
     access_span_check,
     analyze,
-    ergodic_projection,
     output_state,
-    periodic_projections,
     stationary_eigenbasis,
 )
 from qmc.linalg import dag
@@ -43,7 +41,7 @@ def test_swap_fixture_profile():
 
 def test_projections_resolve_identity_and_cycle():
     profile = analyze(fixture_s())
-    projs = periodic_projections(profile)
+    projs = profile.projections
     total = sum(projs)
     assert np.linalg.norm(total - np.eye(2)) < 1e-10
     schro = channel(profile.iso, "schrodinger")
@@ -103,7 +101,7 @@ def test_periodic_point_stationary_blocks():
     profile = analyze(iso)
     assert profile.is_irreducible
     assert profile.period == 2
-    projs = periodic_projections(profile)
+    projs = profile.projections
     for pa in projs:
         # each cyclic block carries stationary weight 1/p
         w = np.trace(pa @ profile.rho_ss).real
@@ -139,7 +137,7 @@ def test_stationary_eigenbasis_aligns_degenerate_clusters():
 def test_ergodic_projection_is_cycle_aligned_limit():
     profile = analyze(isometry("m1", 0.3))
     rho0 = np.array([[0.9, 0.2], [0.2, 0.1]], dtype=complex)
-    out = ergodic_projection(profile, rho0)
+    out = oracles.ergodic_projection(profile, rho0)
     assert abs(np.trace(out) - 1.0) < 1e-12
     # E_* is the limit of T^(pn): iterate an even number of steps
     schro = channel(profile.iso, "schrodinger")
@@ -284,7 +282,7 @@ def test_nan_stabiliser_spectrum_is_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("entry", ["output_state", "ergodic_projection", "resolvent"])
+@pytest.mark.parametrize("entry", ["output_state", "resolvent"])
 def test_non_finite_input_is_rejected(entry, bad):
     from qmc.errors import NotHermitian
     from qmc.gauge import restricted_resolvent_solve
@@ -295,7 +293,6 @@ def test_non_finite_input_is_rejected(entry, bad):
     x[0, 1] = bad
     call = {
         "output_state": lambda: output_state(iso, x, 2),
-        "ergodic_projection": lambda: ergodic_projection(profile, x),
         "resolvent": lambda: restricted_resolvent_solve(profile, x),
     }[entry]
     with pytest.raises(NotHermitian, match="non-finite"):

@@ -21,7 +21,6 @@ from qmc.errors import (
 )
 from qmc.gauge import (
     act,
-    dmu,
     equivalence_witness,
     mode_decompose,
     restricted_resolvent_solve,
@@ -118,6 +117,17 @@ def test_witness_rejects_tolerance_outside_unit_interval(tol):
     for iso1, iso2 in pairs:
         with pytest.raises(OutOfInterval):
             equivalence_witness(iso1, iso2, tol=tol)
+
+
+@pytest.mark.parametrize("other", ["x", None], ids=["string", "none"])
+def test_witness_rejects_an_operand_that_is_not_an_isometry(other, monkeypatch):
+    # iso2 = "x" used to escape as AttributeError from iso2.d
+    analysed = []
+    monkeypatch.setattr(ergodic, "analyze", lambda iso: analysed.append(iso) or analyze(iso))
+    for pair in ((isometry("m1", 0.3), other), (other, isometry("m1", 0.3))):
+        with pytest.raises(DimensionMismatch):
+            equivalence_witness(*pair)
+    assert not analysed
 
 
 def test_witness_rejects_unequal_unit_dimensions():
@@ -245,21 +255,12 @@ def test_tangent_inner_is_positive_sesquilinear():
 def test_non_finite_operands_are_rejected():
     # each guard used to read `x > tol`, which is False for NaN
     profile = analyze(isometry("m1", 0.3))
-    iso = profile.iso
     nan = np.full((4, 2), np.nan)
     for bad in (nan, np.full((4, 2), np.inf)):
         with pytest.raises(NotTangent):
             split(profile, bad)
     with pytest.raises(NotIdentifiable):
         tangent_inner(profile, nan, nan)
-    with pytest.raises(GaugeConstraintViolated):
-        dmu(iso, 0.0, np.full((2, 2), np.nan))
-    with pytest.raises(GaugeConstraintViolated):
-        dmu(iso, 0.0, np.diag([1.0, -1.0]), rho_ss=np.full((2, 2), np.nan))
-    # complex(nan).imag is 0, so a check on the imaginary part alone let these through
-    for theta in (np.nan, np.inf, complex("nan+0j")):
-        with pytest.raises(GaugeConstraintViolated):
-            dmu(iso, theta, np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize(
@@ -279,7 +280,7 @@ def test_split_recovers_what_dmu_pushed_forward(iso):
     h = h + dag(h)
     kgen = h - np.trace(profile.rho_ss @ h).real * np.eye(d)
     theta = float(rng.standard_normal())
-    a = dmu(iso, theta, kgen, rho_ss=profile.rho_ss)
+    a = oracles.dmu(iso, theta, kgen)
     sp = split(profile, a)
     assert abs(sp.theta - theta) <= 1e-12 and abs(sp.theta_im) <= 1e-12
     assert np.linalg.norm(sp.kgen - kgen) <= 1e-12 * np.linalg.norm(kgen)

@@ -1,6 +1,7 @@
 """Source hygiene: every function parameter in the package is read,
-every class the package tests with isinstance is one it constructs, and
-every exception it raises is one of its own typed errors."""
+every class the package tests with isinstance is one it constructs,
+every exception it raises is one of its own typed errors, and every
+export has a consumer."""
 
 import ast
 import builtins
@@ -133,11 +134,24 @@ def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _loads(node):
+    """Names that ``node`` loads: a ``Name`` read, an attribute of that name
+    or an import of it."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
 def _unloaded_private_names(trees):
     """(file, line, name) for each private module-level name that the trees,
-    a {file: tree} dict, define but never load.  A load is a ``Name`` read,
-    an attribute of that name or an import of it; leading underscore,
-    dunders excepted, marks private."""
+    a {file: tree} dict, define but never load (see :func:`_loads`); leading
+    underscore, dunders excepted, marks private."""
     defined, loaded = [], set()
     for file, tree in trees.items():
         for node in tree.body:
@@ -149,13 +163,7 @@ def _unloaded_private_names(trees):
             else:
                 names = []
             defined += [(file, node.lineno, name) for name in names if _private(name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                loaded.add(node.attr)
-            elif isinstance(node, ast.alias):
-                loaded.add(node.name)
+        loaded |= _loads(tree)
     return [entry for entry in defined if entry[2] not in loaded]
 
 
@@ -177,6 +185,58 @@ def test_scan_finds_an_unloaded_private_name():
         ("a.py", 4, "_D"),
         ("a.py", 9, "_K"),
     ]
+
+
+def _unconsumed_exports(init, trees):
+    """Names that ``init``, the package's ``__init__`` tree, imports from its
+    modules and that no tree of ``trees``, a {file: tree} dict, loads (see
+    :func:`_loads`) outside the name's own top-level definition."""
+    exports = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    ]
+    loaded = set()
+    for tree in trees.values():
+        for node in tree.body:
+            names = _loads(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+            loaded |= names
+    return [name for name in exports if name not in loaded]
+
+
+# exports that neither the package nor the acceptance suite loads, and why each stays
+_UNCONSUMED_EXPORTS = {
+    "channel": "perfbench/tracer.py patches it to count superoperator builds",
+    "joint_overlap": "the paper's joint system-output overlap <Psi_1(n)|Psi_2(n)>",
+    "stabiliser": "the orbifold's residual symmetry group {(gamma^m, Z^m)}",
+    "sample": "the public form of the per-(seed, trial) contract: row t of any batch",
+}
+
+
+def test_every_export_has_a_consumer():
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py")) + [acceptance]
+        if path.name != "__init__.py"
+    }
+    init = ast.parse((SRC / "__init__.py").read_text())
+    assert sorted(_unconsumed_exports(init, trees)) == sorted(_UNCONSUMED_EXPORTS)
+
+
+def test_scan_finds_an_unconsumed_export():
+    init = ast.parse("from . import a\nfrom .a import K, f, g, h, m\n\n__version__ = '1'\n")
+    trees = {
+        "a.py": ast.parse(
+            "def f():\n    return f()\n\ndef g():\n    return 1\n\n"
+            "def h():\n    return g()\n\ndef m():\n    pass\n\nclass K:\n    pass\n"
+        ),
+        "b.py": ast.parse("import a\nfrom a import K\n\nx = a.m\n"),
+    }
+    assert _unconsumed_exports(init, trees) == ["f", "h"]
 
 
 # argparse's error exit, re-routed by cli._Parser.error, is the one

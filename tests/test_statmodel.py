@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from qmc.errors import (
     UnitDimMismatch,
 )
 from qmc.ergodic import analyze, output_state
-from qmc.gauge import split, tangent_inner
-from qmc.gaussian import gram_deficiency_bound
+from qmc.gauge import mode_decompose, restricted_resolvent_solve, split, tangent_inner
+from qmc.gaussian import mixture_gram, mode_point
 from qmc.linalg import dag
 from qmc.qubit_example import (
     closed_form_mean,
@@ -33,10 +35,9 @@ from qmc.statmodel import (
     component_overlap,
     finite_window_variance,
     joint_overlap,
-    output_component_vectors,
     qfi_curve,
-    qfi_finite,
     qfi_rate,
+    qfi_report,
     retract,
     stationary_mean,
     weak_qlan_curve,
@@ -130,7 +131,7 @@ def _count_call(kind, n):
         return apply_steps(iso, np.array([1.0, 0.0]), n)
     if kind == "output_state":
         return output_state(iso, 0.5 * np.eye(2), n)
-    return qfi_finite(iso, x, np.array([1.0, 0.0]), n)
+    return qfi_curve(iso, x, np.array([1.0, 0.0]), [n])[0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -145,8 +146,8 @@ def _count_call(kind, n):
         ("weak_qlan_report", 2.5, InvalidCount),
         ("joint_overlap", 0, InvalidCount),
         ("joint_overlap", "3", InvalidCount),
-        ("qfi_finite", 0, InvalidCount),
-        ("qfi_finite", 2.5, InvalidCount),
+        ("qfi_point", 0, InvalidCount),
+        ("qfi_point", 2.5, InvalidCount),
         ("qfi_curve", 2.5, InvalidCount),
         ("qfi_curve", 0, InvalidCount),
         ("window_variance", 2.5, InvalidCount),
@@ -197,25 +198,9 @@ BAD_INPUTS = [
     ("measurement-negative-block", lambda: standard_measurement(2, -1), InvalidCount),
     ("measurement-fractional-block", lambda: standard_measurement(2, 1.5), InvalidCount),
     ("retract-string-t", lambda: retract(isometry("m1", 0.3), np.zeros((4, 2)), "x"), OutOfInterval),
-    ("deficiency-vector-gram", lambda: gram_deficiency_bound(np.ones(3), np.ones(3)), DimensionMismatch),
-    (
-        "deficiency-group-index",
-        lambda: gram_deficiency_bound(np.eye(2), np.eye(2), [[5]]),
-        IndexOutOfRange,
-    ),
     ("closed-form-rate-pole", lambda: closed_form_qfi_rate(0.5), OutOfInterval),
     ("closed-form-rate-nan", lambda: closed_form_qfi_rate(np.nan), OutOfInterval),
     ("reference-theta-unknown-model", lambda: reference_theta("m9"), DimensionMismatch),
-    (
-        "deficiency-empty-grams",
-        lambda: gram_deficiency_bound(np.zeros((0, 0)), np.zeros((0, 0))),
-        DimensionMismatch,
-    ),
-    (
-        "deficiency-group-not-a-list",
-        lambda: gram_deficiency_bound(np.eye(2), np.eye(2), [5]),
-        DimensionMismatch,
-    ),
     ("closed-form-rate-string", lambda: closed_form_qfi_rate("x"), OutOfInterval),
     ("isometry-string-theta", lambda: isometry("m1", "x"), OutOfInterval),
     ("measurement-fractional-unit-dim", lambda: standard_measurement(2.5, 1), InvalidCount),
@@ -233,6 +218,34 @@ BAD_INPUTS = [
 def test_bad_inputs_raise_typed_errors(label, call, error):
     with pytest.raises(error):
         call()
+
+
+# each export that reads a matrix operand, with "x" in its place
+STRING_OPERANDS = {
+    "split": lambda prof: split(prof, "x"),
+    "tangent_inner": lambda prof: tangent_inner(prof, "x", "x"),
+    "mode_decompose": lambda prof: mode_decompose(prof, "x"),
+    "mode_point": lambda prof: mode_point(prof, "x"),
+    "mixture_gram": lambda prof: mixture_gram(prof, ["x"]),
+    "qfi_rate": lambda prof: qfi_rate(prof, "x"),
+    "retract": lambda prof: retract(prof.iso, "x", 0.1),
+    "stationary_mean": lambda prof: stationary_mean(prof, "x"),
+    "asymptotic_variance": lambda prof: asymptotic_variance(prof, "x"),
+    "finite_window_variance": lambda prof: finite_window_variance(prof, "x", 8),
+    "restricted_resolvent_solve": lambda prof: restricted_resolvent_solve(prof, "x"),
+    "weak_qlan_curve": lambda prof: weak_qlan_curve(prof, "x", "x", [4]),
+    "qfi_curve-phi": lambda prof: qfi_curve(prof.iso, golden_tangent("m1")[0], "x", [4]),
+}
+
+
+@pytest.mark.parametrize("entry", STRING_OPERANDS)
+def test_string_operand_raises_dimension_mismatch(entry):
+    # numpy's ValueError from np.asarray("x", dtype=complex) used to escape
+    profile = analyze(isometry("m1", 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="not an array of numbers"):
+            STRING_OPERANDS[entry](profile)
 
 
 def test_n_step_functionals_accept_numpy_integers():
@@ -280,16 +293,13 @@ def test_qfi_rejects_non_finite_or_zero_inputs():
         a[0, 1] = bad
         with pytest.raises(NotTangent):
             qfi_curve(iso, a, phi, [3])
-        with pytest.raises(NotTangent):
-            qfi_finite(iso, a, phi, 3)
-    with pytest.raises(DimensionMismatch):
-        qfi_curve(iso, x, phi, [])
+    for grid in ([], 5):
+        with pytest.raises(DimensionMismatch):
+            qfi_curve(iso, x, phi, grid)
     bad_phis = (np.array([np.nan, 1.0]), np.array([np.inf, 0.0]), np.zeros(2), np.ones(3))
     for bad_phi in bad_phis:
         with pytest.raises(DimensionMismatch):
             qfi_curve(iso, x, bad_phi, [3])
-        with pytest.raises(DimensionMismatch):
-            qfi_finite(iso, x, bad_phi, 3)
         with pytest.raises(DimensionMismatch):
             weak_qlan_report(profile, x, -x, 8, phi=bad_phi)
         with pytest.raises(DimensionMismatch):
@@ -317,7 +327,7 @@ def test_qfi_matches_fidelity_differences():
     f_plus = abs(joint_overlap(iso, retract(iso, a, eps), phi, n)) ** 2
     f_minus = abs(joint_overlap(iso, retract(iso, a, -eps), phi, n)) ** 2
     oracle = 2.0 * (2.0 - f_plus - f_minus) / eps**2
-    fast = qfi_finite(iso, a, phi, n)
+    fast = qfi_curve(iso, a, phi, [n])[0]
     assert abs(fast - oracle) < 1e-4 * max(1.0, abs(oracle))
 
 
@@ -425,8 +435,8 @@ def test_component_overlap_against_vector_enumeration():
     n = 4
     vx = retract(profile.iso, x, 1.0 / np.sqrt(n))
     vy = retract(profile.iso, y, 1.0 / np.sqrt(n))
-    vecs_x, basis = output_component_vectors(vx, profile, n)
-    vecs_y, _ = output_component_vectors(vy, profile, n)
+    vecs_x = oracles.output_component_vectors(vx, profile, n)
+    vecs_y = oracles.output_component_vectors(vy, profile, n)
     for a in range(2):
         for b in range(2):
             fast = component_overlap(vx, vy, profile, a, b, 0, 0, n)
@@ -481,7 +491,12 @@ def test_weak_qlan_curve_equals_pointwise_reports(period):
         assert [rep["n"] for rep in curve] == grid
         for n, rep in zip(grid, curve):
             assert rep == weak_qlan_report(profile, x, y, n, **kwargs)
-    for bad, error in (([], DimensionMismatch), ([8, 0], InvalidCount), ([2.5], InvalidCount)):
+    for bad, error in (
+        ([], DimensionMismatch),
+        (8, DimensionMismatch),
+        ([8, 0], InvalidCount),
+        ([2.5], InvalidCount),
+    ):
         with pytest.raises(error):
             weak_qlan_curve(profile, x, y, bad)
 
@@ -516,6 +531,17 @@ def test_component_overlap_rejects_labels_that_are_not_integers(label):
     for args in [(label, 0, 0, 0), (0, label, 0, 0), (0, 0, label, 0), (0, 1, 0, label)]:
         with pytest.raises(InvalidCount):
             component_overlap(iso, iso, profile, *args, 3)
+
+
+def test_qfi_report_reads_a_grid_once():
+    # qfi_curve used to use up a generator that qfi_report then read again
+    profile = analyze(isometry("m1", 0.3))
+    a = golden_tangent("m1")[0]
+    phi = np.array([1.0, 0.0])
+    rep = qfi_report(profile, a, phi, (n for n in (2, 4)))
+    ref = qfi_report(profile, a, phi, [2, 4])
+    assert rep.n_values == [2, 4]
+    assert np.array_equal(rep.f_n, ref.f_n) and np.array_equal(rep.residuals, ref.residuals)
 
 
 def test_qfi_report_checks_irreducibility_before_the_sweep(monkeypatch):
