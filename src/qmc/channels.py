@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotIsometry, SizeCap, UnitDimMismatch, as_integer
+from .errors import (
+    DimensionMismatch,
+    NotIsometry,
+    SizeCap,
+    UnitDimMismatch,
+    as_complex_array,
+    as_integer,
+)
 from .linalg import dag, herm_pairs, unvec, vec
 
 __all__ = [
@@ -61,7 +68,7 @@ class Isometry:
     k: int
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.v, dtype=complex))
+        v = np.ascontiguousarray(as_complex_array("isometry", self.v))
         object.__setattr__(self, "v", v)
         if self.d < 1 or self.k < 1:
             raise DimensionMismatch(f"dimensions d={self.d}, k={self.k} must be positive")
@@ -95,7 +102,7 @@ class Isometry:
 
 def isometry_from_kraus(kraus):
     """Assemble an :class:`Isometry` (it checks sum K* K = 1) from d x d Kraus operators."""
-    kraus = [np.asarray(K, dtype=complex) for K in kraus]
+    kraus = [as_complex_array("Kraus operator", K) for K in kraus]
     if not kraus:
         raise UnitDimMismatch("empty Kraus family")
     d = kraus[0].shape[0]
@@ -242,31 +249,31 @@ def dilation(iso, n, cap=DEFAULT_TENSOR_CAP):
     Row index is ``(s, u_1, ..., u_n)`` in C order; ``u_1`` is the first
     emitted unit, i.e. the leftmost (most significant) unit factor.
     """
-    cols = []
-    eye = np.eye(iso.d, dtype=complex)
-    for j in range(iso.d):
-        psi = apply_steps(iso, eye[:, j], n, cap=cap)
-        cols.append(psi.reshape(-1))
-    return np.stack(cols, axis=1)
+    psi = _steps(iso, np.eye(iso.d, dtype=complex), n, cap)  # (s, column j, u_1, ..., u_n)
+    return np.moveaxis(psi, 1, -1).reshape(-1, iso.d)
 
 
-def apply_steps(iso, phi, n, cap=DEFAULT_TENSOR_CAP):
+def apply_steps(iso, phi, n):
     """Apply n chain steps to a system vector, keeping the full output tensor.
 
     Returns an ndarray of shape (d, k, ..., k) with the system axis first and
     unit axes in chronological order (axis 1 = first emitted).  ``phi``
     must be a finite vector of d entries, else DimensionMismatch.
     """
+    d = iso.d
+    phi = as_complex_array("phi", phi)
+    if phi.size != d or not np.isfinite(phi).all():
+        raise DimensionMismatch(f"phi must be a finite vector of length {d}, got shape {phi.shape}")
+    return _steps(iso, phi.reshape(d), n, DEFAULT_TENSOR_CAP)
+
+
+def _steps(iso, psi, n, cap):
+    """psi, of shape (d, ...), after n steps: (d, ..., k, ..., k); SizeCap if k^n > cap."""
     d, k = iso.d, iso.k
     n = as_integer("n", n, 0)
     if k**n > cap:
         raise SizeCap(f"k^n = {k**n} exceeds cap {cap}")
-    phi = np.asarray(phi, dtype=complex)
-    if phi.size != d or not np.isfinite(phi).all():
-        raise DimensionMismatch(f"phi must be a finite vector of length {d}, got shape {phi.shape}")
-    phi = phi.reshape(d)
     vt = iso.v.reshape(d, k, d)  # vt[s, u, h] = v[(s, u), h]
-    psi = phi
     for _ in range(n):
         # contract the system axis, append the fresh unit axis at the end,
         # then move it to sit right after the existing unit axes

@@ -445,13 +445,15 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "model", None) is not None and args.theta is None:
-        print(json.dumps({"kind": "UsageError", "detail": "--model requires --theta"}), file=sys.stderr)
-        return 1
+        parser.error("--model requires --theta")
+    second = {"qfi": "tangent", "variance": "observable"}.get(args.subcommand)
+    if second and args.model is None and args.isometry and getattr(args, second) is None:
+        parser.error(f"{args.subcommand} needs the {second} JSON path after the isometry path")
     if args.subcommand in ("simulate", "example") and args.model is None:
-        print(json.dumps({"kind": "UsageError", "detail": "--model is required"}), file=sys.stderr)
-        return 1
+        parser.error("--model is required")
     try:
         return args.func(args)
     except NotIrreducible as exc:
@@ -460,7 +462,7 @@ def main(argv=None):
     except QmcError as exc:
         print(json.dumps(exc.to_json()), file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(
             json.dumps({"kind": type(exc).__name__, "detail": str(exc)}),
             file=sys.stderr,

@@ -28,6 +28,7 @@ from .errors import (
     NotPSD,
     OutOfInterval,
     PeripheralMismatch,
+    as_complex_array,
     as_integer,
 )
 from .linalg import bordered_eigvec, bordered_solve, dag, herm_coords, herm_part, herm_vec
@@ -649,7 +650,7 @@ def output_state(iso, rho_in, n):
     """
     d, k = iso.d, iso.k
     n = as_integer("n", n, 0)
-    rho_in = np.asarray(rho_in, dtype=complex)
+    rho_in = as_complex_array("input state", rho_in)
     if rho_in.shape != (d, d):
         raise DimensionMismatch(f"input state shape {rho_in.shape}, expected ({d}, {d})")
     if not np.isfinite(rho_in).all():

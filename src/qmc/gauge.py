@@ -49,7 +49,6 @@ from .errors import (
     NotIdentifiable,
     NotIrreducible,
     NotTangent,
-    OutOfInterval,
     ResolventIllConditioned,
     SingularResolvent,
     UnitDimMismatch,
@@ -85,8 +84,11 @@ __all__ = [
 
 def _check_gauge_element(g, d):
     c, w = g
-    c = complex(c)
-    w = np.asarray(w, dtype=complex)
+    try:
+        c = complex(c)
+    except (TypeError, ValueError):
+        raise GaugeConstraintViolated(f"phase {c!r} is not a complex number") from None
+    w = as_complex_array("unitary", w)
     if not (abs(abs(c) - 1.0) <= 1e-8):
         raise GaugeConstraintViolated(f"phase has modulus {abs(c):.6f}, expected 1")
     if w.shape != (d, d):
@@ -107,6 +109,7 @@ def act(g, iso):
 # start only has to be generic, i.e. not orthogonal to the left eigenvector
 # of any eigenvalue, which X = 1 can be.
 _WITNESS_SEED = 20251021
+_WITNESS_TOL = 1e-8  # equivalent chains: E has an eigenvalue of modulus >= 1 - this
 # Residual ||E^p x - mu x|| of the unit iterate x at which mu counts as
 # converged onto the rim.  The Rayleigh value of the non-normal E^p is
 # accurate to first order in the residual, so the witness phase agrees with
@@ -115,14 +118,14 @@ _WITNESS_SEED = 20251021
 _WITNESS_RESIDUAL = 1e-12
 
 
-def equivalence_witness(iso1, iso2, tol=1e-8):
+def equivalence_witness(iso1, iso2):
     """Witness (c, w) with (w (x) 1) v2 = c v1 w, or None when inequivalent.
 
     Both chains must be ``Isometry`` instances, else DimensionMismatch,
     irreducible, and share system and unit dimensions.  The witness is read
     off an eigenvector of E: X -> sum_u K1_u* X K2_u at an eigenvalue of
-    largest modulus; the chains count as equivalent when
-    that modulus is at least 1 - tol, so ``tol`` must lie in (0, 1).  From
+    largest modulus; the chains count as equivalent when that modulus is at
+    least 1 - ``_WITNESS_TOL``.  From
     ``ergodic._CERTIFY_MIN_D`` on, the Kraus route of
     :func:`_kraus_peripheral` looks for it by power iteration; when it is
     undecided, and always below that size, the dense route takes every
@@ -138,12 +141,6 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
     must satisfy the relation to 1e-6; otherwise WitnessInconsistent is
     raised.
     """
-    try:
-        tol = float(tol)
-    except (TypeError, ValueError):
-        raise OutOfInterval(f"tol = {tol!r} is not a number") from None
-    if not 0.0 < tol < 1.0:
-        raise OutOfInterval(f"tol = {tol}, expected a finite value in (0, 1)")
     for name, iso in (("iso1", iso1), ("iso2", iso2)):
         if not isinstance(iso, Isometry):
             raise DimensionMismatch(f"{name} must be an Isometry, got a {type(iso).__name__}")
@@ -164,10 +161,10 @@ def equivalence_witness(iso1, iso2, tol=1e-8):
         profiles.append(prof)
     prof = profiles[0]
     d = iso1.d
-    found = _kraus_peripheral(iso1, iso2, prof.period, tol)
-    lam, f, res = _dense_peripheral(iso1, iso2, tol) if found is None else found
+    found = _kraus_peripheral(iso1, iso2, prof.period, _WITNESS_TOL)
+    lam, f, res = _dense_peripheral(iso1, iso2, _WITNESS_TOL) if found is None else found
     radius = abs(lam)
-    if radius < 1.0 - tol:
+    if radius < 1.0 - _WITNESS_TOL:
         return None
     if not res <= 1e-6:
         raise WitnessInconsistent(f"peripheral eigenvector relative residual {res:.3e}")
@@ -250,13 +247,9 @@ def _kraus_peripheral(iso1, iso2, p, tol):
     value mu of E^p.  Once |mu| >= (1 - tol)^p and the residual is at most
     ``_WITNESS_RESIDUAL``, lam is the p-th root c0 gamma^j of mu whose
     projection sum_{m<p} lam^-m E^m(X), an eigenvector of E at lam, is the
-    largest.  Below the rim, lam = mu^(1/p) is returned when the residual is
-    below 1/100 of the distance of mu to the rim (the rule of
-    ``ergodic._certify_periodic``) and, as in the decay test, a rim
-    eigenvalue would have grown by 1 / _CERTIFY_DECAY against mu by then,
-    so its component would have had to start below 1e-10 of mu's.  A tol
-    below ``_CERTIFY_TOL_FLOOR``, a chain below ``_CERTIFY_MIN_D``, a
-    non-finite iterate and a spent budget are undecided.
+    largest.  A tol below ``_CERTIFY_TOL_FLOOR``, a chain below
+    ``_CERTIFY_MIN_D``, a non-finite iterate and a spent budget are
+    undecided; an iterate that stays below the rim spends the budget.
     """
     d = iso1.d
     if d < ergodic._CERTIFY_MIN_D or tol < ergodic._CERTIFY_TOL_FLOOR:
@@ -288,14 +281,8 @@ def _kraus_peripheral(iso1, iso2, p, tol):
         res = np.linalg.norm(y - mu * x)
         if not np.isfinite(res):
             return None
-        if abs(mu) >= rim:
-            if res <= _WITNESS_RESIDUAL:
-                return _rim_eigenpair(apply, x, mu, p)
-        elif (
-            res <= 0.01 * (rim - abs(mu))
-            and abs(mu) <= rim * ergodic._CERTIFY_DECAY ** (1.0 / taken)
-        ):
-            return mu ** (1.0 / p), None, 0.0
+        if abs(mu) >= rim and res <= _WITNESS_RESIDUAL:
+            return _rim_eigenpair(apply, x, mu, p)
         x = y
     return None
 

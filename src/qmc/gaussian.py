@@ -11,7 +11,7 @@ of the stabiliser action); mode 0 drives the coherent factor, the
 remaining modes ("perp" part) drive the zeta components.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,14 +190,11 @@ class MixtureGram:
 
     Component vectors are indexed by (point, m): coherent factor of the
     mode-0 part tensored with the m-th zeta component of the perp part.
-    ``gram`` is the full (N p) x (N p) Hermitian PSD matrix, ``coherent``
-    the N x N Gram of the bare coherent factors (unit diagonal).
+    ``gram`` is the full (N p) x (N p) Hermitian PSD matrix, its rows in
+    the order (0, 0), ..., (0, p - 1), (1, 0), ...
     """
 
-    points: list
     gram: np.ndarray
-    coherent: np.ndarray
-    index: list = field(default_factory=list)
 
 
 def mixture_gram(profile, points):
@@ -208,23 +205,22 @@ def mixture_gram(profile, points):
         raise DimensionMismatch("mixture_gram needs at least one point")
     p = profile.period
     n = len(pts)
-    coherent = np.empty((n, n), dtype=complex)
     gram = np.zeros((n * p, n * p), dtype=complex)
-    zetas = {}
+    blocks = {}  # (ix, iy) -> the coherent overlap times the p zeta Grams
     for ix in range(n):
         for iy in range(n):
-            coherent[ix, iy] = _coherent_overlap(profile, pts[ix].mode0, pts[iy].mode0)
-            zetas[(ix, iy)] = zeta_gram(profile, pts[ix], pts[iy])
+            coherent = _coherent_overlap(profile, pts[ix].mode0, pts[iy].mode0)
+            blocks[(ix, iy)] = coherent * zeta_gram(profile, pts[ix], pts[iy])
     index = [(ipt, m) for ipt in range(n) for m in range(p)]
     for ra, (ipt_a, ma) in enumerate(index):
         for rb, (ipt_b, mb) in enumerate(index):
             if ma != mb:
                 continue
-            gram[ra, rb] = coherent[ipt_a, ipt_b] * zetas[(ipt_a, ipt_b)][ma]
+            gram[ra, rb] = blocks[(ipt_a, ipt_b)][ma]
     wmin = float(np.linalg.eigvalsh(gram).min())
     if wmin < -_PSD_TOL:
         raise GramNotPSD(f"mixture Gram has eigenvalue {wmin:.3e}")
-    return MixtureGram(points=pts, gram=gram, coherent=coherent, index=index)
+    return MixtureGram(gram=gram)
 
 
 def _embedded_states(gram, groups):

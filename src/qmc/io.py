@@ -128,10 +128,8 @@ def load_json(path):
         return json.load(fh)
 
 
-def dump_json(obj, fh=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    fh = sys.stdout if fh is None else fh
-    fh.write(text + "\n")
+def dump_json(obj):
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _cell(x):

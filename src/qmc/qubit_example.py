@@ -300,15 +300,13 @@ def golden_tangent(model, theta0=None):
     raise DimensionMismatch(f"unknown model {model!r}")
 
 
-def golden_modes(model="m2"):
-    """Cyclic mode split of the reference identifiable tangent.
+def golden_modes():
+    """Cyclic mode split of m2's reference identifiable tangent.
 
-    For m2 at theta = 0: the mode-0 and mode-1 components of A0_id, their
-    2x2 coordinate forms on the off-diagonal/diagonal qubit sectors, and
-    the image of A0_id under the nontrivial stabiliser element.
+    At theta = 0: the mode-0 and mode-1 components of A0_id, their 2x2
+    coordinate forms on the off-diagonal/diagonal qubit sectors, and the
+    image of A0_id under the nontrivial stabiliser element.
     """
-    if model != "m2":
-        raise DimensionMismatch("mode goldens are recorded for m2 only")
     b0 = np.array([[0, 0], [0, -1], [-1, 0], [0, 0]], dtype=complex)
     b1 = np.array([[0, 0], [-1 + 1j, 0], [0, 1 + 1j], [0, 0]], dtype=complex)
     return {

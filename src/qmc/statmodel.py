@@ -225,12 +225,12 @@ def _n_grid(n_values):
     return n_values
 
 
-def weak_qlan_curve(profile, x, y, n_values, phi=None):
+def weak_qlan_curve(profile, x, y, n_values):
     """Finite-n joint overlaps against their Gaussian limit on a grid of n.
 
     Both tangents are pulled back along the local charts
     ``v(x / sqrt(n))``; the overlap is weighted by the stationary state
-    unless an explicit initial vector ``phi`` is supplied.  The free
+    (:func:`joint_overlap` gives it for a pure initial state).  The free
     per-parameter phases are removed by the e^{i(theta_x-theta_y) sqrt(n)}
     correction, and the prediction is
     exp(-1/2 beta(dx, dx) + i sigma(x_id, y_id)) with dx = x_id - y_id.
@@ -241,8 +241,6 @@ def weak_qlan_curve(profile, x, y, n_values, phi=None):
     n_values = _n_grid(n_values)
     profile.require_irreducible()
     iso = profile.iso
-    if phi is not None:
-        phi = _unit_vector(phi, iso.d)
     x = _as_matrix(iso, x)
     y = _as_matrix(iso, y)
     sx, sy = split(profile, np.stack([x, y]))
@@ -253,10 +251,7 @@ def weak_qlan_curve(profile, x, y, n_values, phi=None):
         vx = retract(iso, x, t)
         vy = retract(iso, y, t)
         opn = DeformedChannel(vx, vy).iterate(np.eye(iso.d, dtype=complex), n)
-        if phi is None:
-            overlap = complex(np.trace(profile.rho_ss @ opn))
-        else:
-            overlap = complex(np.vdot(phi, opn @ phi))
+        overlap = complex(np.trace(profile.rho_ss @ opn))
         corrected = overlap * np.exp(1j * (sx.theta - sy.theta) * np.sqrt(n))
         reports.append(
             {
@@ -270,14 +265,14 @@ def weak_qlan_curve(profile, x, y, n_values, phi=None):
     return reports
 
 
-def weak_qlan_report(profile, x, y, n, phi=None):
+def weak_qlan_report(profile, x, y, n):
     """:func:`weak_qlan_curve` at the one point n: a report dict."""
-    return weak_qlan_curve(profile, x, y, [n], phi=phi)[0]
+    return weak_qlan_curve(profile, x, y, [n])[0]
 
 
-def weak_qlan_error(profile, x, y, n, phi=None):
+def weak_qlan_error(profile, x, y, n):
     """Absolute deviation of the corrected finite-n overlap from its limit."""
-    return weak_qlan_report(profile, x, y, n, phi=phi)["error"]
+    return weak_qlan_report(profile, x, y, n)["error"]
 
 
 class _Lower:

@@ -24,6 +24,7 @@ from .errors import (
     NotHermitian,
     NotPSD,
     ObservableNotDiagonal,
+    as_complex_array,
     as_integer,
 )
 from .ergodic import analyze
@@ -52,7 +53,7 @@ class BlockMeasurement:
     block: int = field(init=False)
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=complex)
+        vecs = as_complex_array("measurement vectors", self.vectors)
         if vecs.ndim != 2:
             raise DimensionMismatch("vectors must be a (n_outcomes, k^b) array")
         dim = vecs.shape[1]
@@ -88,14 +89,11 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class FluctuationStats:
-    """Per-trial time averages and fluctuation values of a block observable."""
+    """Per-trial fluctuation values of a block observable and their variance."""
 
-    n: int
     block: int
     n_blocks: int
-    q_bar: np.ndarray
     f: np.ndarray
-    mean_target: float
     predicted_var: float
     empirical_var: float
     var_stderr: float
@@ -203,7 +201,7 @@ def _prepare(iso, rho_in, n_blocks, meas, seed):
     n_blocks = as_integer("n_blocks", n_blocks)
     if n_blocks < 0:
         raise DimensionMismatch(f"n_blocks = {n_blocks}, expected >= 0")
-    rho = np.asarray(rho_in, dtype=complex)
+    rho = as_complex_array("input state", rho_in)
     if rho.shape != (iso.d, iso.d):
         raise DimensionMismatch(f"input state shape {rho.shape}, expected ({iso.d}, {iso.d})")
     if not np.isfinite(rho).all():
@@ -243,8 +241,7 @@ def sample(iso, rho_in, n_blocks, meas, seed, trial=0):
 
 
 def _diagonal_in_basis(q, meas):
-    """Outcome values of q when q is diagonal in the measured basis."""
-    q = np.asarray(q, dtype=complex)
+    """Outcome values of q, a complex array, when q is diagonal in the measured basis."""
     if not (np.linalg.norm(q - dag(q)) <= 1e-10 * max(1.0, np.linalg.norm(q))):
         raise NotHermitian("observable must be Hermitian")
     qb = meas.vectors.conj() @ q @ meas.vectors.T
@@ -266,30 +263,28 @@ def _variance_trials(trials):
 
 
 def _block_count(n, b):
-    """(n, n // b) for an integer n; DimensionMismatch if it holds no block of length b."""
+    """n // b for an integer n; DimensionMismatch if it holds no block of length b."""
     n = as_integer("n", n)
     if n // b < 1:
         raise DimensionMismatch(f"n = {n} holds no complete block of length {b}")
-    return n, n // b
+    return n // b
 
 
-def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None, rho_in=None):
+def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None):
     """Sampled fluctuation statistics F = sqrt(n_blocks) (Q_bar - m).
 
-    Blocks are measured disjointly.  For block length b >= 2 the predicted
-    variance is the CLT variance of the b-step power chain (which must be
-    irreducible: at a periodic point with p dividing b it is not, and the
-    analysis will say so).
+    Trajectories start in rho_ss and blocks are measured disjointly.  For
+    block length b >= 2 the predicted variance is the CLT variance of the
+    b-step power chain (which must be irreducible: at a periodic point with
+    p dividing b it is not, and the analysis will say so).
     """
     trials = _variance_trials(trials)
-    q = np.asarray(q, dtype=complex)
+    q = as_complex_array("observable", q)
     if meas is None:
         meas = standard_measurement(iso.k, block_length(q.shape[0], iso.k))
     values = _diagonal_in_basis(q, meas)
     b = meas.block
-    n, n_blocks = _block_count(n, b)
-    if rho_in is None:
-        rho_in = profile.rho_ss
+    n_blocks = _block_count(n, b)
     m = stationary_mean(profile, q)
     if b == 1:
         predicted = asymptotic_variance(profile, q)
@@ -298,20 +293,16 @@ def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None, rho_in=None):
         pow_profile = analyze(wiso)
         pow_profile.require_irreducible()
         predicted = asymptotic_variance(pow_profile, q)
-    outcomes, _ = sample_batch(iso, rho_in, n_blocks, meas, seed, trials)
-    q_bar = values[outcomes].mean(axis=1)
-    f = np.sqrt(n_blocks) * (q_bar - m)
+    outcomes, _ = sample_batch(iso, profile.rho_ss, n_blocks, meas, seed, trials)
+    f = np.sqrt(n_blocks) * (values[outcomes].mean(axis=1) - m)
     emp = float(f.var(ddof=1))
     centred = f - f.mean()
     m4 = float(np.mean(centred**4))
     stderr = float(np.sqrt(max(m4 - emp**2, 0.0) / trials))
     return FluctuationStats(
-        n=n,
         block=b,
         n_blocks=n_blocks,
-        q_bar=q_bar,
         f=f,
-        mean_target=m,
         predicted_var=float(predicted),
         empirical_var=emp,
         var_stderr=stderr,
@@ -336,7 +327,7 @@ def run_estimator(model, theta, n, trials, seed, block=1):
     meas, q = qe.measurement(model, block=block)
     values = _diagonal_in_basis(q, meas)
     b = meas.block
-    _, n_blocks = _block_count(n, b)
+    n_blocks = _block_count(n, b)
     outcomes, _ = sample_batch(iso, profile.rho_ss, n_blocks, meas, seed, trials)
     vals = values[outcomes]
     x_bar = vals.mean(axis=1)

@@ -962,9 +962,9 @@ def test_singular_system_is_checked_against_the_exact_value(monkeypatch):
 # equivalence witness: Kraus-form power iteration against the dense route
 
 
-def _witness(iso1, iso2, tol):
+def _witness(iso1, iso2):
     try:
-        return equivalence_witness(iso1, iso2, tol)
+        return equivalence_witness(iso1, iso2)
     except QmcError as exc:
         return exc
 
@@ -975,10 +975,11 @@ def _kraus_verdict(found, tol):
     return "inequivalent" if abs(found[0]) < 1.0 - tol else "equivalent"
 
 
-def _both_witness_routes(iso1, iso2, tol=1e-8):
+def _both_witness_routes(iso1, iso2, tol):
     """(Kraus-route witness, dense-route witness, the Kraus stage's verdict).
 
-    The size rule is lifted, so the Kraus stage runs at every d; the dense
+    The size rule is lifted, so the Kraus stage runs at every d, and the
+    witness tolerance ``gauge._WITNESS_TOL`` is set to ``tol``; the dense
     witness comes from a Kraus stage patched to be undecided.
     """
     answers = []
@@ -990,10 +991,11 @@ def _both_witness_routes(iso1, iso2, tol=1e-8):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
+        mp.setattr(gauge, "_WITNESS_TOL", tol)
         mp.setattr(gauge, "_kraus_peripheral", spy)
-        fast = _witness(iso1, iso2, tol)
+        fast = _witness(iso1, iso2)
         mp.setattr(gauge, "_kraus_peripheral", lambda *args: None)
-        dense = _witness(iso1, iso2, tol)
+        dense = _witness(iso1, iso2)
     return fast, dense, _kraus_verdict(answers[0], tol) if answers else None
 
 
@@ -1141,10 +1143,9 @@ def test_witness_kraus_route_rejects_non_finite_iterate(monkeypatch, where):
 def test_kraus_witness_waits_for_a_hidden_rim_eigenvalue(monkeypatch):
     # E multiplies X entrywise: by 1 at the entry where the seeded start is
     # smallest and by 0.995 elsewhere.  The start's rim component is 0.003 of
-    # the rest, so the Rayleigh value sits at 0.995 with a residual below
-    # 1/100 of its distance to the rim from the first step, while the radius
-    # is 1.  Over the 256-step budget the rim entry outgrows the rest only by
-    # 3.6, far from 1e8, so the stage must stay undecided
+    # the rest, so the Rayleigh value sits at 0.995 from the first step, while
+    # the radius is 1.  Over the 256-step budget the rim entry outgrows the
+    # rest only by 3.6, so the stage must stay undecided
     d = 16
     start = np.random.default_rng(gauge._WITNESS_SEED)
     x0 = start.standard_normal((d, d)) + 1j * start.standard_normal((d, d))

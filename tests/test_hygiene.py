@@ -1,7 +1,8 @@
 """Source hygiene: every function parameter in the package is read,
 every class the package tests with isinstance is one it constructs,
-every exception it raises is one of its own typed errors, and every
-export has a consumer."""
+every exception it raises is one of its own typed errors, every export
+has a consumer, and every optional parameter of an export has a caller
+that sets it."""
 
 import ast
 import builtins
@@ -276,3 +277,128 @@ def test_scan_finds_a_builtin_raise():
         "        raise\n    raise error('y') from None\n"
     )
     assert _builtin_raises(tree) == [(3, "ValueError"), (4, "KeyError")]
+
+
+def _exported_names(tree):
+    """The names a module's top-level ``__all__`` list or tuple holds."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _signature(node):
+    """(parameters, positional, optional) of a function or lambda node:
+    every parameter name, the ones a call fills by position (a leading
+    ``self`` or ``cls`` excepted) and the ones with a default."""
+    a = node.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    optional = positional[len(positional) - len(a.defaults) :] if a.defaults else []
+    optional += [p.arg for p, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+    params = positional + [p.arg for p in a.kwonlyargs]
+    params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    return set(params), positional, set(optional)
+
+
+def _unset_parameters(trees):
+    """(function, parameter) for each parameter with a default, of a function
+    in some module's ``__all__``, that no call in ``trees``, a {file: tree}
+    dict, sets.
+
+    A call resolves by the callee's name to every function of that name in
+    the trees, and sets the parameters it passes by keyword or by position.
+    A value that is a bare parameter of the calling function sets the
+    parameter only if that one is set in turn; required parameters always
+    are.
+    """
+    defs, exported = {}, []
+    for tree in trees.values():
+        names = _exported_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append(_signature(node))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names:
+                exported += [(node.name, p) for p in sorted(_signature(node)[2])]
+
+    given, forwarded = set(), []  # set pairs; (pair, pair it is forwarded from)
+
+    def source(value, scopes):
+        # (caller, parameter) when the value is an optional parameter of the
+        # innermost function that has a parameter of that name
+        if isinstance(value, ast.Name):
+            for name, (params, _, optional) in reversed(scopes):
+                if value.id in params:
+                    return (name, value.id) if value.id in optional else None
+        return None
+
+    def visit(node, scopes):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scopes = scopes + [(getattr(node, "name", "<lambda>"), _signature(node))]
+        if isinstance(node, ast.Call):
+            callee = _name(node.func)
+            passed = [(kw.arg, kw.value) for kw in node.keywords if kw.arg is not None]
+            for _, positional, _ in defs.get(callee, []):
+                for param, value in zip(positional, node.args):
+                    if isinstance(value, ast.Starred):
+                        break
+                    passed.append((param, value))
+            for param, value in passed:
+                origin = source(value, scopes)
+                if origin is None:
+                    given.add((callee, param))
+                else:
+                    forwarded.append(((callee, param), origin))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    for tree in trees.values():
+        visit(tree, [])
+    while True:
+        new = {target for target, origin in forwarded if origin in given} - given
+        if not new:
+            return [pair for pair in exported if pair not in given]
+        given |= new
+
+
+# optional parameters that no caller outside the unit tests sets, and why each stays
+_UNSET_PARAMETERS = {
+    ("channel", "picture"): "the reference route; perfbench/tracer.py patches channel",
+    ("closed_form_mean", "block"): "the printed m3 pair-mean golden",
+    ("fluctuation_stats", "meas"): "only the caller knows the measured basis",
+    ("qfi_rate", "b"): "the off-diagonal QFI rate, the paper's inner product on "
+    "the identifiable tangent space",
+    ("sample", "trial"): "the per-(seed, trial) contract: row t of any batch",
+    ("witness_matches", "tol"): "a checking helper",
+}
+
+
+def test_every_optional_parameter_is_set():
+    root = Path(__file__).parents[1]
+    paths = sorted(SRC.glob("*.py")) + [Path(__file__).with_name("test_acceptance.py")]
+    paths += sorted((root / "perfbench").glob("*.py"))
+    trees = {str(path): ast.parse(path.read_text()) for path in paths}
+    assert sorted(_unset_parameters(trees)) == sorted(_UNSET_PARAMETERS)
+
+
+def test_scan_finds_an_unset_parameter():
+    trees = {
+        "a.py": ast.parse(
+            "__all__ = ['f', 'g', 'h']\n\n"
+            "def f(x, lone=1, fwd=2, lit=3, req=4, pos=5):\n    return x\n\n"
+            "def g(y, opt=None):\n    return f(y, fwd=opt, lit='z')\n\n"
+            "def h(z, w=0):\n    return f(z, req=z), g(z), _p(z, 1)\n\n"
+            "def _p(u, v=1):\n    return f(u, pos=v)\n"
+        ),
+        "b.py": ast.parse("import a\n\na.h(0)\n"),
+    }
+    # lone: no call passes it; fwd: only forwarded from the unset opt; lit:
+    # a literal; req: forwarded from a required parameter; pos: forwarded
+    # from _p's v, which h passes by position
+    assert _unset_parameters(trees) == [("f", "fwd"), ("f", "lone"), ("g", "opt"), ("h", "w")]

@@ -2,7 +2,6 @@ import ast
 import inspect
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qmc
 from qmc import cli, gauge, io, linalg
 from qmc.channels import Isometry
 from qmc.errors import DimensionMismatch
@@ -17,13 +17,20 @@ from qmc.qubit_example import fixture_s, isometry
 
 import oracles
 
-QMC = shutil.which("qmc")
+# the checkout's package goes first on the child's path, whatever else is installed
+_PYTHONPATH = os.pathsep.join(
+    filter(None, [str(Path(qmc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 def _run(*args, stdin=None):
-    cmd = [QMC] if QMC else [sys.executable, "-m", "qmc.cli"]
     return subprocess.run(
-        cmd + list(args), capture_output=True, text=True, input=stdin, timeout=300
+        [sys.executable, "-m", "qmc.cli", *args],
+        capture_output=True,
+        text=True,
+        input=stdin,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": _PYTHONPATH},
     )
 
 
@@ -98,8 +105,6 @@ def test_profile_report_emits_spectral_gap():
 
 
 def test_import_does_not_load_scipy():
-    import qmc
-
     src = str(Path(qmc.__file__).resolve().parents[1])
     code = "import sys, qmc, qmc.cli; print('scipy' in sys.modules)"
     res = subprocess.run(
@@ -385,6 +390,18 @@ def test_cli_usage_errors():
     assert err["kind"] == "UsageError"
     res2 = _run("qfi", "--model", "m1")
     assert res2.returncode == 1
+
+
+@pytest.mark.parametrize("subcommand,second", [("qfi", "tangent"), ("variance", "observable")])
+def test_cli_missing_second_file_is_a_usage_error(tmp_path, subcommand, second):
+    # a chain file without the tangent or observable file used to end in a
+    # TypeError traceback from io.load_json(None)
+    res = _run(subcommand, _write_iso(tmp_path, isometry("m1", 0.3), "m1.json"))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    err = json.loads(line)
+    assert err["kind"] == "UsageError" and second in err["detail"]
 
 
 @pytest.mark.parametrize("subcommand", ["converge", "limit-model"])

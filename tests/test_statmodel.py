@@ -6,6 +6,7 @@ import pytest
 from qmc.channels import Isometry, apply_steps, dilation, isometry_from_kraus
 from qmc.errors import (
     DimensionMismatch,
+    GaugeConstraintViolated,
     IndexOutOfRange,
     InvalidCount,
     NotHermitian,
@@ -16,7 +17,7 @@ from qmc.errors import (
     UnitDimMismatch,
 )
 from qmc.ergodic import analyze, output_state
-from qmc.gauge import mode_decompose, restricted_resolvent_solve, split, tangent_inner
+from qmc.gauge import act, mode_decompose, restricted_resolvent_solve, split, tangent_inner
 from qmc.gaussian import mixture_gram, mode_point
 from qmc.linalg import dag
 from qmc.qubit_example import (
@@ -43,7 +44,13 @@ from qmc.statmodel import (
     weak_qlan_curve,
     weak_qlan_report,
 )
-from qmc.trajectories import standard_measurement
+from qmc.trajectories import (
+    BlockMeasurement,
+    fluctuation_stats,
+    sample,
+    sample_batch,
+    standard_measurement,
+)
 
 import oracles
 
@@ -205,6 +212,7 @@ BAD_INPUTS = [
     ("isometry-string-theta", lambda: isometry("m1", "x"), OutOfInterval),
     ("measurement-fractional-unit-dim", lambda: standard_measurement(2.5, 1), InvalidCount),
     ("measurement-negative-unit-dim", lambda: standard_measurement(-1, 1), InvalidCount),
+    ("act-string-phase", lambda: act(("x", np.eye(2)), isometry("m1", 0.3)), GaugeConstraintViolated),
     # finite but huge inputs: the functionals are quadratic in them and would overflow
     ("qfi-curve-huge-tangent", lambda: _huge_input("qfi_curve"), NotTangent),
     ("qfi-rate-huge-tangent", lambda: _huge_input("qfi_rate"), NotTangent),
@@ -235,6 +243,15 @@ STRING_OPERANDS = {
     "restricted_resolvent_solve": lambda prof: restricted_resolvent_solve(prof, "x"),
     "weak_qlan_curve": lambda prof: weak_qlan_curve(prof, "x", "x", [4]),
     "qfi_curve-phi": lambda prof: qfi_curve(prof.iso, golden_tangent("m1")[0], "x", [4]),
+    "Isometry": lambda prof: Isometry("x", 2, 2),
+    "isometry_from_kraus": lambda prof: isometry_from_kraus([np.eye(2), "x"]),
+    "act-unitary": lambda prof: act((1.0, "x"), prof.iso),
+    "apply_steps": lambda prof: apply_steps(prof.iso, "x", 2),
+    "output_state": lambda prof: output_state(prof.iso, "x", 2),
+    "BlockMeasurement": lambda prof: BlockMeasurement("x", 2),
+    "sample_batch": lambda prof: sample_batch(prof.iso, "x", 4, standard_measurement(2), 0, 2),
+    "sample": lambda prof: sample(prof.iso, "x", 4, standard_measurement(2), 0),
+    "fluctuation_stats": lambda prof: fluctuation_stats(prof.iso, prof, "x", 8, 2, 0),
 }
 
 
@@ -300,8 +317,6 @@ def test_qfi_rejects_non_finite_or_zero_inputs():
     for bad_phi in bad_phis:
         with pytest.raises(DimensionMismatch):
             qfi_curve(iso, x, bad_phi, [3])
-        with pytest.raises(DimensionMismatch):
-            weak_qlan_report(profile, x, -x, 8, phi=bad_phi)
         with pytest.raises(DimensionMismatch):
             joint_overlap(iso, iso, bad_phi, 3)
 
@@ -484,13 +499,11 @@ def test_weak_qlan_curve_equals_pointwise_reports(period):
     assert profile.period == period
     raw = rng.standard_normal((2,) + iso.v.shape) + 1j * rng.standard_normal((2,) + iso.v.shape)
     x, y = (0.5 * t.a_id for t in split(profile, raw))
-    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     grid = [64, 8, 1, 64, 300]
-    for kwargs in ({}, {"phi": phi}):
-        curve = weak_qlan_curve(profile, x, y, grid, **kwargs)
-        assert [rep["n"] for rep in curve] == grid
-        for n, rep in zip(grid, curve):
-            assert rep == weak_qlan_report(profile, x, y, n, **kwargs)
+    curve = weak_qlan_curve(profile, x, y, grid)
+    assert [rep["n"] for rep in curve] == grid
+    for n, rep in zip(grid, curve):
+        assert rep == weak_qlan_report(profile, x, y, n)
     for bad, error in (
         ([], DimensionMismatch),
         (8, DimensionMismatch),
