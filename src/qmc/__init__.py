@@ -33,7 +33,6 @@ from .gauge import (
     witness_matches,
 )
 from .gaussian import (
-    MixtureGram,
     ModePoint,
     coherent_overlap,
     eta_hat,
@@ -47,14 +46,12 @@ from .gaussian import (
 from .statmodel import (
     DeformedChannel,
     LocalObservable,
-    QfiReport,
     asymptotic_variance,
     component_overlap,
     finite_window_variance,
     joint_overlap,
     qfi_curve,
     qfi_rate,
-    qfi_report,
     retract,
     stationary_mean,
     weak_qlan_curve,

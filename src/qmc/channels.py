@@ -70,8 +70,9 @@ class Isometry:
     def __post_init__(self):
         v = np.ascontiguousarray(as_complex_array("isometry", self.v))
         object.__setattr__(self, "v", v)
-        if self.d < 1 or self.k < 1:
-            raise DimensionMismatch(f"dimensions d={self.d}, k={self.k} must be positive")
+        dims = (self.d, self.k)
+        if not all(isinstance(n, (int, np.integer)) and n is not True and n >= 1 for n in dims):
+            raise DimensionMismatch(f"dimensions d={self.d!r}, k={self.k!r} must be positive")
         if v.shape != (self.d * self.k, self.d):
             raise DimensionMismatch(
                 f"matrix shape {v.shape} does not match (d*k, d) = ({self.d * self.k}, {self.d})"
@@ -131,7 +132,7 @@ class Superoperator:
         object.__setattr__(self, "m", np.asarray(self.m, dtype=complex))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=complex)
+        x = as_complex_array("operand", x)
         if x.shape != tuple(self.shape_in):
             raise DimensionMismatch(
                 f"operand shape {x.shape} incompatible with map input {self.shape_in}"

@@ -69,13 +69,11 @@ def _list_flag(flag, text, parse, valid, error):
     return out
 
 
-def _resolve_iso(args, positional=None):
-    """Isometry from --model/--theta or from a JSON file path."""
+def _resolve_iso(args):
+    """Isometry from --model/--theta or from the isometry JSON path."""
     if args.model is not None:
         return qubit_example.isometry(args.model, args.theta)
-    if positional is None:
-        raise QmcError("need either --model/--theta or an isometry JSON path")
-    return io.isometry_from_json(io.load_json(positional))
+    return io.isometry_from_json(io.load_json(args.isometry))
 
 
 def _settings(args, **extra):
@@ -84,7 +82,6 @@ def _settings(args, **extra):
         "tol_peripheral": tol.peripheral_band,
         "tol_faithful": tol.faithfulness_floor,
         "tol_gap": tol.simplicity_gap,
-        "cap_tensor": args.cap_tensor,
     }
     if getattr(args, "model", None):
         out["model"] = args.model
@@ -163,7 +160,7 @@ def cmd_qfi(args):
     n_max = as_integer("--n-max", args.n_max)
     if n_max < n_step:
         raise InvalidCount(f"--n-max = {n_max} is below --n-step = {n_step}; the n grid is empty")
-    iso = _resolve_iso(args, args.isometry)
+    iso = _resolve_iso(args)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
     if args.model is not None:
@@ -174,20 +171,20 @@ def cmd_qfi(args):
     # deterministic initial state: dominant eigenvector of rho_ss
     _, vecs = np.linalg.eigh(profile.rho_ss)
     phi = vecs[:, -1]
-    n_values = np.arange(n_step, n_max + 1, n_step)
-    rep = statmodel.qfi_report(profile, a, phi, n_values)
-    rows = [(int(n), f, f / n) for n, f in zip(rep.n_values, rep.f_n)]
+    n_values = range(n_step, n_max + 1, n_step)
+    f = statmodel.qfi_curve(profile.iso, a, phi, n_values)
+    rows = [(n, f_n, f_n / n) for n, f_n in zip(n_values, f)]
     io.write_csv(
         ("n", "f_n", "f_n_over_n"),
         rows,
-        settings=_settings(args, qfi_rate=rep.rate),
+        settings=_settings(args, qfi_rate=statmodel.qfi_rate(profile, a)),
     )
     return 0
 
 
 def cmd_variance(args):
     n_values = _list_flag("--n-list", args.n_list, int, lambda n: n >= 1, InvalidCount)
-    iso = _resolve_iso(args, args.isometry)
+    iso = _resolve_iso(args)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
     if args.model is not None:
@@ -206,6 +203,7 @@ def cmd_variance(args):
         rows,
         settings=_settings(
             args,
+            cap_tensor=args.cap_tensor,
             sigma2=det["sigma2"],
             mean=det["mean"],
             c0=det["c0"],
@@ -223,7 +221,7 @@ def cmd_converge(args):
         raise InvalidCount(
             f"--pow-max = --pow-min = {args.pow_min}; a slope needs at least two sizes"
         )
-    iso = _resolve_iso(args, args.isometry)
+    iso = _resolve_iso(args)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
     if args.x is not None:
@@ -270,7 +268,7 @@ def cmd_converge(args):
 
 def cmd_limit_model(args):
     scales = _list_flag("--scale-grid", args.scale_grid, float, np.isfinite, OutOfInterval)
-    iso = _resolve_iso(args, args.isometry)
+    iso = _resolve_iso(args)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
     if args.x is not None:
@@ -391,7 +389,6 @@ def _build_parser():
     p.add_argument("--n-max", type=int, default=400)
     p.add_argument("--n-step", type=int, default=25)
     _add_tol_flags(p)
-    p.add_argument("--cap-tensor", type=int, default=DEFAULT_TENSOR_CAP)
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("variance", help="finite-window and asymptotic variance (CSV)")
@@ -413,7 +410,6 @@ def _build_parser():
     p.add_argument("--pow-min", type=int, default=6)
     p.add_argument("--pow-max", type=int, default=12)
     _add_tol_flags(p)
-    p.add_argument("--cap-tensor", type=int, default=DEFAULT_TENSOR_CAP)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("limit-model", help="limit Gaussian/mixture model data (JSON)")
@@ -449,6 +445,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "model", None) is not None and args.theta is None:
         parser.error("--model requires --theta")
+    if getattr(args, "isometry", "") is None and args.model is None:
+        parser.error("need either --model/--theta or an isometry JSON path")
     second = {"qfi": "tangent", "variance": "observable"}.get(args.subcommand)
     if second and args.model is None and args.isometry and getattr(args, second) is None:
         parser.error(f"{args.subcommand} needs the {second} JSON path after the isometry path")

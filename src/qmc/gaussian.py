@@ -22,7 +22,6 @@ from .linalg import dag, trace_norm
 
 __all__ = [
     "ModePoint",
-    "MixtureGram",
     "mode_point",
     "coherent_overlap",
     "eta_hat",
@@ -184,21 +183,14 @@ def predicted_component_limit(profile, a, b, i, j, r, x, y):
     return complex(pi_bj * sum(gamma ** (delta * k) * np.exp(lam[k]) for k in range(p)))
 
 
-@dataclass(frozen=True)
-class MixtureGram:
-    """Gram data of a finite family of mixed-Gaussian limit states.
+def mixture_gram(profile, points):
+    """Pairwise component Gram of mixed-Gaussian states at the given points.
 
     Component vectors are indexed by (point, m): coherent factor of the
     mode-0 part tensored with the m-th zeta component of the perp part.
-    ``gram`` is the full (N p) x (N p) Hermitian PSD matrix, its rows in
-    the order (0, 0), ..., (0, p - 1), (1, 0), ...
+    Returns the (N p) x (N p) Hermitian PSD Gram of the N points, its rows
+    in the order (0, 0), ..., (0, p - 1), (1, 0), ...
     """
-
-    gram: np.ndarray
-
-
-def mixture_gram(profile, points):
-    """Pairwise component Gram of mixed-Gaussian states at the given points."""
     profile.require_irreducible()
     pts = _as_points(profile, points)
     if not pts:
@@ -220,7 +212,7 @@ def mixture_gram(profile, points):
     wmin = float(np.linalg.eigvalsh(gram).min())
     if wmin < -_PSD_TOL:
         raise GramNotPSD(f"mixture Gram has eigenvalue {wmin:.3e}")
-    return MixtureGram(gram=gram)
+    return gram
 
 
 def _embedded_states(gram, groups):
@@ -246,7 +238,6 @@ def _embedded_states(gram, groups):
 
 def mixture_trace_distance(profile, x, y):
     """Exact trace distance (1/2)||rho(x) - rho(y)||_1 of two limit mixtures."""
-    mg = mixture_gram(profile, [x, y])
     p = profile.period
-    states = _embedded_states(mg.gram, [range(0, p), range(p, 2 * p)])
+    states = _embedded_states(mixture_gram(profile, [x, y]), [range(0, p), range(p, 2 * p)])
     return float(0.5 * trace_norm(states[0] - states[1]))

@@ -16,7 +16,6 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "complex_to_json",
-    "complex_from_json",
     "matrix_to_json",
     "matrix_from_json",
     "isometry_to_json",
@@ -32,10 +31,6 @@ __all__ = [
 def complex_to_json(z):
     z = complex(z)
     return {"re": float(z.real), "im": float(z.imag)}
-
-
-def complex_from_json(obj):
-    return complex(float(obj["re"]), float(obj["im"]))
 
 
 def matrix_to_json(m):

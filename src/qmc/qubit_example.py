@@ -119,7 +119,7 @@ def isometry(model, theta, strict=True):
             ],
             dtype=complex,
         )
-    elif model == "m3":
+    else:  # m3; _check_interval rejected any other model
         s, c = np.sin(theta), np.cos(theta)
         v = np.array(
             [
@@ -130,8 +130,6 @@ def isometry(model, theta, strict=True):
             ],
             dtype=complex,
         )
-    else:
-        raise DimensionMismatch(f"unknown model {model!r}")
     return Isometry(v, 2, 2)
 
 
@@ -174,9 +172,7 @@ def closed_form_mean(model, theta, block=1):
         return 0.5 - 1.5 * theta**2
     if model == "m2":
         return 0.5 * (1.0 - 2.0 * theta * np.sqrt(1.0 - 3.0 * theta**2))
-    if model == "m3":
-        return 7.0 / 12.0 - np.cos(theta) ** 2 / 6.0
-    raise DimensionMismatch(f"unknown model {model!r}")
+    return 7.0 / 12.0 - np.cos(theta) ** 2 / 6.0  # m3
 
 
 def mean_derivative(model, theta, block=1):

@@ -55,14 +55,12 @@ from .linalg import antiherm_part, dag, herm_coords, herm_part, over_cap, unvec,
 __all__ = [
     "DeformedChannel",
     "LocalObservable",
-    "QfiReport",
     "joint_overlap",
     "retract",
     "weak_qlan_curve",
     "weak_qlan_report",
     "weak_qlan_error",
     "qfi_curve",
-    "qfi_report",
     "qfi_rate",
     "component_overlap",
     "stationary_mean",
@@ -106,7 +104,7 @@ class DeformedChannel:
         """
         n = as_integer("n", n, 0)
         op = self.superop
-        x = np.asarray(x, dtype=complex)
+        x = as_complex_array("operand", x)
         if x.shape != tuple(op.shape_in):
             raise DimensionMismatch(f"operand shape {x.shape}, expected {op.shape_in}")
         m = op.m
@@ -145,16 +143,6 @@ class LocalObservable:
             raise NotHermitian("local observable must be Hermitian")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "block", b)
-
-
-@dataclass(frozen=True)
-class QfiReport:
-    """Finite-n QFI values along a grid together with the limiting rate."""
-
-    n_values: list
-    f_n: np.ndarray
-    rate: float
-    residuals: np.ndarray
 
 
 def _system_vector(phi, d):
@@ -347,8 +335,8 @@ def _orbit(a, z0, count, readout):
         yield vals.reshape(len(readout), _ORBIT_BLOCK)[:, :steps]
 
 
-def _qfi_sweep(iso, a, phi, n_values):
-    """F_n at each n of ``n_values`` (positive ints) along the polar curve through ``a``.
+def qfi_curve(iso, a, phi, n_values):
+    """F_n at each n of the grid ``n_values``, read once, along the polar curve through ``a``.
 
     Three-term expansion of 4(||dPsi||^2 - |<Psi|dPsi>|^2): a local term,
     a cross term summing transfer-operator images of v* a over all time
@@ -367,6 +355,7 @@ def _qfi_sweep(iso, a, phi, n_values):
     c the chunk length, instead of i + c t single steps, which moves the
     last digits only.
     """
+    n_values = _n_grid(n_values)
     d = iso.d
     a = _as_matrix(iso, a)
     _check_tangent_entries(a)
@@ -400,20 +389,6 @@ def _qfi_sweep(iso, a, phi, n_values):
         f[hit] = 4.0 * (local + 2.0 * cross - phase**2)
         done += vals.shape[1]
     return f
-
-
-def qfi_curve(iso, a, phi, n_values):
-    """F_n on a grid of n values, sharing the transfer-operator sweeps."""
-    return _qfi_sweep(iso, a, phi, _n_grid(n_values))
-
-
-def qfi_report(profile, a, phi, n_values):
-    """Finite-n QFI curve together with the limiting rate 4 beta(a_id, a_id)."""
-    profile.require_irreducible()  # before the sweep, which does not need it
-    n_values = _n_grid(n_values)
-    f = qfi_curve(profile.iso, a, phi, n_values)
-    rate = qfi_rate(profile, a)
-    return QfiReport(n_values=n_values, f_n=f, rate=rate, residuals=f / np.array(n_values) - rate)
 
 
 def qfi_rate(profile, a, b=None):

@@ -99,8 +99,14 @@ class FluctuationStats:
     var_stderr: float
 
 
+def _check_measurement(meas):
+    if not isinstance(meas, BlockMeasurement):
+        raise DimensionMismatch(f"meas must be a BlockMeasurement, got a {type(meas).__name__}")
+
+
 def block_kraus(iso, meas):
     """Effective Kraus operators of a block measurement, one per outcome."""
+    _check_measurement(meas)
     if meas.k != iso.k:
         raise DimensionMismatch(f"measurement unit dimension {meas.k} != chain's {iso.k}")
     b = meas.block
@@ -282,6 +288,7 @@ def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None):
     q = as_complex_array("observable", q)
     if meas is None:
         meas = standard_measurement(iso.k, block_length(q.shape[0], iso.k))
+    _check_measurement(meas)
     values = _diagonal_in_basis(q, meas)
     b = meas.block
     n_blocks = _block_count(n, b)

@@ -54,6 +54,24 @@ def test_rejects_non_finite_entries(bad):
         isometry_from_kraus(kraus)
 
 
+@pytest.mark.parametrize(
+    "shape,d,k", [((4, 2), 0, 2), ((4, 2), 2, 0), ((4, 2), -2, -2), ((2, 4), 2, 2), ((4, 2), 2, 3)],
+    ids=["d-zero", "k-zero", "both-negative", "transposed", "k-disagrees"],
+)
+def test_isometry_rejects_bad_dimensions(shape, d, k):
+    with pytest.raises(DimensionMismatch):
+        Isometry(np.eye(*shape), d, k)
+
+
+@pytest.mark.parametrize(
+    "kraus", [[], [np.eye(2), np.eye(3)], [np.eye(2), np.ones((2, 3))]],
+    ids=["empty", "sizes-differ", "not-square"],
+)
+def test_kraus_family_must_be_nonempty_and_of_one_square_shape(kraus):
+    with pytest.raises(UnitDimMismatch):
+        isometry_from_kraus(kraus)
+
+
 def test_sandwich_map_rejects_unequal_unit_dimensions():
     iso3 = Isometry(oracles.random_isometry(np.random.default_rng(4), 2, 3), 2, 3)
     with pytest.raises(UnitDimMismatch):

@@ -159,18 +159,18 @@ def test_gram_psd_and_deficiency():
     x = _identifiable(profile, 35)
     y = _identifiable(profile, 36)
     g = mixture_gram(profile, [x, y])
-    assert g.gram.shape == (2 * profile.period, 2 * profile.period)
-    evals = np.linalg.eigvalsh(g.gram)
+    assert g.shape == (2 * profile.period, 2 * profile.period)
+    evals = np.linalg.eigvalsh(g)
     assert evals.min() > -1e-10
     # relabelling the family only permutes the Gram
     g2 = mixture_gram(profile, [y, x])
-    assert abs(np.trace(g.gram) - np.trace(g2.gram)) < 1e-12
+    assert abs(np.trace(g) - np.trace(g2)) < 1e-12
 
 
 def test_embedded_states_reject_non_finite_or_negative_gram():
     # a NaN entry used to reach eigh and raise numpy's LinAlgError
     profile = analyze(fixture_s())
-    g = mixture_gram(profile, [_identifiable(profile, 35)]).gram
+    g = mixture_gram(profile, [_identifiable(profile, 35)])
     for bad in (np.nan, np.inf):
         broken = g.copy()
         broken[0, -1] = bad

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import qmc
-from qmc import cli, gauge, io, linalg
+from qmc import cli, gauge, io, linalg, statmodel
 from qmc.channels import Isometry
 from qmc.errors import DimensionMismatch
-from qmc.qubit_example import fixture_s, isometry
+from qmc.qubit_example import closed_form_qfi_rate, fixture_s, isometry
 
 import oracles
 
@@ -84,7 +84,7 @@ def test_split_report_round_trips_complex_theta():
     sp = split(analyze(iso), (0.3 + 1j) * iso.v)
     assert abs(sp.theta_im - 1.0) < 1e-12
     rep = json.loads(json.dumps(io.split_report(sp)))
-    assert io.complex_from_json(rep["theta"]) == complex(sp.theta, sp.theta_im)
+    assert complex(rep["theta"]["re"], rep["theta"]["im"]) == complex(sp.theta, sp.theta_im)
     assert np.array_equal(io.matrix_from_json(rep["kgen"]), sp.kgen)
 
 
@@ -383,6 +383,46 @@ def test_cli_example_bundle():
     assert set(out) <= set(rep)  # full report extends the summary
 
 
+def test_cli_example_m1_full_report_carries_the_closed_forms(capsys):
+    argv = ["example", "--model", "m1", "--theta", "0.3", "--report", "full"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    # m1's whole velocity is identifiable, so the split's rate is the closed form
+    assert abs(out["qfi_rate"] - out["qfi_rate_closed_form"]) <= 1e-8 * out["qfi_rate"]
+    notes = out["consistency"]
+    assert notes["m1_qfi_rate"] == out["qfi_rate_closed_form"]
+    assert notes["m1_va_norm"] < 1e-12
+
+
+def test_cli_limit_model_on_a_model_splits_its_velocity(capsys):
+    # x is the identifiable part of dv/dtheta and y = 1.3 x, so the coherent
+    # overlap is exp(-0.3^2 beta(x, x) / 2) with 4 beta(x, x) the QFI rate
+    assert cli.main(["limit-model", "--model", "m1", "--theta", "0.3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["model_type"] == "mixed-gaussian" and out["period"] == 2
+    beta = closed_form_qfi_rate(0.3) / 4.0
+    overlap = complex(out["coherent_overlap"]["re"], out["coherent_overlap"]["im"])
+    assert abs(overlap - np.exp(-0.5 * 0.09 * beta)) < 1e-8
+
+
+def test_cli_qfi_checks_irreducibility_before_the_sweep(tmp_path, monkeypatch, capsys):
+    v = np.zeros((4, 2))
+    v[0, 0] = v[3, 1] = 1.0
+    chain = _write_iso(tmp_path, Isometry(v, 2, 2), "red.json")
+    tangent = tmp_path / "t.json"
+    tangent.write_text(json.dumps(io.matrix_to_json(np.ones((4, 2)))))
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("qfi_curve ran on a reducible chain")
+
+    monkeypatch.setattr(statmodel, "qfi_curve", sweep)
+    assert cli.main(["qfi", chain, str(tangent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["kind"] == "NotIrreducible"
+
+
 def test_cli_usage_errors():
     res = _run("simulate", "--n", "10", "--trials", "2")
     assert res.returncode == 1
@@ -402,6 +442,20 @@ def test_cli_missing_second_file_is_a_usage_error(tmp_path, subcommand, second):
     (line,) = res.stderr.splitlines()
     err = json.loads(line)
     assert err["kind"] == "UsageError" and second in err["detail"]
+
+
+@pytest.mark.parametrize("subcommand", ["qfi", "variance", "converge", "limit-model"])
+def test_cli_missing_chain_is_a_usage_error(subcommand, capsys):
+    # with neither --model nor a chain path these used to exit 1 with the
+    # base class QmcError as the kind
+    with pytest.raises(SystemExit) as exc:
+        cli.main([subcommand])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["kind"] == "UsageError" and "--model" in err["detail"]
 
 
 @pytest.mark.parametrize("subcommand", ["converge", "limit-model"])
@@ -427,7 +481,8 @@ DROPPED_FLAGS = [
 ] + [
     base + ["--cap-tensor", "1"]
     for base in (["analyze", "a.json"], ["tangent", "a.json", "t.json"], ["limit-model", "a.json"],
-                 ["example", "--model", "m1", "--theta", "0.3"])
+                 ["example", "--model", "m1", "--theta", "0.3"], ["qfi", "a.json", "t.json"],
+                 ["converge", "a.json"])
 ]
 
 

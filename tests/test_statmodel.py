@@ -3,14 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qmc.channels import Isometry, apply_steps, dilation, isometry_from_kraus
+from qmc.channels import Isometry, apply_steps, dilation, isometry_from_kraus, sandwich_map
 from qmc.errors import (
     DimensionMismatch,
     GaugeConstraintViolated,
     IndexOutOfRange,
     InvalidCount,
     NotHermitian,
-    NotIrreducible,
     NotTangent,
     OutOfInterval,
     RetractionFailure,
@@ -38,7 +37,6 @@ from qmc.statmodel import (
     joint_overlap,
     qfi_curve,
     qfi_rate,
-    qfi_report,
     retract,
     stationary_mean,
     weak_qlan_curve,
@@ -46,6 +44,7 @@ from qmc.statmodel import (
 )
 from qmc.trajectories import (
     BlockMeasurement,
+    block_kraus,
     fluctuation_stats,
     sample,
     sample_batch,
@@ -201,6 +200,11 @@ def _huge_input(kind):
     return asymptotic_variance(profile, 1e200 * q)
 
 
+def _string_meas_fluctuation_stats():
+    profile = analyze(isometry("m1", 0.3))
+    return fluctuation_stats(profile.iso, profile, np.diag([1.0, 0.0]), 8, 2, 0, meas="x")
+
+
 BAD_INPUTS = [
     ("measurement-negative-block", lambda: standard_measurement(2, -1), InvalidCount),
     ("measurement-fractional-block", lambda: standard_measurement(2, 1.5), InvalidCount),
@@ -213,6 +217,15 @@ BAD_INPUTS = [
     ("measurement-fractional-unit-dim", lambda: standard_measurement(2.5, 1), InvalidCount),
     ("measurement-negative-unit-dim", lambda: standard_measurement(-1, 1), InvalidCount),
     ("act-string-phase", lambda: act(("x", np.eye(2)), isometry("m1", 0.3)), GaugeConstraintViolated),
+    ("isometry-string-dimension", lambda: Isometry(np.eye(4)[:, :2], "x", 2), DimensionMismatch),
+    ("isometry-bool-dimension", lambda: Isometry(np.eye(4)[:, :1], True, 4), DimensionMismatch),
+    # a measurement that is not a BlockMeasurement, caught before any attribute read
+    ("block-kraus-string-meas", lambda: block_kraus(isometry("m1", 0.3), "x"), DimensionMismatch),
+    ("sample-batch-string-meas",
+     lambda: sample_batch(isometry("m1", 0.3), np.eye(2) / 2, 4, "x", 0, 2), DimensionMismatch),
+    ("sample-string-meas",
+     lambda: sample(isometry("m1", 0.3), np.eye(2) / 2, 4, "x", 0), DimensionMismatch),
+    ("fluctuation-stats-string-meas", _string_meas_fluctuation_stats, DimensionMismatch),
     # finite but huge inputs: the functionals are quadratic in them and would overflow
     ("qfi-curve-huge-tangent", lambda: _huge_input("qfi_curve"), NotTangent),
     ("qfi-rate-huge-tangent", lambda: _huge_input("qfi_rate"), NotTangent),
@@ -252,6 +265,8 @@ STRING_OPERANDS = {
     "sample_batch": lambda prof: sample_batch(prof.iso, "x", 4, standard_measurement(2), 0, 2),
     "sample": lambda prof: sample(prof.iso, "x", 4, standard_measurement(2), 0),
     "fluctuation_stats": lambda prof: fluctuation_stats(prof.iso, prof, "x", 8, 2, 0),
+    "DeformedChannel.iterate": lambda prof: DeformedChannel(prof.iso, prof.iso).iterate("x", 3),
+    "sandwich_map": lambda prof: sandwich_map(prof.iso, prof.iso)("x"),
 }
 
 
@@ -546,33 +561,10 @@ def test_component_overlap_rejects_labels_that_are_not_integers(label):
             component_overlap(iso, iso, profile, *args, 3)
 
 
-def test_qfi_report_reads_a_grid_once():
-    # qfi_curve used to use up a generator that qfi_report then read again
-    profile = analyze(isometry("m1", 0.3))
+def test_qfi_curve_reads_a_grid_once():
+    # a generator grid gives the values of the same grid as a list
+    iso = isometry("m1", 0.3)
     a = golden_tangent("m1")[0]
     phi = np.array([1.0, 0.0])
-    rep = qfi_report(profile, a, phi, (n for n in (2, 4)))
-    ref = qfi_report(profile, a, phi, [2, 4])
-    assert rep.n_values == [2, 4]
-    assert np.array_equal(rep.f_n, ref.f_n) and np.array_equal(rep.residuals, ref.residuals)
-
-
-def test_qfi_report_checks_irreducibility_before_the_sweep(monkeypatch):
-    from qmc import statmodel
-
-    rng = np.random.default_rng(48)
-    kraus = []
-    for a, b in zip(*(Isometry(oracles.random_isometry(rng, 4, 2), 4, 2).kraus for _ in "ab")):
-        m = np.zeros((8, 8), dtype=complex)
-        m[:4, :4], m[4:, 4:] = a, b
-        kraus.append(m)
-    profile = analyze(isometry_from_kraus(kraus))
-    assert not profile.is_irreducible
-
-    def sweep(*args, **kwargs):
-        raise AssertionError("qfi_curve ran on a reducible chain")
-
-    monkeypatch.setattr(statmodel, "qfi_curve", sweep)
-    a = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-    with pytest.raises(NotIrreducible):
-        statmodel.qfi_report(profile, a, np.eye(8)[0], [1, 2, 4])
+    f = qfi_curve(iso, a, phi, (n for n in (2, 4)))
+    assert np.array_equal(f, qfi_curve(iso, a, phi, [2, 4])) and len(f) == 2
