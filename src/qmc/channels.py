@@ -32,6 +32,7 @@ from .errors import (
     UnitDimMismatch,
     as_complex_array,
     as_integer,
+    as_vector,
 )
 from .linalg import dag, herm_pairs, unvec, vec
 
@@ -111,9 +112,6 @@ def isometry_from_kraus(kraus):
         if K.shape != (d, d):
             raise UnitDimMismatch(f"Kraus shapes differ: {K.shape} vs ({d}, {d})")
     k = len(kraus)
-    # Isometry repeats this check, but its message names v, not the Kraus operators
-    if not all(np.isfinite(K).all() for K in kraus):
-        raise NotIsometry("Kraus operators have NaN or Inf entries")
     v = np.zeros((d * k, d), dtype=complex)
     for u, K in enumerate(kraus):
         v[u::k] = K
@@ -261,11 +259,7 @@ def apply_steps(iso, phi, n):
     unit axes in chronological order (axis 1 = first emitted).  ``phi``
     must be a finite vector of d entries, else DimensionMismatch.
     """
-    d = iso.d
-    phi = as_complex_array("phi", phi)
-    if phi.size != d or not np.isfinite(phi).all():
-        raise DimensionMismatch(f"phi must be a finite vector of length {d}, got shape {phi.shape}")
-    return _steps(iso, phi.reshape(d), n, DEFAULT_TENSOR_CAP)
+    return _steps(iso, as_vector("phi", phi, iso.d), n, DEFAULT_TENSOR_CAP)
 
 
 def _steps(iso, psi, n, cap):

@@ -21,15 +21,12 @@ import numpy as np
 
 from .channels import Isometry, apply_steps, real_transfer
 from .errors import (
-    DimensionMismatch,
     LabelingFailure,
-    NotHermitian,
     NotIrreducible,
-    NotPSD,
     OutOfInterval,
     PeripheralMismatch,
-    as_complex_array,
     as_integer,
+    as_state,
 )
 from .linalg import bordered_eigvec, bordered_solve, dag, herm_coords, herm_part, herm_vec
 
@@ -650,14 +647,7 @@ def output_state(iso, rho_in, n):
     """
     d, k = iso.d, iso.k
     n = as_integer("n", n, 0)
-    rho_in = as_complex_array("input state", rho_in)
-    if rho_in.shape != (d, d):
-        raise DimensionMismatch(f"input state shape {rho_in.shape}, expected ({d}, {d})")
-    if not np.isfinite(rho_in).all():
-        raise NotHermitian("input state has non-finite entries")
-    vals, vecs = np.linalg.eigh(herm_part(rho_in))
-    if vals[0] < -1e-10:
-        raise NotPSD(f"input state has eigenvalue {vals[0]:.3e}")
+    vals, vecs = np.linalg.eigh(herm_part(as_state("input state", rho_in, d)))
     # apply_steps enforces the tensor cap, so it runs before the k^n x k^n
     # result is allocated
     psis = [apply_steps(iso, phi, n).reshape(d, k**n) for phi in vecs.T]

@@ -1,5 +1,5 @@
-"""Exception types used across the package, and the integer and array
-conversions behind InvalidCount and DimensionMismatch.
+"""Exception types used across the package, and the one reader of each
+value kind: counts, arrays, real parameters, system vectors and states.
 
 Every error carries a ``kind`` tag (stable string, equal to the class name)
 and a human-readable ``detail``.  The CLI serialises failures as a single
@@ -143,3 +143,45 @@ def as_complex_array(name, value):
     except (TypeError, ValueError):
         kind = type(value).__name__
         raise DimensionMismatch(f"{name} is not an array of numbers, got a {kind}") from None
+
+
+def as_real(name, value):
+    """``value`` read by ``float()``; OutOfInterval when it is not a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise OutOfInterval(f"{name} = {value!r} is not a number") from None
+
+
+def as_vector(name, value, d):
+    """``value`` as a length-d complex vector; DimensionMismatch unless it is
+    finite with d entries (any shape)."""
+    phi = as_complex_array(name, value)
+    if phi.size != d or not np.isfinite(phi).all():
+        raise DimensionMismatch(f"{name} must be {d} finite entries, got shape {phi.shape}")
+    return phi.reshape(d)
+
+
+def as_state(name, value, d):
+    """``value`` as a d x d complex array that is a state up to normalisation.
+
+    DimensionMismatch for another shape; NotHermitian unless it is finite and
+    Hermitian to 1e-10 of max(1, ||rho||); NotPSD unless its eigenvalues
+    are at least -1e-10 of that scale and its trace is at least 1e-14.
+    """
+    rho = as_complex_array(name, value)
+    if rho.shape != (d, d):
+        raise DimensionMismatch(f"{name} shape {rho.shape}, expected ({d}, {d})")
+    if not np.isfinite(rho).all():
+        raise NotHermitian(f"{name} has non-finite entries")
+    scale = max(1.0, np.linalg.norm(rho))
+    skew = np.linalg.norm(rho - rho.conj().T)
+    if not (skew <= 1e-10 * scale):
+        raise NotHermitian(f"{name} is not Hermitian (defect {skew:.3e})")
+    low = np.linalg.eigvalsh(rho)[0]
+    if not (low >= -1e-10 * scale):
+        raise NotPSD(f"{name} has eigenvalue {low:.3e} < 0")
+    tr = np.trace(rho).real
+    if not (tr >= 1e-14):
+        raise NotPSD(f"{name} has trace {tr:.3e}, expected a positive trace")
+    return rho

@@ -16,7 +16,7 @@ theta = 0 and primitive elsewhere.
 import numpy as np
 
 from .channels import Isometry, real_transfer
-from .errors import DimensionMismatch, OutOfInterval, ReducibleParameters
+from .errors import DimensionMismatch, OutOfInterval, ReducibleParameters, as_real
 from .linalg import dag, herm_coords
 from .trajectories import BlockMeasurement, standard_measurement
 
@@ -67,14 +67,6 @@ def reference_theta(model):
     return {"m1": 0.3, "m2": 0.0, "m3": 0.0}[model]
 
 
-def _as_theta(theta):
-    """theta as a float; OutOfInterval when it is not a real number."""
-    try:
-        return float(theta)
-    except (TypeError, ValueError):
-        raise OutOfInterval(f"theta = {theta!r} is not a number") from None
-
-
 def _check_interval(model, theta, strict=True):
     lo, hi = theta_interval(model)
     if model == "m3":
@@ -95,7 +87,7 @@ def _check_interval(model, theta, strict=True):
 
 def isometry(model, theta, strict=True):
     """The model's isometry at the given parameter."""
-    theta = _as_theta(theta)
+    theta = as_real("theta", theta)
     _check_interval(model, theta, strict=strict)
     if model == "m1":
         x = np.sqrt(1.0 - 4.0 * theta**2)
@@ -161,7 +153,7 @@ def fixture_s():
 
 def closed_form_mean(model, theta, block=1):
     """Printed mean curve of the model's distinguished measurement outcome."""
-    theta = _as_theta(theta)
+    theta = as_real("theta", theta)
     _check_interval(model, theta, strict=False)
     if model == "m3" and block == 2:
         s2 = np.sin(theta) ** 2
@@ -177,7 +169,7 @@ def closed_form_mean(model, theta, block=1):
 
 def mean_derivative(model, theta, block=1):
     """d/dtheta of the measured mean."""
-    theta = _as_theta(theta)
+    theta = as_real("theta", theta)
     if block == 1:
         if model == "m1":
             return -3.0 * theta
@@ -266,7 +258,7 @@ def golden_tangent(model, theta0=None):
     m3 are quoted at theta = 0.
     """
     if model == "m1":
-        th = reference_theta("m1") if theta0 is None else _as_theta(theta0)
+        th = reference_theta("m1") if theta0 is None else as_real("theta0", theta0)
         x = np.sqrt(1.0 - 4.0 * th**2)
         a = np.array(
             [
@@ -324,7 +316,7 @@ def closed_form_qfi_rate(theta):
     variant formula.  OutOfInterval where it is undefined: |th| >= 1/2 or
     th not finite.
     """
-    theta = _as_theta(theta)
+    theta = as_real("theta", theta)
     if not abs(theta) < 0.5:
         raise OutOfInterval(f"closed-form m1 QFI rate needs |theta| < 1/2; theta = {theta}")
     return 2.0 * (
@@ -354,7 +346,7 @@ def snr_spectral_data(theta):
     The closed form matches the radius only while it dominates the
     constant competing branch (~0.9714), i.e. for theta below about 0.085.
     """
-    theta = _as_theta(theta)
+    theta = as_real("theta", theta)
     if not 0.0 <= theta < np.pi / 2:
         raise OutOfInterval(f"m3 admits theta in [0, pi/2); theta = {theta}")
     iso = isometry("m3", theta)

@@ -36,11 +36,12 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotHermitian,
-    OutOfInterval,
     RetractionFailure,
     SizeCap,
     as_complex_array,
     as_integer,
+    as_real,
+    as_vector,
 )
 from .gauge import (
     _as_matrix,
@@ -145,17 +146,9 @@ class LocalObservable:
         object.__setattr__(self, "block", b)
 
 
-def _system_vector(phi, d):
-    """phi as a length-d complex vector; DimensionMismatch for any other length."""
-    phi = as_complex_array("phi", phi)
-    if phi.size != d:
-        raise DimensionMismatch(f"phi has {phi.size} entries, expected d = {d}")
-    return phi.reshape(d)
-
-
 def _unit_vector(phi, d):
     """phi / ||phi||; DimensionMismatch unless phi is a finite nonzero length-d vector."""
-    phi = _system_vector(phi, d)
+    phi = as_vector("phi", phi, d)
     nv = np.linalg.norm(phi)
     if not (np.isfinite(nv) and nv > 0):
         raise DimensionMismatch(f"phi must be a finite nonzero vector, norm {nv}")
@@ -170,7 +163,7 @@ def joint_overlap(iso1, iso2, phi, n):
     """
     n = as_integer("n", n, 1)
     dc = DeformedChannel(iso1, iso2)
-    phi = _system_vector(phi, iso1.d)
+    phi = as_vector("phi", phi, iso1.d)
     nv = np.linalg.norm(phi)
     if not (abs(nv - 1.0) <= 1e-6):
         raise DimensionMismatch(f"phi must be a unit vector, norm {nv:.6f}")
@@ -187,10 +180,7 @@ def retract(iso, x, t):
     first order.  Larger defects raise RetractionFailure.
     """
     x = _as_matrix(iso, x)
-    try:
-        t = float(t)
-    except (TypeError, ValueError):
-        raise OutOfInterval(f"t = {t!r} is not a number") from None
+    t = as_real("t", t)
     m = iso.v + 1j * t * x
     defect = dag(m) @ m - np.eye(iso.d) - t * t * (dag(x) @ x)
     if not (np.linalg.norm(defect) <= 1e-6 * max(1.0, abs(t) * np.linalg.norm(x))):

@@ -21,15 +21,14 @@ from .errors import (
     DimensionMismatch,
     IncompleteMeasurement,
     InvalidCount,
-    NotHermitian,
-    NotPSD,
     ObservableNotDiagonal,
     as_complex_array,
     as_integer,
+    as_state,
 )
 from .ergodic import analyze
 from .linalg import dag, herm_coords, herm_vec
-from .statmodel import asymptotic_variance, stationary_mean
+from .statmodel import LocalObservable, asymptotic_variance, stationary_mean
 
 __all__ = [
     "BlockMeasurement",
@@ -105,7 +104,8 @@ def _check_measurement(meas):
 
 
 def block_kraus(iso, meas):
-    """Effective Kraus operators of a block measurement, one per outcome."""
+    """Effective Kraus operators of a block measurement, one per outcome;
+    Isometry and BlockMeasurement guarantee that they resolve the identity."""
     _check_measurement(meas)
     if meas.k != iso.k:
         raise DimensionMismatch(f"measurement unit dimension {meas.k} != chain's {iso.k}")
@@ -113,11 +113,7 @@ def block_kraus(iso, meas):
     w3 = dilation(iso, b, cap=max(DEFAULT_TENSOR_CAP, iso.k**b)).reshape(
         iso.d, iso.k**b, iso.d
     )
-    km = np.einsum("jw,swh->jsh", meas.vectors.conj(), w3)
-    comp = sum(dag(k) @ k for k in km)
-    if not (np.linalg.norm(comp - np.eye(iso.d)) <= 1e-10):
-        raise IncompleteMeasurement("block Kraus operators do not sum to the identity")
-    return km
+    return np.einsum("jw,swh->jsh", meas.vectors.conj(), w3)
 
 
 def _trial_generator(seed, trial):
@@ -207,21 +203,7 @@ def _prepare(iso, rho_in, n_blocks, meas, seed):
     n_blocks = as_integer("n_blocks", n_blocks)
     if n_blocks < 0:
         raise DimensionMismatch(f"n_blocks = {n_blocks}, expected >= 0")
-    rho = as_complex_array("input state", rho_in)
-    if rho.shape != (iso.d, iso.d):
-        raise DimensionMismatch(f"input state shape {rho.shape}, expected ({iso.d}, {iso.d})")
-    if not np.isfinite(rho).all():
-        raise NotHermitian("input state has non-finite entries")
-    scale = max(1.0, np.linalg.norm(rho))
-    skew = np.linalg.norm(rho - dag(rho))
-    if not (skew <= 1e-10 * scale):
-        raise NotHermitian(f"input state is not Hermitian (defect {skew:.3e})")
-    low = np.linalg.eigvalsh(rho)[0]
-    if not (low >= -1e-10 * scale):
-        raise NotPSD(f"input state has eigenvalue {low:.3e} < 0")
-    tr = np.trace(rho).real
-    if not (tr >= 1e-14):
-        raise NotPSD(f"input state has trace {tr:.3e}, expected a positive trace")
+    rho = as_state("input state", rho_in, iso.d)
     return _step_operator(block_kraus(iso, meas)), rho, n_blocks, seed
 
 
@@ -247,9 +229,7 @@ def sample(iso, rho_in, n_blocks, meas, seed, trial=0):
 
 
 def _diagonal_in_basis(q, meas):
-    """Outcome values of q, a complex array, when q is diagonal in the measured basis."""
-    if not (np.linalg.norm(q - dag(q)) <= 1e-10 * max(1.0, np.linalg.norm(q))):
-        raise NotHermitian("observable must be Hermitian")
+    """Outcome values of a LocalObservable's q, when q is diagonal in the measured basis."""
     qb = meas.vectors.conj() @ q @ meas.vectors.T
     off = qb - np.diag(np.diag(qb))
     if not (np.linalg.norm(off) <= 1e-10 * max(1.0, np.linalg.norm(qb))):
@@ -279,18 +259,22 @@ def _block_count(n, b):
 def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None):
     """Sampled fluctuation statistics F = sqrt(n_blocks) (Q_bar - m).
 
+    q is read as a LocalObservable on the chain's units, and ``meas``,
+    the computational basis by default, must measure blocks of q's length.
     Trajectories start in rho_ss and blocks are measured disjointly.  For
     block length b >= 2 the predicted variance is the CLT variance of the
     b-step power chain (which must be irreducible: at a periodic point with
     p dividing b it is not, and the analysis will say so).
     """
     trials = _variance_trials(trials)
-    q = as_complex_array("observable", q)
+    obs = LocalObservable(q, iso.k)
+    q, b = obs.q, obs.block
     if meas is None:
-        meas = standard_measurement(iso.k, block_length(q.shape[0], iso.k))
+        meas = standard_measurement(iso.k, b)
     _check_measurement(meas)
+    if (meas.k, meas.block) != (iso.k, b):
+        raise DimensionMismatch(f"measurement (k, b) = {meas.k, meas.block}, observable {iso.k, b}")
     values = _diagonal_in_basis(q, meas)
-    b = meas.block
     n_blocks = _block_count(n, b)
     m = stationary_mean(profile, q)
     if b == 1:
@@ -332,7 +316,7 @@ def run_estimator(model, theta, n, trials, seed, block=1):
     profile = analyze(iso)
     profile.require_irreducible()
     meas, q = qe.measurement(model, block=block)
-    values = _diagonal_in_basis(q, meas)
+    values = _diagonal_in_basis(LocalObservable(q, iso.k).q, meas)
     b = meas.block
     n_blocks = _block_count(n, b)
     outcomes, _ = sample_batch(iso, profile.rho_ss, n_blocks, meas, seed, trials)

@@ -3,7 +3,7 @@ import pytest
 
 import qmc.ergodic as ergodic
 from qmc.channels import Isometry, channel, isometry_from_kraus
-from qmc.errors import NotIrreducible, OutOfInterval
+from qmc.errors import NotHermitian, NotIrreducible, NotPSD, OutOfInterval
 from qmc.ergodic import (
     ErgodicTol,
     access_span_check,
@@ -297,3 +297,13 @@ def test_non_finite_input_is_rejected(entry, bad):
     }[entry]
     with pytest.raises(NotHermitian, match="non-finite"):
         call()
+
+
+def test_output_state_reads_its_state_like_the_sampler():
+    # output_state used to take a non-Hermitian matrix as its Hermitian part
+    # and a zero matrix as the zero state; the sampler rejected both
+    iso = isometry("m1", 0.3)
+    with pytest.raises(NotHermitian):
+        output_state(iso, np.array([[0.5, 0.5], [0.0, 0.5]]), 2)
+    with pytest.raises(NotPSD):
+        output_state(iso, np.zeros((2, 2)), 2)

@@ -18,7 +18,6 @@ from qmc.ergodic import analyze
 from qmc.qubit_example import fixture_s, isometry, measurement
 from qmc.trajectories import (
     BlockMeasurement,
-    _diagonal_in_basis,
     _run_batch,
     _step_operator,
     block_kraus,
@@ -114,6 +113,29 @@ def test_fluctuation_stats_rejects_non_diagonal_observable():
     q = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ObservableNotDiagonal):
         fluctuation_stats(iso, profile, q, n=10, trials=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "q,meas",
+    [(np.ones((2, 3)), None), (np.diag([1.0, 0.0, 0.0, 0.0]), standard_measurement(2, 1))],
+    ids=["2x3", "4x4-on-one-unit"],
+)
+def test_fluctuation_stats_reads_its_observable_first(q, meas):
+    # both used to escape as numpy's ValueError from the change of basis
+    iso = isometry("m1", 0.3)
+    with pytest.raises(DimensionMismatch):
+        fluctuation_stats(iso, analyze(iso), q, n=10, trials=2, seed=0, meas=meas)
+
+
+def test_sampler_takes_every_chain_that_isometry_takes():
+    # a defect of 6.9e-9 passes Isometry's 1e-8 check; block_kraus used to
+    # check the sum of K* K again, at 1e-10, and raise IncompleteMeasurement
+    v = oracles.random_isometry(np.random.default_rng(12), 3, 2) * (1.0 + 2e-9)
+    defect = np.linalg.norm(v.conj().T @ v - np.eye(3))
+    assert 6e-9 < defect < 8e-9
+    iso = Isometry(v, 3, 2)
+    outcomes, states = sample_batch(iso, np.eye(3) / 3, 50, standard_measurement(2), 1, 3)
+    assert outcomes.shape == (3, 50) and np.isfinite(states).all()
 
 
 def test_unit_dimension_one_has_block_one():
@@ -221,8 +243,10 @@ def test_block_measurement_rejects_non_finite_vectors():
     for vecs in (np.full((2, 2), np.nan), np.array([[1.0, 0.0], [0.0, np.inf]])):
         with pytest.raises(IncompleteMeasurement):
             BlockMeasurement(vecs, 2)
+    # a non-finite observable stops at its reader, LocalObservable
+    iso = isometry("m1", 0.3)
     with pytest.raises(NotHermitian):
-        _diagonal_in_basis(np.full((2, 2), np.nan), standard_measurement(2, 1))
+        fluctuation_stats(iso, analyze(iso), np.full((2, 2), np.nan), n=10, trials=2, seed=0)
 
 
 BAD_SAMPLER_ARGS = [
