@@ -38,6 +38,7 @@ from .linalg import dag, herm_pairs, unvec, vec
 
 __all__ = [
     "Isometry",
+    "as_isometry",
     "Superoperator",
     "isometry_from_kraus",
     "channel",
@@ -100,6 +101,13 @@ class Isometry:
     def __hash__(self):
         # adding 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
         return hash((self.d, self.k, (self.v + 0.0).tobytes()))
+
+
+def as_isometry(name, value):
+    """The chain reader: ``value`` when it is an Isometry, else DimensionMismatch."""
+    if not isinstance(value, Isometry):
+        raise DimensionMismatch(f"{name} must be an Isometry, got a {type(value).__name__}")
+    return value
 
 
 def isometry_from_kraus(kraus):
@@ -232,8 +240,10 @@ def block_length(dim, k):
     """The block length b with k**b == dim, for operands on b output units.
 
     A 1 x 1 operand at k = 1 has block 1; any other size that is not a
-    power of k raises DimensionMismatch.
+    power of k raises DimensionMismatch, and a k that is not an integer
+    >= 1 InvalidCount.
     """
+    k = as_integer("k", k, 1)
     b = 1 if k == 1 else 0
     while k > 1 and k**b < dim:
         b += 1
@@ -266,7 +276,7 @@ def _steps(iso, psi, n, cap):
     """psi, of shape (d, ...), after n steps: (d, ..., k, ..., k); SizeCap if k^n > cap."""
     d, k = iso.d, iso.k
     n = as_integer("n", n, 0)
-    if k**n > cap:
+    if k**n > as_integer("cap", cap):
         raise SizeCap(f"k^n = {k**n} exceeds cap {cap}")
     vt = iso.v.reshape(d, k, d)  # vt[s, u, h] = v[(s, u), h]
     for _ in range(n):

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import Isometry, apply_steps, real_transfer
+from .channels import Isometry, apply_steps, as_isometry, real_transfer
 from .errors import (
+    DimensionMismatch,
     LabelingFailure,
     NotIrreducible,
     OutOfInterval,
@@ -34,6 +35,7 @@ __all__ = [
     "ErgodicTol",
     "SpectralProfile",
     "analyze",
+    "as_profile",
     "stationary_eigenbasis",
     "output_state",
     "access_span_check",
@@ -431,6 +433,13 @@ def _stationary(r, d):
     return rho / np.trace(rho).real, float(s)
 
 
+def as_profile(value):
+    """The profile reader: ``value`` when it is a SpectralProfile, else DimensionMismatch."""
+    if not isinstance(value, SpectralProfile):
+        raise DimensionMismatch(f"profile must be a SpectralProfile, got a {type(value).__name__}")
+    return value
+
+
 def _min_eigenvalue(rho):
     """Smallest eigenvalue of rho, which the faithfulness check reads."""
     return float(np.linalg.eigvalsh(rho)[0])
@@ -451,8 +460,11 @@ def analyze(iso, tol=None):
     once eigenvalue 1 is simple, so a reducible chain makes none.  No
     eigenvector matrix is ever formed; both routes give the same profile.
     """
+    iso = as_isometry("iso", iso)
     if tol is None:
         tol = ErgodicTol()
+    elif not isinstance(tol, ErgodicTol):
+        raise DimensionMismatch(f"tol must be an ErgodicTol, got a {type(tol).__name__}")
     d = iso.d
     r = real_transfer(iso)
     profile = SpectralProfile(iso=iso, d=d, k=iso.k, is_irreducible=False, tol=tol)
@@ -603,7 +615,7 @@ def stationary_eigenbasis(profile):
     to align with the standard basis (QR of the projected identity), which
     makes the output deterministic.
     """
-    profile.require_irreducible()
+    as_profile(profile).require_irreducible()
     d = profile.d
     out = []
     for a in range(profile.period):
@@ -677,7 +689,7 @@ def access_span_check(iso):
     singular values exceed ``_SPAN_RANK_TOL``: a relative rank tolerance,
     since the candidates had unit norm before projection.
     """
-    d = iso.d
+    d = as_isometry("iso", iso).d
     full = d * d
     kraus = np.stack(iso.kraus)
     basis = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(1, full)

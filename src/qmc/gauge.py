@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ergodic
-from .channels import Isometry, real_transfer, sandwich_map
+from .channels import Isometry, as_isometry, real_transfer, sandwich_map
 from .errors import (
     DimensionMismatch,
     GaugeConstraintViolated,
@@ -141,9 +141,7 @@ def equivalence_witness(iso1, iso2):
     must satisfy the relation to 1e-6; otherwise WitnessInconsistent is
     raised.
     """
-    for name, iso in (("iso1", iso1), ("iso2", iso2)):
-        if not isinstance(iso, Isometry):
-            raise DimensionMismatch(f"{name} must be an Isometry, got a {type(iso).__name__}")
+    iso1, iso2 = as_isometry("iso1", iso1), as_isometry("iso2", iso2)
     if iso1.d != iso2.d:
         raise DimensionMismatch(
             f"system dimensions differ ({iso1.d} vs {iso2.d}); chains on different "
@@ -310,7 +308,7 @@ def witness_matches(profile, witness, g, tol=1e-6):
     modulus 1 and a d x d unitary, else GaugeConstraintViolated or
     DimensionMismatch.
     """
-    profile.require_irreducible()
+    ergodic.as_profile(profile).require_irreducible()
     c_found, w_found = _check_gauge_element(witness, profile.d)
     c_g, w_g = _check_gauge_element(g, profile.d)
     gamma = profile.gamma
@@ -324,7 +322,7 @@ def witness_matches(profile, witness, g, tol=1e-6):
 
 def stabiliser(profile):
     """Generators of the residual stabiliser: [(gamma^m, Z^m)] for m < p."""
-    profile.require_irreducible()
+    ergodic.as_profile(profile).require_irreducible()
     out = []
     worst = 0.0
     for m, (_, zm) in enumerate(profile.peripheral):
@@ -438,7 +436,7 @@ def restricted_resolvent_solve(profile, rhs):
     instead: ResolventIllConditioned above the cap, else the solution, or
     SingularResolvent for a singular system.
     """
-    profile.require_irreducible()
+    ergodic.as_profile(profile).require_irreducible()
     rhs = as_complex_array("right-hand side", rhs)
     d = profile.d
     if rhs.ndim not in (2, 3) or rhs.shape[-2:] != (d, d):
@@ -479,7 +477,7 @@ def split(profile, a):
     :func:`restricted_resolvent_solve`.  Members that are equal entry for
     entry are solved once, so they get equal splits.
     """
-    profile.require_irreducible()
+    ergodic.as_profile(profile).require_irreducible()
     iso = profile.iso
     a = as_complex_array("tangent", a)
     stack = a[None] if a.ndim == 2 else a
@@ -537,7 +535,7 @@ def _require_identifiable(iso, a):
 
 def tangent_inner(profile, x, y):
     """Limit-model inner product Tr(rho_ss x* y) on identifiable directions."""
-    profile.require_irreducible()
+    ergodic.as_profile(profile).require_irreducible()
     x = _require_identifiable(profile.iso, x)
     y = _require_identifiable(profile.iso, y)
     return complex(np.trace(profile.rho_ss @ dag(x) @ y))
@@ -548,7 +546,7 @@ def stabiliser_tangent_action(profile, m, a):
 
     Returns gamma^m (Z*^m (x) 1) a Z^m; identifiability is preserved.
     """
-    profile.require_irreducible()
+    ergodic.as_profile(profile).require_irreducible()
     a = _require_identifiable(profile.iso, a)
     m = as_integer("m", m) % profile.period  # any integer: m is read mod p
     zm = profile.peripheral[m][1]
@@ -563,7 +561,7 @@ def mode_decompose(profile, a):
     on it as multiplication by gamma^m.  The modes sum to the input and are
     mutually orthogonal for the limit-model inner product.
     """
-    profile.require_irreducible()
+    ergodic.as_profile(profile).require_irreducible()
     a = _require_identifiable(profile.iso, a)
     p = profile.period
     eye_k = np.eye(profile.k)
@@ -584,7 +582,7 @@ def singular_dimension(profile):
     of the identifiable space, of each stabiliser eigenmode, and the
     headline ``l`` = real dimension of the invariant mode-0 block.
     """
-    profile.require_irreducible()
+    ergodic.as_profile(profile).require_irreducible()
     d, k, p = profile.d, profile.k, profile.period
     dims = [profile.block_dims[a] for a in range(p)]
     mode_dims = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch, as_integer
 from .gauge import _as_matrix, mode_decompose, split, tangent_inner
-from .ergodic import stationary_eigenbasis
+from .ergodic import as_profile, stationary_eigenbasis
 from .linalg import dag, trace_norm
 
 __all__ = [
@@ -70,8 +70,10 @@ def _as_points(profile, xs):
     """ModePoints of a sequence of ModePoints and raw tangents, in order.
 
     The raw tangents are split together, by one :func:`mode_point` call on
-    their stack.  DimensionMismatch when ``xs`` is not iterable.
+    their stack.  The profile is read first, and must be irreducible;
+    DimensionMismatch when ``xs`` is not iterable.
     """
+    as_profile(profile).require_irreducible()
     if not np.iterable(xs):
         raise DimensionMismatch(f"points must be a sequence, got a {type(xs).__name__}")
     raw = []
@@ -109,7 +111,6 @@ def eta_hat(profile, x, y):
     eta_m = Tr(rho_ss x_m* y_m) for m >= 1, eta_0 := 0;
     eta_hat_k = sum_m gamma^{mk} eta_m.
     """
-    profile.require_irreducible()
     x, y = _as_points(profile, (x, y))
     p = profile.period
     eta = np.zeros(p, dtype=complex)
@@ -129,7 +130,6 @@ def zeta_gram(profile, x, y):
         sum_k gamma^{-mk} e^{eta_hat_k}.
     Different sectors are exactly orthogonal and are not represented.
     """
-    profile.require_irreducible()
     x, y = _as_points(profile, (x, y))
     p = profile.period
     gamma = profile.gamma if p > 1 else 1.0
@@ -148,7 +148,6 @@ def lambda_k(profile, x, y):
                - 1/2 (beta(x_perp,x_perp) + beta(y_perp,y_perp)) + eta_hat_k.
     Free per-chart phases are fixed to zero.
     """
-    profile.require_irreducible()
     x, y = _as_points(profile, (x, y))
     d0 = x.mode0 - y.mode0
     base = (
@@ -166,7 +165,7 @@ def predicted_component_limit(profile, a, b, i, j, r, x, y):
     the stationary eigenvalue attached to phi^b_j.  Vanishes (root-of-unity
     sum) unless b = a + r mod p when x = y = 0.
     """
-    profile.require_irreducible()
+    as_profile(profile).require_irreducible()
     a, b, i, j, r = (as_integer(name, val) for name, val in zip("abijr", (a, b, i, j, r)))
     p = profile.period
     if not (0 <= a < p and 0 <= b < p):
@@ -191,7 +190,6 @@ def mixture_gram(profile, points):
     Returns the (N p) x (N p) Hermitian PSD Gram of the N points, its rows
     in the order (0, 0), ..., (0, p - 1), (1, 0), ...
     """
-    profile.require_irreducible()
     pts = _as_points(profile, points)
     if not pts:
         raise DimensionMismatch("mixture_gram needs at least one point")
@@ -238,6 +236,7 @@ def _embedded_states(gram, groups):
 
 def mixture_trace_distance(profile, x, y):
     """Exact trace distance (1/2)||rho(x) - rho(y)||_1 of two limit mixtures."""
+    gram = mixture_gram(profile, [x, y])
     p = profile.period
-    states = _embedded_states(mixture_gram(profile, [x, y]), [range(0, p), range(p, 2 * p)])
+    states = _embedded_states(gram, [range(0, p), range(p, 2 * p)])
     return float(0.5 * trace_norm(states[0] - states[1]))

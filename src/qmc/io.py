@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from .channels import isometry_from_kraus
+from .ergodic import as_profile
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -76,6 +77,7 @@ def isometry_from_json(obj):
 
 def profile_report(profile):
     """Serializable summary of a spectral analysis."""
+    profile = as_profile(profile)
     rep = {
         "d": profile.d,
         "k": profile.k,

@@ -31,7 +31,7 @@ from .channels import (
     real_transfer,
     sandwich_map,
 )
-from .ergodic import stationary_eigenbasis
+from .ergodic import as_profile, stationary_eigenbasis
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -217,7 +217,7 @@ def weak_qlan_curve(profile, x, y, n_values):
     n.  Returns one report dict per entry of ``n_values``, in order.
     """
     n_values = _n_grid(n_values)
-    profile.require_irreducible()
+    as_profile(profile).require_irreducible()
     iso = profile.iso
     x = _as_matrix(iso, x)
     y = _as_matrix(iso, y)
@@ -449,7 +449,7 @@ def _block_moments(profile, obs, n_lags, cap):
 
 def stationary_mean(profile, q):
     """Mean of a block observable in the stationary output, position-free."""
-    profile.require_irreducible()
+    as_profile(profile).require_irreducible()
     obs = LocalObservable(q, profile.k)
     a = _block_compress(dilation(profile.iso, obs.block), np.eye(profile.d), obs.q)
     return float(np.trace(profile.rho_ss @ a).real)
@@ -465,7 +465,7 @@ def asymptotic_variance(profile, q, details=False, cap=DEFAULT_TENSOR_CAP):
     transfer operator on the complement of the stationary direction, which
     Abel-sums the oscillating peripheral contributions of periodic chains.
     """
-    profile.require_irreducible()
+    as_profile(profile).require_irreducible()
     obs = LocalObservable(q, profile.k)
     b = obs.block
     m, a, c0, lags, sigma_q = _block_moments(profile, obs, b - 1, cap)
@@ -503,7 +503,7 @@ def finite_window_variance(profile, q, n, cap=DEFAULT_TENSOR_CAP):
     longest window; each window sums the first N - 1 lags of that sweep in
     the same order as a lone call, so its value is the same to the bit.
     """
-    profile.require_irreducible()
+    as_profile(profile).require_irreducible()
     obs = LocalObservable(q, profile.k)
     b = obs.block
     n_values = [n] if np.ndim(n) == 0 else list(n)

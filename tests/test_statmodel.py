@@ -3,28 +3,47 @@ import warnings
 import numpy as np
 import pytest
 
-from qmc.channels import Isometry, apply_steps, dilation, isometry_from_kraus, sandwich_map
+from qmc import gauge, gaussian, io, statmodel
+from qmc.channels import (
+    Isometry,
+    apply_steps,
+    block_length,
+    dilation,
+    isometry_from_kraus,
+    sandwich_map,
+)
 from qmc.errors import (
     DimensionMismatch,
     GaugeConstraintViolated,
+    IncompleteMeasurement,
     IndexOutOfRange,
     InvalidCount,
     NotHermitian,
     NotTangent,
     OutOfInterval,
     RetractionFailure,
+    SizeCap,
     UnitDimMismatch,
 )
-from qmc.ergodic import analyze, output_state
-from qmc.gauge import act, mode_decompose, restricted_resolvent_solve, split, tangent_inner
+from qmc.ergodic import access_span_check, analyze, output_state, stationary_eigenbasis
+from qmc.gauge import (
+    act,
+    equivalence_witness,
+    mode_decompose,
+    restricted_resolvent_solve,
+    split,
+    tangent_inner,
+)
 from qmc.gaussian import mixture_gram, mode_point
-from qmc.linalg import dag
+from qmc.linalg import dag, herm_vec, proj_distance
 from qmc.qubit_example import (
     closed_form_mean,
     closed_form_qfi_rate,
     fixture_s,
     golden_tangent,
+    invert_mean,
     isometry,
+    mean_derivative,
     measurement,
     reference_theta,
 )
@@ -200,6 +219,10 @@ def _huge_input(kind):
     return asymptotic_variance(profile, 1e200 * q)
 
 
+def _qutrit_chain():
+    return Isometry(oracles.random_isometry(np.random.default_rng(3), 3, 2), 3, 2)
+
+
 def _string_meas_fluctuation_stats():
     profile = analyze(isometry("m1", 0.3))
     return fluctuation_stats(profile.iso, profile, np.diag([1.0, 0.0]), 8, 2, 0, meas="x")
@@ -226,6 +249,37 @@ BAD_INPUTS = [
     ("sample-string-meas",
      lambda: sample(isometry("m1", 0.3), np.eye(2) / 2, 4, "x", 0), DimensionMismatch),
     ("fluctuation-stats-string-meas", _string_meas_fluctuation_stats, DimensionMismatch),
+    # integer arguments read through as_integer, not compared as they come
+    ("block-length-string-k", lambda: block_length(2, "x"), InvalidCount),
+    ("local-observable-string-k", lambda: LocalObservable(np.eye(2), "x"), InvalidCount),
+    ("block-measurement-string-k", lambda: BlockMeasurement(np.eye(2), "x"), InvalidCount),
+    ("dilation-string-cap", lambda: dilation(isometry("m1", 0.3), 2, cap="x"), InvalidCount),
+    ("asymptotic-variance-string-cap",
+     lambda: asymptotic_variance(analyze(isometry("m1", 0.3)), np.eye(2), cap="x"), InvalidCount),
+    # a chain or a tolerance of the wrong kind, read before any attribute
+    ("analyze-string-tol", lambda: analyze(isometry("m1", 0.3), tol="x"), DimensionMismatch),
+    ("analyze-string-chain", lambda: analyze("x"), DimensionMismatch),
+    ("access-span-string-chain", lambda: access_span_check("x"), DimensionMismatch),
+    # raises that no other test reaches
+    ("local-observable-non-square", lambda: LocalObservable(np.ones((2, 4)), 2), DimensionMismatch),
+    ("local-observable-block-4", lambda: LocalObservable(np.eye(16), 2), SizeCap),
+    ("local-observable-non-hermitian",
+     lambda: LocalObservable(np.array([[0.0, 1.0], [0.0, 0.0]]), 2), NotHermitian),
+    ("block-measurement-1d", lambda: BlockMeasurement(np.ones(2), 2), DimensionMismatch),
+    ("block-measurement-incomplete",
+     lambda: BlockMeasurement(np.ones((2, 2)), 2), IncompleteMeasurement),
+    ("block-kraus-unit-dimension",
+     lambda: block_kraus(isometry("m1", 0.3), standard_measurement(3)), DimensionMismatch),
+    ("deformed-channel-system-dimension",
+     lambda: DeformedChannel(isometry("m1", 0.3), _qutrit_chain()), DimensionMismatch),
+    ("witness-system-dimension",
+     lambda: equivalence_witness(isometry("m1", 0.3), _qutrit_chain()), DimensionMismatch),
+    ("herm-vec-not-square", lambda: herm_vec(np.ones(3)), DimensionMismatch),
+    ("proj-distance-shapes", lambda: proj_distance(np.eye(2), np.eye(3)), DimensionMismatch),
+    ("mean-derivative-unknown-model", lambda: mean_derivative("m9", 0.3), DimensionMismatch),
+    ("measurement-unknown-model", lambda: measurement("m9"), DimensionMismatch),
+    ("invert-mean-unknown-model", lambda: invert_mean("m9", 0.5), DimensionMismatch),
+    ("golden-tangent-unknown-model", lambda: golden_tangent("m9"), DimensionMismatch),
     # finite but huge inputs: the functionals are quadratic in them and would overflow
     ("qfi-curve-huge-tangent", lambda: _huge_input("qfi_curve"), NotTangent),
     ("qfi-rate-huge-tangent", lambda: _huge_input("qfi_rate"), NotTangent),
@@ -239,6 +293,47 @@ BAD_INPUTS = [
 def test_bad_inputs_raise_typed_errors(label, call, error):
     with pytest.raises(error):
         call()
+
+
+# each export whose first argument is a profile, with "x" in its place
+_A, _Q = golden_tangent("m1")[0], np.diag([1.0, 0.0])
+PROFILE_FIRST = {
+    "stationary_eigenbasis": lambda: stationary_eigenbasis("x"),
+    "witness_matches": lambda: gauge.witness_matches("x", (1.0, np.eye(2)), (1.0, np.eye(2))),
+    "stabiliser": lambda: gauge.stabiliser("x"),
+    "restricted_resolvent_solve": lambda: restricted_resolvent_solve("x", np.eye(2)),
+    "split": lambda: split("x", _A),
+    "tangent_inner": lambda: tangent_inner("x", _A, _A),
+    "stabiliser_tangent_action": lambda: gauge.stabiliser_tangent_action("x", 1, _A),
+    "mode_decompose": lambda: mode_decompose("x", _A),
+    "singular_dimension": lambda: gauge.singular_dimension("x"),
+    "mode_point": lambda: mode_point("x", _A),
+    "coherent_overlap": lambda: gaussian.coherent_overlap("x", _A, _A),
+    "eta_hat": lambda: gaussian.eta_hat("x", _A, _A),
+    "zeta_gram": lambda: gaussian.zeta_gram("x", _A, _A),
+    "lambda_k": lambda: gaussian.lambda_k("x", _A, _A),
+    "predicted_component_limit":
+        lambda: gaussian.predicted_component_limit("x", 0, 0, 0, 0, 0, _A, _A),
+    "mixture_gram": lambda: mixture_gram("x", [_A]),
+    "mixture_trace_distance": lambda: gaussian.mixture_trace_distance("x", _A, _A),
+    "weak_qlan_curve": lambda: weak_qlan_curve("x", _A, _A, [4]),
+    "weak_qlan_report": lambda: weak_qlan_report("x", _A, _A, 4),
+    "weak_qlan_error": lambda: statmodel.weak_qlan_error("x", _A, _A, 4),
+    "qfi_rate": lambda: qfi_rate("x", _A),
+    "stationary_mean": lambda: stationary_mean("x", _Q),
+    "asymptotic_variance": lambda: asymptotic_variance("x", _Q),
+    "finite_window_variance": lambda: finite_window_variance("x", _Q, 8),
+    "profile_report": lambda: io.profile_report("x"),
+}
+
+
+@pytest.mark.parametrize("entry", PROFILE_FIRST)
+def test_a_profile_of_the_wrong_kind_raises_dimension_mismatch(entry):
+    # each used to escape as AttributeError from the first attribute it read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="SpectralProfile"):
+            PROFILE_FIRST[entry]()
 
 
 # each export that reads a matrix operand, with "x" in its place
