@@ -101,7 +101,6 @@ def _inputs():
     out["m2_tangent.json"] = io.matrix_to_json(qubit_example.golden_tangent("m2")[0])
     out["q2.json"] = io.matrix_to_json(np.diag([0.7, -0.3]))
     out["q4.json"] = io.matrix_to_json(np.diag([1.0, 0.0, -0.5, 0.25]))
-    out["q2_offdiag.json"] = io.matrix_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))
     out["q3.json"] = io.matrix_to_json(np.eye(3))
     return out
 

@@ -5,15 +5,16 @@ Keys and their order, strings, integers, booleans, CSV headers, the keys of
 ``#`` lines and exit codes must match exactly.  A float must agree with its
 golden to ``RTOL`` times the scale of its array: the largest magnitude in
 the JSON list, matrix or complex number that holds it, in its CSV column or,
-for a lone float, its own magnitude, and never less than ``FLOOR``.  A
-spectrum (an ``eigenvalues`` list) is compared as a set, since eigenvalues
-of equal modulus, like the +-lambda pairs of a period-2 chain, may trade
-places in its order at roundoff.  The
+for a lone float, its own magnitude, and never less than ``FLOOR``.  The
 floor stands for the unit norm of the states and isometries every output is
 built from, so a residual at roundoff is compared with the roundoff of a
-unit quantity, not with itself.  The bound is wide enough for BLAS thread
-counts, which move printed floats by parts in 1e-14, and tight enough that
-a move of 1e-10 relative in any float of unit size fails.
+unit quantity, not with itself.  A spectrum (an ``eigenvalues`` list) is
+compared as a set, since eigenvalues of equal modulus, like the +-lambda
+pairs of a period-2 chain, may trade places in its order at roundoff.
+
+The bound is wide enough for BLAS thread counts, which moved printed floats
+by at most 4e-15 of their scale, and tight enough that a move of 1e-10
+relative in any float of unit size fails.
 """
 
 import importlib.util
