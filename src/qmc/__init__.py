@@ -35,7 +35,6 @@ from .gauge import (
 from .gaussian import (
     ModePoint,
     coherent_overlap,
-    eta_hat,
     lambda_k,
     mixture_gram,
     mixture_trace_distance,

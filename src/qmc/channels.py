@@ -156,6 +156,7 @@ def channel(iso, picture="schrodinger"):
     matrices are mutually adjoint for the Hilbert-Schmidt inner product.
     A reference route: the package computes with :func:`real_transfer`.
     """
+    iso = as_isometry("iso", iso)
     if picture not in ("schrodinger", "heisenberg"):
         raise DimensionMismatch(f"unknown picture {picture!r}")
     kraus = iso.kraus
@@ -175,7 +176,7 @@ def real_transfer(iso):
     R[a, b] = Tr(B_a T(B_b)) in the Hermitian basis B of
     ``qmc.linalg.herm_coords``; the Heisenberg matrix in that basis is R^T.
     """
-    return kraus_real_matrix(np.stack(iso.kraus))
+    return kraus_real_matrix(np.stack(as_isometry("iso", iso).kraus))
 
 
 def kraus_real_matrix(kr):
@@ -225,6 +226,7 @@ def sandwich_map(iso1, iso2):
     the matrix is one (D x k)(k x D) product of the flattened Kraus stacks,
     D = d1 d2, followed by a transpose of the index pairs.
     """
+    iso1, iso2 = as_isometry("iso1", iso1), as_isometry("iso2", iso2)
     if iso1.k != iso2.k:
         raise UnitDimMismatch(f"unit dimensions differ: {iso1.k} vs {iso2.k}")
     d1, d2, k = iso1.d, iso2.d, iso1.k
@@ -258,6 +260,7 @@ def dilation(iso, n, cap=DEFAULT_TENSOR_CAP):
     Row index is ``(s, u_1, ..., u_n)`` in C order; ``u_1`` is the first
     emitted unit, i.e. the leftmost (most significant) unit factor.
     """
+    iso = as_isometry("iso", iso)
     psi = _steps(iso, np.eye(iso.d, dtype=complex), n, cap)  # (s, column j, u_1, ..., u_n)
     return np.moveaxis(psi, 1, -1).reshape(-1, iso.d)
 
@@ -269,6 +272,7 @@ def apply_steps(iso, phi, n):
     unit axes in chronological order (axis 1 = first emitted).  ``phi``
     must be a finite vector of d entries, else DimensionMismatch.
     """
+    iso = as_isometry("iso", iso)
     return _steps(iso, as_vector("phi", phi, iso.d), n, DEFAULT_TENSOR_CAP)
 
 

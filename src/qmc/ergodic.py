@@ -657,6 +657,7 @@ def output_state(iso, rho_in, n):
     Unit factors are ordered chronologically: the first emitted unit is the
     leftmost (most significant) tensor factor.
     """
+    iso = as_isometry("iso", iso)
     d, k = iso.d, iso.k
     n = as_integer("n", n, 0)
     vals, vecs = np.linalg.eigh(herm_part(as_state("input state", rho_in, d)))

@@ -100,6 +100,7 @@ def _check_gauge_element(g, d):
 
 def act(g, iso):
     """Apply the gauge element g = (c, w) to an isometry."""
+    iso = as_isometry("iso", iso)
     c, w = _check_gauge_element(g, iso.d)
     v_new = np.conj(c) * np.kron(w, np.eye(iso.k)) @ iso.v @ dag(w)
     return Isometry(v_new, iso.d, iso.k)

@@ -8,7 +8,9 @@ component vectors, so no Fock-space truncation is ever built.
 
 Identifiable tangents decompose into modes A_0..A_{p-1} (eigencomponents
 of the stabiliser action); mode 0 drives the coherent factor, the
-remaining modes ("perp" part) drive the zeta components.
+remaining modes ("perp" part) drive the zeta components.  The modes are
+mutually orthogonal, so one Gram of the per-mode inner products of a set
+of points gives every pairwise quantity (:func:`_mode_gram`).
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch, as_integer
-from .gauge import _as_matrix, mode_decompose, split, tangent_inner
+from .gauge import _as_matrix, _require_identifiable, mode_decompose, split, tangent_inner
 from .ergodic import as_profile, stationary_eigenbasis
 from .linalg import dag, trace_norm
 
@@ -24,7 +26,6 @@ __all__ = [
     "ModePoint",
     "mode_point",
     "coherent_overlap",
-    "eta_hat",
     "zeta_gram",
     "lambda_k",
     "predicted_component_limit",
@@ -38,19 +39,27 @@ _GRAM_CLIP = 1e-10  # _embedded_states rejects one below -_GRAM_CLIP and clips t
 
 @dataclass(frozen=True)
 class ModePoint:
-    """Identifiable tangent together with its cyclic mode decomposition."""
+    """Identifiable tangent together with its cyclic mode decomposition.
+
+    ``modes`` holds p (d k, d) matrices, p the profile's period, each
+    identifiable for the profile's chain; construction checks this once
+    (DimensionMismatch, NotIdentifiable), so the functions that read a
+    ModePoint do not check its modes again.
+    """
 
     profile: object
     a_id: np.ndarray
     modes: list
 
-    @property
-    def mode0(self):
-        return self.modes[0]
-
-    @property
-    def perp(self):
-        return self.a_id - self.modes[0]
+    def __post_init__(self):
+        profile = as_profile(self.profile)
+        profile.require_irreducible()
+        if not np.iterable(self.modes):
+            raise DimensionMismatch(f"modes must be a sequence, got a {type(self.modes).__name__}")
+        modes = [_require_identifiable(profile.iso, m) for m in self.modes]
+        if len(modes) != profile.period:
+            raise DimensionMismatch(f"{len(modes)} modes, expected the period p = {profile.period}")
+        object.__setattr__(self, "modes", modes)
 
 
 def mode_point(profile, a):
@@ -87,14 +96,43 @@ def _as_points(profile, xs):
     return [x if isinstance(x, ModePoint) else next(made) for x in xs]
 
 
-def _norm2(profile, z):
-    return tangent_inner(profile, z, z).real
+def _mode_gram(profile, xs):
+    """(c, w, z): the limit model of the points ``xs`` pair by pair, from one mode Gram.
+
+    e[m, i, j] = Tr(rho_ss (x_i)_m* (x_j)_m) takes one product per mode,
+    since distinct modes are orthogonal.  For points i, j and k, m < p,
+
+        c[i, j] = e_0[i, j] - (e_0[i, i] + e_0[j, j]) / 2
+                = -1/2 beta(x_0 - y_0, x_0 - y_0) + i sigma(x_0, y_0),
+        w[k, i, j] = -1/2 (beta(x_perp, x_perp) + beta(y_perp, y_perp)) + eta_hat_k,
+        z[m, i, j] = (1/p) sum_k gamma^{-mk} e^{w[k, i, j]},
+
+    with x = x_i, y = x_j, beta(x_perp, x_perp) = sum_{m >= 1} e_m[i, i]
+    and eta_hat_k = sum_{m >= 1} gamma^{mk} e_m[i, j], gamma = e^{2 pi i / p}:
+    the coherent exponent of the mode-0 parts, the perp exponents and the
+    zeta Grams.  Both sums over k or m are DFTs along the first axis.
+    """
+    pts = _as_points(profile, xs)
+    if not pts:
+        raise DimensionMismatch("the limit model needs at least one point")
+    modes = np.stack([pt.modes for pt in pts], axis=1)  # (p, N, d k, d)
+    p, n = modes.shape[:2]
+    # Tr(rho x* y) is the entrywise inner product of x with y rho
+    left = modes.reshape(p, n, -1).conj()
+    right = (modes @ profile.rho_ss).reshape(p, n, -1)
+    e = left @ right.transpose(0, 2, 1)
+    beta = e.diagonal(axis1=1, axis2=2).real  # (p, N)
+    c = e[0] - 0.5 * (beta[0][:, None] + beta[0])
+    perp = beta[1:].sum(axis=0)
+    eta_hat = np.fft.ifft(np.concatenate([np.zeros_like(e[:1]), e[1:]]), axis=0, norm="forward")
+    w = eta_hat - 0.5 * (perp[:, None] + perp)
+    z = np.fft.fft(np.exp(w), axis=0, norm="forward")
+    return c, w, z
 
 
 def _coherent_overlap(profile, x, y):
     """exp(-1/2 beta(x-y, x-y) + i sigma(x, y)) for identifiable matrices x, y."""
-    diff = x - y
-    g = _norm2(profile, diff)
+    g = tangent_inner(profile, x - y, x - y).real
     s = tangent_inner(profile, x, y).imag
     return complex(np.exp(-0.5 * g + 1j * s))
 
@@ -105,57 +143,26 @@ def coherent_overlap(profile, x, y):
     return _coherent_overlap(profile, x.a_id, y.a_id)
 
 
-def eta_hat(profile, x, y):
-    """Fourier transform of the per-mode inner products, mode 0 excluded.
-
-    eta_m = Tr(rho_ss x_m* y_m) for m >= 1, eta_0 := 0;
-    eta_hat_k = sum_m gamma^{mk} eta_m.
-    """
-    x, y = _as_points(profile, (x, y))
-    p = profile.period
-    eta = np.zeros(p, dtype=complex)
-    for m in range(1, p):
-        eta[m] = tangent_inner(profile, x.modes[m], y.modes[m])
-    gamma = profile.gamma if p > 1 else 1.0
-    return np.array(
-        [sum(gamma ** (m * k) * eta[m] for m in range(p)) for k in range(p)],
-        dtype=complex,
-    )
-
-
 def zeta_gram(profile, x, y):
     """Same-sector inner products <zeta_m(x_perp) | zeta_m(y_perp)>, m = 0..p-1.
 
     (1/p) e^{-(beta(x_perp,x_perp)+beta(y_perp,y_perp))/2}
-        sum_k gamma^{-mk} e^{eta_hat_k}.
+        sum_k gamma^{-mk} e^{eta_hat_k},
+    eta_hat_k = sum_{m >= 1} gamma^{mk} Tr(rho_ss x_m* y_m).
     Different sectors are exactly orthogonal and are not represented.
     """
-    x, y = _as_points(profile, (x, y))
-    p = profile.period
-    gamma = profile.gamma if p > 1 else 1.0
-    pref = np.exp(-0.5 * (_norm2(profile, x.perp) + _norm2(profile, y.perp))) / p
-    eh = np.exp(eta_hat(profile, x, y))
-    return np.array(
-        [pref * sum(gamma ** (-m * k) * eh[k] for k in range(p)) for m in range(p)],
-        dtype=complex,
-    )
+    return _mode_gram(profile, (x, y))[2][:, 0, 1]
 
 
 def lambda_k(profile, x, y):
     """Convergence exponents of the deformed transfer operator's peripheral part.
 
     lambda_k = -1/2 beta(x_0-y_0, x_0-y_0) + i sigma(x_0, y_0)
-               - 1/2 (beta(x_perp,x_perp) + beta(y_perp,y_perp)) + eta_hat_k.
-    Free per-chart phases are fixed to zero.
+               - 1/2 (beta(x_perp,x_perp) + beta(y_perp,y_perp)) + eta_hat_k,
+    eta_hat_k as in :func:`zeta_gram`.  Free per-chart phases are fixed to zero.
     """
-    x, y = _as_points(profile, (x, y))
-    d0 = x.mode0 - y.mode0
-    base = (
-        -0.5 * _norm2(profile, d0)
-        + 1j * tangent_inner(profile, x.mode0, y.mode0).imag
-        - 0.5 * (_norm2(profile, x.perp) + _norm2(profile, y.perp))
-    )
-    return base + eta_hat(profile, x, y)
+    c, w, _ = _mode_gram(profile, (x, y))
+    return c[0, 1] + w[:, 0, 1]
 
 
 def predicted_component_limit(profile, a, b, i, j, r, x, y):
@@ -188,25 +195,15 @@ def mixture_gram(profile, points):
     Component vectors are indexed by (point, m): coherent factor of the
     mode-0 part tensored with the m-th zeta component of the perp part.
     Returns the (N p) x (N p) Hermitian PSD Gram of the N points, its rows
-    in the order (0, 0), ..., (0, p - 1), (1, 0), ...
+    in the order (0, 0), ..., (0, p - 1), (1, 0), ...; different sectors m
+    are orthogonal.
     """
-    pts = _as_points(profile, points)
-    if not pts:
-        raise DimensionMismatch("mixture_gram needs at least one point")
-    p = profile.period
-    n = len(pts)
-    gram = np.zeros((n * p, n * p), dtype=complex)
-    blocks = {}  # (ix, iy) -> the coherent overlap times the p zeta Grams
-    for ix in range(n):
-        for iy in range(n):
-            coherent = _coherent_overlap(profile, pts[ix].mode0, pts[iy].mode0)
-            blocks[(ix, iy)] = coherent * zeta_gram(profile, pts[ix], pts[iy])
-    index = [(ipt, m) for ipt in range(n) for m in range(p)]
-    for ra, (ipt_a, ma) in enumerate(index):
-        for rb, (ipt_b, mb) in enumerate(index):
-            if ma != mb:
-                continue
-            gram[ra, rb] = blocks[(ipt_a, ipt_b)][ma]
+    c, _, z = _mode_gram(profile, points)
+    p, n = z.shape[:2]
+    gram = np.zeros((n, p, n, p), dtype=complex)
+    for m in range(p):
+        gram[:, m, :, m] = np.exp(c) * z[m]
+    gram = gram.reshape(n * p, n * p)
     wmin = float(np.linalg.eigvalsh(gram).min())
     if wmin < -_PSD_TOL:
         raise GramNotPSD(f"mixture Gram has eigenvalue {wmin:.3e}")

@@ -25,6 +25,7 @@ import numpy as np
 from .channels import (
     DEFAULT_TENSOR_CAP,
     Isometry,
+    as_isometry,
     block_length,
     dilation,
     kraus_real_matrix,
@@ -85,6 +86,8 @@ class DeformedChannel:
     superop: object = field(init=False, repr=False)
 
     def __post_init__(self):
+        as_isometry("iso_left", self.iso_left)
+        as_isometry("iso_right", self.iso_right)
         if self.iso_left.d != self.iso_right.d:
             raise DimensionMismatch(
                 f"system dimensions differ: {self.iso_left.d} vs {self.iso_right.d}"
@@ -179,6 +182,7 @@ def retract(iso, x, t):
     may contain the unavoidable second-order term t^2 x*x but nothing at
     first order.  Larger defects raise RetractionFailure.
     """
+    iso = as_isometry("iso", iso)
     x = _as_matrix(iso, x)
     t = as_real("t", t)
     m = iso.v + 1j * t * x
@@ -346,6 +350,7 @@ def qfi_curve(iso, a, phi, n_values):
     last digits only.
     """
     n_values = _n_grid(n_values)
+    iso = as_isometry("iso", iso)
     d = iso.d
     a = _as_matrix(iso, a)
     _check_tangent_entries(a)

@@ -15,18 +15,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DEFAULT_TENSOR_CAP, Isometry, block_length, dilation, kraus_real_matrix
+from .channels import (
+    DEFAULT_TENSOR_CAP,
+    Isometry,
+    as_isometry,
+    block_length,
+    dilation,
+    kraus_real_matrix,
+)
 from .errors import (
     DegenerateState,
     DimensionMismatch,
     IncompleteMeasurement,
     InvalidCount,
     ObservableNotDiagonal,
+    ProfileMismatch,
     as_complex_array,
     as_integer,
     as_state,
 )
-from .ergodic import analyze
+from .ergodic import analyze, as_profile
 from .linalg import dag, herm_coords, herm_vec
 from .statmodel import LocalObservable, asymptotic_variance, stationary_mean
 
@@ -106,6 +114,7 @@ def _check_measurement(meas):
 def block_kraus(iso, meas):
     """Effective Kraus operators of a block measurement, one per outcome;
     Isometry and BlockMeasurement guarantee that they resolve the identity."""
+    iso = as_isometry("iso", iso)
     _check_measurement(meas)
     if meas.k != iso.k:
         raise DimensionMismatch(f"measurement unit dimension {meas.k} != chain's {iso.k}")
@@ -199,6 +208,7 @@ def _run_batch(op, rho_in, n_blocks, seed, trial_indices):
 
 def _prepare(iso, rho_in, n_blocks, meas, seed):
     """(step operator, rho_in, n_blocks, seed) of a sampling call, validated."""
+    iso = as_isometry("iso", iso)
     seed = as_integer("seed", seed, 0)
     n_blocks = as_integer("n_blocks", n_blocks)
     if n_blocks < 0:
@@ -264,8 +274,12 @@ def fluctuation_stats(iso, profile, q, n, trials, seed, meas=None):
     Trajectories start in rho_ss and blocks are measured disjointly.  For
     block length b >= 2 the predicted variance is the CLT variance of the
     b-step power chain (which must be irreducible: at a periodic point with
-    p dividing b it is not, and the analysis will say so).
+    p dividing b it is not, and the analysis will say so).  ``profile``
+    must be ``iso``'s, else ProfileMismatch.
     """
+    iso = as_isometry("iso", iso)
+    if as_profile(profile).iso != iso:
+        raise ProfileMismatch("profile belongs to a different chain")
     trials = _variance_trials(trials)
     obs = LocalObservable(q, iso.k)
     q, b = obs.q, obs.block

@@ -18,6 +18,11 @@ moved to the real Hermitian-basis matrix: ``eigvals`` of the complex
 d^2 x d^2 Schrodinger matrix, and the basis change U whose columns are
 vec(B_b), which takes that matrix to the real one as U* T U.
 
+The limit-model routes after them are the per-pair formulas of
+``qmc.gaussian`` as they were before its one mode Gram: every inner
+product of two mode points is a ``tangent_inner`` call, the perp part is
+a_id minus mode 0, and zeta and lambda are explicit sums over k and m.
+
 The statmodel routes after them are the earlier finite-n functionals:
 the deformed channel applied n times as n sequential matvecs, the QFI
 from the full (n-1) x (n-1) Gram of input states against
@@ -48,7 +53,7 @@ from qmc.channels import (
 )
 from qmc.ergodic import ErgodicTol, _canonical_z, stationary_eigenbasis
 from qmc.errors import DimensionMismatch, NotTangent, as_integer
-from qmc.gauge import _as_matrix, restricted_resolvent_solve
+from qmc.gauge import _as_matrix, restricted_resolvent_solve, tangent_inner
 from qmc.linalg import antiherm_part, dag, herm_coords, herm_part, herm_vec, unvec, vec
 from qmc.statmodel import LocalObservable, _block_moments, _unit_vector
 
@@ -241,6 +246,61 @@ def split_nullspace(iso, rho_ss, a):
     theta_c = complex(np.trace(rho_ss @ h))
     kgen, cond = resolvent_nullspace(iso, rho_ss, h - theta_c * np.eye(iso.d))
     return theta_c, kgen, a - dmu(iso, theta_c, kgen), cond
+
+
+def coherent_overlap_pairwise(profile, x, y):
+    """exp(-1/2 beta(x-y, x-y) + i sigma(x, y)) of identifiable matrices x, y."""
+    g = tangent_inner(profile, x - y, x - y).real
+    return complex(np.exp(-0.5 * g + 1j * tangent_inner(profile, x, y).imag))
+
+
+def _perp_norm2(profile, x):
+    perp = x.a_id - x.modes[0]
+    return tangent_inner(profile, perp, perp).real
+
+
+def _eta_hat_pairwise(profile, x, y):
+    """eta_hat_k = sum_{m >= 1} gamma^{mk} Tr(rho_ss x_m* y_m), k < p."""
+    p = profile.period
+    gamma = profile.gamma if p > 1 else 1.0
+    eta = [0.0] + [tangent_inner(profile, x.modes[m], y.modes[m]) for m in range(1, p)]
+    return [sum(gamma ** (m * k) * eta[m] for m in range(p)) for k in range(p)]
+
+
+def zeta_pairwise(profile, x, y):
+    """<zeta_m(x_perp) | zeta_m(y_perp)>, m < p, of two ModePoints:
+    (1/p) e^{-(beta(x_perp, x_perp) + beta(y_perp, y_perp))/2} sum_k gamma^{-mk} e^{eta_hat_k}."""
+    p = profile.period
+    gamma = profile.gamma if p > 1 else 1.0
+    pref = np.exp(-0.5 * (_perp_norm2(profile, x) + _perp_norm2(profile, y))) / p
+    eh = np.exp(_eta_hat_pairwise(profile, x, y))
+    return np.array([pref * sum(gamma ** (-m * k) * eh[k] for k in range(p)) for m in range(p)])
+
+
+def lambda_pairwise(profile, x, y):
+    """lambda_k, k < p, of two ModePoints: -1/2 beta(x_0 - y_0, x_0 - y_0)
+    + i sigma(x_0, y_0) - 1/2 (beta(x_perp, x_perp) + beta(y_perp, y_perp)) + eta_hat_k."""
+    d0 = x.modes[0] - y.modes[0]
+    base = (
+        -0.5 * tangent_inner(profile, d0, d0).real
+        + 1j * tangent_inner(profile, x.modes[0], y.modes[0]).imag
+        - 0.5 * (_perp_norm2(profile, x) + _perp_norm2(profile, y))
+    )
+    return np.array([base + eh for eh in _eta_hat_pairwise(profile, x, y)])
+
+
+def mixture_gram_pairwise(profile, points):
+    """(N p) x (N p) Gram of the (point, m) components of N ModePoints: the
+    coherent overlap of the mode-0 parts times the m-th zeta Gram, zero
+    between different m."""
+    p, n = profile.period, len(points)
+    gram = np.zeros((n * p, n * p), dtype=complex)
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            block = coherent_overlap_pairwise(profile, x.modes[0], y.modes[0])
+            for m, z in enumerate(block * zeta_pairwise(profile, x, y)):
+                gram[i * p + m, j * p + m] = z
+    return gram
 
 
 def qfi_gram(iso, a, phi, nmax):

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from qmc.channels import Isometry
 from qmc.ergodic import analyze
 from qmc.errors import (
     DimensionMismatch,
     GramNotPSD,
     IndexOutOfRange,
     InvalidCount,
+    NotIdentifiable,
     ProfileMismatch,
 )
 from qmc.gauge import mode_decompose, split, stabiliser_tangent_action, tangent_inner
 from qmc.gaussian import (
+    ModePoint,
     _embedded_states,
     coherent_overlap,
-    eta_hat,
     lambda_k,
     mixture_gram,
     mixture_trace_distance,
@@ -70,8 +72,6 @@ def test_zeta_split_is_hyperbolic_for_period_two():
 def test_eta_hat_vanishes_at_origin():
     profile = analyze(fixture_s())
     zero = np.zeros((4, 2))
-    eh = eta_hat(profile, zero, zero)
-    assert np.max(np.abs(eh)) < 1e-14
     lam = lambda_k(profile, zero, zero)
     assert np.max(np.abs(lam)) < 1e-14
 
@@ -220,3 +220,42 @@ def test_predicted_component_limit_rejects_labels_that_are_not_integers(label):
                  (0, 0, 0, label, 0), (0, 0, 0, 0, label)]:
         with pytest.raises(InvalidCount):
             predicted_component_limit(profile, *args, x, x)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_limit_model_matches_the_pairwise_reference(period):
+    rng = np.random.default_rng(60 + period)
+    profile = analyze(Isometry(oracles.cyclic_isometry(rng, 6, 2, period), 6, 2))
+    assert profile.is_irreducible and profile.period == period
+    raw = 0.3 * (rng.standard_normal((3, 12, 6)) + 1j * rng.standard_normal((3, 12, 6)))
+    points = mode_point(profile, raw)
+    for x in points:
+        for y in points:
+            want = oracles.coherent_overlap_pairwise(profile, x.a_id, y.a_id)
+            assert abs(coherent_overlap(profile, x, y) - want) <= 1e-12
+            want = oracles.zeta_pairwise(profile, x, y)
+            assert np.max(np.abs(zeta_gram(profile, x, y) - want)) <= 1e-12
+            want = oracles.lambda_pairwise(profile, x, y)
+            assert np.max(np.abs(lambda_k(profile, x, y) - want)) <= 1e-12
+    want = oracles.mixture_gram_pairwise(profile, points)
+    assert np.max(np.abs(mixture_gram(profile, points) - want)) <= 1e-12
+
+
+def test_mixture_distance_of_a_point_and_its_copy_is_exactly_zero():
+    # the benchmark's limit-model check needs the scale-1 distance to be 0.0:
+    # the split of equal members and the Gram of equal points are bit for bit equal
+    rng = np.random.default_rng(64)
+    profile = analyze(Isometry(oracles.random_isometry(rng, 16, 2), 16, 2))
+    assert profile.period == 1
+    x = rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16))
+    x, s = mode_point(profile, np.stack([x, 1.0 * x]))
+    assert mixture_trace_distance(profile, x, s) == 0.0
+
+
+def test_a_mode_point_is_checked_at_construction():
+    profile = analyze(fixture_s())  # period 2
+    x = mode_point(profile, _identifiable(profile, 42))
+    with pytest.raises(NotIdentifiable):
+        ModePoint(profile, x.a_id, [x.modes[0], profile.iso.v])
+    with pytest.raises(DimensionMismatch):
+        ModePoint(profile, x.a_id, x.modes[:1])

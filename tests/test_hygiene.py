@@ -135,17 +135,48 @@ def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_names(fn):
+    """Names a function or lambda binds: its parameters and the targets it
+    assigns, nested functions' own bindings excepted."""
+    a = fn.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+    names |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+        if not isinstance(n, _SCOPES):
+            todo.extend(ast.iter_child_nodes(n))
+    return names
+
+
 def _loads(node):
-    """Names that ``node`` loads: a ``Name`` read, an attribute of that name
-    or an import of it."""
+    """Names that ``node`` loads: a ``Name`` read that no enclosing function
+    binds as a parameter or an assignment target (a local of that name
+    shadows the module's), an attribute of that name or an import of it."""
     out = set()
-    for n in ast.walk(node):
+
+    def visit(n, local):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
+            if n.id not in local:
+                out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name)
+        if isinstance(n, _SCOPES):
+            body = n.body if isinstance(n.body, list) else [n.body]
+            inner = local | _local_names(n)
+        else:
+            body, inner = [], local
+        for child in ast.iter_child_nodes(n):
+            visit(child, inner if any(child is b for b in body) else local)
+
+    visit(node, frozenset())
     return out
 
 
@@ -232,11 +263,17 @@ def test_scan_finds_an_unconsumed_export():
             "def f():\n    return f()\n\ndef g():\n    return 1\n\n"
             "def h():\n    return g()\n\ndef m():\n    pass\n\nclass K:\n    pass\n"
         ),
+        # the parameter and the local named s shadow the export s
+        "s.py": ast.parse(
+            "__all__ = ['s']\n\ndef s():\n    pass\n\n"
+            "def t(s):\n    return s\n\ndef u():\n    s = 1\n    return s\n\n"
+            "w = lambda s: s\n"
+        ),
         "b.py": ast.parse("import a\nfrom a import K\n\n__all__ = ('x',)\n\nx = a.m\n"),
         "c.py": ast.parse("from b import x\n\n__all__ = ['z']\n\nz = x\n"),
     }
-    # f loads only itself; nothing loads h or c's z
-    assert _unconsumed_exports(trees) == ["f", "h", "z"]
+    # f loads only itself; nothing loads h, s or c's z
+    assert _unconsumed_exports(trees) == ["f", "h", "s", "z"]
 
 
 # argparse's error exit, re-routed by cli._Parser.error, is the one

@@ -8,8 +8,10 @@ from qmc.channels import (
     Isometry,
     apply_steps,
     block_length,
+    channel,
     dilation,
     isometry_from_kraus,
+    real_transfer,
     sandwich_map,
 )
 from qmc.errors import (
@@ -309,7 +311,6 @@ PROFILE_FIRST = {
     "singular_dimension": lambda: gauge.singular_dimension("x"),
     "mode_point": lambda: mode_point("x", _A),
     "coherent_overlap": lambda: gaussian.coherent_overlap("x", _A, _A),
-    "eta_hat": lambda: gaussian.eta_hat("x", _A, _A),
     "zeta_gram": lambda: gaussian.zeta_gram("x", _A, _A),
     "lambda_k": lambda: gaussian.lambda_k("x", _A, _A),
     "predicted_component_limit":
@@ -334,6 +335,36 @@ def test_a_profile_of_the_wrong_kind_raises_dimension_mismatch(entry):
         warnings.simplefilter("error")
         with pytest.raises(DimensionMismatch, match="SpectralProfile"):
             PROFILE_FIRST[entry]()
+
+
+# each export that takes a chain, with "x" in its place
+_ISO, _RHO, _MEAS = isometry("m1", 0.3), np.eye(2) / 2, standard_measurement(2)
+CHAIN_TAKING = {
+    "output_state": lambda: output_state("x", _RHO, 2),
+    "sample_batch": lambda: sample_batch("x", _RHO, 4, _MEAS, 0, 2),
+    "sample": lambda: sample("x", _RHO, 4, _MEAS, 0),
+    "block_kraus": lambda: block_kraus("x", _MEAS),
+    "fluctuation_stats": lambda: fluctuation_stats("x", analyze(_ISO), _Q, 8, 2, 0),
+    "dilation": lambda: dilation("x", 2),
+    "apply_steps": lambda: apply_steps("x", [1.0, 0.0], 2),
+    "real_transfer": lambda: real_transfer("x"),
+    "channel": lambda: channel("x"),
+    "sandwich_map": lambda: sandwich_map(_ISO, "x"),
+    "DeformedChannel": lambda: DeformedChannel("x", _ISO),
+    "joint_overlap": lambda: joint_overlap(_ISO, "x", [1.0, 0.0], 3),
+    "qfi_curve": lambda: qfi_curve("x", _A, [1.0, 0.0], [4]),
+    "retract": lambda: retract("x", _A, 0.1),
+    "act": lambda: act((1.0, np.eye(2)), "x"),
+}
+
+
+@pytest.mark.parametrize("entry", CHAIN_TAKING)
+def test_a_chain_of_the_wrong_kind_raises_dimension_mismatch(entry):
+    # each used to escape as AttributeError from the first attribute it read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="must be an Isometry"):
+            CHAIN_TAKING[entry]()
 
 
 # each export that reads a matrix operand, with "x" in its place

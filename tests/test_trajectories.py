@@ -12,6 +12,7 @@ from qmc.errors import (
     NotHermitian,
     NotPSD,
     ObservableNotDiagonal,
+    ProfileMismatch,
 )
 from qmc import trajectories
 from qmc.ergodic import analyze
@@ -105,6 +106,14 @@ def test_fluctuation_stats_block_two_predicts_from_the_power_chain():
     st = fluctuation_stats(iso, analyze(iso), q, n=2000, trials=400, seed=3, meas=meas)
     assert st.block == 2 and st.n_blocks == 1000
     assert abs(st.empirical_var - st.predicted_var) <= 4 * st.var_stderr
+
+
+def test_fluctuation_stats_rejects_another_chains_profile():
+    # it used to sample m1 at 0.3 from the rho_ss of m1 at 0.45 and report the
+    # predicted variance of that other chain (0.1577 against its own 0.1561)
+    q = np.diag([1.0, 0.0])
+    with pytest.raises(ProfileMismatch):
+        fluctuation_stats(isometry("m1", 0.3), analyze(isometry("m1", 0.45)), q, 400, 200, 1)
 
 
 def test_fluctuation_stats_rejects_non_diagonal_observable():
