@@ -242,9 +242,10 @@ def block_length(dim, k):
     """The block length b with k**b == dim, for operands on b output units.
 
     A 1 x 1 operand at k = 1 has block 1; any other size that is not a
-    power of k raises DimensionMismatch, and a k that is not an integer
-    >= 1 InvalidCount.
+    power of k raises DimensionMismatch; a dim that is not an integer, or a
+    k that is not an integer >= 1, raises InvalidCount.
     """
+    dim = as_integer("dim", dim)
     k = as_integer("k", k, 1)
     b = 1 if k == 1 else 0
     while k > 1 and k**b < dim:

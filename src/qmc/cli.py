@@ -98,16 +98,19 @@ def _model_velocity(args):
     return (hi.v - lo.v) / (2 * h)
 
 
-def _identifiable_from_seed(profile, seed):
+def _seed_tangent(profile, seed):
+    """The complex Gaussian tangent that ``--seed`` draws, before its split."""
     # at k = 1 the isometry is unitary and v* a = 0 forces a = 0
     if profile.k == 1:
         raise NotIdentifiable("a chain with k = 1 has no identifiable directions; pass --x")
     rng = np.random.default_rng(seed)
     shape = (profile.d * profile.k, profile.d)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    a_id = gauge.split(profile, raw).a_id
-    scale = np.sqrt(gauge.tangent_inner(profile, a_id, a_id).real)
-    return a_id / scale
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unit_factor(profile, a_id):
+    """1 / sqrt(Tr(rho_ss a_id* a_id)): the factor that gives a seeded a_id unit norm."""
+    return 1.0 / np.sqrt(gauge.tangent_inner(profile, a_id, a_id).real)
 
 
 def cmd_analyze(args):
@@ -224,16 +227,19 @@ def cmd_converge(args):
     iso = _resolve_iso(args)
     profile = analyze(iso, tol=_tol(args))
     profile.require_irreducible()
+    n_values = [2**power for power in range(args.pow_min, args.pow_max + 1)]
     if args.x is not None:
         x = io.matrix_from_json(io.load_json(args.x))
         y = io.matrix_from_json(io.load_json(args.y)) if args.y else 1.3 * x
+        reports = statmodel.weak_qlan_curve(profile, x, y, n_values)
     else:
-        x = _identifiable_from_seed(profile, args.seed)
-        y = -x
+        a_id = gauge.split(profile, _seed_tangent(profile, args.seed)).a_id
+        x = a_id * _unit_factor(profile, a_id)
+        # an identifiable tangent is its own split, with theta = 0
+        reports = statmodel._split_curve(profile, (x, -x), (x, -x), 0.0, n_values)
     rows = []
     errors = []
-    n_values = [2**power for power in range(args.pow_min, args.pow_max + 1)]
-    for n, rep in zip(n_values, statmodel.weak_qlan_curve(profile, x, y, n_values)):
+    for n, rep in zip(n_values, reports):
         errors.append(rep["error"])
         ratio = abs(rep["corrected"]) / max(abs(rep["prediction"]), 1e-300)
         rows.append(
@@ -274,14 +280,22 @@ def cmd_limit_model(args):
     if args.x is not None:
         x = io.matrix_from_json(io.load_json(args.x))
     elif args.model is not None:
-        x = gauge.split(profile, _model_velocity(args)).a_id
+        x = _model_velocity(args)
     else:
-        x = _identifiable_from_seed(profile, args.seed)
-    y = io.matrix_from_json(io.load_json(args.y)) if args.y else 1.3 * x
-    if np.shape(y) != np.shape(x):
-        raise DimensionMismatch(f"--y has shape {np.shape(y)}, --x {np.shape(x)}")
-    # x, y and every scaled x share one split
-    x, y, *scaled = gaussian.mode_point(profile, np.stack([x, y] + [s * x for s in scales]))
+        x = _seed_tangent(profile, args.seed)
+    tangents = [x]
+    if args.y:
+        y = io.matrix_from_json(io.load_json(args.y))
+        if np.shape(y) != np.shape(x):
+            raise DimensionMismatch(f"--y has shape {np.shape(y)}, --x {np.shape(x)}")
+        tangents.append(y)
+    # the one split of the call; the default y = 1.3 x and every scaled x are
+    # multiples of x, so their ModePoints follow from x's by linearity
+    x, *y = gaussian.mode_point(profile, np.stack(tangents))
+    if args.x is None and args.model is None:
+        x = gaussian._scaled_point(x, _unit_factor(profile, x.a_id))
+    y = y[0] if y else gaussian._scaled_point(x, 1.3)
+    scaled = [gaussian._scaled_point(x, s) for s in scales]
     lam = gaussian.lambda_k(profile, x, y)
     zx = gaussian.zeta_gram(profile, x, x)
     zcross = gaussian.zeta_gram(profile, x, y)

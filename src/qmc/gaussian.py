@@ -75,6 +75,15 @@ def mode_point(profile, a):
     return ModePoint(profile=profile, a_id=s.a_id, modes=mode_decompose(profile, s.a_id))
 
 
+def _scaled_point(x, s):
+    """The ModePoint of s times the ModePoint x, by linearity: no split.
+
+    The modes are x's modes times s, so s = 1.0 gives arrays equal to x's
+    entry for entry.
+    """
+    return ModePoint(x.profile, s * x.a_id, [s * m for m in x.modes])
+
+
 def _as_points(profile, xs):
     """ModePoints of a sequence of ModePoints and raw tangents, in order.
 

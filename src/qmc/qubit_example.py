@@ -51,7 +51,13 @@ _PAIR_MAX = (_PAIR_A + _PAIR_B) ** 2 / (864.0 * _PAIR_A)
 
 
 def theta_interval(model):
-    """Admissible open parameter range of a model."""
+    """Admissible open parameter range of a model.
+
+    The model reader too: DimensionMismatch for a name outside MODELS and
+    for anything that is not a string.
+    """
+    if not isinstance(model, str):
+        raise DimensionMismatch(f"model must be a name, got a {type(model).__name__}")
     if model == "m1":
         return (0.25, 0.5)
     if model == "m2":
@@ -125,6 +131,14 @@ def isometry(model, theta, strict=True):
     return Isometry(v, 2, 2)
 
 
+def _as_complex(name, value):
+    """``value`` read by ``complex()``; OutOfInterval when it is not a number."""
+    try:
+        return complex(value)
+    except (TypeError, ValueError):
+        raise OutOfInterval(f"{name} = {value!r} is not a number") from None
+
+
 def periodic_point(w, z):
     """Two-parameter family of period-2 points; (w, z) = (0, 1) is fixture S.
 
@@ -132,8 +146,7 @@ def periodic_point(w, z):
     second rows (y, 0), (z, 0), where x, y complete the unit columns.
     Irreducible exactly when x z != y w.
     """
-    w = complex(w)
-    z = complex(z)
+    w, z = _as_complex("w", w), _as_complex("z", z)
     if abs(w) > 1 or abs(z) > 1:
         raise OutOfInterval("periodic point needs |w| <= 1 and |z| <= 1")
     x = np.sqrt(1.0 - abs(w) ** 2)
@@ -169,15 +182,14 @@ def closed_form_mean(model, theta, block=1):
 
 def mean_derivative(model, theta, block=1):
     """d/dtheta of the measured mean."""
+    theta_interval(model)  # DimensionMismatch for an unknown model
     theta = as_real("theta", theta)
     if block == 1:
         if model == "m1":
             return -3.0 * theta
         if model == "m2":
             return -(1.0 - 6.0 * theta**2) / np.sqrt(1.0 - 3.0 * theta**2)
-        if model == "m3":
-            return np.sin(2.0 * theta) / 6.0
-        raise DimensionMismatch(f"unknown model {model!r}")
+        return np.sin(2.0 * theta) / 6.0  # m3
     if model == "m3" and block == 2:
         s2 = np.sin(theta) ** 2
         return np.sin(2.0 * theta) * (_PAIR_A + _PAIR_B - 2.0 * _PAIR_A * s2) / 216.0
@@ -195,17 +207,16 @@ def measurement(model, block=1):
     Returns (BlockMeasurement, q) with q diagonal in the measured basis;
     the estimated quantity is the frequency of the first outcome.
     """
+    theta_interval(model)  # DimensionMismatch for an unknown model
     if block == 1:
-        if model in ("m1", "m3"):
-            meas = standard_measurement(2, 1)
-            q = np.diag([1.0, 0.0]).astype(complex)
-            return meas, q
         if model == "m2":
             vecs = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / _SQ2
             meas = BlockMeasurement(vecs, 2)
             q = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
             return meas, q
-        raise DimensionMismatch(f"unknown model {model!r}")
+        meas = standard_measurement(2, 1)  # m1 and m3
+        q = np.diag([1.0, 0.0]).astype(complex)
+        return meas, q
     if model == "m3" and block == 2:
         om = omega_vector()
         # deterministic completion of omega to an orthonormal basis
@@ -224,8 +235,14 @@ def measurement(model, block=1):
 
 
 def invert_mean(model, x_bar, block=1):
-    """Map empirical outcome frequencies to parameter estimates."""
-    x = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    """Map empirical outcome frequencies to parameter estimates.
+
+    ``x_bar`` is one frequency or an array of them, each read by
+    ``errors.as_real`` (OutOfInterval for an entry that is not a number).
+    """
+    theta_interval(model)  # DimensionMismatch for an unknown model
+    x = np.atleast_1d(x_bar)
+    x = np.array([as_real("x_bar", v) for v in x.flat]).reshape(x.shape)
     if block == 1:
         if model == "m1":
             est = np.sqrt(np.clip(1.0 / 3.0 - 2.0 * x / 3.0, 0.0, None))
@@ -234,10 +251,8 @@ def invert_mean(model, x_bar, block=1):
             # the clip boundary squares to just above 1/3 in floating point
             inner = np.clip(1.0 - 3.0 * u**2, 0.0, None)
             est = np.sign(u) * np.sqrt((1.0 - np.sqrt(inner)) / 6.0)
-        elif model == "m3":
+        else:  # m3
             est = np.arccos(np.sqrt(np.clip(3.5 - 6.0 * x, 0.0, 1.0)))
-        else:
-            raise DimensionMismatch(f"unknown model {model!r}")
     elif model == "m3" and block == 2:
         # the smaller root of A u^2 - (A + B) u + 216 x = 0, u = sin^2(th):
         # the rising branch, th in [0, 0.8047]
@@ -257,6 +272,7 @@ def golden_tangent(model, theta0=None):
     whole velocity is already identifiable there since v* A = 0.  m2 and
     m3 are quoted at theta = 0.
     """
+    theta_interval(model)  # DimensionMismatch for an unknown model
     if model == "m1":
         th = reference_theta("m1") if theta0 is None else as_real("theta0", theta0)
         x = np.sqrt(1.0 - 4.0 * th**2)
@@ -274,18 +290,16 @@ def golden_tangent(model, theta0=None):
         a = np.array([[1, 0], [1j, -1], [-1, 1j], [0, -1]], dtype=complex)
         a_id = np.array([[0, 0], [-1 + 1j, -1], [-1, 1 + 1j], [0, 0]], dtype=complex)
         return a, a_id
-    if model == "m3":
-        c0 = np.array(
-            [
-                [np.sqrt(2.0 / 3.0), 0.0],
-                [np.sqrt(1.0 / 3.0), 0.0],
-                [0.0, 1.0 / _SQ2],
-                [0.0, 1.0 / _SQ2],
-            ],
-            dtype=complex,
-        )
-        return c0, c0.copy()
-    raise DimensionMismatch(f"unknown model {model!r}")
+    c0 = np.array(  # m3
+        [
+            [np.sqrt(2.0 / 3.0), 0.0],
+            [np.sqrt(1.0 / 3.0), 0.0],
+            [0.0, 1.0 / _SQ2],
+            [0.0, 1.0 / _SQ2],
+        ],
+        dtype=complex,
+    )
+    return c0, c0.copy()
 
 
 def golden_modes():

@@ -71,6 +71,9 @@ __all__ = [
 ]
 
 _MAX_BLOCK = 3  # longest block of output units a LocalObservable may act on
+# DeformedChannel.iterate prices one D x D squaring at min(D, this) matvecs: a
+# complex squaring measured 93 matvecs at D = 256, at one BLAS thread
+_SQUARING_PRICE = 93
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,19 @@ class DeformedChannel:
     def iterate(self, x, n):
         """The map applied n times to x, by matvecs on vec(x) and squarings.
 
-        With D = d^2 the side of the dense matrix M, one squaring costs D
-        matvecs.  The number j of squarings minimises the cost
-        j D + floor(n / 2^j) + (n mod 2^j) in matvec units: M is applied
-        n mod 2^j times, squared j times, and M^(2^j) applied floor(n / 2^j)
-        times.  Work is O(min_j(j D + n / 2^j) D^2), at most O(n d^4), and
-        the squarings hold at most two D x D matrices besides M.  For
-        n <= 2 D + 1 the rule picks j = 0, which is n plain matvecs, bit for
-        bit.
+        With D = d^2 the side of the dense matrix M, one squaring is priced
+        at P = min(D, _SQUARING_PRICE) matvecs.  Measured at one BLAS
+        thread, a complex D x D squaring costs about 4 matvecs at D = 16,
+        19 at D = 64 and 93 at D = 256: BLAS-3 products run near peak while
+        the matvecs are memory-bound, so D overprices a squaring at every D.
+        The price is a constant, never measured at run time, so that the
+        result does not depend on the host.  The number j of squarings
+        minimises the cost j P + floor(n / 2^j) + (n mod 2^j) in matvec
+        units: M is applied n mod 2^j times, squared j times, and M^(2^j)
+        applied floor(n / 2^j) times.  Work is O(j D^3 + (n / 2^j) D^2) with
+        j <= log2(n) + 1, and the squarings hold at most two D x D matrices
+        besides M.  For n <= 2 P + 1 the rule picks j = 0, which is n plain
+        matvecs, bit for bit.
         """
         n = as_integer("n", n, 0)
         op = self.superop
@@ -112,8 +120,8 @@ class DeformedChannel:
         if x.shape != tuple(op.shape_in):
             raise DimensionMismatch(f"operand shape {x.shape}, expected {op.shape_in}")
         m = op.m
-        side = m.shape[0]
-        j = min(range(n.bit_length() + 1), key=lambda s: s * side + (n >> s) + n % (1 << s))
+        price = min(m.shape[0], _SQUARING_PRICE)
+        j = min(range(n.bit_length() + 1), key=lambda s: s * price + (n >> s) + n % (1 << s))
         y = vec(x)
         for _ in range(n % (1 << j)):
             y = m @ y
@@ -222,11 +230,25 @@ def weak_qlan_curve(profile, x, y, n_values):
     """
     n_values = _n_grid(n_values)
     as_profile(profile).require_irreducible()
-    iso = profile.iso
-    x = _as_matrix(iso, x)
-    y = _as_matrix(iso, y)
+    x = _as_matrix(profile.iso, x)
+    y = _as_matrix(profile.iso, y)
     sx, sy = split(profile, np.stack([x, y]))
-    prediction = _coherent_overlap(profile, sx.a_id, sy.a_id)
+    return _split_curve(profile, (x, y), (sx.a_id, sy.a_id), sx.theta - sy.theta, n_values)
+
+
+def _split_curve(profile, pair, ids, dtheta, n_values):
+    """:func:`weak_qlan_curve` of the tangents ``pair`` = (x, y), already split.
+
+    ``ids`` are their identifiable parts and ``dtheta`` is theta_x - theta_y,
+    so a caller that holds the split passes it on instead of splitting
+    again; for identifiable x and y that is (x, y) and 0, since the theta
+    that corrects the phase is that of the tangent retracted.  The caller
+    has read the profile, checked the shapes of x and y and read
+    ``n_values`` into a list of ints, as :func:`weak_qlan_curve` does.
+    """
+    iso = profile.iso
+    x, y = pair
+    prediction = _coherent_overlap(profile, *ids)
     reports = []
     for n in n_values:
         t = 1.0 / np.sqrt(n)
@@ -234,7 +256,7 @@ def weak_qlan_curve(profile, x, y, n_values):
         vy = retract(iso, y, t)
         opn = DeformedChannel(vx, vy).iterate(np.eye(iso.d, dtype=complex), n)
         overlap = complex(np.trace(profile.rho_ss @ opn))
-        corrected = overlap * np.exp(1j * (sx.theta - sy.theta) * np.sqrt(n))
+        corrected = overlap * np.exp(1j * dtheta * np.sqrt(n))
         reports.append(
             {
                 "n": n,
@@ -391,6 +413,7 @@ def qfi_rate(profile, a, b=None):
 
     With ``b`` given, a and b are split together, with one factorisation.
     """
+    as_profile(profile)
     if b is None:
         sa = sb = split(profile, a)
     else:

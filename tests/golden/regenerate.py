@@ -160,6 +160,7 @@ def cases():
         ("converge-m1", ["converge", "--model", "m1", "--theta", "0.3", "--pow-min", "3",
                          "--pow-max", "6"]),
         ("converge-d4", ["converge", _f("d4"), "--pow-min", "2", "--pow-max", "5", "--seed", "3"]),
+        ("converge-d12", ["converge", _f("d12"), "--seed", "1", "--pow-min", "6", "--pow-max", "9"]),
         ("converge-d12p3", ["converge", _f("d12p3"), "--pow-min", "1", "--pow-max", "3"]),
         ("converge-red8", ["converge", _f("red8"), "--pow-min", "1", "--pow-max", "3"]),
         ("converge-usage-pow", ["converge", "--model", "m2", "--theta", "0.2", "--pow-min", "4",

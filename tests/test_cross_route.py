@@ -66,6 +66,7 @@ from qmc.linalg import bordered_solve, herm_coords, herm_vec, proj_distance
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement, snr_spectral_data
 from qmc.statmodel import (
     _ORBIT_BLOCK,
+    _SQUARING_PRICE,
     DeformedChannel,
     _Lower,
     _orbit,
@@ -308,9 +309,10 @@ def test_orbit_sweeps_match_sequential_references(label, iso):
 
 
 EPS = np.finfo(float).eps
-# powers of two per d, so that some n stay at or below 2 d^2 + 1 (no
-# squaring, plain matvecs) and some exceed it (at least one squaring)
-ITERATE_POWERS = {2: (3, 8, 12), 4: (4, 6, 10), 8: (5, 8, 11), 16: (10, 11)}
+# powers of two per d, so that some n stay at or below 2 min(d^2, 93) + 1
+# (no squaring, plain matvecs) and some exceed it (at least one squaring);
+# at d = 16, n = 2^8 +- 1 lies between the capped bound 187 and 2 d^2 + 1
+ITERATE_POWERS = {2: (3, 8, 12), 4: (4, 6, 10), 8: (5, 8, 11), 16: (8, 10, 11)}
 
 
 def _iterate_pairs():
@@ -349,12 +351,12 @@ def test_powered_iterate_matches_sequential_oracle(label, left, right, powers):
     n_values = {1, 2, 7}
     for k in powers:
         n_values |= {2**k - 1, 2**k, 2**k + 1}
-    side = left.d**2
-    assert min(n_values) <= 2 * side + 1 < max(n_values)  # both j = 0 and j > 0
+    plain = 2 * min(left.d**2, _SQUARING_PRICE) + 1  # the largest n with j = 0
+    assert min(n_values) <= plain < max(n_values)  # both j = 0 and j > 0
     ref = oracles.iterate_sequential(dc, x, n_values)
     for n in sorted(n_values):
         got = dc.iterate(x, n)
-        if n <= 2 * side + 1:
+        if n <= plain:
             assert np.array_equal(got, ref[n]), n
         else:
             assert np.linalg.norm(got - ref[n]) <= n * EPS * np.linalg.norm(x), n

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qmc
-from qmc import cli, gauge, io, linalg, statmodel
+from qmc import channels, cli, gauge, io, statmodel
 from qmc.channels import Isometry
 from qmc.errors import DimensionMismatch
 from qmc.qubit_example import closed_form_qfi_rate, fixture_s, isometry
@@ -270,27 +270,41 @@ def test_cli_limit_model(tmp_path):
     assert len(out["scale_distances"]) == 6
 
 
+SPLIT_ONCE = [
+    ["converge", "CHAIN", "--seed", "5"],
+    ["converge", "--model", "m1", "--theta", "0.3"],
+    ["limit-model", "CHAIN", "--seed", "3"],
+    ["limit-model", "--model", "m1", "--theta", "0.3"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["limit-model", "CHAIN", "--seed", "3"], ["converge", "CHAIN", "--seed", "5"]],
-    ids=["limit-model", "converge"],
+    "argv", SPLIT_ONCE, ids=["converge-seed", "converge-model", "limit-model-seed", "limit-model-model"]
 )
-def test_cli_horizon_grids_factorise_the_resolvent_twice(tmp_path, monkeypatch, capsys, argv):
-    # one LU for the seeded tangent, one for every tangent the grid needs
-    # (the stationary solve of analyze is its own and not counted here)
+def test_cli_seeded_tangent_is_split_once(tmp_path, monkeypatch, capsys, argv):
+    # the seeded tangent or the model's velocity is split once, by one resolvent
+    # solve and one LU, and its split is handed on; R is built for analyze and
+    # for that solve (the stationary solve of analyze is its own, not counted)
     rng = np.random.default_rng(8)
     iso = Isometry(oracles.random_isometry(rng, 6, 2), 6, 2)
     path = _write_iso(tmp_path, iso, "chain.json")
-    lus = []
+    calls = {"restricted_resolvent_solve": 0, "kraus_real_matrix": 0, "bordered_solve": 0}
 
-    def spy(*args, **kwargs):
-        lus.append(args[4].shape)
-        return linalg.bordered_solve(*args, **kwargs)
+    def spy(module, name):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(gauge, "bordered_solve", spy)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(gauge, "restricted_resolvent_solve")
+    spy(gauge, "bordered_solve")
+    spy(channels, "kraus_real_matrix")
     assert cli.main([path if a == "CHAIN" else a for a in argv]) == 0
     assert capsys.readouterr().out
-    assert len(lus) == 2, lus
+    assert calls == {"restricted_resolvent_solve": 1, "kraus_real_matrix": 2, "bordered_solve": 1}
 
 
 def test_cli_simulate_csv_reproducible(tmp_path):

@@ -1,3 +1,4 @@
+import signal
 import warnings
 
 import numpy as np
@@ -47,6 +48,7 @@ from qmc.qubit_example import (
     isometry,
     mean_derivative,
     measurement,
+    periodic_point,
     reference_theta,
 )
 from qmc.statmodel import (
@@ -67,6 +69,7 @@ from qmc.trajectories import (
     BlockMeasurement,
     block_kraus,
     fluctuation_stats,
+    run_estimator,
     sample,
     sample_batch,
     standard_measurement,
@@ -126,13 +129,15 @@ def test_deformed_channel_accepts_isometries_at_their_tolerance():
 
 
 def test_iterate_matches_repeated_application():
+    # up to n = 2 min(D, _SQUARING_PRICE) + 1, D = d^2 = 4, iterate is plain matvecs
     rng = np.random.default_rng(24)
     dc = DeformedChannel(isometry("m1", 0.3), isometry("m1", 0.31))
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    plain = 2 * min(4, statmodel._SQUARING_PRICE) + 1
     y = x
-    for _ in range(7):
+    for n in range(1, plain + 1):
         y = dc.superop(y)
-    assert np.array_equal(dc.iterate(x, 7), y)
+        assert np.array_equal(dc.iterate(x, n), y), n
     assert np.array_equal(dc.iterate(x, 0), x)
     with pytest.raises(DimensionMismatch):
         dc.iterate(np.eye(3), 2)
@@ -230,6 +235,8 @@ def _string_meas_fluctuation_stats():
     return fluctuation_stats(profile.iso, profile, np.diag([1.0, 0.0]), 8, 2, 0, meas="x")
 
 
+_BAD_MODEL = np.zeros((7, 7))  # compared with a name, it made numpy's ambiguous-truth ValueError
+
 BAD_INPUTS = [
     ("measurement-negative-block", lambda: standard_measurement(2, -1), InvalidCount),
     ("measurement-fractional-block", lambda: standard_measurement(2, 1.5), InvalidCount),
@@ -282,6 +289,24 @@ BAD_INPUTS = [
     ("measurement-unknown-model", lambda: measurement("m9"), DimensionMismatch),
     ("invert-mean-unknown-model", lambda: invert_mean("m9", 0.5), DimensionMismatch),
     ("golden-tangent-unknown-model", lambda: golden_tangent("m9"), DimensionMismatch),
+    # a model that is not a name, read by theta_interval before any comparison
+    ("isometry-array-model", lambda: isometry(_BAD_MODEL, 0.3), DimensionMismatch),
+    ("closed-form-mean-array-model", lambda: closed_form_mean(_BAD_MODEL, 0.3), DimensionMismatch),
+    ("mean-derivative-array-model", lambda: mean_derivative(_BAD_MODEL, 0.3), DimensionMismatch),
+    ("invert-mean-array-model", lambda: invert_mean(_BAD_MODEL, 0.5), DimensionMismatch),
+    ("run-estimator-array-model",
+     lambda: run_estimator(_BAD_MODEL, 0.35, 20, 4, 1), DimensionMismatch),
+    ("measurement-array-model", lambda: measurement(_BAD_MODEL), DimensionMismatch),
+    ("invert-mean-string-x-bar", lambda: invert_mean("m1", "x"), OutOfInterval),
+    ("invert-mean-none-x-bar", lambda: invert_mean("m1", None), OutOfInterval),
+    ("invert-mean-string-entry", lambda: invert_mean("m1", [0.3, "x"]), OutOfInterval),
+    # the periodic-point parameters and the block size, each through its one reader
+    ("periodic-point-string-w", lambda: periodic_point("x", 0.3), OutOfInterval),
+    ("periodic-point-none-w", lambda: periodic_point(None, 0.3), OutOfInterval),
+    ("periodic-point-array-z", lambda: periodic_point(0.3, np.zeros((7, 7))), OutOfInterval),
+    ("block-length-string-dim", lambda: block_length("x", 2), InvalidCount),
+    ("block-length-none-dim", lambda: block_length(None, 2), InvalidCount),
+    ("block-length-array-dim", lambda: block_length(np.zeros((7, 7)), 2), InvalidCount),
     # finite but huge inputs: the functionals are quadratic in them and would overflow
     ("qfi-curve-huge-tangent", lambda: _huge_input("qfi_curve"), NotTangent),
     ("qfi-rate-huge-tangent", lambda: _huge_input("qfi_rate"), NotTangent),
@@ -295,6 +320,22 @@ BAD_INPUTS = [
 def test_bad_inputs_raise_typed_errors(label, call, error):
     with pytest.raises(error):
         call()
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("block_length(inf, 2) did not return within 2 s")
+
+
+def test_block_length_of_an_infinite_size_returns_at_once():
+    # while k**b < inf grew b without end; the alarm turns a regression into a failure
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(2)
+    try:
+        with pytest.raises(InvalidCount):
+            block_length(float("inf"), 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # each export whose first argument is a profile, with "x" in its place
@@ -321,6 +362,7 @@ PROFILE_FIRST = {
     "weak_qlan_report": lambda: weak_qlan_report("x", _A, _A, 4),
     "weak_qlan_error": lambda: statmodel.weak_qlan_error("x", _A, _A, 4),
     "qfi_rate": lambda: qfi_rate("x", _A),
+    "qfi_rate_pair": lambda: qfi_rate("x", _A, _A),
     "stationary_mean": lambda: stationary_mean("x", _Q),
     "asymptotic_variance": lambda: asymptotic_variance("x", _Q),
     "finite_window_variance": lambda: finite_window_variance("x", _Q, 8),
