@@ -18,7 +18,10 @@ Both preserve Hermiticity, so in the orthonormal Hermitian basis of
 (``real_transfer``), the Heisenberg map is R^T, and every channel-level
 functional runs on R.  ``channel``, the complex matrix on column-stacked
 ``vec``, is kept as the reference route; otherwise only the sandwich map,
-which does not preserve Hermiticity, uses that ``vec``.
+which does not preserve Hermiticity, uses that ``vec``.  The iterative
+spectral stages apply a map X -> sum_u A_u X B_u in Kraus form instead,
+through ``kraus_step``, at O(k d^3) an operand and without any d^2 x d^2
+matrix.
 """
 
 from dataclasses import dataclass
@@ -44,6 +47,7 @@ __all__ = [
     "channel",
     "real_transfer",
     "kraus_real_matrix",
+    "kraus_step",
     "sandwich_map",
     "dilation",
     "apply_steps",
@@ -213,6 +217,28 @@ def kraus_real_matrix(kr):
     put(slice(d, d + h), up + lo, 1.0 / s2, 1.0)
     put(slice(d + h, n), 1j * (up - lo), 1.0 / s2, 1.0)
     return r
+
+
+def kraus_step(a, b):
+    """The map X -> sum_u A_u X B_u, for (k, d, d) stacks a and b, as a function.
+
+    The function takes one d x d matrix or an (m, d, d) stack of them and
+    returns an array of the same shape, at O(k d^3) an operand: the products
+    X B_u are one batched product, stacked into a (k d) x d array per
+    operand, and the row [A_1, ..., A_k], built once here, sums them in one
+    more.  With A = K and B = K* it is the Schrodinger map of
+    ``kraus_real_matrix``, with A = K1* and B = K2 the sandwich map.
+    """
+    k, d = b.shape[0], b.shape[-1]
+    row = np.ascontiguousarray(np.concatenate(a, axis=1))  # [A_1, ..., A_k]
+    b = np.ascontiguousarray(b)
+
+    def apply(x):
+        if x.ndim == 2:
+            return row @ (x @ b).reshape(k * d, d)
+        return row @ (x[:, None] @ b).reshape(len(x), k * d, d)
+
+    return apply
 
 
 def sandwich_map(iso1, iso2):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import Isometry, apply_steps, as_isometry, real_transfer
+from .channels import Isometry, apply_steps, as_isometry, kraus_step, real_transfer
 from .errors import (
     DimensionMismatch,
     LabelingFailure,
@@ -210,13 +210,20 @@ def _canonical_z(u_raw, p):
 
 
 # Spectral certificate.  Eigenvalues-only dense eig of R costs O(d^6);
-# a block of traceless coordinates stepped by R costs O(d^4) a step, and
-# on a primitive chain it decays like the second-largest eigenvalue
-# modulus, about 0.6 to 0.85 a step on random chains, so 40 to 110 steps
-# suffice.  Below d = 10 the budget of d^2 steps is often too short for
-# that (6 of 10 random d = 8, k = 2 chains declined after 64 steps), and
-# the dense eigensolver takes under 4 ms anyway.
+# a block of traceless operators stepped by T costs O(d^4) a step with R,
+# O(k d^3) an operator in Kraus form, and on a primitive chain it decays
+# like the second-largest eigenvalue modulus, about 0.6 to 0.85 a step on
+# random chains, so 40 to 110 steps suffice.  Below d = 10 the budget of
+# d^2 steps is often too short for that (6 of 10 random d = 8, k = 2
+# chains declined after 64 steps), and the dense eigensolver takes under
+# 4 ms anyway.
 _CERTIFY_MIN_D = 10
+# From this d on the certificate steps in Kraus form.  A product with R
+# streams its d^2 x d^2 entries for a few columns, and R leaves the cache
+# between d = 22 and 23 (2.2 MB): at k = 2 and one BLAS thread, a step of
+# 4 columns took 39 us with R against 50 us in Kraus form at d = 22, and
+# 176 against 61 us at d = 23.
+_KRAUS_MIN_D = 23
 _CERTIFY_COLUMNS = 4
 # Width of the periodic stage's block.  Its Ritz values can hold the p - 1
 # non-trivial p-th roots of unity for p <= _RITZ_COLUMNS + 1.
@@ -250,26 +257,32 @@ _DEGENERACY_TOL = 1e-9  # stationary_eigenbasis: rho_ss eigenvalues this close a
 _SPAN_RANK_TOL = 1e-10  # access_span_check: rank tolerance on unit-norm candidates
 
 
-def _certify(r, d, tol):
-    """Period p > 0 that the spectrum of R certifies, or 0 when undecided.
+def _certify(r, iso, tol):
+    """Period p > 0 that the spectrum of T certifies, or 0 when undecided.
 
     A nonzero p says that, apart from the simple eigenvalue 1, the only
     eigenvalues with modulus at least 1 - max(peripheral_band,
     simplicity_gap) are the p - 1 non-trivial p-th roots of unity, each
     simple; that is the dense route's verdict "period p" as far as the
-    spectrum decides it.  Seeded Gaussian blocks of traceless coordinates
-    are stepped by Q R, Q the orthogonal projection that removes the
-    trace, so that an isometry defect cannot leak the eigenvalue 1 back
-    in.  The primitive stage certifies p = 1 when a block of
+    spectrum decides it.  Seeded Gaussian blocks of traceless operators
+    are stepped by Q T, Q the orthogonal projection that removes the trace
+    (X -> X - tr(X)/d 1), so that an isometry defect cannot leak the
+    eigenvalue 1 back in; :func:`_certificate_step` applies T with R, the
+    real transfer matrix, below ``_KRAUS_MIN_D`` and in Kraus form from it
+    on.  The primitive stage certifies p = 1 when a block of
     ``_CERTIFY_COLUMNS`` decays by ``_CERTIFY_DECAY`` within m steps, where
     (1 - max(band, gap))^m >= 1/2 and m <= d^2.  At m = d^2 steps the
-    n x 4 block costs 8 n^3 flops (n = d^2), against about 10 n^3 for the
-    dense eigensolver.  Every ``_CERTIFY_WINDOW`` steps the decay of the
-    last window is extrapolated, and the stage ends as soon as the budget
+    block costs 8 d^6 flops with R, against about 10 d^6 for the dense
+    eigensolver; in Kraus form one step costs 16 k d^3 flops an operator,
+    so the block costs 64 k d^5, and it no longer streams the 8 d^4 bytes
+    of R each step, which is what a step with R waits for once R leaves
+    the cache.  Every ``_CERTIFY_WINDOW`` steps the decay of the last
+    window is extrapolated, and the stage ends as soon as the budget
     cannot reach the target, so a periodic or reducible chain, whose block
     stalls, costs a few windows.  Then :func:`_certify_periodic` looks for
     the roots.
     """
+    d = iso.d
     margin = max(tol.peripheral_band, tol.simplicity_gap)
     if (
         d < _CERTIFY_MIN_D
@@ -277,27 +290,59 @@ def _certify(r, d, tol):
         or not margin < 1.0
     ):
         return 0
-    n = d * d
-    budget = min(n, int(np.log(0.5) / np.log1p(-margin)))
-    a = r.copy()
-    a[:d] -= a[:d].mean(axis=0)
+    budget = min(d * d, int(np.log(0.5) / np.log1p(-margin)))
+    step, embed = _certificate_step(r, iso)
     rng = np.random.default_rng(_CERTIFY_SEED)
-    first = _traceless_block(rng, d, _CERTIFY_COLUMNS)
-    decayed, block = _decays(lambda b: a @ b, first, budget)
+
+    def fresh(columns):
+        return embed(_traceless_block(rng, d, columns))
+
+    decayed, block = _decays(step, fresh(_CERTIFY_COLUMNS), budget)
     if decayed:
         return 1
     # the stalled block already leans towards the slowest eigenvectors, so
     # it starts the periodic stage a few windows ahead of a fresh one
-    start = np.hstack([block, _traceless_block(rng, d, _RITZ_COLUMNS - _CERTIFY_COLUMNS)])
-    return _certify_periodic(a, d, tol, budget, rng, start)
+    start = np.hstack([block, fresh(_RITZ_COLUMNS - _CERTIFY_COLUMNS)])
+    return _certify_periodic(step, tol, budget, fresh, start)
 
 
-def _traceless_block(rng, d, columns, basis=None):
-    """Gaussian n x columns block of traceless coordinates, orthogonal to ``basis``."""
+def _certificate_step(r, iso):
+    """(step, embed): Q T on a block of traceless operators, one a column,
+    and the map from a block of Hermitian coordinates to such a block.
+
+    Below ``_KRAUS_MIN_D`` a column holds the operator's coordinates in the
+    Hermitian basis and a step is one product with Q R.  From it on, a
+    column holds the real and imaginary parts of the d x d matrix itself,
+    a view of a stack of matrices: its norm and its inner products are
+    those of the coordinates, so the stages read it as they read
+    coordinates, and only a start block is converted.  A step then applies
+    rho -> sum_u K_u rho K_u* to the stack through ``channels.kraus_step``
+    and takes the mean of the diagonal off the diagonal; R is not read.
+    """
+    d = iso.d
+    if d < _KRAUS_MIN_D:
+        a = r.copy()
+        a[:d] -= a[:d].mean(axis=0)
+        return (lambda b: a @ b), (lambda c: c)
+    kr = np.stack(iso.kraus)
+    apply = kraus_step(kr, kr.conj().transpose(0, 2, 1))
+
+    def columns(x):
+        return x.reshape(len(x), -1).view(float).T
+
+    def step(b):
+        y = apply(np.ascontiguousarray(b.T).view(complex).reshape(-1, d, d))
+        diagonal = y.reshape(len(y), -1)[:, :: d + 1]
+        diagonal -= diagonal.sum(axis=1, keepdims=True) / d
+        return columns(y)
+
+    return step, lambda c: columns(herm_vec(c.T))
+
+
+def _traceless_block(rng, d, columns):
+    """Gaussian n x columns block of traceless coordinates."""
     block = rng.standard_normal((d * d, columns))
     block[:d] -= block[:d].mean(axis=0)
-    if basis is not None:
-        block -= basis @ (basis.T @ block)
     return block
 
 
@@ -305,9 +350,9 @@ def _decays(step, block, budget):
     """(whether ``block`` decays by ``_CERTIFY_DECAY`` within ``budget``
     calls of ``step``, the block after the last call).
 
-    ``step`` maps a block to its image: one product with the certificate's
-    matrix, that product followed by a deflation, or p applications of
-    the sandwich map of ``gauge.equivalence_witness`` in Kraus form.
+    ``step`` maps a block to its image: one certificate step, that step
+    followed by a deflation, or p applications of the sandwich map of
+    ``gauge.equivalence_witness`` in Kraus form.
     """
     size = np.linalg.norm(block)
     target = _CERTIFY_DECAY * size
@@ -327,22 +372,23 @@ def _decays(step, block, budget):
     return False, block
 
 
-def _certify_periodic(a, d, tol, budget, rng, block):
+def _certify_periodic(step, tol, budget, fresh, block):
     """Period p >= 2 by block subspace iteration with Rayleigh-Ritz, or 0.
 
     The peripheral spectrum of an irreducible channel is the group of p-th
     roots of unity, each simple (Evans and Hoegh-Krohn, J. London Math.
-    Soc. 17, 345, 1978), so on the traceless coordinates it is the p - 1
+    Soc. 17, 345, 1978), so on the traceless operators it is the p - 1
     non-trivial roots.  ``block``, of ``_RITZ_COLUMNS`` traceless columns,
-    is stepped by ``a`` and orthonormalised once a window; the eigenvalues
-    of its Rayleigh quotient, the Ritz values, converge to the largest
-    eigenvalues of ``a`` (Stewart, Numer. Math. 25, 123, 1976).  The stage
-    returns p when the Ritz values within ``peripheral_band`` of the unit
-    circle are exactly the p - 1 non-trivial p-th roots, within half the
-    tolerances the dense route applies to its eigenvalues, their real
-    invariant subspace has a residual below ``_RITZ_RESIDUAL`` of those
-    tolerances, and a fresh traceless block, with that subspace projected
-    out of every step, decays as in the primitive stage.
+    is stepped by ``step`` and orthonormalised once a window; the
+    eigenvalues of its Rayleigh quotient, the Ritz values, converge to the
+    largest eigenvalues of the step (Stewart, Numer. Math. 25, 123, 1976).
+    The stage returns p when the Ritz values within ``peripheral_band`` of
+    the unit circle are exactly the p - 1 non-trivial p-th roots, within
+    half the tolerances the dense route applies to its eigenvalues, their
+    real invariant subspace has a residual below ``_RITZ_RESIDUAL`` of
+    those tolerances, and a block of ``fresh(_CERTIFY_COLUMNS)``, a fresh
+    traceless one, with that subspace projected out of it and of every
+    step, decays as in the primitive stage.
 
     The deflated block cannot decay past an eigenvalue of modulus above
     ``radius`` within the budget, so the stage returns 0 as soon as a Ritz
@@ -359,9 +405,9 @@ def _certify_periodic(a, d, tol, budget, rng, block):
     radius = _CERTIFY_DECAY ** (1.0 / max(budget, 1))
     residual_tol = _RITZ_RESIDUAL * min(band, _ROOT_DEVIATION)
     error = None
-    for step in range(_CERTIFY_WINDOW, budget + 1, _CERTIFY_WINDOW):
+    for taken in range(_CERTIFY_WINDOW, budget + 1, _CERTIFY_WINDOW):
         q, _ = np.linalg.qr(block)
-        block = a @ q
+        block = step(q)
         h = q.T @ block
         if not np.isfinite(h).all():
             return 0
@@ -385,30 +431,31 @@ def _certify_periodic(a, d, tol, budget, rng, block):
                 y = vecs[:, rim]
                 s = np.linalg.svd(np.hstack([y.real, y.imag]), full_matrices=False)[0][:, : p - 1]
                 basis = q @ s
-                image = block @ s  # a @ basis
+                image = block @ s  # the step applied to basis
                 if np.linalg.norm(image - basis @ (basis.T @ image)) <= residual_tol:
 
                     def deflated_step(b):
-                        # a, compressed to the complement of the rim subspace
-                        b = a @ b
+                        # the step, compressed to the complement of the rim subspace
+                        b = step(b)
                         b -= basis @ (basis.T @ b)
                         return b
 
-                    deflated = _traceless_block(rng, d, _CERTIFY_COLUMNS, basis)
+                    deflated = fresh(_CERTIFY_COLUMNS)
+                    deflated -= basis @ (basis.T @ deflated)
                     return p if _decays(deflated_step, deflated, budget)[0] else 0
         # extrapolate the residual of the largest Ritz pair as the primitive
         # stage extrapolates its decay, past the first three windows: on
         # random cyclic chains with p = 6 or 7 it reads about 0.2, 0.1 and
         # 0.02 to 0.05 there before it falls by 10 or more a window
         last, error = error, float(errors[np.argmax(mods)])
-        if step > 3 * _CERTIFY_WINDOW and error > residual_tol:
+        if taken > 3 * _CERTIFY_WINDOW and error > residual_tol:
             rate = error / last
             if not rate < 1.0:
                 return 0
-            if not step + _CERTIFY_WINDOW * np.log(residual_tol / error) / np.log(rate) <= budget:
+            if not taken + _CERTIFY_WINDOW * np.log(residual_tol / error) / np.log(rate) <= budget:
                 return 0
         for _ in range(_CERTIFY_WINDOW - 1):
-            block = a @ block
+            block = step(block)
     return 0
 
 
@@ -479,7 +526,7 @@ def analyze(iso, tol=None):
             return None
         return rho, _min_eigenvalue(rho), 1.0 - d * s
 
-    p = _certify(r, d, tol)
+    p = _certify(r, iso, tol)
     solved = solve() if p else None
     # half the tolerances: the dense eigenvalue 1 differs from solved[2]
     # by roundoff, far below the floor the certificate puts on them

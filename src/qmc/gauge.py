@@ -13,14 +13,15 @@ conjugated by X -> X w, T the Heisenberg transfer operator of the first
 chain, so its radius is 1 and its eigenvector at c is w; otherwise the
 radius is below 1 (Guta and Kiukas, CMP 335, 1397, 2015).  From
 ``ergodic._CERTIFY_MIN_D`` on, a power iteration on E^p (p the period)
-that applies E in Kraus form, O(k d^3) a step, looks for the eigenvector
-first.  A decay of the iterate within the half-rule budget of
-``ergodic._certify`` (a modulus of at least 1 - tol keeps half its
-component within it) says inequivalent; a Rayleigh value of E^p converged
-onto the rim gives c and, projected onto one p-th root, w.  Anything else
-is undecided, and the dense route takes every eigenvalue of the d^2 x d^2
-matrix of E and the eigenvector from a bordered solve.  Both routes end in
-the same checks of the eigenvector and of the relation itself.  The
+that applies E in Kraus form (``channels.kraus_step``), O(k d^3) a
+step, looks for the eigenvector first.  A decay of the iterate within the
+half-rule budget of ``ergodic._certify`` (a modulus of at least 1 - tol
+keeps half its component within it) says inequivalent; a Rayleigh value
+of E^p converged onto the rim gives c and, projected onto one p-th root,
+w.  Anything else is undecided, and the dense route takes every
+eigenvalue of the d^2 x d^2 matrix of E and the eigenvector from a
+bordered solve.  Both routes end in the same checks of the eigenvector
+and of the relation itself.  The
 residual stabiliser of a point is the cyclic group generated by (gamma, Z)
 from the spectral profile.
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ergodic
-from .channels import Isometry, as_isometry, real_transfer, sandwich_map
+from .channels import Isometry, as_isometry, kraus_step, real_transfer, sandwich_map
 from .errors import (
     DimensionMismatch,
     GaugeConstraintViolated,
@@ -214,19 +215,6 @@ def _dense_peripheral(iso1, iso2, tol):
     return lam, unvec(u, (iso1.d, iso1.d)), res
 
 
-def _sandwich_step(iso1, iso2):
-    """X -> sum_u K1_u* X K2_u on d x d matrices, in O(k d^3) a call.
-
-    The products X K2_u are one batched product, stacked into a (k d) x d
-    array that the row [K1_1*, ..., K1_k*] sums in one more; the d^2 x d^2
-    matrix of ``channels.sandwich_map`` is never formed.
-    """
-    d, k = iso1.d, iso1.k
-    row = np.ascontiguousarray(dag(np.concatenate(iso1.kraus)))
-    k2 = np.stack(iso2.kraus)
-    return lambda x: row @ (x @ k2).reshape(k * d, d)
-
-
 def _kraus_peripheral(iso1, iso2, p, tol):
     """(lam, F, residual) by power iteration on E^p, or None when undecided.
 
@@ -254,7 +242,8 @@ def _kraus_peripheral(iso1, iso2, p, tol):
     if d < ergodic._CERTIFY_MIN_D or tol < ergodic._CERTIFY_TOL_FLOOR:
         return None
     budget = min(d * d, int(np.log(0.5) / np.log1p(-tol))) // p
-    apply = _sandwich_step(iso1, iso2)
+    k1 = np.stack(iso1.kraus)
+    apply = kraus_step(k1.conj().transpose(0, 2, 1), np.stack(iso2.kraus))
     taken = 0
 
     def step(x):

@@ -91,6 +91,14 @@ def _check_interval(model, theta, strict=True):
         raise OutOfInterval(f"{model} matrix entries undefined at theta = {theta}")
 
 
+def _as_finite(name, value):
+    """``value`` read by ``errors.as_real``; OutOfInterval for NaN or +-Inf too."""
+    value = as_real(name, value)
+    if not np.isfinite(value):
+        raise OutOfInterval(f"{name} = {value} is not finite")
+    return value
+
+
 def isometry(model, theta, strict=True):
     """The model's isometry at the given parameter."""
     theta = as_real("theta", theta)
@@ -183,7 +191,7 @@ def closed_form_mean(model, theta, block=1):
 def mean_derivative(model, theta, block=1):
     """d/dtheta of the measured mean."""
     theta_interval(model)  # DimensionMismatch for an unknown model
-    theta = as_real("theta", theta)
+    theta = _as_finite("theta", theta)
     if block == 1:
         if model == "m1":
             return -3.0 * theta
@@ -237,12 +245,17 @@ def measurement(model, block=1):
 def invert_mean(model, x_bar, block=1):
     """Map empirical outcome frequencies to parameter estimates.
 
-    ``x_bar`` is one frequency or an array of them, each read by
-    ``errors.as_real`` (OutOfInterval for an entry that is not a number).
+    ``x_bar`` is one frequency or an array of them; an entry that is not a
+    real number (read by ``errors.as_real`` unless the array is already
+    real), or is NaN or +-Inf, raises OutOfInterval.
     """
     theta_interval(model)  # DimensionMismatch for an unknown model
     x = np.atleast_1d(x_bar)
-    x = np.array([as_real("x_bar", v) for v in x.flat]).reshape(x.shape)
+    if x.dtype.kind not in "biuf":
+        x = np.array([as_real("x_bar", v) for v in x.flat]).reshape(x.shape)
+    x = x.astype(float)
+    if not np.isfinite(x).all():
+        raise OutOfInterval("x_bar has NaN or Inf entries")
     if block == 1:
         if model == "m1":
             est = np.sqrt(np.clip(1.0 / 3.0 - 2.0 * x / 3.0, 0.0, None))
@@ -274,7 +287,7 @@ def golden_tangent(model, theta0=None):
     """
     theta_interval(model)  # DimensionMismatch for an unknown model
     if model == "m1":
-        th = reference_theta("m1") if theta0 is None else as_real("theta0", theta0)
+        th = reference_theta("m1") if theta0 is None else _as_finite("theta0", theta0)
         x = np.sqrt(1.0 - 4.0 * th**2)
         a = np.array(
             [

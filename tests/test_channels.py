@@ -9,10 +9,12 @@ from qmc.channels import (
     channel,
     dilation,
     isometry_from_kraus,
+    kraus_real_matrix,
+    kraus_step,
     sandwich_map,
 )
 from qmc.errors import DimensionMismatch, NotIsometry, SizeCap, UnitDimMismatch
-from qmc.linalg import dag, vec, unvec
+from qmc.linalg import dag, herm_coords, herm_vec, unvec, vec
 from qmc.qubit_example import fixture_s, isometry
 
 import oracles
@@ -151,6 +153,32 @@ def test_sandwich_map_matches_kron_sum_oracle(d1, d2, k):
     sm = sandwich_map(i1, i2)
     assert sm.shape_in == sm.shape_out == (d1, d2)
     assert np.max(np.abs(sm.m - oracles.sandwich_map_kron(i1, i2))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 24, 32])
+def test_kraus_step_on_a_stack_matches_the_real_transfer_matrix(d):
+    # rho -> sum_u K_u rho K_u* in Kraus form, on a stack of Hermitian
+    # operands, against the real matrix R applied to their coordinates
+    rng = np.random.default_rng(300 + d)
+    kr = np.stack(Isometry(oracles.random_isometry(rng, d, 2), d, 2).kraus)
+    coords = rng.standard_normal((d * d, 5))
+    ref = kraus_real_matrix(kr) @ coords
+    got = kraus_step(kr, kr.conj().transpose(0, 2, 1))(herm_vec(coords.T))
+    assert got.shape == (5, d, d)
+    assert np.linalg.norm(herm_coords(got).T - ref) <= 1e-13 * np.linalg.norm(ref)
+    # one operand works as a stack of one
+    one = kraus_step(kr, kr.conj().transpose(0, 2, 1))(herm_vec(coords[:, 0]))
+    assert np.linalg.norm(one - got[0]) <= 1e-14 * np.linalg.norm(got[0])
+
+
+def test_kraus_step_is_the_sandwich_map():
+    rng = np.random.default_rng(310)
+    k1 = np.stack(Isometry(oracles.random_isometry(rng, 3, 2), 3, 2).kraus)
+    k2 = np.stack(Isometry(oracles.random_isometry(rng, 3, 2), 3, 2).kraus)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    ref = sandwich_map(isometry_from_kraus(k1), isometry_from_kraus(k2))(x)
+    got = kraus_step(k1.conj().transpose(0, 2, 1), k2)(x)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_dilation_matches_stepwise_chain():

@@ -45,6 +45,7 @@ stabiliser family (gamma^m, Z^m).
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -557,24 +558,28 @@ def _analysis(iso, tol):
         return exc
 
 
-def _both_routes(iso, tol=None):
+def _both_routes(iso, tol=None, kraus_min_d=None):
     """(certified-route result, dense-route result, the certified period or 0).
 
     The size rule is lifted, so the certificate is tried at every d; the
-    dense result comes from a certificate patched to decline.
+    dense result comes from a certificate patched to decline.  A
+    ``kraus_min_d`` replaces the d from which the certificate steps in
+    Kraus form.
     """
     answers = []
     certify = ergodic._certify
 
-    def spy(r, d, tol):
-        answers.append(certify(r, d, tol))
+    def spy(r, chain, tol):
+        answers.append(certify(r, chain, tol))
         return answers[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
+        if kraus_min_d is not None:
+            mp.setattr(ergodic, "_KRAUS_MIN_D", kraus_min_d)
         mp.setattr(ergodic, "_certify", spy)
         fast = _analysis(iso, tol)
-        mp.setattr(ergodic, "_certify", lambda r, d, tol: 0)
+        mp.setattr(ergodic, "_certify", lambda r, chain, tol: 0)
         dense = _analysis(iso, tol)
     return fast, dense, answers[0]
 
@@ -600,6 +605,14 @@ def _assert_same_analysis(fast, dense):
 @given(d=DIMS, k=UNITS, seed=SEEDS)
 def test_certified_route_matches_dense_route_on_random_chains(d, k, seed):
     fast, dense, _ = _both_routes(_random_chain(seed, d, k))
+    _assert_same_analysis(fast, dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=DIMS, k=UNITS, seed=SEEDS)
+def test_kraus_certified_route_matches_dense_route_on_random_chains(d, k, seed):
+    # the certificate steps in Kraus form at every d
+    fast, dense, _ = _both_routes(_random_chain(seed, d, k), kraus_min_d=1)
     _assert_same_analysis(fast, dense)
 
 
@@ -699,7 +712,19 @@ ROUTE_CASES = list(_route_cases())
     "label,iso,tol,certified", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES]
 )
 def test_certified_route_matches_dense_route(label, iso, tol, certified):
-    fast, dense, answer = _both_routes(iso, tol)
+    _check_route_case(label, iso, tol, certified, None)
+
+
+@pytest.mark.parametrize(
+    "label,iso,tol,certified", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES]
+)
+def test_kraus_certified_route_matches_dense_route(label, iso, tol, certified):
+    # the same cases with the certificate stepping in Kraus form at every d
+    _check_route_case(label, iso, tol, certified, 1)
+
+
+def _check_route_case(label, iso, tol, certified, kraus_min_d):
+    fast, dense, answer = _both_routes(iso, tol, kraus_min_d)
     if certified is not None:
         assert answer == certified
     _assert_same_analysis(fast, dense)
@@ -760,7 +785,7 @@ def test_spectrum_is_computed_only_when_read(monkeypatch):
             "reason",
         ]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ergodic, "_certify", lambda r, d, tol: 0)
+            mp.setattr(ergodic, "_certify", lambda r, chain, tol: 0)
             dense = analyze(iso)
         assert json.dumps(profile.diagnostics) == json.dumps(dense.diagnostics)
         assert np.array_equal(profile.eigenvalues, dense.eigenvalues)
@@ -792,8 +817,50 @@ def test_certificate_projects_the_trace_out():
     one = herm_coords(np.eye(16)).real
     w = np.random.default_rng(2043).standard_normal(256)
     leaky = r + 1e-6 * np.outer(one, w)
-    assert ergodic._certify(r, 16, ErgodicTol()) == 1
-    assert ergodic._certify(leaky, 16, ErgodicTol()) == 1
+    assert ergodic._certify(r, iso, ErgodicTol()) == 1
+    assert ergodic._certify(leaky, iso, ErgodicTol()) == 1
+
+
+def test_kraus_certificate_projects_the_trace_out(monkeypatch):
+    # the same leak in Kraus form: with K_u (1 + eta h), h = |0><0|, sum K* K
+    # is 1e-6 from 1, too far for an Isometry, so the certificate reads the
+    # family bare; it steps in Kraus form and never reads R.  Unprojected,
+    # the block would stall at 2.4e-8 of its start, above the 1e-8 target
+    monkeypatch.setattr(ergodic, "_KRAUS_MIN_D", 1)
+    iso = _random_chain(2042, 16, 2)
+    eta = np.sqrt(1.0 + 1e-6) - 1.0
+    kraus = [k @ np.diag(np.append(1.0 + eta, np.ones(15))) for k in iso.kraus]
+    defect = np.linalg.norm(sum(k.conj().T @ k for k in kraus) - np.eye(16))
+    assert abs(defect - 1e-6) <= 1e-12
+    leaky = SimpleNamespace(d=16, k=2, kraus=kraus)
+    blind = np.full((256, 256), np.nan)
+    assert ergodic._certify(blind, iso, ErgodicTol()) == 1
+    assert ergodic._certify(blind, leaky, ErgodicTol()) == 1
+
+
+def test_kraus_certificate_reads_no_transfer_matrix(monkeypatch):
+    # from _KRAUS_MIN_D on no certificate stage multiplies by R: handed a
+    # NaN-filled R, which the dense step would turn into a decline, the
+    # certificate still finds every period, the deflated stage included
+    certify, answers = ergodic._certify, []
+
+    def blind(r, chain, tol):
+        answers.append(certify(np.full_like(r, np.nan), chain, tol))
+        return answers[-1]
+
+    monkeypatch.setattr(ergodic, "_certify", blind)
+    rng = np.random.default_rng(2046)
+    d = ergodic._KRAUS_MIN_D
+    chains = [
+        (_random_chain(2047, d, 2), 1),
+        (_random_chain(2048, 32, 2), 1),
+        (Isometry(oracles.cyclic_isometry(rng, 24, 2, 3), 24, 2), 3),
+        (Isometry(oracles.cyclic_isometry(rng, 24, 2, 2), 24, 2), 2),
+    ]
+    for iso, period in chains:
+        profile = analyze(iso)
+        assert answers[-1] == period
+        assert profile.is_irreducible and profile.period == period
 
 
 def _hidden_eigenvalue_operator(d, block, hidden):
@@ -823,7 +890,12 @@ def test_periodic_certificate_deflates_before_it_decides(hidden, period):
     d, tol = 6, ErgodicTol()
     block = ergodic._traceless_block(np.random.default_rng(7), d, ergodic._RITZ_COLUMNS)
     a = _hidden_eigenvalue_operator(d, block, hidden)
-    assert ergodic._certify_periodic(a, d, tol, d * d, np.random.default_rng(8), block) == period
+    rng = np.random.default_rng(8)
+
+    def fresh(columns):
+        return ergodic._traceless_block(rng, d, columns)
+
+    assert ergodic._certify_periodic(lambda b: a @ b, tol, d * d, fresh, block) == period
 
 
 # --------------------------------------------------------------------------
@@ -1093,7 +1165,7 @@ def test_witness_route_follows_the_size_rule(monkeypatch):
         for iso1, iso2 in pairs:
             assert equivalence_witness(iso1, iso2) is not None
     # below the size rule the dense route runs, and the Kraus step never does
-    monkeypatch.setattr(gauge, "_sandwich_step", refuse)
+    monkeypatch.setattr(gauge, "kraus_step", refuse)
     assert equivalence_witness(*_gauge_pair(_random_chain(2056, 8, 2), 2057)) is not None
     with pytest.raises(RuntimeError, match="refused"):
         equivalence_witness(*pairs[0])
@@ -1102,11 +1174,11 @@ def test_witness_route_follows_the_size_rule(monkeypatch):
 def _poisoned_sandwich(monkeypatch, poison):
     """Patch the Kraus step to return NaN on the calls ``poison`` accepts;
     returns the list of call numbers seen, from 1."""
-    build = gauge._sandwich_step
+    build = gauge.kraus_step
     calls = []
 
-    def patched(iso1, iso2):
-        apply = build(iso1, iso2)
+    def patched(a, b):
+        apply = build(a, b)
 
         def step(x):
             calls.append(len(calls) + 1)
@@ -1115,7 +1187,7 @@ def _poisoned_sandwich(monkeypatch, poison):
 
         return step
 
-    monkeypatch.setattr(gauge, "_sandwich_step", patched)
+    monkeypatch.setattr(gauge, "kraus_step", patched)
     return calls
 
 
@@ -1153,6 +1225,6 @@ def test_kraus_witness_waits_for_a_hidden_rim_eigenvalue(monkeypatch):
     x0 = start.standard_normal((d, d)) + 1j * start.standard_normal((d, d))
     weights = np.full((d, d), 0.995, dtype=complex)
     weights.flat[np.argmin(np.abs(x0))] = 1.0
-    monkeypatch.setattr(gauge, "_sandwich_step", lambda iso1, iso2: lambda x: weights * x)
+    monkeypatch.setattr(gauge, "kraus_step", lambda a, b: lambda x: weights * x)
     iso = _random_chain(2110, d, 2)
     assert gauge._kraus_peripheral(iso, iso, 1, 1e-8) is None

@@ -221,7 +221,7 @@ def test_declined_certificate_reuses_the_stationary_solve(monkeypatch):
     reason = analyze(iso).diagnostics["reason"]
     assert reason.startswith("stationary state not faithful")
     calls = _count_stationary_solves(monkeypatch)
-    monkeypatch.setattr(ergodic, "_certify", lambda r, d, tol: 1)
+    monkeypatch.setattr(ergodic, "_certify", lambda r, chain, tol: 1)
     profile = analyze(iso)
     assert len(calls) == 1
     assert not profile.is_irreducible

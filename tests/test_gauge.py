@@ -350,6 +350,24 @@ def test_spectral_profile_is_gauge_invariant(d, k, period, seed):
     # Hermitian coordinates, so the spectrum, the verdict, the gap and the
     # condition number are invariant and rho_ss moves to w rho_ss w*.  The
     # size rule is lifted so that both certificates run at these d.
+    _check_gauge_invariance(d, k, period, seed, ergodic._KRAUS_MIN_D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=8),
+    k=st.integers(min_value=1, max_value=3),
+    period=st.sampled_from([1, 2, 3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(d=8, k=3, period=1, seed=0)
+@example(d=8, k=3, period=2, seed=0)
+def test_spectral_profile_is_gauge_invariant_on_the_kraus_route(d, k, period, seed):
+    # the same draws with the certificate stepping in Kraus form at every d
+    _check_gauge_invariance(d, k, period, seed, 1)
+
+
+def _check_gauge_invariance(d, k, period, seed, kraus_min_d):
     rng = np.random.default_rng(seed)
     if period > 1 and d % period == 0:
         iso = Isometry(oracles.cyclic_isometry(rng, d, k, period), d, k)
@@ -359,12 +377,13 @@ def test_spectral_profile_is_gauge_invariant(d, k, period, seed):
     answers = []
     certify = ergodic._certify
 
-    def spy(r, d, tol):
-        answers.append(certify(r, d, tol))
+    def spy(r, chain, tol):
+        answers.append(certify(r, chain, tol))
         return answers[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
+        mp.setattr(ergodic, "_KRAUS_MIN_D", kraus_min_d)
         mp.setattr(ergodic, "_certify", spy)
         before, after = analyze(iso), analyze(act((c, w), iso))
     if (d, k, period, seed) in CERTIFIED_DRAWS:

@@ -300,6 +300,14 @@ BAD_INPUTS = [
     ("invert-mean-string-x-bar", lambda: invert_mean("m1", "x"), OutOfInterval),
     ("invert-mean-none-x-bar", lambda: invert_mean("m1", None), OutOfInterval),
     ("invert-mean-string-entry", lambda: invert_mean("m1", [0.3, "x"]), OutOfInterval),
+    # NaN and +-Inf, which float() reads without complaint
+    ("invert-mean-nan-x-bar", lambda: invert_mean("m1", np.nan), OutOfInterval),
+    ("invert-mean-nan-entry", lambda: invert_mean("m1", [0.3, np.nan]), OutOfInterval),
+    ("invert-mean-inf-entry", lambda: invert_mean("m3", np.array([0.3, -np.inf])), OutOfInterval),
+    ("mean-derivative-nan-theta", lambda: mean_derivative("m1", np.nan), OutOfInterval),
+    ("mean-derivative-inf-theta", lambda: mean_derivative("m1", np.inf), OutOfInterval),
+    ("golden-tangent-nan-theta0", lambda: golden_tangent("m1", np.nan), OutOfInterval),
+    ("golden-tangent-inf-theta0", lambda: golden_tangent("m1", np.inf), OutOfInterval),
     # the periodic-point parameters and the block size, each through its one reader
     ("periodic-point-string-w", lambda: periodic_point("x", 0.3), OutOfInterval),
     ("periodic-point-none-w", lambda: periodic_point(None, 0.3), OutOfInterval),
