@@ -11,6 +11,11 @@ Regenerate both, from the repository root, with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
+Run as a script, it re-executes itself with ``OPENBLAS_NUM_THREADS=1``,
+because BLAS thread counts move printed floats at roundoff: a record then
+changes only when the code does.  Importing it, as the tests do, changes
+no setting.
+
 A golden may change only together with a CHANGES.md line that says which
 case moved and by how much.
 """
@@ -18,6 +23,7 @@ case moved and by how much.
 import contextlib
 import io as pyio
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -224,4 +230,8 @@ def main():
 
 
 if __name__ == "__main__":
+    # numpy has started its BLAS threads by now, so the pin needs a fresh process
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        os.execve(sys.executable, [sys.executable, *sys.argv], env)
     main()
