@@ -34,7 +34,6 @@ from .gauge import (
 )
 from .gaussian import (
     ModePoint,
-    coherent_overlap,
     lambda_k,
     mixture_gram,
     mixture_trace_distance,

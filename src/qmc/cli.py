@@ -290,15 +290,15 @@ def cmd_limit_model(args):
             raise DimensionMismatch(f"--y has shape {np.shape(y)}, --x {np.shape(x)}")
         tangents.append(y)
     # the one split of the call; the default y = 1.3 x and every scaled x are
-    # multiples of x, so their ModePoints follow from x's by linearity
+    # multiples of x, so their modes are x's modes times the scale
     x, *y = gaussian.mode_point(profile, np.stack(tangents))
     if args.x is None and args.model is None:
-        x = gaussian._scaled_point(x, _unit_factor(profile, x.a_id))
-    y = y[0] if y else gaussian._scaled_point(x, 1.3)
-    scaled = [gaussian._scaled_point(x, s) for s in scales]
-    lam = gaussian.lambda_k(profile, x, y)
-    zx = gaussian.zeta_gram(profile, x, x)
-    zcross = gaussian.zeta_gram(profile, x, y)
+        unit = _unit_factor(profile, x.a_id)
+        x = gaussian.ModePoint(profile, [unit * m for m in x.modes])
+    y = y[0] if y else gaussian.ModePoint(profile, [1.3 * m for m in x.modes])
+    scaled = [gaussian.ModePoint(profile, [s * m for m in x.modes]) for s in scales]
+    # lambda, zeta and the coherent overlap exp(lambda_0) of x and y from one Gram
+    _, lam, z = gaussian._mode_gram(profile, gaussian._mode_stack(profile, (x, y)))
     distances = [
         {"scale": s, "distance": gaussian.mixture_trace_distance(profile, x, sx)}
         for s, sx in zip(scales, scaled)
@@ -307,10 +307,10 @@ def cmd_limit_model(args):
         {
             "model_type": "gaussian-shift" if profile.period == 1 else "mixed-gaussian",
             "period": profile.period,
-            "lambda": [io.complex_to_json(z) for z in lam],
-            "zeta_norms": [float(z.real) for z in zx],
-            "zeta_cross": [io.complex_to_json(z) for z in zcross],
-            "coherent_overlap": io.complex_to_json(gaussian.coherent_overlap(profile, x, y)),
+            "lambda": [io.complex_to_json(v) for v in lam[:, 0, 1]],
+            "zeta_norms": [float(v.real) for v in z[:, 0, 0]],
+            "zeta_cross": [io.complex_to_json(v) for v in z[:, 0, 1]],
+            "coherent_overlap": io.complex_to_json(np.exp(lam[0, 0, 1])),
             "trace_distance_xy": gaussian.mixture_trace_distance(profile, x, y),
             "scale_distances": distances,
         }

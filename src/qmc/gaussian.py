@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch, as_integer
-from .gauge import _as_matrix, _require_identifiable, mode_decompose, split, tangent_inner
+from .gauge import _as_matrix, _require_identifiable, mode_decompose, split
 from .ergodic import as_profile, stationary_eigenbasis
 from .linalg import dag, trace_norm
 
 __all__ = [
     "ModePoint",
     "mode_point",
-    "coherent_overlap",
     "zeta_gram",
     "lambda_k",
     "predicted_component_limit",
@@ -39,16 +38,15 @@ _GRAM_CLIP = 1e-10  # _embedded_states rejects one below -_GRAM_CLIP and clips t
 
 @dataclass(frozen=True)
 class ModePoint:
-    """Identifiable tangent together with its cyclic mode decomposition.
+    """Identifiable tangent held as its cyclic mode decomposition.
 
     ``modes`` holds p (d k, d) matrices, p the profile's period, each
     identifiable for the profile's chain; construction checks this once
     (DimensionMismatch, NotIdentifiable), so the functions that read a
-    ModePoint do not check its modes again.
+    ModePoint do not check its modes again.  The tangent is their sum.
     """
 
     profile: object
-    a_id: np.ndarray
     modes: list
 
     def __post_init__(self):
@@ -61,6 +59,11 @@ class ModePoint:
             raise DimensionMismatch(f"{len(modes)} modes, expected the period p = {profile.period}")
         object.__setattr__(self, "modes", modes)
 
+    @property
+    def a_id(self):
+        """The identifiable tangent: the sum of the modes."""
+        return sum(self.modes)
+
 
 def mode_point(profile, a):
     """Wrap a tangent as a ModePoint, splitting off any gauge component.
@@ -71,25 +74,16 @@ def mode_point(profile, a):
     """
     s = split(profile, a)
     if isinstance(s, list):
-        return [ModePoint(profile, t.a_id, mode_decompose(profile, t.a_id)) for t in s]
-    return ModePoint(profile=profile, a_id=s.a_id, modes=mode_decompose(profile, s.a_id))
+        return [ModePoint(profile, mode_decompose(profile, t.a_id)) for t in s]
+    return ModePoint(profile, mode_decompose(profile, s.a_id))
 
 
-def _scaled_point(x, s):
-    """The ModePoint of s times the ModePoint x, by linearity: no split.
-
-    The modes are x's modes times s, so s = 1.0 gives arrays equal to x's
-    entry for entry.
-    """
-    return ModePoint(x.profile, s * x.a_id, [s * m for m in x.modes])
-
-
-def _as_points(profile, xs):
-    """ModePoints of a sequence of ModePoints and raw tangents, in order.
+def _mode_stack(profile, xs):
+    """(p, N, d k, d) stack of the modes of N ModePoints and raw tangents, in order.
 
     The raw tangents are split together, by one :func:`mode_point` call on
     their stack.  The profile is read first, and must be irreducible;
-    DimensionMismatch when ``xs`` is not iterable.
+    DimensionMismatch when ``xs`` is not iterable or is empty.
     """
     as_profile(profile).require_irreducible()
     if not np.iterable(xs):
@@ -102,29 +96,33 @@ def _as_points(profile, xs):
         else:
             raw.append(_as_matrix(profile.iso, x))
     made = iter(mode_point(profile, np.stack(raw)) if raw else ())
-    return [x if isinstance(x, ModePoint) else next(made) for x in xs]
+    pts = [x if isinstance(x, ModePoint) else next(made) for x in xs]
+    if not pts:
+        raise DimensionMismatch("the limit model needs at least one point")
+    return np.stack([pt.modes for pt in pts], axis=1)
 
 
-def _mode_gram(profile, xs):
-    """(c, w, z): the limit model of the points ``xs`` pair by pair, from one mode Gram.
+def _mode_gram(profile, modes):
+    """(c, lam, z): the limit model of N points pair by pair, from one mode Gram.
 
-    e[m, i, j] = Tr(rho_ss (x_i)_m* (x_j)_m) takes one product per mode,
-    since distinct modes are orthogonal.  For points i, j and k, m < p,
+    ``modes`` is the (p, N, d k, d) stack of the points' modes, as
+    :func:`_mode_stack` gives it.  e[m, i, j] = Tr(rho_ss (x_i)_m* (x_j)_m)
+    takes one product per mode, since distinct modes are orthogonal.  For
+    points i, j and k, m < p,
 
         c[i, j] = e_0[i, j] - (e_0[i, i] + e_0[j, j]) / 2
                 = -1/2 beta(x_0 - y_0, x_0 - y_0) + i sigma(x_0, y_0),
         w[k, i, j] = -1/2 (beta(x_perp, x_perp) + beta(y_perp, y_perp)) + eta_hat_k,
+        lam[k, i, j] = c[i, j] + w[k, i, j],
         z[m, i, j] = (1/p) sum_k gamma^{-mk} e^{w[k, i, j]},
 
     with x = x_i, y = x_j, beta(x_perp, x_perp) = sum_{m >= 1} e_m[i, i]
     and eta_hat_k = sum_{m >= 1} gamma^{mk} e_m[i, j], gamma = e^{2 pi i / p}:
-    the coherent exponent of the mode-0 parts, the perp exponents and the
-    zeta Grams.  Both sums over k or m are DFTs along the first axis.
+    the coherent exponent of the mode-0 parts, the exponents lambda_k and
+    the zeta Grams.  Both sums over k or m are DFTs along the first axis.
+    As the modes are orthogonal, lam[0, i, j] = -1/2 beta(x - y, x - y) +
+    i sigma(x, y) is the exponent of the coherent overlap of x and y.
     """
-    pts = _as_points(profile, xs)
-    if not pts:
-        raise DimensionMismatch("the limit model needs at least one point")
-    modes = np.stack([pt.modes for pt in pts], axis=1)  # (p, N, d k, d)
     p, n = modes.shape[:2]
     # Tr(rho x* y) is the entrywise inner product of x with y rho
     left = modes.reshape(p, n, -1).conj()
@@ -136,20 +134,7 @@ def _mode_gram(profile, xs):
     eta_hat = np.fft.ifft(np.concatenate([np.zeros_like(e[:1]), e[1:]]), axis=0, norm="forward")
     w = eta_hat - 0.5 * (perp[:, None] + perp)
     z = np.fft.fft(np.exp(w), axis=0, norm="forward")
-    return c, w, z
-
-
-def _coherent_overlap(profile, x, y):
-    """exp(-1/2 beta(x-y, x-y) + i sigma(x, y)) for identifiable matrices x, y."""
-    g = tangent_inner(profile, x - y, x - y).real
-    s = tangent_inner(profile, x, y).imag
-    return complex(np.exp(-0.5 * g + 1j * s))
-
-
-def coherent_overlap(profile, x, y):
-    """Overlap of coherent states exp(-1/2 beta(x-y, x-y) + i sigma(x, y))."""
-    x, y = _as_points(profile, (x, y))
-    return _coherent_overlap(profile, x.a_id, y.a_id)
+    return c, c + w, z
 
 
 def zeta_gram(profile, x, y):
@@ -160,7 +145,7 @@ def zeta_gram(profile, x, y):
     eta_hat_k = sum_{m >= 1} gamma^{mk} Tr(rho_ss x_m* y_m).
     Different sectors are exactly orthogonal and are not represented.
     """
-    return _mode_gram(profile, (x, y))[2][:, 0, 1]
+    return _mode_gram(profile, _mode_stack(profile, (x, y)))[2][:, 0, 1]
 
 
 def lambda_k(profile, x, y):
@@ -169,9 +154,9 @@ def lambda_k(profile, x, y):
     lambda_k = -1/2 beta(x_0-y_0, x_0-y_0) + i sigma(x_0, y_0)
                - 1/2 (beta(x_perp,x_perp) + beta(y_perp,y_perp)) + eta_hat_k,
     eta_hat_k as in :func:`zeta_gram`.  Free per-chart phases are fixed to zero.
+    exp(lambda_0) is the coherent overlap exp(-1/2 beta(x-y, x-y) + i sigma(x, y)).
     """
-    c, w, _ = _mode_gram(profile, (x, y))
-    return c[0, 1] + w[:, 0, 1]
+    return _mode_gram(profile, _mode_stack(profile, (x, y)))[1][:, 0, 1]
 
 
 def predicted_component_limit(profile, a, b, i, j, r, x, y):
@@ -207,7 +192,7 @@ def mixture_gram(profile, points):
     in the order (0, 0), ..., (0, p - 1), (1, 0), ...; different sectors m
     are orthogonal.
     """
-    c, _, z = _mode_gram(profile, points)
+    c, _, z = _mode_gram(profile, _mode_stack(profile, points))
     p, n = z.shape[:2]
     gram = np.zeros((n, p, n, p), dtype=complex)
     for m in range(p):
@@ -220,12 +205,19 @@ def mixture_gram(profile, points):
 
 
 def _embedded_states(gram, groups):
-    """Rank-one component sums embedded via the Gram square root."""
+    """Rank-one component sums embedded via the Gram square root.
+
+    Columns of the Gram that are equal entry for entry are one vector, so
+    each distinct column is embedded once: equal columns give equal states.
+    """
     gram = np.asarray(gram, dtype=complex)
     if not np.isfinite(gram).all():
         raise GramNotPSD("Gram has NaN or Inf entries")
     gram = 0.5 * (gram + dag(gram))
-    w, u = np.linalg.eigh(gram)
+    first = {}  # bytes of a column -> its index among the distinct columns
+    slot = [first.setdefault(col.tobytes(), len(first)) for col in gram.T]
+    keep = [slot.index(j) for j in range(len(first))]
+    w, u = np.linalg.eigh(gram[np.ix_(keep, keep)])
     if w.min() < -_GRAM_CLIP:
         raise GramNotPSD(f"Gram has eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
@@ -235,7 +227,7 @@ def _embedded_states(gram, groups):
     e = u @ np.diag(np.sqrt(w)) @ dag(u)  # columns realise the Gram
     states = []
     for grp in groups:
-        vecs = e[:, list(grp)]
+        vecs = e[:, [slot[i] for i in grp]]
         states.append(vecs @ dag(vecs))
     return states
 

@@ -51,7 +51,7 @@ from .gauge import (
     split,
     tangent_inner,
 )
-from .gaussian import _coherent_overlap
+from .gaussian import _mode_gram
 from .linalg import antiherm_part, dag, herm_coords, herm_part, over_cap, unvec, vec
 
 __all__ = [
@@ -248,7 +248,9 @@ def _split_curve(profile, pair, ids, dtheta, n_values):
     """
     iso = profile.iso
     x, y = pair
-    prediction = _coherent_overlap(profile, *ids)
+    # the two identifiable parts as the one mode of two points: the
+    # exponent of their coherent overlap is the mode-0 exponent c[0, 1]
+    prediction = complex(np.exp(_mode_gram(profile, np.stack(ids)[None])[0][0, 1]))
     reports = []
     for n in n_values:
         t = 1.0 / np.sqrt(n)

@@ -15,7 +15,6 @@ from qmc.gauge import mode_decompose, split, stabiliser_tangent_action, tangent_
 from qmc.gaussian import (
     ModePoint,
     _embedded_states,
-    coherent_overlap,
     lambda_k,
     mixture_gram,
     mixture_trace_distance,
@@ -96,10 +95,11 @@ def test_coherent_overlap_properties():
     profile = analyze(fixture_s())
     x = _identifiable(profile, 31)
     y = _identifiable(profile, 32)
-    oxx = coherent_overlap(profile, x, x)
+    # the coherent overlap is exp(lambda_0)
+    oxx = np.exp(lambda_k(profile, x, x)[0])
     assert abs(oxx - 1.0) < 1e-12
-    oxy = coherent_overlap(profile, x, y)
-    oyx = coherent_overlap(profile, y, x)
+    oxy = np.exp(lambda_k(profile, x, y)[0])
+    oyx = np.exp(lambda_k(profile, y, x)[0])
     assert abs(oxy - np.conj(oyx)) < 1e-12
     assert abs(oxy) < 1.0
 
@@ -184,7 +184,7 @@ def test_mode_point_of_another_chain_is_rejected():
     profile = analyze(fixture_s())
     other = analyze(isometry("m2", 0.2))
     point = mode_point(other, _identifiable(other, 40))
-    for fn in (coherent_overlap, lambda_k, zeta_gram):
+    for fn in (lambda_k, zeta_gram):
         with pytest.raises(ProfileMismatch):
             fn(profile, point, point)
     with pytest.raises(ProfileMismatch):
@@ -232,7 +232,7 @@ def test_limit_model_matches_the_pairwise_reference(period):
     for x in points:
         for y in points:
             want = oracles.coherent_overlap_pairwise(profile, x.a_id, y.a_id)
-            assert abs(coherent_overlap(profile, x, y) - want) <= 1e-12
+            assert abs(np.exp(lambda_k(profile, x, y)[0]) - want) <= 1e-12
             want = oracles.zeta_pairwise(profile, x, y)
             assert np.max(np.abs(zeta_gram(profile, x, y) - want)) <= 1e-12
             want = oracles.lambda_pairwise(profile, x, y)
@@ -241,13 +241,21 @@ def test_limit_model_matches_the_pairwise_reference(period):
     assert np.max(np.abs(mixture_gram(profile, points) - want)) <= 1e-12
 
 
-def test_mixture_distance_of_a_point_and_its_copy_is_exactly_zero():
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_mixture_distance_of_a_point_and_its_copy_is_exactly_zero(period):
     # the benchmark's limit-model check needs the scale-1 distance to be 0.0:
-    # the split of equal members and the Gram of equal points are bit for bit equal
-    rng = np.random.default_rng(64)
-    profile = analyze(Isometry(oracles.random_isometry(rng, 16, 2), 16, 2))
-    assert profile.period == 1
-    x = rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16))
+    # the split of equal members and the Gram of equal points are bit for bit
+    # equal, and equal Gram columns are embedded once (at p > 1 the square
+    # root's two columns used to differ at roundoff, on these draws too)
+    d, seed = {1: (16, 64), 2: (8, 1), 3: (6, 0)}[period]
+    rng = np.random.default_rng(seed)
+    if period == 1:
+        v = oracles.random_isometry(rng, d, 2)
+    else:
+        v = oracles.cyclic_isometry(rng, d, 2, period)
+    profile = analyze(Isometry(v, d, 2))
+    assert profile.period == period
+    x = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
     x, s = mode_point(profile, np.stack([x, 1.0 * x]))
     assert mixture_trace_distance(profile, x, s) == 0.0
 
@@ -256,6 +264,11 @@ def test_a_mode_point_is_checked_at_construction():
     profile = analyze(fixture_s())  # period 2
     x = mode_point(profile, _identifiable(profile, 42))
     with pytest.raises(NotIdentifiable):
-        ModePoint(profile, x.a_id, [x.modes[0], profile.iso.v])
+        ModePoint(profile, [x.modes[0], profile.iso.v])
     with pytest.raises(DimensionMismatch):
-        ModePoint(profile, x.a_id, x.modes[:1])
+        ModePoint(profile, x.modes[:1])
+    # the tangent is the sum of the modes, so a point cannot disagree with itself
+    assert np.array_equal(x.a_id, x.modes[0] + x.modes[1])
+    zero = ModePoint(profile, [0 * m for m in x.modes])
+    assert not zero.a_id.any()
+    assert mixture_trace_distance(profile, zero, 0 * x.a_id) == 0.0

@@ -17,21 +17,15 @@ by at most 4e-15 of their scale, and tight enough that a move of 1e-10
 relative in any float of unit size fails.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from golden import regenerate as golden
+
 RTOL = 1e-12
 FLOOR = 1.0
-
-_spec = importlib.util.spec_from_file_location(
-    "golden_regenerate", Path(__file__).with_name("golden") / "regenerate.py"
-)
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
 
 _RECORDS = json.loads(golden.CASES_FILE.read_text())
 _COMPLEX_KEYS = ({"re", "im"}, {"rows", "cols", "re", "im"})

@@ -1,9 +1,11 @@
 import ast
 import inspect
+import io as pyio
 import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -16,19 +18,33 @@ from qmc.errors import DimensionMismatch
 from qmc.qubit_example import closed_form_qfi_rate, fixture_s, isometry
 
 import oracles
+from golden import regenerate as golden
 
 # the checkout's package goes first on the child's path, whatever else is installed
 _PYTHONPATH = os.pathsep.join(
     filter(None, [str(Path(qmc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
 )
 
+Result = namedtuple("Result", "returncode stdout stderr")
 
-def _run(*args, stdin=None):
+
+def _run(*args, stdin=""):
+    """Exit code, stdout and stderr of ``qmc <args>``, run in-process by the
+    golden runner with ``stdin`` as standard input."""
+    saved = sys.stdin
+    sys.stdin = pyio.StringIO(stdin)
+    try:
+        return Result(*golden.run(list(args)))
+    finally:
+        sys.stdin = saved
+
+
+def _spawn(*args):
+    """``python -m qmc.cli <args>`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "qmc.cli", *args],
         capture_output=True,
         text=True,
-        input=stdin,
         timeout=300,
         env={**os.environ, "PYTHONPATH": _PYTHONPATH},
     )
@@ -314,8 +330,9 @@ def test_cli_simulate_csv_reproducible(tmp_path):
         "simulate", "--model", "m1", "--theta", "0.35",
         "--n", "200", "--trials", "40", "--seed", "11",
     )
-    r1 = _run(*args, "--csv", str(csv1))
-    r2 = _run(*args, "--csv", str(csv2))
+    # two fresh interpreters agree, which also runs the entry point itself
+    r1 = _spawn(*args, "--csv", str(csv1))
+    r2 = _spawn(*args, "--csv", str(csv2))
     assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
     assert csv1.read_bytes() == csv2.read_bytes()
     summary = json.loads(r1.stdout)

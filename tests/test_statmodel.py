@@ -359,7 +359,6 @@ PROFILE_FIRST = {
     "mode_decompose": lambda: mode_decompose("x", _A),
     "singular_dimension": lambda: gauge.singular_dimension("x"),
     "mode_point": lambda: mode_point("x", _A),
-    "coherent_overlap": lambda: gaussian.coherent_overlap("x", _A, _A),
     "zeta_gram": lambda: gaussian.zeta_gram("x", _A, _A),
     "lambda_k": lambda: gaussian.lambda_k("x", _A, _A),
     "predicted_component_limit":
@@ -703,6 +702,22 @@ def test_weak_qlan_curve_equals_pointwise_reports(period):
     ):
         with pytest.raises(error):
             weak_qlan_curve(profile, x, y, bad)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_weak_qlan_prediction_matches_the_pairwise_coherent_overlap(period):
+    # the prediction is exp(-1/2 beta(dx, dx) + i sigma(x_id, y_id)) of the
+    # identifiable parts, whatever the theta parts and the chain's period
+    rng = np.random.default_rng(70 + period)
+    profile = analyze(Isometry(oracles.cyclic_isometry(rng, 6, 2, period), 6, 2))
+    assert profile.is_irreducible and profile.period == period
+    raw = rng.standard_normal((2, 12, 6)) + 1j * rng.standard_normal((2, 12, 6))
+    x, y = (0.4 * t.a_id for t in split(profile, raw))
+    x, y = x + 0.3 * profile.iso.v, y - 0.2 * profile.iso.v
+    sx, sy = split(profile, np.stack([x, y]))
+    want = oracles.coherent_overlap_pairwise(profile, sx.a_id, sy.a_id)
+    assert 1e-3 < abs(want) < 1.0
+    assert abs(weak_qlan_curve(profile, x, y, [1])[0]["prediction"] - want) <= 1e-12
 
 
 @pytest.mark.parametrize("model,block", [("m1", 1), ("m3", 2), ("m3", 3)])
