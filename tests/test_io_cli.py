@@ -25,7 +25,7 @@ _PYTHONPATH = os.pathsep.join(
     filter(None, [str(Path(qmc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
 )
 
-Result = namedtuple("Result", "returncode stdout stderr")
+_Result = namedtuple("_Result", "returncode stdout stderr")
 
 
 def _run(*args, stdin=""):
@@ -34,7 +34,7 @@ def _run(*args, stdin=""):
     saved = sys.stdin
     sys.stdin = pyio.StringIO(stdin)
     try:
-        return Result(*golden.run(list(args)))
+        return _Result(*golden.run(list(args)))
     finally:
         sys.stdin = saved
 
