@@ -729,32 +729,46 @@ def access_span_check(iso):
     is equivalent to the channel having a unique faithful stationary state.
     Returns True for irreducible.
 
-    Each level multiplies the previous level's new directions by every
-    generator, scales each candidate to unit norm, and orthogonalises the
-    block twice against the basis so far (CGS2, which keeps the basis
-    orthonormal to working precision; Bjorck, LAA 197-198, 1994).  The new
-    directions are the right singular vectors of the residual block whose
-    singular values exceed ``_SPAN_RANK_TOL``: a relative rank tolerance,
-    since the candidates had unit norm before projection.
+    Each level multiplies the previous level's new directions F_f by every
+    generator K_u in one product, the stacked (k d) x d Kraus matrix times
+    [F_1 ... F_f], and scales each candidate K_u F_f to unit norm.  The
+    candidates, in (f, u) order, are taken in chunks of at most the room
+    left, d^2 minus the basis size.  Each chunk is orthogonalised twice
+    against the basis as it stands, the directions of earlier chunks of
+    the level included (CGS2, which keeps the basis orthonormal to working
+    precision; Bjorck, LAA 197-198, 1994).  Its new directions are the
+    right singular vectors of the residual chunk whose singular values
+    exceed ``_SPAN_RANK_TOL``: a relative rank tolerance, since the
+    candidates had unit norm before projection.  The call returns as soon
+    as the basis fills the space, so no SVD is taller than the room it can
+    fill: the last level of a random d = 16, k = 2 chain is one row, not
+    256.  The next level starts from the directions this one added.
+
+    A randomised sketch of each block down to the room left would shrink
+    the SVDs as much, but it would scale the singular values that the
+    relative tolerance reads; chunking keeps them and needs no seed.
     """
-    d = as_isometry("iso", iso).d
+    iso = as_isometry("iso", iso)
+    d = iso.d
     full = d * d
-    kraus = np.stack(iso.kraus)
+    kraus = np.concatenate(iso.kraus)  # (k d) x d, K_u in row block u
     basis = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(1, full)
     frontier = basis
-    for _ in range(full):
-        cand = np.einsum("uij,fjl->fuil", kraus, frontier.reshape(-1, d, d)).reshape(-1, full)
+    while len(frontier):
+        f = len(frontier)
+        words = kraus @ frontier.reshape(f, d, d).transpose(1, 0, 2).reshape(d, f * d)
+        cand = words.reshape(-1, d, f, d).transpose(2, 0, 1, 3).reshape(-1, full)
         norms = np.linalg.norm(cand, axis=1)
         cand = cand[norms > 0] / norms[norms > 0, None]
-        if cand.shape[0] == 0:
-            break
-        cand -= (cand @ basis.conj().T) @ basis
-        cand -= (cand @ basis.conj().T) @ basis  # second pass: CGS2
-        _, sv, vh = np.linalg.svd(cand, full_matrices=False)
-        frontier = vh[sv > _SPAN_RANK_TOL]
-        if frontier.shape[0] == 0:
-            break
-        basis = np.concatenate([basis, frontier])
-        if basis.shape[0] >= full:
+        start = len(basis)
+        while len(cand) and len(basis) < full:
+            room = full - len(basis)
+            chunk, cand = cand[:room], cand[room:]
+            chunk -= (chunk @ basis.conj().T) @ basis
+            chunk -= (chunk @ basis.conj().T) @ basis  # second pass: CGS2
+            _, sv, vh = np.linalg.svd(chunk, full_matrices=False)
+            basis = np.concatenate([basis, vh[sv > _SPAN_RANK_TOL]])
+        if len(basis) >= full:
             return True
-    return basis.shape[0] >= full
+        frontier = basis[start:]
+    return False

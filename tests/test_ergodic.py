@@ -67,6 +67,28 @@ def test_zmat_is_peripheral_eigenvector():
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
 
+def _block_diag_chain(rng, d, k):
+    # two random chains of size d/2 side by side: reducible
+    h = d // 2
+    kraus = []
+    for a, b in zip(*(Isometry(oracles.random_isometry(rng, h, k), h, k).kraus for _ in range(2))):
+        m = np.zeros((d, d), dtype=complex)
+        m[:h, :h], m[h:, h:] = a, b
+        kraus.append(m)
+    return isometry_from_kraus(kraus)
+
+
+def _block_upper_chain(rng, d, a, eps, k=2):
+    # Gaussian Kraus stack whose lower-left block, the leak out of the first
+    # a basis vectors, is scaled by eps; the QR of the stacked (k d) x d
+    # matrix multiplies each K_u on the right by the upper-triangular R^-1,
+    # which keeps that block eps times a fixed matrix
+    m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    m[:, a:, :a] *= eps
+    q, _ = np.linalg.qr(np.concatenate(m))
+    return isometry_from_kraus(list(q.reshape(k, d, d)))
+
+
 def test_random_chains_agree_with_span_oracle():
     rng = np.random.default_rng(7)
     for _ in range(12):
@@ -84,6 +106,90 @@ def test_span_oracle_near_reducible_boundary(eps):
     iso = isometry_from_kraus([np.diag([np.sqrt(1.0 - eps * eps), 1.0]), k1])
     assert not analyze(iso).is_irreducible
     assert not access_span_check(iso)
+
+
+_SPAN_CHAINS = {
+    "random-k2": lambda rng, d: Isometry(oracles.random_isometry(rng, d, 2), d, 2),
+    "random-k3": lambda rng, d: Isometry(oracles.random_isometry(rng, d, 3), d, 3),
+    "cyclic-p2": lambda rng, d: Isometry(oracles.cyclic_isometry(rng, d, 2, 2), d, 2),
+    # period 3 needs 3 | d: d = 6 and 15 stand in for 8 and 16
+    "cyclic-p3": lambda rng, d: Isometry(
+        oracles.cyclic_isometry(rng, d - d % 3, 2, 3), d - d % 3, 2
+    ),
+    "block-diag": lambda rng, d: _block_diag_chain(rng, d, 2),
+}
+
+
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("kind", list(_SPAN_CHAINS))
+def test_span_oracle_agrees_with_analyze_at_larger_d(kind, d):
+    iso = _SPAN_CHAINS[kind](np.random.default_rng(29 * d), d)
+    verdict = access_span_check(iso)
+    assert verdict == (kind != "block-diag")
+    assert verdict == analyze(iso).is_irreducible
+
+
+@pytest.mark.parametrize("d, a", [(8, 3), (12, 5), (16, 1), (16, 8)])
+def test_span_oracle_on_block_upper_triangular_chains(d, a):
+    # the first a basis vectors span an invariant subspace at eps = 0, so the
+    # chain is reducible, and every level ends in many room-sized chunks; any
+    # leak eps > 0 makes it irreducible.  analyze is compared only down to
+    # eps = 1e-2: its eigenvalue 1 splits by about eps^2, which below
+    # simplicity_gap = 1e-8 it reads, by that documented tolerance, as
+    # double.  The oracle sees eps itself, so it says irreducible there too
+    for eps in (0.0, 1e-2, 1e-4, 1e-6):
+        iso = _block_upper_chain(np.random.default_rng(d + a), d, a, eps)
+        assert access_span_check(iso) == (eps > 0), eps
+        if eps in (0.0, 1e-2):
+            assert analyze(iso).is_irreducible == (eps > 0), eps
+
+
+def test_span_oracle_of_a_one_dimensional_chain():
+    # the identity already fills the 1-dimensional space: the first level has
+    # no room, and the full-basis check ends the call
+    iso = isometry_from_kraus([np.array([[0.6]]), np.array([[0.8j]])])
+    assert access_span_check(iso)
+
+
+def _spy_span_svds(monkeypatch):
+    # (rows of the SVD, directions it adds) for every SVD the oracle makes
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, full_matrices=True):
+        u, sv, vh = svd(a, full_matrices=full_matrices)
+        calls.append((a.shape[0], int(np.sum(sv > ergodic._SPAN_RANK_TOL))))
+        return u, sv, vh
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_span_oracle_svds_never_exceed_the_room_left(monkeypatch):
+    rng = np.random.default_rng(2029)
+    random16 = Isometry(oracles.random_isometry(rng, 16, 2), 16, 2)
+    chains = [
+        random16,
+        Isometry(oracles.random_isometry(rng, 16, 3), 16, 3),
+        Isometry(oracles.cyclic_isometry(rng, 16, 2, 2), 16, 2),
+        _block_diag_chain(rng, 16, 2),
+        _block_upper_chain(rng, 16, 1, 0.0),
+    ]
+    calls = _spy_span_svds(monkeypatch)
+    for iso in chains:
+        calls.clear()
+        access_span_check(iso)
+        size = 1  # the basis starts from the identity
+        for rows, added in calls:
+            assert rows <= iso.d**2 - size
+            size += added
+    # the levels of a random d = 16, k = 2 chain add 2, 4, ..., 128
+    # directions, and one row then fills the space: 255 rows where one SVD
+    # per level would take 2 + 4 + ... + 256 = 510
+    calls.clear()
+    assert access_span_check(random16)
+    assert sum(rows for rows, _ in calls) == 255
+    assert [rows for rows, _ in calls] == [2, 4, 8, 16, 32, 64, 128, 1]
 
 
 def test_reducible_chain_is_flagged():
