@@ -24,6 +24,7 @@ through ``kraus_step``, at O(k d^3) an operand and without any d^2 x d^2
 matrix.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,39 +184,74 @@ def real_transfer(iso):
     return kraus_real_matrix(np.stack(as_isometry("iso", iso).kraus))
 
 
+@functools.cache
+def _real_matrix_index(d):
+    """Row gathers and float64 column gathers of ``kraus_real_matrix`` at d.
+
+    Rows list the entries j <= l (diagonal first, then ``herm_pairs``);
+    each column gather is a (2, w) array of the float64 columns of
+    Re T(E_pq) and Im T(E_pq) for the diagonal (p, p), the upper (j, l) and
+    the lower (l, j) entries.
+    """
+    diag = np.arange(d)
+    ju, lu = herm_pairs(d)
+    rows_j, rows_l = np.concatenate([diag, ju]), np.concatenate([diag, lu])
+    cols = [np.stack([2 * c, 2 * c + 1]) for c in (diag * (d + 1), ju * d + lu, lu * d + ju)]
+    out = (rows_j, rows_l, *cols)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def kraus_real_matrix(kr):
     """Real d^2 x d^2 matrix of rho -> sum_u K_u rho K_u* for a (k, d, d) stack.
 
     Column b holds the coordinates of the Hermitian T(B_b), so only the
     rows j <= l of T(E_pq)[j, l] = sum_u K_u[j, p] conj(K_u[l, q]) are
     formed, straight from the Kraus operators: O(k d^4) work and no complex
-    d^2 x d^2 intermediate.
+    d^2 x d^2 intermediate.  Their real and imaginary parts are gathered
+    from a float64 view of that product, and real ufuncs write each block
+    of R in place (``out=``) with the arithmetic of the complex formulas
+    (1j z has real part 0 Re z - Im z), so R keeps every bit of them,
+    signed zeros included.
     """
     d = kr.shape[-1]
     n = d * d
-    diag = np.arange(d)
-    ju, lu = herm_pairs(d)
-    h = ju.size
-    rows_j = np.concatenate([diag, ju])
-    rows_l = np.concatenate([diag, lu])
+    h = (n - d) // 2
+    rows_j, rows_l, c_diag, c_up, c_lo = _real_matrix_index(d)
     # m[r, p, q] = T(E_pq)[j_r, l_r] for the rows j_r <= l_r
     m = kr[:, rows_j, :].transpose(1, 2, 0) @ kr[:, rows_l, :].conj().transpose(1, 0, 2)
+    f = m.reshape(d + h, n).view(np.float64)
+    # (d + h, 2, w) each: [:, 0] the real parts, [:, 1] the imaginary parts
+    dg, up, lo = (f.take(c, axis=1) for c in (c_diag, c_up, c_lo))
+    del m, f
     r = np.empty((n, n))
-
-    def put(cols, t, diag_scale, off_scale):
-        # coordinates of Hermitian images from their upper-triangle entries
-        # t; the 1/sqrt 2 of a basis row and of a basis column fold into
-        # one factor, which is 1 unless exactly one of them is diagonal
-        r[:d, cols] = t[:d].real * diag_scale
-        r[d : d + h, cols] = t[d:].real * off_scale
-        r[d + h :, cols] = t[d:].imag * off_scale
-
+    # rows d: of R are the real parts of the rows j < l, then their
+    # imaginary parts; the 1/sqrt 2 of a basis row and of a basis column
+    # fold into one factor, which is 1 unless exactly one of them is diagonal
     s2 = np.sqrt(2.0)
-    put(slice(0, d), m[:, diag, diag], 1.0, s2)
-    up, lo = m[:, ju, lu], m[:, lu, ju]
-    del m
-    put(slice(d, d + h), up + lo, 1.0 / s2, 1.0)
-    put(slice(d + h, n), 1j * (up - lo), 1.0 / s2, 1.0)
+    rs2 = 1.0 / s2
+    diag, sym, anti = slice(0, d), slice(d, d + h), slice(d + h, n)
+
+    def lower(cols, w):
+        return r[d:, cols].reshape(2, h, w).transpose(1, 0, 2)
+
+    r[:d, diag] = dg[:d, 0]
+    np.multiply(dg[d:], s2, out=lower(diag, d))
+    # symmetric columns: t = up + lo
+    np.add(up[:d, 0], lo[:d, 0], out=r[:d, sym])
+    np.multiply(r[:d, sym], rs2, out=r[:d, sym])
+    np.add(up[d:], lo[d:], out=lower(sym, h))
+    # antisymmetric columns: t = 1j (up - lo) = 1j (a + i b), so
+    # Re t = 0 a - b and Im t = 0 b + a
+    ab = np.subtract(up, lo, out=up)
+    a, b = ab[:, 0], ab[:, 1]
+    za = np.multiply(a, 0.0, out=lo[:, 0])
+    zb = np.multiply(b[d:], 0.0, out=lo[d:, 1])
+    np.subtract(za[:d], b[:d], out=r[:d, anti])
+    np.multiply(r[:d, anti], rs2, out=r[:d, anti])
+    np.subtract(za[d:], b[d:], out=r[d : d + h, anti])
+    np.add(zb, a[d:], out=r[d + h :, anti])
     return r
 
 

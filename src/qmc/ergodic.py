@@ -747,6 +747,13 @@ def access_span_check(iso):
     A randomised sketch of each block down to the room left would shrink
     the SVDs as much, but it would scale the singular values that the
     relative tolerance reads; chunking keeps them and needs no seed.
+
+    Resolution: a family that leaks out of an almost invariant subspace by
+    eps leaves residual singular values of about eps where the span would
+    otherwise stall.  Leaks of 1e-8 and above are resolved and give True.
+    A leak below ``_SPAN_RANK_TOL`` is decided by roundoff, not by eps:
+    the stalled level's residuals sit near the tolerance, and whether one
+    of them crosses it depends on the order of the rounding errors.
     """
     iso = as_isometry("iso", iso)
     d = iso.d

@@ -144,7 +144,12 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     """Solve the bordered system [[A - shift 1, col], [row, 0]] [x; s] = [rhs; tail].
 
     ``A`` is ``m`` (n x n), or its conjugate transpose when ``adjoint`` is
-    set, which is then written into the system without a separate copy.
+    set.  The adjoint system is written as its transpose [[conj(m) - shift,
+    row^T], [col^T, 0]] in C order (a transpose, not a conjugate transpose,
+    so the shift stays as given), and the transpose of that array goes to
+    ``np.linalg.solve``.  It is F-contiguous, the column-major order LAPACK
+    reads, so LAPACK factorises the same matrix, and neither the copy of
+    ``m`` nor numpy's copy for LAPACK transposes with strides.
     When ``shift`` is a simple eigenvalue of A, the system is nonsingular
     exactly when ``col`` is not orthogonal to the left eigenvector and
     ``row`` not orthogonal to the right one; the solution is then the
@@ -162,7 +167,8 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     n = m.shape[0]
     big = np.empty((n + 1, n + 1), dtype=np.result_type(m, shift, col, row))
     if adjoint:
-        np.conjugate(m.T, out=big[:n, :n])
+        np.conjugate(m, out=big[:n, :n])
+        col, row = row, col  # big is the transpose of the system
     else:
         big[:n, :n] = m
     diag = np.arange(n)
@@ -174,7 +180,7 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     b = np.empty((n + 1,) + rhs.shape[1:], dtype=np.result_type(big, rhs, tail))
     b[:n] = rhs
     b[n] = tail
-    sol = np.linalg.solve(big, b)
+    sol = np.linalg.solve(big.T if adjoint else big, b)
     return sol[:n], sol[n]
 
 

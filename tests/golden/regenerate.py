@@ -11,6 +11,16 @@ Regenerate both, from the repository root, with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
+or check, writing nothing, that every case still prints its golden byte
+for byte with
+
+    PYTHONPATH=src python tests/golden/regenerate.py --check
+
+which reruns every case, lists each one whose stdout, stderr or exit code
+differs from ``cases.json`` (or that is missing from it or from the case
+list), and exits 1 if there is one and 0 otherwise.  A change meant to
+leave every printed bit alone shows it this way.
+
 Run as a script, it re-executes itself with ``OPENBLAS_NUM_THREADS=1``,
 because BLAS thread counts move printed floats at roundoff: a record then
 changes only when the code does.  Importing it, as the tests do, changes
@@ -217,14 +227,32 @@ def run(argv, inputs=INPUTS):
     return code, out.getvalue(), err.getvalue()
 
 
-def main():
-    INPUTS.mkdir(exist_ok=True)
-    for name, obj in _inputs().items():
-        (INPUTS / name).write_text(json.dumps(obj) + "\n")
+def _records():
     records = []
     for case_id, argv in cases():
         code, out, err = run(argv)
         records.append({"id": case_id, "argv": argv, "exit": code, "stdout": out, "stderr": err})
+    return records
+
+
+def check():
+    """Rerun every case against ``cases.json``; 1 if any record differs, else 0."""
+    want = {r["id"]: r for r in json.loads(CASES_FILE.read_text())}
+    got = {r["id"]: r for r in _records()}
+    bad = [case_id for case_id in {**want, **got} if want.get(case_id) != got.get(case_id)]
+    for case_id in bad:
+        w, g = want.get(case_id), got.get(case_id)
+        fields = [k for k in ("argv", "exit", "stdout", "stderr") if w and g and w[k] != g[k]]
+        print(f"differs: {case_id} {' '.join(fields) or 'missing on one side'}")
+    print(f"{len(got) - len(bad)} of {len(got)} cases reproduce byte for byte", file=sys.stderr)
+    return 1 if bad else 0
+
+
+def main():
+    INPUTS.mkdir(exist_ok=True)
+    for name, obj in _inputs().items():
+        (INPUTS / name).write_text(json.dumps(obj) + "\n")
+    records = _records()
     CASES_FILE.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} cases to {CASES_FILE}", file=sys.stderr)
 
@@ -234,4 +262,8 @@ if __name__ == "__main__":
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
         os.execve(sys.executable, [sys.executable, *sys.argv], env)
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit("usage: regenerate.py [--check]")
     main()

@@ -17,6 +17,10 @@ The complex spectrum route is the one the spectral layer used before it
 moved to the real Hermitian-basis matrix: ``eigvals`` of the complex
 d^2 x d^2 Schrodinger matrix, and the basis change U whose columns are
 vec(B_b), which takes that matrix to the real one as U* T U.
+``kraus_real_matrix_complex`` is the earlier build of that real matrix
+from the Kraus operators: the same batched product, with the upper and
+lower entries gathered as complex arrays and combined by the complex
+formulas, whose real and imaginary parts are then scaled into R.
 
 The limit-model routes after them are the per-pair formulas of
 ``qmc.gaussian`` as they were before its one mode Gram: every inner
@@ -46,8 +50,10 @@ import numpy as np
 
 from qmc.channels import (
     DEFAULT_TENSOR_CAP,
+    Isometry,
     channel,
     dilation,
+    isometry_from_kraus,
     kraus_real_matrix,
     real_transfer,
 )
@@ -163,6 +169,17 @@ def cyclic_isometry(rng, d, k, p):
     return v
 
 
+def block_diag_chain(rng, d, k):
+    """Two random chains of size d/2 side by side: reducible."""
+    h = d // 2
+    kraus = []
+    for a, b in zip(*(Isometry(random_isometry(rng, h, k), h, k).kraus for _ in range(2))):
+        m = np.zeros((d, d), dtype=complex)
+        m[:h, :h], m[h:, h:] = a, b
+        kraus.append(m)
+    return isometry_from_kraus(kraus)
+
+
 def sandwich_map_kron(iso1, iso2):
     """Matrix of X -> sum_u K1_u* X K2_u on vec(X), as a sum of k Kronecker
     products: vec(A X B) = (B^T kron A) vec(X)."""
@@ -198,6 +215,30 @@ def peripheral_eig(iso, p):
 def herm_basis_unitary(d):
     """d^2 x d^2 unitary whose column b is vec(B_b), B the Hermitian basis."""
     return np.stack([vec(herm_vec(e)) for e in np.eye(d * d)], axis=1)
+
+
+def kraus_real_matrix_complex(kr):
+    """``channels.kraus_real_matrix`` through complex temporaries."""
+    d = kr.shape[-1]
+    n = d * d
+    diag = np.arange(d)
+    ju, lu = np.triu_indices(d, 1)
+    h = ju.size
+    rows_j, rows_l = np.concatenate([diag, ju]), np.concatenate([diag, lu])
+    m = kr[:, rows_j, :].transpose(1, 2, 0) @ kr[:, rows_l, :].conj().transpose(1, 0, 2)
+    r = np.empty((n, n))
+
+    def put(cols, t, diag_scale, off_scale):
+        r[:d, cols] = t[:d].real * diag_scale
+        r[d : d + h, cols] = t[d:].real * off_scale
+        r[d + h :, cols] = t[d:].imag * off_scale
+
+    s2 = np.sqrt(2.0)
+    put(slice(0, d), m[:, diag, diag], 1.0, s2)
+    up, lo = m[:, ju, lu], m[:, lu, ju]
+    put(slice(d, d + h), up + lo, 1.0 / s2, 1.0)
+    put(slice(d + h, n), 1j * (up - lo), 1.0 / s2, 1.0)
+    return r
 
 
 def spectrum_complex(iso):

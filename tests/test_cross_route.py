@@ -52,7 +52,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmc.channels import Isometry, channel, dilation, isometry_from_kraus, real_transfer
+from qmc.channels import (
+    Isometry,
+    channel,
+    dilation,
+    isometry_from_kraus,
+    kraus_real_matrix,
+    real_transfer,
+)
 from qmc import channels, ergodic, gauge, io
 from qmc.ergodic import ErgodicTol, analyze
 from qmc.errors import (
@@ -503,6 +510,50 @@ def test_real_transfer_is_the_basis_change_of_the_complex_matrix(d, k, seed):
     assert np.max(np.abs(heis - r.T)) <= 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 24])
+def test_real_matrix_keeps_every_bit_of_the_complex_formulas(d):
+    # the real build must reproduce the complex formulas' arithmetic to the
+    # bit, signed zeros included: 1j z has real part 0 Re z - Im z, which is
+    # +0 where -Im z is -0.  Block-diagonal and real Kraus stacks make exact
+    # zeros in the real and the imaginary parts of the product
+    rng = np.random.default_rng(2040 + d)
+    kr = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    blocks = kr.copy()
+    blocks[:, : d // 2, d // 2 :] = 0.0
+    blocks[:, d // 2 :, : d // 2] = 0.0
+    for stack in (kr, blocks, kr.real.astype(complex)):
+        got, ref = kraus_real_matrix(stack), oracles.kraus_real_matrix_complex(stack)
+        assert got.tobytes() == ref.tobytes()
+
+
+def _larger_transfer_chains():
+    for d in (16, 24, 32):
+        yield f"random-d{d}", _random_chain(2030 + d, d, 2)
+    rng = np.random.default_rng(2054)
+    yield "cyclic-d24p3", Isometry(oracles.cyclic_isometry(rng, 24, 2, 3), 24, 2)
+    # two chains side by side: R has exact zeros
+    yield "block-diag-d16", oracles.block_diag_chain(rng, 16, 2)
+
+
+LARGER_TRANSFER_CHAINS = list(_larger_transfer_chains())
+
+
+@pytest.mark.parametrize(
+    "label,iso", LARGER_TRANSFER_CHAINS, ids=[c[0] for c in LARGER_TRANSFER_CHAINS]
+)
+def test_real_transfer_is_the_basis_change_at_larger_d(label, iso):
+    # the sizes at which the spectral layer builds R, and a chain whose R
+    # has exact zeros
+    u = oracles.herm_basis_unitary(iso.d)
+    r = real_transfer(iso)
+    schr = u.conj().T @ channel(iso, "schrodinger").m @ u
+    heis = u.conj().T @ channel(iso, "heisenberg").m @ u
+    assert np.max(np.abs(schr - r)) <= 1e-13
+    assert np.max(np.abs(heis - r.T)) <= 1e-13
+    if label.startswith("block-diag"):
+        assert np.sum(r == 0.0) > 0
+
+
 def _near_boundary(eps):
     # |1> is invariant under K0 = diag(sqrt(1 - eps^2), 1) and K1 = eps |1><0|
     k1 = np.zeros((2, 2))
@@ -545,6 +596,50 @@ def test_bordered_solve_keeps_a_real_system_real():
     big = np.block([[m - np.eye(6), col[:, None]], [row[None, :], np.zeros((1, 1))]])
     ref = np.linalg.solve(big.astype(complex), np.append(rhs, 0.5))
     assert np.max(np.abs(np.append(x, s) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+_ADJOINT_SYSTEMS = {
+    "real-m-real-shift": (False, 1.0),
+    "real-m-cube-root-shift": (False, np.exp(2j * np.pi / 3)),
+    "complex-m": (True, 0.3 - 0.2j),
+}
+
+
+@pytest.mark.parametrize("case", list(_ADJOINT_SYSTEMS))
+def test_adjoint_bordered_solve_is_the_solve_of_the_assembled_system(case):
+    # the adjoint route writes the transpose of its system and hands LAPACK
+    # that transpose's F-contiguous view; LAPACK then reads the same matrix
+    # as from the assembled [[m* - s, col], [row, 0]], so the bits agree
+    is_complex, shift = _ADJOINT_SYSTEMS[case]
+    rng = np.random.default_rng(2031)
+    m = rng.standard_normal((7, 7)) + (1j * rng.standard_normal((7, 7)) if is_complex else 0.0)
+    col, row = rng.standard_normal((2, 7)) + 1j * rng.standard_normal((2, 7))
+    rhs, tail = rng.standard_normal((7, 3)), np.array([0.5, 0.0, -1.0])
+    x, s = bordered_solve(m, shift, col, row, rhs, tail, adjoint=True)
+    a = m.conj().T.astype(complex)
+    a[np.arange(7), np.arange(7)] -= shift
+    big = np.block([[a, col[:, None]], [row[None, :], np.zeros((1, 1))]])
+    ref = np.linalg.solve(big, np.vstack([rhs, tail]))
+    assert np.array_equal(np.vstack([x, s]), ref)
+
+
+def test_adjoint_bordered_solve_hands_lapack_a_column_major_matrix(monkeypatch):
+    profile = analyze(_random_chain(2033, 4, 2))
+    assert profile.rho_ss is not None  # its solve is not an adjoint one
+    seen = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        seen.append(a.flags.f_contiguous)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    rng = np.random.default_rng(2032)
+    m = rng.standard_normal((9, 9))
+    col, row = rng.standard_normal((2, 9))
+    bordered_solve(m, 1.0, col, row, rng.standard_normal((9, 2)), adjoint=True)
+    restricted_resolvent_solve(profile, np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex))
+    assert seen == [True, True]
 
 
 # --------------------------------------------------------------------------

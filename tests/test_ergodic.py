@@ -67,17 +67,6 @@ def test_zmat_is_peripheral_eigenvector():
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
 
-def _block_diag_chain(rng, d, k):
-    # two random chains of size d/2 side by side: reducible
-    h = d // 2
-    kraus = []
-    for a, b in zip(*(Isometry(oracles.random_isometry(rng, h, k), h, k).kraus for _ in range(2))):
-        m = np.zeros((d, d), dtype=complex)
-        m[:h, :h], m[h:, h:] = a, b
-        kraus.append(m)
-    return isometry_from_kraus(kraus)
-
-
 def _block_upper_chain(rng, d, a, eps, k=2):
     # Gaussian Kraus stack whose lower-left block, the leak out of the first
     # a basis vectors, is scaled by eps; the QR of the stacked (k d) x d
@@ -116,7 +105,7 @@ _SPAN_CHAINS = {
     "cyclic-p3": lambda rng, d: Isometry(
         oracles.cyclic_isometry(rng, d - d % 3, 2, 3), d - d % 3, 2
     ),
-    "block-diag": lambda rng, d: _block_diag_chain(rng, d, 2),
+    "block-diag": lambda rng, d: oracles.block_diag_chain(rng, d, 2),
 }
 
 
@@ -136,8 +125,9 @@ def test_span_oracle_on_block_upper_triangular_chains(d, a):
     # leak eps > 0 makes it irreducible.  analyze is compared only down to
     # eps = 1e-2: its eigenvalue 1 splits by about eps^2, which below
     # simplicity_gap = 1e-8 it reads, by that documented tolerance, as
-    # double.  The oracle sees eps itself, so it says irreducible there too
-    for eps in (0.0, 1e-2, 1e-4, 1e-6):
+    # double.  The oracle sees eps itself, so it says irreducible there too,
+    # down to the 1e-8 its docstring states it resolves
+    for eps in (0.0, 1e-2, 1e-4, 1e-6, 1e-8):
         iso = _block_upper_chain(np.random.default_rng(d + a), d, a, eps)
         assert access_span_check(iso) == (eps > 0), eps
         if eps in (0.0, 1e-2):
@@ -172,7 +162,7 @@ def test_span_oracle_svds_never_exceed_the_room_left(monkeypatch):
         random16,
         Isometry(oracles.random_isometry(rng, 16, 3), 16, 3),
         Isometry(oracles.cyclic_isometry(rng, 16, 2, 2), 16, 2),
-        _block_diag_chain(rng, 16, 2),
+        oracles.block_diag_chain(rng, 16, 2),
         _block_upper_chain(rng, 16, 1, 0.0),
     ]
     calls = _spy_span_svds(monkeypatch)

@@ -166,3 +166,22 @@ def test_a_float_moved_by_1e_10_relative_fails():
     lines[-1] = ",".join([n, repr(float(f_n) * (1.0 + 1e-10)), rate])
     with pytest.raises(AssertionError, match="f_n"):
         compare_output("\n".join(lines) + "\n", record["stdout"], "mutant")
+
+
+def test_check_lists_each_record_that_moved(tmp_path, monkeypatch, capsys):
+    # usage errors print no float, so they reproduce byte for byte at any
+    # BLAS thread count
+    records = [r for r in _RECORDS if r["id"] in ("analyze-usage-missing", "analyze-usage-tol")]
+    monkeypatch.setattr(golden, "cases", lambda: [(r["id"], r["argv"]) for r in records])
+    path = tmp_path / "cases.json"
+    monkeypatch.setattr(golden, "CASES_FILE", path)
+    path.write_text(json.dumps(records))
+    assert golden.check() == 0
+    assert capsys.readouterr().out == ""
+    moved = dict(records[1], stderr=records[1]["stderr"] + " ", exit=records[1]["exit"] + 1)
+    path.write_text(json.dumps([records[0], moved]))
+    assert golden.check() == 1
+    assert capsys.readouterr().out == f"differs: {moved['id']} exit stderr\n"
+    path.write_text(json.dumps(records[:1]))
+    assert golden.check() == 1
+    assert capsys.readouterr().out == f"differs: {records[1]['id']} missing on one side\n"
