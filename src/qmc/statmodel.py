@@ -72,8 +72,14 @@ __all__ = [
 
 _MAX_BLOCK = 3  # longest block of output units a LocalObservable may act on
 # DeformedChannel.iterate prices one D x D squaring at min(D, this) matvecs: a
-# complex squaring measured 93 matvecs at D = 256, at one BLAS thread
+# complex squaring measured 93 matvecs at D = 256, at one BLAS thread.  The
+# priced cost of its squaring route is also the budget of its mixed route
 _SQUARING_PRICE = 93
+# The mixed route reads the iterate's Rayleigh residual after _MIX_FIRST
+# matvecs and every _MIX_EVERY after that, and stops at or below _MIX_BAR
+_MIX_FIRST = 48
+_MIX_EVERY = 16
+_MIX_BAR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -107,12 +113,20 @@ class DeformedChannel:
         the matvecs are memory-bound, so D overprices a squaring at every D.
         The price is a constant, never measured at run time, so that the
         result does not depend on the host.  The number j of squarings
-        minimises the cost j P + floor(n / 2^j) + (n mod 2^j) in matvec
+        minimises the cost C = j P + floor(n / 2^j) + (n mod 2^j) in matvec
         units: M is applied n mod 2^j times, squared j times, and M^(2^j)
         applied floor(n / 2^j) times.  Work is O(j D^3 + (n / 2^j) D^2) with
         j <= log2(n) + 1, and the squarings hold at most two D x D matrices
         besides M.  For n <= 2 P + 1 the rule picks j = 0, which is n plain
         matvecs, bit for bit.
+
+        Above that, and when C leaves room for two readings of the residual
+        (C >= _MIX_FIRST + _MIX_EVERY), the mixed route runs first: plain
+        matvecs until the iterate is the dominant eigenvector of M, then
+        M^n vec(x) = mu^(n - s) M^s vec(x) (:func:`_mixed_power`).  It takes
+        at most C matvecs.  When the iterate does not mix within them, as
+        for a periodic or unitary pair, the squaring route runs from the
+        start, so its result is the same bits as without the mixed route.
         """
         n = as_integer("n", n, 0)
         op = self.superop
@@ -121,8 +135,14 @@ class DeformedChannel:
             raise DimensionMismatch(f"operand shape {x.shape}, expected {op.shape_in}")
         m = op.m
         price = min(m.shape[0], _SQUARING_PRICE)
-        j = min(range(n.bit_length() + 1), key=lambda s: s * price + (n >> s) + n % (1 << s))
+        costs = [s * price + (n >> s) + n % (1 << s) for s in range(n.bit_length() + 1)]
+        cost = min(costs)
+        j = costs.index(cost)
         y = vec(x)
+        if j > 0 and cost >= _MIX_FIRST + _MIX_EVERY and np.isfinite(y).all():
+            z = _mixed_power(m, y, n, cost)
+            if z is not None:
+                return unvec(z, tuple(op.shape_out))
         for _ in range(n % (1 << j)):
             y = m @ y
         for _ in range(j):
@@ -130,6 +150,58 @@ class DeformedChannel:
         for _ in range(n >> j):
             y = m @ y
         return unvec(y, tuple(op.shape_out))
+
+
+def _mixed_power(m, y, n, budget):
+    """M^n y as mu^(n - s) M^s y once M^s y has mixed, or None.
+
+    For a primitive pair M has one eigenvalue mu of largest modulus, so
+    after s matvecs M^s y is its eigenvector up to |lambda_2 / mu|^s and
+    every further matvec multiplies it by mu (the power method, Golub &
+    Van Loan, *Matrix Computations*, section 7.3).  At s = _MIX_FIRST,
+    _MIX_FIRST + _MIX_EVERY, ... matvecs, with z = M^s y and y the iterate
+    before it, mu is the Rayleigh quotient <y, z> / <y, y> and the relative
+    residual is ||z - mu y|| / ||z||.  At or below _MIX_BAR the iterate has
+    mixed.  The power of mu then comes from one more stretch of _MIX_EVERY
+    matvecs: their ratio <z, M^L z> / <z, z>, read in extended precision,
+    corrects mu^L, so an error of a few eps grows (n - s) / L-fold instead
+    of (n - s)-fold.  Every reading leaves room for that stretch within
+    ``budget`` matvecs.  From the second reading on, the residual's rate
+    over the last stretch is extrapolated to the last reading that does: a
+    residual that does not fall, or one that would not reach the bar there,
+    returns None at once.  So a pair with more than one eigenvalue on its
+    rim (a periodic chain, a unitary rotation) costs _MIX_FIRST +
+    _MIX_EVERY matvecs before the caller falls back, never the budget.
+    """
+    for _ in range(_MIX_FIRST - 1):
+        y = m @ y
+    s, last = _MIX_FIRST, None
+    reach = s + (budget - s - _MIX_EVERY) // _MIX_EVERY * _MIX_EVERY  # the last reading
+    while True:
+        z = m @ y
+        yy, zz = np.vdot(y, y).real, np.linalg.norm(z)
+        if not (yy > 0 and zz > 0):
+            return None
+        mu = complex(np.vdot(y, z)) / yy
+        res = float(np.linalg.norm(z - mu * y)) / zz
+        if res <= _MIX_BAR:
+            w = z
+            for _ in range(_MIX_EVERY):
+                w = m @ w
+            zl, mu = z.astype(np.clongdouble), np.clongdouble(mu)
+            drift = np.vdot(zl, w) / np.vdot(zl, zl).real / mu**_MIX_EVERY
+            k = n - s - _MIX_EVERY
+            return complex(mu**k * drift ** (k / _MIX_EVERY)) * w
+        if s == reach:
+            return None
+        if last is not None:
+            stretches = (reach - s) / _MIX_EVERY
+            if not (res < last and res * (res / last) ** stretches <= _MIX_BAR):
+                return None
+        last, y = res, z
+        for _ in range(_MIX_EVERY - 1):
+            y = m @ y
+        s += _MIX_EVERY
 
 
 @dataclass(frozen=True)

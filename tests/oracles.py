@@ -28,7 +28,8 @@ product of two mode points is a ``tangent_inner`` call, the perp part is
 a_id minus mode 0, and zeta and lambda are explicit sums over k and m.
 
 The statmodel routes after them are the earlier finite-n functionals:
-the deformed channel applied n times as n sequential matvecs, the QFI
+the deformed channel applied n times as n sequential matvecs and by
+cost-chosen squarings alone, the QFI
 from the full (n-1) x (n-1) Gram of input states against
 Heisenberg-summed cross operators, and the variances with one dilation
 compression per autocovariance lag.  The QFI and variance routes cost
@@ -61,7 +62,7 @@ from qmc.ergodic import ErgodicTol, _canonical_z, stationary_eigenbasis
 from qmc.errors import DimensionMismatch, NotTangent, as_integer
 from qmc.gauge import _as_matrix, restricted_resolvent_solve, tangent_inner
 from qmc.linalg import antiherm_part, dag, herm_coords, herm_part, herm_vec, unvec, vec
-from qmc.statmodel import LocalObservable, _block_moments, _unit_vector
+from qmc.statmodel import _SQUARING_PRICE, LocalObservable, _block_moments, _unit_vector
 
 
 def random_isometry(rng, d, k):
@@ -113,6 +114,27 @@ def iterate_sequential(dc, x, n_values, dtype=complex):
         if step in want:
             out[step] = unvec(y, x.shape)
     return out
+
+
+def iterate_squared(dc, x, n):
+    """E^n(x) by the squaring route of ``DeformedChannel.iterate`` alone.
+
+    The number j of squarings minimises j P + floor(n / 2^j) + (n mod 2^j)
+    with P = min(D, _SQUARING_PRICE); M is applied n mod 2^j times, squared
+    j times, and M^(2^j) applied floor(n / 2^j) times.  ``iterate`` falls
+    back to this when the iterate does not mix, with the same bits.
+    """
+    m = dc.superop.m
+    price = min(m.shape[0], _SQUARING_PRICE)
+    j = min(range(n.bit_length() + 1), key=lambda s: s * price + (n >> s) + n % (1 << s))
+    y = vec(np.asarray(x, dtype=complex))
+    for _ in range(n % (1 << j)):
+        y = m @ y
+    for _ in range(j):
+        m = m @ m
+    for _ in range(n >> j):
+        y = m @ y
+    return unvec(y, tuple(dc.superop.shape_out))
 
 
 def string_probs(iso, rho, n):

@@ -36,6 +36,13 @@ period, rho_ss, Z, residuals, diagnostics (values and key order) and report
 bytes.  Periodic chains pulled off the circle by eps^2 test both routes
 where peripheral_band puts the boundary.
 
+``DeformedChannel.iterate`` powers the deformed channel by squarings, and
+past the mixing point of a primitive pair by its dominant eigenvalue.
+Both routes must meet the first-order roundoff bound against the
+sequential loop and against extended precision, a pair that never mixes
+must get the squaring route's bits, and the matvecs the mixed route
+spends are counted.
+
 ``equivalence_witness`` finds the peripheral eigenvector of the sandwich
 map by power iteration in Kraus form and falls back to every eigenvalue of
 its dense matrix when that is undecided.  Both routes must return None on
@@ -60,7 +67,7 @@ from qmc.channels import (
     kraus_real_matrix,
     real_transfer,
 )
-from qmc import channels, ergodic, gauge, io
+from qmc import channels, ergodic, gauge, io, statmodel
 from qmc.ergodic import ErgodicTol, analyze
 from qmc.errors import (
     PeripheralMismatch,
@@ -69,7 +76,14 @@ from qmc.errors import (
     SingularResolvent,
     WitnessInconsistent,
 )
-from qmc.gauge import act, equivalence_witness, restricted_resolvent_solve, split, witness_matches
+from qmc.gauge import (
+    act,
+    equivalence_witness,
+    restricted_resolvent_solve,
+    split,
+    tangent_inner,
+    witness_matches,
+)
 from qmc.linalg import bordered_solve, herm_coords, herm_vec, proj_distance
 from qmc.qubit_example import fixture_s, golden_tangent, isometry, measurement, snr_spectral_data
 from qmc.statmodel import (
@@ -370,20 +384,125 @@ def test_powered_iterate_matches_sequential_oracle(label, left, right, powers):
             assert np.linalg.norm(got - ref[n]) <= n * EPS * np.linalg.norm(x), n
 
 
+def _converge_channel(iso, n, seed=5):
+    """The deformed channel of retract(v, +-x, 1/sqrt(n)) for the unit
+    identifiable part x of a seeded Gaussian tangent, as ``qmc converge``
+    builds it for its n."""
+    profile = analyze(iso)
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+    a_id = split(profile, raw).a_id
+    x = a_id / np.sqrt(tangent_inner(profile, a_id, a_id).real)
+    t = 1.0 / np.sqrt(n)
+    return DeformedChannel(retract(iso, x, t), retract(iso, -x, t))
+
+
+def _row(label):
+    _, left, right, _ = next(c for c in ITERATE_PAIRS if c[0] == label)
+    return DeformedChannel(left, right)
+
+
 def test_powered_iterate_against_extended_precision():
-    # a rotation, so that a wrong step count would change E^n(x)
-    _, left, right, _ = next(c for c in ITERATE_PAIRS if c[0] == "rotation-d2")
-    dc = DeformedChannel(left, right)
-    x = _random_matrix(8, 2)
-    n = 2**16
-    exact = oracles.iterate_sequential(dc, x, [n], dtype=np.clongdouble)[n]
-    errors = {
-        "powered": float(np.linalg.norm(dc.iterate(x, n) - exact)),
-        "sequential": float(np.linalg.norm(oracles.iterate_sequential(dc, x, [n])[n] - exact)),
-    }
-    print(f"n = {n}: error against clongdouble {errors}")
-    for err in errors.values():
-        assert err <= n * EPS * np.linalg.norm(x)
+    # a rotation, so that a wrong step count would change E^n(x), and three
+    # primitive pairs on which the iterate mixes, the last at the benchmark's
+    # converge size; the mixed route fired on those iff it differs from the
+    # squaring route, which is what it falls back to.  (The random rows
+    # have |mu| <= 0.80, so from n = 2^12 on every route gives exactly 0.)
+    rows = [
+        ("rotation-d2", _row("rotation-d2"), 2**16, False),
+        ("near-identical-d4", _row("near-identical-d4"), 2**12, True),
+        ("unital-d8", _row("unital-d8"), 2**12, True),
+        ("converge-d16", _converge_channel(_random_chain(5151, 16, 2), 2**12), 2**12, True),
+    ]
+    for label, dc, n, mixed in rows:
+        x = _random_matrix(8, dc.iso_left.d)
+        got = dc.iterate(x, n)
+        squared = oracles.iterate_squared(dc, x, n)
+        assert np.array_equal(got, squared) is not mixed, label
+        exact = oracles.iterate_sequential(dc, x, [n], dtype=np.clongdouble)[n]
+        errors = {
+            "powered": float(np.linalg.norm(got - exact)),
+            "squared": float(np.linalg.norm(squared - exact)),
+            "sequential": float(np.linalg.norm(oracles.iterate_sequential(dc, x, [n])[n] - exact)),
+        }
+        print(f"{label}, n = {n}: error against clongdouble {errors}")
+        for err in errors.values():
+            assert err <= n * EPS * np.linalg.norm(x), label
+
+
+def _fallback_cases():
+    """(label, channel, n) on which the iterate never mixes: period-2 and
+    rotation rows above the plain bound, and the period-2 m1 chain deformed
+    as ``qmc converge`` deforms it, at a power of two too cheap to square
+    for the mixed route to start and at one below it, where it starts."""
+    for label, left, right, powers in ITERATE_PAIRS:
+        if label.startswith(("period2-", "rotation-")):
+            dc = DeformedChannel(left, right)
+            plain = 2 * min(left.d**2, _SQUARING_PRICE) + 1
+            for k in powers:
+                for n in (2**k - 1, 2**k, 2**k + 1):
+                    if n > plain:
+                        yield label, dc, n
+    for n in (2**14, 2**14 - 1):
+        yield "m1-deformed", _converge_channel(isometry("m1", 0.3), n), n
+
+
+def test_iterate_falls_back_to_the_squaring_route_bit_for_bit():
+    for label, dc, n in _fallback_cases():
+        x = _random_matrix(9, dc.iso_left.d)
+        assert np.array_equal(dc.iterate(x, n), oracles.iterate_squared(dc, x, n)), (label, n)
+
+
+def test_iterate_without_a_reachable_bar_is_the_squaring_route(monkeypatch):
+    monkeypatch.setattr(statmodel, "_MIX_BAR", 0.0)
+    for label, left, right, powers in ITERATE_PAIRS:
+        dc = DeformedChannel(left, right)
+        x = _random_matrix(7, left.d)
+        for k in powers:
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                got = dc.iterate(x, n)
+                assert np.array_equal(got, oracles.iterate_squared(dc, x, n)), (label, n)
+
+
+class _CountingMatrix(np.ndarray):
+    """A dense matrix that appends to its ``log`` the ndim of each operand
+    it multiplies: 1 for a matvec, 2 for a squaring.  Its squares share
+    the log."""
+
+    def __matmul__(self, other):
+        self.log.append(np.ndim(other))
+        out = np.matmul(self.view(np.ndarray), np.asarray(other))
+        if out.ndim == 2:
+            out = out.view(_CountingMatrix)
+            out.log = self.log
+        return out
+
+
+def _counted_iterate(dc, x, n):
+    """(matvecs, squarings) of ``dc.iterate(x, n)``."""
+    m = dc.superop.m.view(_CountingMatrix)
+    m.log = []
+    object.__setattr__(dc.superop, "m", m)
+    dc.iterate(x, n)
+    return m.log.count(1), m.log.count(2)
+
+
+def test_iterate_cost_guard():
+    # a primitive pair, on the operand of qmc converge, mixes well within
+    # its squaring route's cost (P = 93: 593 matvecs)
+    n = 2**12
+    dc = _converge_channel(_random_chain(5151, 16, 2), n)
+    matvecs, squarings = _counted_iterate(dc, np.eye(16), n)
+    assert squarings == 0 and matvecs <= 128
+    # a period-2 pair stalls: it pays two readings of the residual on top
+    # of the squaring route, not a second budget
+    n = 2**14
+    cyclic = Isometry(oracles.cyclic_isometry(np.random.default_rng(44), 4, 2, 2), 4, 2)
+    price = min(16, _SQUARING_PRICE)
+    cost = min(s * price + (n >> s) + n % (1 << s) for s in range(n.bit_length() + 1))
+    matvecs, squarings = _counted_iterate(_converge_channel(cyclic, n), _random_matrix(4, 4), n)
+    assert squarings > 0
+    assert matvecs + price * squarings <= cost + 64
 
 
 def _sampler_cases():
