@@ -75,10 +75,14 @@ class SpectralProfile:
     checks only ``is_irreducible``, ``eigenvalues`` and ``diagnostics``
     are guaranteed to be populated.
 
-    ``eigenvalues`` and ``diagnostics`` of a chain whose period the
-    certificate decided without the spectrum are computed on first read,
-    by the dense checks of :func:`_dense_period` on a fresh transfer
-    matrix with the rho_ss already found; the certified verdict stands.
+    ``eigenvalues`` and ``diagnostics`` of a chain whose verdict the
+    certificate decided without the spectrum, a period or a multiple
+    eigenvalue 1, are computed on first read, by the dense checks of
+    :func:`_dense_period` on a fresh transfer matrix, one dense ``eigvals``
+    of it, with the rho_ss already found; a reducible chain has none, and
+    its checks stop at the multiplicity.  The certified verdict stands.
+    ``require_irreducible`` reads the verdict's reason, which every route
+    sets eagerly, so it computes no spectrum.
 
     ``resolvent_cond``, the 2-norm condition number of the restricted
     resolvent behind ``gauge.restricted_resolvent_solve``, is computed on
@@ -120,7 +124,12 @@ class SpectralProfile:
     def _read_spectrum(self):
         if self._eigenvalues is None:  # certified profiles only
             rho, fresh = self.rho_ss, replace(self, _diagnostics={})
-            _dense_period(fresh, real_transfer(self.iso), lambda: (rho, _min_eigenvalue(rho)))
+
+            def solve():
+                # a certified reducible chain has no rho_ss to hand over
+                return None if rho is None else (rho, _min_eigenvalue(rho))
+
+            _dense_period(fresh, real_transfer(self.iso), solve)
             self._eigenvalues = fresh._eigenvalues
             self._diagnostics = {**fresh._diagnostics, **self._diagnostics}
         return self._eigenvalues, self._diagnostics
@@ -135,7 +144,7 @@ class SpectralProfile:
 
     def require_irreducible(self):
         if not self.is_irreducible:
-            raise NotIrreducible(self.diagnostics.get("reason", "chain is not irreducible"))
+            raise NotIrreducible(self._diagnostics.get("reason", "chain is not irreducible"))
 
 
 def _restricted_cond(th, r):
@@ -253,18 +262,22 @@ _ROOT_DEVIATION = 1e-6
 # 24); 1/20 of the tolerance keeps kappa e inside the half margins for
 # kappa up to 10.
 _RITZ_RESIDUAL = 0.05
+_MULTIPLE_ONE = "eigenvalue 1 has multiplicity {} within simplicity_gap"
 _DEGENERACY_TOL = 1e-9  # stationary_eigenbasis: rho_ss eigenvalues this close are one cluster
 _SPAN_RANK_TOL = 1e-10  # access_span_check: rank tolerance on unit-norm candidates
 
 
 def _certify(r, iso, tol):
-    """Period p > 0 that the spectrum of T certifies, or 0 when undecided.
+    """Period p > 0, or -m for an eigenvalue 1 of multiplicity m, that the
+    spectrum of T certifies; 0 when undecided.
 
     A nonzero p says that, apart from the simple eigenvalue 1, the only
     eigenvalues with modulus at least 1 - max(peripheral_band,
     simplicity_gap) are the p - 1 non-trivial p-th roots of unity, each
     simple; that is the dense route's verdict "period p" as far as the
-    spectrum decides it.  Seeded Gaussian blocks of traceless operators
+    spectrum decides it.  A negative -m says that exactly m eigenvalues lie
+    within simplicity_gap of 1, the dense route's verdict "eigenvalue 1 has
+    multiplicity m".  Seeded Gaussian blocks of traceless operators
     are stepped by Q T, Q the orthogonal projection that removes the trace
     (X -> X - tr(X)/d 1), so that an isometry defect cannot leak the
     eigenvalue 1 back in; :func:`_certificate_step` applies T with R, the
@@ -280,7 +293,17 @@ def _certify(r, iso, tol):
     window is extrapolated, and the stage ends as soon as the budget
     cannot reach the target, so a periodic or reducible chain, whose block
     stalls, costs a few windows.  Then :func:`_certify_periodic` looks for
-    the roots.
+    the roots, or for the traceless copies of eigenvalue 1.
+
+    Those copies are eigenvalues of Q T on the traceless operators; the
+    trivial eigenvalue 1 of T, that of rho_ss, is not among them.  T is
+    trace preserving up to the isometry defect e = ||sum_u K_u* K_u - 1||_F
+    / sqrt(d), the residual of the identity as a left eigenvector of R, so
+    T differs by at most e from a map with the spectrum of Q T and one
+    more eigenvalue within e of 1.  A count is therefore certified only
+    for e <= ``_RITZ_RESIDUAL`` simplicity_gap, which the Ritz residual
+    argument then absorbs for condition numbers up to 5; an isometry
+    is exact to roundoff, where it absorbs them up to 10.
     """
     d = iso.d
     margin = max(tol.peripheral_band, tol.simplicity_gap)
@@ -303,7 +326,13 @@ def _certify(r, iso, tol):
     # the stalled block already leans towards the slowest eigenvectors, so
     # it starts the periodic stage a few windows ahead of a fresh one
     start = np.hstack([block, fresh(_RITZ_COLUMNS - _CERTIFY_COLUMNS)])
-    return _certify_periodic(step, tol, budget, fresh, start)
+    p = _certify_periodic(step, tol, budget, fresh, start)
+    if p < 0:
+        gram = sum(k.conj().T @ k for k in iso.kraus)
+        gram[np.diag_indices(d)] -= 1.0
+        if not np.linalg.norm(gram) <= _RITZ_RESIDUAL * tol.simplicity_gap * np.sqrt(d):
+            return 0
+    return p
 
 
 def _certificate_step(r, iso):
@@ -373,37 +402,47 @@ def _decays(step, block, budget):
 
 
 def _certify_periodic(step, tol, budget, fresh, block):
-    """Period p >= 2 by block subspace iteration with Rayleigh-Ritz, or 0.
+    """Period p >= 2, or -m for an eigenvalue 1 of multiplicity m >= 2, by
+    block subspace iteration with Rayleigh-Ritz; 0 when undecided.
 
     The peripheral spectrum of an irreducible channel is the group of p-th
     roots of unity, each simple (Evans and Hoegh-Krohn, J. London Math.
     Soc. 17, 345, 1978), so on the traceless operators it is the p - 1
-    non-trivial roots.  ``block``, of ``_RITZ_COLUMNS`` traceless columns,
-    is stepped by ``step`` and orthonormalised once a window; the
-    eigenvalues of its Rayleigh quotient, the Ritz values, converge to the
-    largest eigenvalues of the step (Stewart, Numer. Math. 25, 123, 1976).
-    The stage returns p when the Ritz values within ``peripheral_band`` of
-    the unit circle are exactly the p - 1 non-trivial p-th roots, within
-    half the tolerances the dense route applies to its eigenvalues, their
-    real invariant subspace has a residual below ``_RITZ_RESIDUAL`` of
-    those tolerances, and a block of ``fresh(_CERTIFY_COLUMNS)``, a fresh
-    traceless one, with that subspace projected out of it and of every
-    step, decays as in the primitive stage.
+    non-trivial roots.  A reducible channel leaves a projection invariant
+    and has a fixed point besides rho_ss (Wolf, Quantum Channels &
+    Operations: Guided Tour, 2012), so its eigenvalue 1 is multiple, and
+    on the traceless operators it has m - 1 copies.  ``block``, of
+    ``_RITZ_COLUMNS`` traceless columns, is stepped by ``step`` and
+    orthonormalised once a window; the eigenvalues of its Rayleigh
+    quotient, the Ritz values, converge to the largest eigenvalues of the
+    step (Stewart, Numer. Math. 25, 123, 1976).
+
+    The stage returns -m when m - 1 < ``_RITZ_COLUMNS`` Ritz values lie
+    within simplicity_gap / 2 of 1, and p when none does and the Ritz
+    values within ``peripheral_band`` of the unit circle are exactly the
+    p - 1 non-trivial p-th roots, within half the tolerances the dense
+    route applies to its eigenvalues.  Either way the real invariant
+    subspace of those Ritz values must have a residual below
+    ``_RITZ_RESIDUAL`` of the tolerance they are judged by, and a block of
+    ``fresh(_CERTIFY_COLUMNS)``, a fresh traceless one, with that subspace
+    projected out of it and of every step, must decay as in the primitive
+    stage.  Stepping goes on while the residual is above that bar.
 
     The deflated block cannot decay past an eigenvalue of modulus above
     ``radius`` within the budget, so the stage returns 0 as soon as a Ritz
-    value lies within 1 - ``radius`` of 1 (a reducible chain's second
-    eigenvalue 1 shows so in the first window, since the stalled block of
-    the primitive stage holds it; no non-trivial root lies that close), or
-    a Ritz pair has converged to a modulus between ``radius`` and the rim.
-    It also returns 0 when the residual of the largest Ritz pair is
-    extrapolated not to reach the tolerance within the budget, as for
+    pair has converged to a value within 1 - ``radius`` of 1 but more than
+    half a gap from it, or to a modulus between ``radius`` and the rim (no
+    non-trivial root lies within 1 - ``radius`` of 1; a pair counts as
+    converged when its residual is below 1/100 of its distance to the
+    region it is outside of).  It returns 0 when the copies of 1 fill the
+    block, which may hide more of them, and when the residual it waits for,
+    that of the copies of 1 or else that of the largest Ritz pair, is
+    extrapolated not to reach its bar within the budget, as for
     p > _RITZ_COLUMNS + 1, or when the budget runs out: every undecided
     chain goes to the dense route.
     """
-    band = tol.peripheral_band
+    band, gap = tol.peripheral_band, tol.simplicity_gap
     radius = _CERTIFY_DECAY ** (1.0 / max(budget, 1))
-    residual_tol = _RITZ_RESIDUAL * min(band, _ROOT_DEVIATION)
     error = None
     for taken in range(_CERTIFY_WINDOW, budget + 1, _CERTIFY_WINDOW):
         q, _ = np.linalg.qr(block)
@@ -412,47 +451,72 @@ def _certify_periodic(step, tol, budget, fresh, block):
         if not np.isfinite(h).all():
             return 0
         ritz, vecs = np.linalg.eig(h)
-        mods = np.abs(ritz)
-        # residual of each Ritz pair; a pair counts as converged off the rim
-        # when its residual is below 1/100 of its distance to the rim
+        mods, dist = np.abs(ritz), np.abs(ritz - 1.0)
         errors = np.linalg.norm(block @ vecs - (q @ vecs) * ritz, axis=0)
         off_rim = 1.0 - band - mods
-        if np.min(np.abs(ritz - 1.0)) < 1.0 - radius or np.any(
-            (mods > radius) & (errors <= 0.01 * off_rim)
+        # Ritz values that only a copy of 1 may stand for: a value this
+        # close to 1 that is not within half a gap of it stops the deflated
+        # block from decaying
+        close, near = dist < 1.0 - radius, dist <= 0.5 * gap
+        if np.any(
+            ~near
+            & (
+                (close & (errors <= 0.01 * (dist - 0.5 * gap)))
+                | ((mods > radius) & (errors <= 0.01 * off_rim))
+            )
         ):
             return 0
-        rim = off_rim <= 0.0
-        p = int(np.count_nonzero(rim)) + 1
-        if p > 1 and np.min(mods[rim]) >= 1.0 - 0.5 * band:
-            assigned, worst = _root_deviation(np.append(1.0, ritz[rim]), p)
-            if assigned == p and worst <= 0.5 * _ROOT_DEVIATION:
-                # real orthonormal basis of the span of the rim Ritz vectors:
-                # a conjugate pair's real and imaginary parts span its plane
-                y = vecs[:, rim]
-                s = np.linalg.svd(np.hstack([y.real, y.imag]), full_matrices=False)[0][:, : p - 1]
-                basis = q @ s
-                image = block @ s  # the step applied to basis
-                if np.linalg.norm(image - basis @ (basis.T @ image)) <= residual_tol:
+        chosen = None
+        if close.any():
+            copies = int(np.count_nonzero(close))
+            if copies >= _RITZ_COLUMNS:
+                return 0
+            chosen, bar, verdict = close, _RITZ_RESIDUAL * gap, -(copies + 1)
+        else:
+            rim = off_rim <= 0.0
+            p = int(np.count_nonzero(rim)) + 1
+            bar = _RITZ_RESIDUAL * min(band, _ROOT_DEVIATION)
+            if p > 1 and np.min(mods[rim]) >= 1.0 - 0.5 * band:
+                assigned, worst = _root_deviation(np.append(1.0, ritz[rim]), p)
+                if assigned == p and worst <= 0.5 * _ROOT_DEVIATION:
+                    chosen, verdict = rim, p
+        residual = None
+        if chosen is not None:
+            # real orthonormal basis of the span of the chosen Ritz vectors:
+            # a conjugate pair's real and imaginary parts span its plane
+            y = vecs[:, chosen]
+            s = np.linalg.svd(np.hstack([y.real, y.imag]), full_matrices=False)[0]
+            s = s[:, : np.count_nonzero(chosen)]
+            basis = q @ s
+            image = block @ s  # the step applied to basis
+            residual = float(np.linalg.norm(image - basis @ (basis.T @ image)))
+            if residual <= bar:
+                if verdict < 0 and not near[chosen].all():
+                    return 0  # converged, and not all of them within half a gap of 1
 
-                    def deflated_step(b):
-                        # the step, compressed to the complement of the rim subspace
-                        b = step(b)
-                        b -= basis @ (basis.T @ b)
-                        return b
+                def deflated_step(b):
+                    # the step, compressed to the complement of the subspace
+                    b = step(b)
+                    b -= basis @ (basis.T @ b)
+                    return b
 
-                    deflated = fresh(_CERTIFY_COLUMNS)
-                    deflated -= basis @ (basis.T @ deflated)
-                    return p if _decays(deflated_step, deflated, budget)[0] else 0
-        # extrapolate the residual of the largest Ritz pair as the primitive
-        # stage extrapolates its decay, past the first three windows: on
-        # random cyclic chains with p = 6 or 7 it reads about 0.2, 0.1 and
-        # 0.02 to 0.05 there before it falls by 10 or more a window
-        last, error = error, float(errors[np.argmax(mods)])
-        if taken > 3 * _CERTIFY_WINDOW and error > residual_tol:
+                deflated = fresh(_CERTIFY_COLUMNS)
+                deflated -= basis @ (basis.T @ deflated)
+                return verdict if _decays(deflated_step, deflated, budget)[0] else 0
+        # extrapolate the residual as the primitive stage extrapolates its
+        # decay, past the first three windows: that of the subspace of the
+        # values close to 1 once they show (a pair of them can swap or turn
+        # complex from window to window, so their single residuals can
+        # stall), else that of the largest Ritz pair, which on random
+        # cyclic chains with p = 6 or 7 reads about 0.2, 0.1 and 0.02 to
+        # 0.05 there before it falls by 10 or more a window
+        last = error
+        error = residual if close.any() else float(errors[np.argmax(mods)])
+        if taken > 3 * _CERTIFY_WINDOW and error > bar:
             rate = error / last
             if not rate < 1.0:
                 return 0
-            if not taken + _CERTIFY_WINDOW * np.log(residual_tol / error) / np.log(rate) <= budget:
+            if not taken + _CERTIFY_WINDOW * np.log(bar / error) / np.log(rate) <= budget:
                 return 0
         for _ in range(_CERTIFY_WINDOW - 1):
             block = step(block)
@@ -504,8 +568,12 @@ def analyze(iso, tol=None):
     stands if the solve puts the eigenvalue of R near 1 within half the
     tolerances of 1 and rho_ss is faithful (the spectrum is then computed
     when read); otherwise the dense checks reuse that solve, or make it
-    once eigenvalue 1 is simple, so a reducible chain makes none.  No
-    eigenvector matrix is ever formed; both routes give the same profile.
+    once eigenvalue 1 is simple, so a reducible chain makes none.  When the
+    certificate gives an eigenvalue 1 of multiplicity m, the profile is
+    reducible with the dense route's reason at once, and neither a solve
+    nor the spectrum is computed until ``eigenvalues`` or ``diagnostics``
+    is read.  No eigenvector matrix is ever formed; both routes give the
+    same profile.
     """
     iso = as_isometry("iso", iso)
     if tol is None:
@@ -527,6 +595,9 @@ def analyze(iso, tol=None):
         return rho, _min_eigenvalue(rho), 1.0 - d * s
 
     p = _certify(r, iso, tol)
+    if p < 0:
+        profile._diagnostics["reason"] = _MULTIPLE_ONE.format(-p)
+        return profile
     solved = solve() if p else None
     # half the tolerances: the dense eigenvalue 1 differs from solved[2]
     # by roundoff, far below the floor the certificate puts on them
@@ -571,7 +642,7 @@ def _dense_period(profile, r, solve):
         diagnostics["reason"] = "no eigenvalue within simplicity_gap of 1"
         return 0
     if near_one > 1:
-        diagnostics["reason"] = f"eigenvalue 1 has multiplicity {near_one} within simplicity_gap"
+        diagnostics["reason"] = _MULTIPLE_ONE.format(near_one)
         return 0
 
     solved = solve()

@@ -48,7 +48,6 @@ from .errors import (
     LabelingFailure,
     NotHermitian,
     NotIdentifiable,
-    NotIrreducible,
     NotTangent,
     ResolventIllConditioned,
     SingularResolvent,
@@ -156,8 +155,7 @@ def equivalence_witness(iso1, iso2):
     profiles = []
     for iso in (iso1, iso2):
         prof = ergodic.analyze(iso)
-        if not prof.is_irreducible:
-            raise NotIrreducible(prof.diagnostics.get("reason", "input chain not irreducible"))
+        prof.require_irreducible()
         profiles.append(prof)
     prof = profiles[0]
     d = iso1.d

@@ -44,7 +44,7 @@ INPUTS = HERE / "inputs"
 CASES_FILE = HERE / "cases.json"
 IN = "{inputs}"  # argv placeholder for the inputs directory
 
-CHAINS = ["m1", "m2", "m3", "S", "d4", "d12", "d24", "d12p3", "d16p2", "red8", "nonfaithful"]
+CHAINS = ["m1", "m2", "m3", "S", "d4", "d12", "d24", "d12p3", "d16p2", "red8", "red16", "nonfaithful"]
 
 
 def _random_isometry(rng, rows, cols):
@@ -118,6 +118,8 @@ def _inputs():
     out["q2.json"] = io.matrix_to_json(np.diag([0.7, -0.3]))
     out["q4.json"] = io.matrix_to_json(np.diag([1.0, 0.0, -0.5, 0.25]))
     out["q3.json"] = io.matrix_to_json(np.eye(3))
+    # drawn last, so that every earlier input keeps its draws
+    out["red16.json"] = io.isometry_to_json(Isometry(_reducible(rng, 16, 2), 16, 2))
     return out
 
 
@@ -143,6 +145,7 @@ def cases():
         ("equiv-d24-d24", ["equiv", _f("d24"), _f("d24")]),
         ("equiv-d12p3-self", ["equiv", _f("d12p3"), _f("d12p3")]),
         ("equiv-red8", ["equiv", _f("red8"), _f("red8")]),
+        ("equiv-red16", ["equiv", _f("red16"), _f("red16")]),
         ("equiv-usage-missing", ["equiv", _f("d4")]),
         ("equiv-usage-flag", ["equiv", _f("d4"), _f("d4"), "--tol-gap", "1"]),
         ("tangent-m2", ["tangent", _f("m2"), _f("m2_tangent")]),
@@ -167,6 +170,7 @@ def cases():
         ("variance-d12p3-block2", ["variance", _f("d12p3"), _f("q4"), "--n-list", "2,6,30"]),
         ("variance-d16p2", ["variance", _f("d16p2"), _f("q2"), "--n-list", "4,40"]),
         ("variance-red8", ["variance", _f("red8"), _f("q2")]),
+        ("variance-red16", ["variance", _f("red16"), _f("q2")]),
         ("variance-q3", ["variance", _f("d4"), _f("q3")]),
         ("variance-usage-list", ["variance", "--model", "m1", "--theta", "0.3", "--n-list", "8,x"]),
         ("variance-usage-block", ["variance", "--model", "m3", "--theta", "0.3", "--block", "2",

@@ -191,15 +191,33 @@ def cyclic_isometry(rng, d, k, p):
     return v
 
 
-def block_diag_chain(rng, d, k):
-    """Two random chains of size d/2 side by side: reducible."""
-    h = d // 2
+def block_diag_chain(rng, d, k, blocks=2):
+    """``blocks`` random chains of size d/blocks side by side: reducible,
+    with eigenvalue 1 of multiplicity ``blocks``."""
+    h = d // blocks
     kraus = []
-    for a, b in zip(*(Isometry(random_isometry(rng, h, k), h, k).kraus for _ in range(2))):
+    for parts in zip(*(Isometry(random_isometry(rng, h, k), h, k).kraus for _ in range(blocks))):
         m = np.zeros((d, d), dtype=complex)
-        m[:h, :h], m[h:, h:] = a, b
+        for b, part in enumerate(parts):
+            m[b * h : (b + 1) * h, b * h : (b + 1) * h] = part
         kraus.append(m)
     return isometry_from_kraus(kraus)
+
+
+def block_upper_chain(rng, d, a, eps, k=2):
+    """Gaussian Kraus stack whose lower-left block, the leak out of the
+    first a basis vectors, is scaled by eps.
+
+    The QR of the stacked (k d) x d matrix multiplies each K_u on the right
+    by the upper-triangular R^-1, which keeps that block eps times a fixed
+    matrix.  At eps = 0 the span of the first a basis vectors is invariant
+    and the rest decays into it: eigenvalue 1 stays simple, and rho_ss is
+    not faithful.
+    """
+    m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    m[:, a:, :a] *= eps
+    q, _ = np.linalg.qr(np.concatenate(m))
+    return isometry_from_kraus(list(q.reshape(k, d, d)))
 
 
 def sandwich_map_kron(iso1, iso2):

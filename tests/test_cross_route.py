@@ -29,12 +29,13 @@ the Hermitian operator basis.  R must equal U* T U for the complex matrix
 T, R^T the Heisenberg matrix in that basis, and its spectrum that of T.
 
 ``analyze`` certifies a primitive chain by a traceless power iteration, and
-a periodic one by block subspace iteration with Rayleigh-Ritz and a
-deflated decay, and then computes the spectrum only when it is read.  The
-certified route must give the dense route's profile bit for bit: verdict,
-period, rho_ss, Z, residuals, diagnostics (values and key order) and report
-bytes.  Periodic chains pulled off the circle by eps^2 test both routes
-where peripheral_band puts the boundary.
+a periodic or reducible one by block subspace iteration with Rayleigh-Ritz
+and a deflated decay, and then computes the spectrum only when it is read.
+The certified route must give the dense route's profile bit for bit:
+verdict, period, rho_ss, Z, residuals, diagnostics (values and key order)
+and report bytes; where it cannot, it must decline.  Periodic chains pulled
+off the circle by eps^2, and blocks joined by a leak, test both routes
+where peripheral_band and simplicity_gap put the boundary.
 
 ``DeformedChannel.iterate`` powers the deformed channel by squarings, and
 past the mixing point of a primitive pair by its dominant eigenvalue.
@@ -68,8 +69,9 @@ from qmc.channels import (
     real_transfer,
 )
 from qmc import channels, ergodic, gauge, io, statmodel
-from qmc.ergodic import ErgodicTol, analyze
+from qmc.ergodic import ErgodicTol, analyze, stationary_eigenbasis
 from qmc.errors import (
+    NotIrreducible,
     PeripheralMismatch,
     QmcError,
     ResolventIllConditioned,
@@ -380,8 +382,19 @@ def test_powered_iterate_matches_sequential_oracle(label, left, right, powers):
         got = dc.iterate(x, n)
         if n <= plain:
             assert np.array_equal(got, ref[n]), n
+            continue
+        assert np.linalg.norm(got - ref[n]) <= n * EPS * np.linalg.norm(x), n
+        # relative to the result too: the absolute bound alone passes any
+        # output once the iterate has decayed far below x.  The norms are
+        # taken of arrays scaled by the largest entry of the oracle's: a
+        # norm squares the entries, so unscaled it reads 0 from entries of
+        # about 1e-154 down, while the iterate is still normal
+        scale = np.max(np.abs(ref[n]))
+        if scale >= np.finfo(float).tiny:
+            err = np.linalg.norm((got - ref[n]) / scale)
+            assert err <= n * EPS * np.linalg.norm(ref[n] / scale), n
         else:
-            assert np.linalg.norm(got - ref[n]) <= n * EPS * np.linalg.norm(x), n
+            assert not np.any(got), n  # the oracle underflowed
 
 
 def _converge_channel(iso, n, seed=5):
@@ -881,7 +894,8 @@ NEAR_PERIODIC = [
 def _route_cases():
     """(label, iso, tol, expected certificate answer or None).
 
-    The answer is the certified period, or 0 when the certificate declines.
+    The answer is the certified period, -m for a certified eigenvalue 1 of
+    multiplicity m, or 0 when the certificate declines.
     """
     for label, iso, period in CHAINS:
         yield label, iso, None, period if iso.d >= 16 else None
@@ -893,8 +907,20 @@ def _route_cases():
     yield "cyclic-d20p5", Isometry(oracles.cyclic_isometry(rng, 20, 2, 5), 20, 2), None, 5
     # a block of _RITZ_COLUMNS = 6 columns sees at most p = 7
     yield "cyclic-d16p8", Isometry(oracles.cyclic_isometry(rng, 16, 2, 8), 16, 2), None, 0
-    yield "reducible-d16", _reducible(2035, 16), None, 0
+    yield "reducible-d16", _reducible(2035, 16), None, -2
+    # at d = 8 the 64-step budget cannot decay the deflated block
     yield "reducible-d8", _reducible(2036, 8), None, 0
+    rng = np.random.default_rng(2049)
+    yield "blocks-d12x3", oracles.block_diag_chain(rng, 12, 2, 3), None, -3
+    yield "blocks-d18x3", oracles.block_diag_chain(rng, 18, 2, 3), None, -3
+    # the six traceless copies of 1 fill the Ritz block, which may hide more
+    yield "blocks-d14x7", oracles.block_diag_chain(rng, 14, 2, 7), None, 0
+    # eigenvalue 1 stays simple at every leak; at eps = 0 and 1e-5 rho_ss
+    # is not faithful, which the solve after the certificate finds
+    for d, a in ((12, 5), (16, 8)):
+        for eps in (0.0, 1e-5, 1e-4, 1e-3, 1e-2):
+            iso = oracles.block_upper_chain(np.random.default_rng(d + a), d, a, eps)
+            yield f"block-upper-d{d}a{a}-{eps:.0e}", iso, None, 1
     for eps in (1e-2, 1e-3, 1e-4):
         yield f"near-boundary-{eps:.0e}", _near_boundary(eps), None, 0
         yield f"coupled-blocks-{eps:.0e}", _coupled_blocks(eps), None, 0
@@ -915,6 +941,13 @@ def _route_cases():
         yield f"defect-identity-gap-{gap:.0e}", _with_defect(d16, np.eye(16)), ErgodicTol(
             simplicity_gap=gap
         ), 1
+    # a defect on one block moves one copy of 1 by 3.2e-9 and leaves the
+    # other: the dense route says multiplicity 2 at a gap of 1e-8 and finds
+    # rho_ss not faithful at 3e-9.  A defect of 2.25e-9 against a bar of
+    # 5e-10 keeps the certificate from counting copies of 1
+    one_block = _with_defect(_reducible(2035, 16), np.diag(np.repeat([1.0, 0.0], 8)))
+    for gap in (1e-8, 3e-9):
+        yield f"defect-reducible-gap-{gap:.0e}", one_block, ErgodicTol(simplicity_gap=gap), 0
     for band in (0.9, 1e-300):
         yield f"random-d16-band-{band:.0e}", d16, ErgodicTol(peripheral_band=band), 0
 
@@ -942,6 +975,12 @@ def _check_route_case(label, iso, tol, certified, kraus_min_d):
     if certified is not None:
         assert answer == certified
     _assert_same_analysis(fast, dense)
+    if answer < 0:
+        # a count of copies of 1 stands only with no eigenvalue between half
+        # a gap and a few gaps from 1, where the dense count is a near call
+        gap = (tol or ErgodicTol()).simplicity_gap
+        dist = np.abs(dense.eigenvalues - 1.0)
+        assert not np.any((dist > 0.5 * gap) & (dist < 10.0 * gap))
     if label.startswith("defect"):
         assert 0.8e-8 <= np.linalg.norm(iso.v.conj().T @ iso.v - np.eye(iso.d)) <= 1e-8
 
@@ -1003,6 +1042,51 @@ def test_spectrum_is_computed_only_when_read(monkeypatch):
             dense = analyze(iso)
         assert json.dumps(profile.diagnostics) == json.dumps(dense.diagnostics)
         assert np.array_equal(profile.eigenvalues, dense.eigenvalues)
+
+    # a certified reducible chain, at d = 24 through the Kraus-form step:
+    # the verdict and its reason come without the spectrum or a bordered
+    # solve, every entry point that needs an irreducible chain raises with
+    # that reason, and the first read of the spectrum takes one eigvals
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvals(m)
+
+    def no_solve(*args):
+        raise RuntimeError("bordered solve called")
+
+    for iso in (_reducible(2041, 16), _reducible(2042, 24)):
+        a = rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
+        entries = [
+            lambda p: split(p, a),
+            lambda p: asymptotic_variance(p, np.diag([1.0, -1.0])),
+            stationary_eigenbasis,
+            lambda p: equivalence_witness(p.iso, p.iso),
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvals", refuse)
+            mp.setattr(np.linalg, "solve", no_solve)
+            profile = analyze(iso)
+            assert not profile.is_irreducible
+            reason = profile._diagnostics["reason"]
+            for entry in entries:
+                with pytest.raises(NotIrreducible) as caught:
+                    entry(profile)
+                assert caught.value.detail == reason
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for read in (lambda p: p.eigenvalues, io.profile_report):
+            calls.clear()
+            profile = analyze(iso)
+            read(profile)
+            read(profile)
+            assert calls == [(iso.d**2, iso.d**2)]
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        # the dense route's count of eigenvalues within simplicity_gap of 1
+        near = int(np.sum(np.abs(profile.eigenvalues - 1.0) <= profile.tol.simplicity_gap))
+        assert near == 2
+        assert reason == f"eigenvalue 1 has multiplicity {near} within simplicity_gap"
+        assert profile.diagnostics["reason"] == reason
 
 
 def test_channel_functionals_build_no_complex_superoperator(monkeypatch):

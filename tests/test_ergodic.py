@@ -67,17 +67,6 @@ def test_zmat_is_peripheral_eigenvector():
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
 
-def _block_upper_chain(rng, d, a, eps, k=2):
-    # Gaussian Kraus stack whose lower-left block, the leak out of the first
-    # a basis vectors, is scaled by eps; the QR of the stacked (k d) x d
-    # matrix multiplies each K_u on the right by the upper-triangular R^-1,
-    # which keeps that block eps times a fixed matrix
-    m = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
-    m[:, a:, :a] *= eps
-    q, _ = np.linalg.qr(np.concatenate(m))
-    return isometry_from_kraus(list(q.reshape(k, d, d)))
-
-
 def test_random_chains_agree_with_span_oracle():
     rng = np.random.default_rng(7)
     for _ in range(12):
@@ -128,7 +117,7 @@ def test_span_oracle_on_block_upper_triangular_chains(d, a):
     # double.  The oracle sees eps itself, so it says irreducible there too,
     # down to the 1e-8 its docstring states it resolves
     for eps in (0.0, 1e-2, 1e-4, 1e-6, 1e-8):
-        iso = _block_upper_chain(np.random.default_rng(d + a), d, a, eps)
+        iso = oracles.block_upper_chain(np.random.default_rng(d + a), d, a, eps)
         assert access_span_check(iso) == (eps > 0), eps
         if eps in (0.0, 1e-2):
             assert analyze(iso).is_irreducible == (eps > 0), eps
@@ -163,7 +152,7 @@ def test_span_oracle_svds_never_exceed_the_room_left(monkeypatch):
         Isometry(oracles.random_isometry(rng, 16, 3), 16, 3),
         Isometry(oracles.cyclic_isometry(rng, 16, 2, 2), 16, 2),
         oracles.block_diag_chain(rng, 16, 2),
-        _block_upper_chain(rng, 16, 1, 0.0),
+        oracles.block_upper_chain(rng, 16, 1, 0.0),
     ]
     calls = _spy_span_svds(monkeypatch)
     for iso in chains:
@@ -332,7 +321,9 @@ def test_reducible_chain_makes_no_stationary_solve(monkeypatch):
         m[:6, :6], m[6:, 6:] = a, b
         kraus.append(m)
     calls = _count_stationary_solves(monkeypatch)
-    # the d = 12 chain reaches the certificate, which declines it
+    # the d = 2 chain goes to the dense checks, which stop at the
+    # multiplicity; the d = 12 chain reaches the certificate, which
+    # certifies the multiplicity and so makes no solve either
     for iso in (_block_diag_iso(), isometry_from_kraus(kraus)):
         profile = analyze(iso)
         assert not profile.is_irreducible
