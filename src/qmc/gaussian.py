@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DimensionMismatch, GramNotPSD, IndexOutOfRange, ProfileMismatch, as_integer
 from .gauge import _as_matrix, _require_identifiable, mode_decompose, split
 from .ergodic import as_profile, stationary_eigenbasis
-from .linalg import dag, trace_norm
 
 __all__ = [
     "ModePoint",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 _PSD_TOL = 1e-9  # mixture_gram rejects a Gram eigenvalue below -_PSD_TOL
-_GRAM_CLIP = 1e-10  # _embedded_states rejects one below -_GRAM_CLIP and clips the rest at 0
+_PARALLEL = 1e-13  # mixture_trace_distance reads det_m <= _PARALLEL a_m b_m as 0
 
 
 @dataclass(frozen=True)
@@ -204,37 +203,25 @@ def mixture_gram(profile, points):
     return gram
 
 
-def _embedded_states(gram, groups):
-    """Rank-one component sums embedded via the Gram square root.
-
-    Columns of the Gram that are equal entry for entry are one vector, so
-    each distinct column is embedded once: equal columns give equal states.
-    """
-    gram = np.asarray(gram, dtype=complex)
-    if not np.isfinite(gram).all():
-        raise GramNotPSD("Gram has NaN or Inf entries")
-    gram = 0.5 * (gram + dag(gram))
-    first = {}  # bytes of a column -> its index among the distinct columns
-    slot = [first.setdefault(col.tobytes(), len(first)) for col in gram.T]
-    keep = [slot.index(j) for j in range(len(first))]
-    w, u = np.linalg.eigh(gram[np.ix_(keep, keep)])
-    if w.min() < -_GRAM_CLIP:
-        raise GramNotPSD(f"Gram has eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    # kill numerically-zero directions outright: their square roots would
-    # otherwise inject sqrt(eps)-size noise into the embedded vectors
-    w[w < 1e-13 * max(w.max(), 1.0)] = 0.0
-    e = u @ np.diag(np.sqrt(w)) @ dag(u)  # columns realise the Gram
-    states = []
-    for grp in groups:
-        vecs = e[:, [slot[i] for i in grp]]
-        states.append(vecs @ dag(vecs))
-    return states
-
-
 def mixture_trace_distance(profile, x, y):
-    """Exact trace distance (1/2)||rho(x) - rho(y)||_1 of two limit mixtures."""
+    """Exact trace distance (1/2)||rho(x) - rho(y)||_1 of two limit mixtures.
+
+    The sectors m are orthogonal, so rho(x) - rho(y) is a direct sum of the
+    rank-two differences |x_m><x_m| - |y_m><y_m|.  With a_m = <x_m|x_m>,
+    b_m = <y_m|y_m> and c_m = <x_m|y_m>, read from :func:`mixture_gram`,
+    the two eigenvalues of one difference sum to a_m - b_m and multiply to
+    -det_m, det_m = a_m b_m - |c_m|^2, so
+
+        (1/2)||rho(x) - rho(y)||_1 = (1/2) sum_m sqrt((a_m - b_m)^2 + 4 det_m).
+
+    det_m at or below _PARALLEL a_m b_m is the roundoff of parallel vectors
+    and is read as 0.  The Gram of a point and its copy is bit for bit that
+    of one point twice, so a_m = b_m = |c_m| up to the roundoff of |c_m|,
+    det_m falls under the floor and their distance is exactly 0.0.
+    """
     gram = mixture_gram(profile, [x, y])
-    p = profile.period
-    states = _embedded_states(gram, [range(0, p), range(p, 2 * p)])
-    return float(0.5 * trace_norm(states[0] - states[1]))
+    p = len(gram) // 2
+    a, b = gram.diagonal()[:p].real, gram.diagonal()[p:].real
+    det = a * b - np.abs(gram.diagonal(p)) ** 2
+    det[det <= _PARALLEL * a * b] = 0.0
+    return float(0.5 * np.sqrt((a - b) ** 2 + 4.0 * det).sum())

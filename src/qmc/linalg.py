@@ -25,7 +25,6 @@ __all__ = [
     "herm_pairs",
     "herm_coords",
     "herm_vec",
-    "trace_norm",
     "proj_distance",
     "bordered_solve",
     "bordered_eigvec",
@@ -111,11 +110,6 @@ def herm_vec(c):
     x[..., j, l] = s + 1j * a
     x[..., l, j] = s - 1j * a
     return x
-
-
-def trace_norm(a):
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(a), compute_uv=False)))
 
 
 def proj_distance(a, b):

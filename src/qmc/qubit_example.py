@@ -374,9 +374,7 @@ def snr_spectral_data(theta):
     constant competing branch (~0.9714), i.e. for theta below about 0.085.
     """
     theta = as_real("theta", theta)
-    if not 0.0 <= theta < np.pi / 2:
-        raise OutOfInterval(f"m3 admits theta in [0, pi/2); theta = {theta}")
-    iso = isometry("m3", theta)
+    iso = isometry("m3", theta)  # OutOfInterval outside [0, pi/2), NaN included
     # Heisenberg matrix in the Hermitian basis; Tr(rho x) = coords(rho) . coords(x)
     rt = real_transfer(iso).T
     rho_ss = 0.5 * np.eye(2)

@@ -19,7 +19,10 @@ for byte with
 which reruns every case, lists each one whose stdout, stderr or exit code
 differs from ``cases.json`` (or that is missing from it or from the case
 list), and exits 1 if there is one and 0 otherwise.  A change meant to
-leave every printed bit alone shows it this way.
+leave every printed bit alone shows it this way.  For a record whose
+floats moved, the line also gives the number of floats that moved and the
+largest absolute move, with where it is: the JSON key path, the CSV row
+(counted from 1 after the header) and column, or the key of a ``#`` line.
 
 Run as a script, it re-executes itself with ``OPENBLAS_NUM_THREADS=1``,
 because BLAS thread counts move printed floats at roundoff: a record then
@@ -239,6 +242,63 @@ def _records():
     return records
 
 
+def cell(text):
+    """A CSV or ``#`` value: an int, a float, or the string itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def floats_at(text):
+    """{place: float} of one stdout or stderr text.
+
+    A JSON document gives each float at its key path; any other text is
+    read as CSV, which gives each float of a ``#`` line at ``# key`` and
+    each float cell at ``row r column name``.
+    """
+    out = {}
+
+    def walk(node, where):
+        if isinstance(node, float):
+            out[where] = node
+        elif isinstance(node, dict):
+            for key, val in node.items():
+                walk(val, f"{where}.{key}" if where else key)
+        elif isinstance(node, list):
+            for i, val in enumerate(node):
+                walk(val, f"{where}[{i}]")
+
+    if text.lstrip().startswith(("{", "[")):
+        walk(json.loads(text), "")
+        return out
+    lines = text.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    for line in comments:
+        key, _, val = line.partition("=")
+        walk(cell(val), key)
+    rows = [line.split(",") for line in lines[len(comments):]]
+    for r, row in enumerate(rows[1:], 1):
+        for name, val in zip(rows[0], row):
+            walk(cell(val), f"row {r} column {name}")
+    return out
+
+
+def float_moves(got, want):
+    """[(|move|, place)] of every float that differs between two records'
+    stdout and stderr, largest first; a NaN on one side moves by inf."""
+    moves = []
+    for stream in ("stdout", "stderr"):
+        g, w = floats_at(got[stream]), floats_at(want[stream])
+        for place in g.keys() & w.keys():
+            if g[place] != w[place] and not (np.isnan(g[place]) and np.isnan(w[place])):
+                size = abs(g[place] - w[place])
+                moves.append((np.inf if np.isnan(size) else size, f"{stream} {place}"))
+    return sorted(moves, reverse=True)
+
+
 def check():
     """Rerun every case against ``cases.json``; 1 if any record differs, else 0."""
     want = {r["id"]: r for r in json.loads(CASES_FILE.read_text())}
@@ -247,7 +307,13 @@ def check():
     for case_id in bad:
         w, g = want.get(case_id), got.get(case_id)
         fields = [k for k in ("argv", "exit", "stdout", "stderr") if w and g and w[k] != g[k]]
-        print(f"differs: {case_id} {' '.join(fields) or 'missing on one side'}")
+        moves = float_moves(g, w) if fields else []
+        line = f"differs: {case_id} {' '.join(fields) or 'missing on one side'}"
+        if moves:
+            size, place = moves[0]
+            noun = "float" if len(moves) == 1 else "floats"
+            line += f"; {len(moves)} {noun} moved, largest by {size:.1e} at {place}"
+        print(line)
     print(f"{len(got) - len(bad)} of {len(got)} cases reproduce byte for byte", file=sys.stderr)
     return 1 if bad else 0
 

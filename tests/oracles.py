@@ -26,6 +26,10 @@ The limit-model routes after them are the per-pair formulas of
 ``qmc.gaussian`` as they were before its one mode Gram: every inner
 product of two mode points is a ``tangent_inner`` call, the perp part is
 a_id minus mode 0, and zeta and lambda are explicit sums over k and m.
+``mixture_trace_distance_embedded`` is the trace distance as it was
+before its closed form: each distinct column of ``mixture_gram`` embedded
+through the Gram's square root, and the SVD trace norm of the difference
+of the two mixtures.
 
 The statmodel routes after them are the earlier finite-n functionals:
 the deformed channel applied n times as n sequential matvecs and by
@@ -59,8 +63,9 @@ from qmc.channels import (
     real_transfer,
 )
 from qmc.ergodic import ErgodicTol, _canonical_z, stationary_eigenbasis
-from qmc.errors import DimensionMismatch, NotTangent, as_integer
+from qmc.errors import DimensionMismatch, GramNotPSD, NotTangent, as_integer
 from qmc.gauge import _as_matrix, restricted_resolvent_solve, tangent_inner
+from qmc.gaussian import mixture_gram
 from qmc.linalg import antiherm_part, dag, herm_coords, herm_part, herm_vec, unvec, vec
 from qmc.statmodel import _SQUARING_PRICE, LocalObservable, _block_moments, _unit_vector
 
@@ -382,6 +387,45 @@ def mixture_gram_pairwise(profile, points):
             for m, z in enumerate(block * zeta_pairwise(profile, x, y)):
                 gram[i * p + m, j * p + m] = z
     return gram
+
+
+_GRAM_CLIP = 1e-10  # the embedding rejects an eigenvalue below -_GRAM_CLIP, clips the rest at 0
+
+
+def _embedded_states(gram, groups):
+    """Rank-one component sums embedded via the Gram square root.
+
+    Columns of the Gram that are equal entry for entry are one vector, so
+    each distinct column is embedded once: equal columns give equal states.
+    """
+    gram = np.asarray(gram, dtype=complex)
+    if not np.isfinite(gram).all():
+        raise GramNotPSD("Gram has NaN or Inf entries")
+    gram = 0.5 * (gram + dag(gram))
+    first = {}  # bytes of a column -> its index among the distinct columns
+    slot = [first.setdefault(col.tobytes(), len(first)) for col in gram.T]
+    keep = [slot.index(j) for j in range(len(first))]
+    w, u = np.linalg.eigh(gram[np.ix_(keep, keep)])
+    if w.min() < -_GRAM_CLIP:
+        raise GramNotPSD(f"Gram has eigenvalue {w.min():.3e}")
+    w = np.clip(w, 0.0, None)
+    # kill numerically-zero directions outright: their square roots would
+    # otherwise inject sqrt(eps)-size noise into the embedded vectors
+    w[w < 1e-13 * max(w.max(), 1.0)] = 0.0
+    e = u @ np.diag(np.sqrt(w)) @ dag(u)  # columns realise the Gram
+    states = []
+    for grp in groups:
+        vecs = e[:, [slot[i] for i in grp]]
+        states.append(vecs @ dag(vecs))
+    return states
+
+
+def mixture_trace_distance_embedded(profile, x, y):
+    """(1/2)||rho(x) - rho(y)||_1 from the embedded states of mixture_gram."""
+    gram = mixture_gram(profile, [x, y])
+    p = profile.period
+    states = _embedded_states(gram, [range(0, p), range(p, 2 * p)])
+    return float(0.5 * trace_norm(states[0] - states[1]))
 
 
 def qfi_gram(iso, a, phi, nmax):

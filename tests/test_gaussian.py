@@ -12,9 +12,9 @@ from qmc.errors import (
     ProfileMismatch,
 )
 from qmc.gauge import mode_decompose, split, stabiliser_tangent_action, tangent_inner
+from qmc import gaussian
 from qmc.gaussian import (
     ModePoint,
-    _embedded_states,
     lambda_k,
     mixture_gram,
     mixture_trace_distance,
@@ -167,17 +167,40 @@ def test_gram_psd_and_deficiency():
     assert abs(np.trace(g) - np.trace(g2)) < 1e-12
 
 
-def test_embedded_states_reject_non_finite_or_negative_gram():
-    # a NaN entry used to reach eigh and raise numpy's LinAlgError
+def test_indefinite_sector_raises_gram_not_psd(monkeypatch):
+    # mixture_gram's eigvalsh is the one PSD check on the distance path:
+    # negating one sector's zeta Gram makes that block negative definite
     profile = analyze(fixture_s())
-    g = mixture_gram(profile, [_identifiable(profile, 35)])
-    for bad in (np.nan, np.inf):
-        broken = g.copy()
-        broken[0, -1] = bad
-        with pytest.raises(GramNotPSD):
-            _embedded_states(broken, [range(len(g))])
+    x, y = _identifiable(profile, 35), _identifiable(profile, 36)
+    mode_gram = gaussian._mode_gram
+
+    def indefinite(*args):
+        c, lam, z = mode_gram(*args)
+        z = z.copy()
+        z[-1] *= -1.0
+        return c, lam, z
+
+    monkeypatch.setattr(gaussian, "_mode_gram", indefinite)
     with pytest.raises(GramNotPSD):
-        _embedded_states(np.diag([1.0, -1e-6]), [[0], [1]])
+        mixture_gram(profile, [x, y])
+    with pytest.raises(GramNotPSD):
+        mixture_trace_distance(profile, x, y)
+
+
+def test_mixture_distance_makes_one_eigvalsh_and_no_other_decomposition(monkeypatch):
+    profile = analyze(fixture_s())
+    x, y = mode_point(profile, np.stack([_identifiable(profile, 35), _identifiable(profile, 36)]))
+    calls = []
+    for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    assert mixture_trace_distance(profile, x, y) > 1e-3
+    assert calls == ["eigvalsh"]
 
 
 def test_mode_point_of_another_chain_is_rejected():
@@ -242,11 +265,31 @@ def test_limit_model_matches_the_pairwise_reference(period):
 
 
 @pytest.mark.parametrize("period", [1, 2, 3])
+def test_mixture_distance_matches_the_embedded_reference(period):
+    # the closed form against the Gram embedding it replaced: random pairs,
+    # a point and its copy, and a point and each of its stabiliser images
+    rng = np.random.default_rng(70 + period)
+    profile = analyze(Isometry(oracles.cyclic_isometry(rng, 6, 2, period), 6, 2))
+    assert profile.is_irreducible and profile.period == period
+    raw = 0.5 * (rng.standard_normal((4, 12, 6)) + 1j * rng.standard_normal((4, 12, 6)))
+    points = mode_point(profile, raw)
+    for x in points:
+        for y in points:
+            want = oracles.mixture_trace_distance_embedded(profile, x, y)
+            assert abs(mixture_trace_distance(profile, x, y) - want) <= 1e-12
+        x, s = mode_point(profile, np.stack([x.a_id, 1.0 * x.a_id]))
+        assert mixture_trace_distance(profile, x, s) == 0.0
+        for k in range(1, period):
+            gx = stabiliser_tangent_action(profile, k, x.a_id)
+            assert mixture_trace_distance(profile, x, gx) <= 1e-9
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
 def test_mixture_distance_of_a_point_and_its_copy_is_exactly_zero(period):
     # the benchmark's limit-model check needs the scale-1 distance to be 0.0:
     # the split of equal members and the Gram of equal points are bit for bit
-    # equal, and equal Gram columns are embedded once, so their states are
-    # equal too; the Gram's square root alone differs at roundoff at p > 1
+    # equal, so every sector has a_m = b_m, and det_m = a_m b_m - |c_m|^2 is
+    # at most the roundoff of |c_m|^2, under the floor that reads it as 0
     d, seed = {1: (16, 64), 2: (8, 1), 3: (6, 0)}[period]
     rng = np.random.default_rng(seed)
     if period == 1:

@@ -95,16 +95,6 @@ def _compare_spectrum(got, want, where):
     assert gap.min(axis=0).max() <= tol and gap.min(axis=1).max() <= tol, f"{where}: moved"
 
 
-def _cell(text):
-    """A CSV or ``#`` value: an int, a float, or the string itself."""
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text
-
-
 def _compare_csv(got, want, where):
     got_lines, want_lines = got.splitlines(), want.splitlines()
     assert len(got_lines) == len(want_lines), f"{where}: {len(got_lines)} lines"
@@ -113,12 +103,12 @@ def _compare_csv(got, want, where):
         gkey, _, gval = g.partition("=")
         wkey, _, wval = w.partition("=")
         assert gkey == wkey, f"{where}: {g!r} != {w!r}"
-        _compare(_cell(gval), _cell(wval), f"{where} {wkey}")
+        _compare(golden.cell(gval), golden.cell(wval), f"{where} {wkey}")
     rows = want_lines[len(comments):]
     got_rows = got_lines[len(comments):]
     assert got_rows[0] == rows[0], f"{where}: header {got_rows[0]!r} != {rows[0]!r}"
-    want_cols = list(zip(*[[_cell(c) for c in r.split(",")] for r in rows[1:]]))
-    got_cols = list(zip(*[[_cell(c) for c in r.split(",")] for r in got_rows[1:]]))
+    want_cols = list(zip(*[[golden.cell(c) for c in r.split(",")] for r in rows[1:]]))
+    got_cols = list(zip(*[[golden.cell(c) for c in r.split(",")] for r in got_rows[1:]]))
     for name, g, w in zip(rows[0].split(","), got_cols, want_cols):
         _compare(list(g), list(w), f"{where} column {name}")
 
@@ -185,3 +175,30 @@ def test_check_lists_each_record_that_moved(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps(records[:1]))
     assert golden.check() == 1
     assert capsys.readouterr().out == f"differs: {records[1]['id']} missing on one side\n"
+    # a record whose floats moved names the largest move and where it is: a
+    # JSON key path, or a CSV row and column; the cases are replayed from
+    # their goldens, so the moves are the only difference
+    records = [next(r for r in _RECORDS if r["id"] == i) for i in ("limit-model-m3", "qfi-m1")]
+    monkeypatch.setattr(golden, "cases", lambda: [(r["id"], r["argv"]) for r in records])
+    replay = {tuple(r["argv"]): (r["exit"], r["stdout"], r["stderr"]) for r in records}
+    monkeypatch.setattr(golden, "run", lambda argv: replay[tuple(argv)])
+    report = json.loads(records[0]["stdout"])
+    report["scale_distances"][1]["distance"] += 2e-15
+    report["trace_distance_xy"] += 3e-13
+    lines = records[1]["stdout"].splitlines()
+    cells = lines[-1].split(",")
+    cells[1] = repr(float(cells[1]) + 0.25)
+    lines[-1] = ",".join(cells)
+    moved = [
+        dict(records[0], stdout=json.dumps(report, indent=2) + "\n"),
+        dict(records[1], stdout="\n".join(lines) + "\n"),
+    ]
+    path.write_text(json.dumps(moved))
+    assert golden.check() == 1
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert capsys.readouterr().out == (
+        "differs: limit-model-m3 stdout; 2 floats moved, largest by 3.0e-13"
+        " at stdout trace_distance_xy\n"
+        f"differs: qfi-m1 stdout; 1 float moved, largest by 2.5e-01"
+        f" at stdout row {len(rows)} column {header[1]}\n"
+    )

@@ -216,5 +216,6 @@ def test_snr_spectral_data_tracks_closed_form():
     assert not far["dominant"]
     assert far["radius"] > far["predicted"]
     assert far["z_residual"] < 1e-10
-    with pytest.raises(OutOfInterval):
-        snr_spectral_data(1.6)
+    for theta in (1.6, -0.1, float("nan")):
+        with pytest.raises(OutOfInterval):
+            snr_spectral_data(theta)
