@@ -81,6 +81,9 @@ class SpectralProfile:
     :func:`_dense_period` on a fresh transfer matrix, one dense ``eigvals``
     of it, with the rho_ss already found; a reducible chain has none, and
     its checks stop at the multiplicity.  The certified verdict stands.
+    From ``ergodic._KRAUS_MIN_D`` on, :func:`analyze` finds rho_ss and Z
+    of a certified chain in Kraus form, so such a read builds the first
+    transfer matrix of the chain.
     ``require_irreducible`` reads the verdict's reason, which every route
     sets eagerly, so it computes no spectrum.
 
@@ -262,6 +265,14 @@ _ROOT_DEVIATION = 1e-6
 # 24); 1/20 of the tolerance keeps kappa e inside the half margins for
 # kappa up to 10.
 _RITZ_RESIDUAL = 0.05
+# A Kraus-form iteration of _kraus_peripheral_data stops at the first
+# round that moves its iterate by at most this share of the iterate's norm.
+# The roundoff of a round moved it by 2e-16 to 6e-16 on random and cyclic
+# chains at d = 24 to 64, so the bar is reachable, and on a certified chain
+# a round contracts everything but the fixed point by at least
+# _CERTIFY_DECAY^(1/budget), so the iterate then lies within about
+# budget / 18 bars of it.
+_ROUND_BAR = 1e-15
 _MULTIPLE_ONE = "eigenvalue 1 has multiplicity {} within simplicity_gap"
 _DEGENERACY_TOL = 1e-9  # stationary_eigenbasis: rho_ss eigenvalues this close are one cluster
 _SPAN_RANK_TOL = 1e-10  # access_span_check: rank tolerance on unit-norm candidates
@@ -313,7 +324,7 @@ def _certify(r, iso, tol):
         or not margin < 1.0
     ):
         return 0
-    budget = min(d * d, int(np.log(0.5) / np.log1p(-margin)))
+    budget = _step_budget(d, tol)
     step, embed = _certificate_step(r, iso)
     rng = np.random.default_rng(_CERTIFY_SEED)
 
@@ -333,6 +344,14 @@ def _certify(r, iso, tol):
         if not np.linalg.norm(gram) <= _RITZ_RESIDUAL * tol.simplicity_gap * np.sqrt(d):
             return 0
     return p
+
+
+def _step_budget(d, tol):
+    """Largest number of steps m with (1 - max(band, gap))^m >= 1/2 and
+    m <= d^2: the certificate's budget, and the round cap of the Kraus-form
+    iterations of :func:`_kraus_peripheral_data`."""
+    margin = max(tol.peripheral_band, tol.simplicity_gap)
+    return min(d * d, int(np.log(0.5) / np.log1p(-margin)))
 
 
 def _certificate_step(r, iso):
@@ -544,6 +563,112 @@ def _stationary(r, d):
     return rho / np.trace(rho).real, float(s)
 
 
+def _accepts(tol, one, min_eig):
+    """Whether a stationary state lets a certified period stand: ``one``,
+    the eigenvalue of T near 1, lies within half the tolerances of 1, and
+    ``min_eig``, the state's smallest eigenvalue, is above the faithfulness
+    floor.  Half the tolerances, because the dense eigenvalue 1 differs
+    from ``one`` by roundoff, far below the floor the certificate puts on
+    them."""
+    return (
+        abs(one - 1.0) <= 0.5 * min(tol.simplicity_gap, _ROOT_DEVIATION)
+        and abs(one) >= 1.0 - 0.5 * tol.peripheral_band
+        and min_eig >= tol.faithfulness_floor
+    )
+
+
+def _kraus_fixed_point(step, x, weights, normalise, budget):
+    """(x, step(x)) for the first iterate x of
+    x -> normalise(sum_m weights[m - 1] step^m(x)), m = 1..len(weights),
+    that the next round moves by at most ``_ROUND_BAR`` of its norm; None
+    when none does within ``budget`` rounds."""
+    for _ in range(budget):
+        y = image = step(x)
+        total = weights[0] * y
+        for w in weights[1:]:
+            y = step(y)
+            total += w * y
+        new = normalise(total)
+        if np.linalg.norm(new - x) <= _ROUND_BAR * np.linalg.norm(new):
+            return x, image
+        x = new
+    return None
+
+
+def _kraus_peripheral_data(iso, tol, p):
+    """(rho_ss, T* as a function, and for p > 1 an eigen-operator of T* at
+    gamma with its relative residual) of a chain certified with period p,
+    found in Kraus form; None when the real transfer matrix must decide.
+
+    The peripheral spectrum of an irreducible channel is the p-th roots of
+    unity, each simple (Evans and Hoegh-Krohn, 1978), so the mean of p
+    consecutive steps of T removes the rim exactly, and the filter
+    (1/p) sum_m gamma^(-m) T*^m, m = 1..p, keeps exactly the eigen-operator
+    at gamma (Wolf, 2012).  rho_ss is the fixed point of the first,
+    started from 1/d and made Hermitian and of trace 1 each round; the
+    eigen-operator that of the second, started from a seeded Gaussian
+    matrix and scaled to unit norm each round.  Both step through
+    ``channels.kraus_step`` and run at most the certificate's step budget
+    of rounds.  The eigenvalue near 1 is read as Tr T(rho) / Tr rho, and it
+    and rho_ss must pass :func:`_accepts`.  None when an iteration misses
+    ``_ROUND_BAR`` within its rounds or rho_ss fails the checks.
+    """
+    d = iso.d
+    kr = np.stack(iso.kraus)
+    kd = kr.conj().transpose(0, 2, 1)
+    budget = _step_budget(d, tol)
+
+    def state(x):
+        x = herm_part(x)
+        return x / np.trace(x).real
+
+    start = np.eye(d, dtype=complex) / d
+    found = _kraus_fixed_point(kraus_step(kr, kd), start, np.ones(p), state, budget)
+    if found is None:
+        return None
+    rho, image = found
+    if not _accepts(tol, np.trace(image).real / np.trace(rho).real, _min_eigenvalue(rho)):
+        return None
+    heisenberg = kraus_step(kd, kr)
+    if p == 1:
+        return rho, heisenberg, None
+    gamma = np.exp(2j * np.pi / p)
+    rng = np.random.default_rng(_CERTIFY_SEED)
+    start = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    found = _kraus_fixed_point(
+        heisenberg,
+        start / np.linalg.norm(start),
+        gamma ** -np.arange(1.0, p + 1),
+        lambda x: x / np.linalg.norm(x),
+        budget,
+    )
+    if found is None:
+        return None
+    u, image = found
+    return rho, heisenberg, (u, float(np.linalg.norm(image - gamma * u) / np.linalg.norm(u)))
+
+
+def _heisenberg(r):
+    """T* on a d x d matrix, through the real transfer matrix R."""
+
+    def apply(x):
+        # real and imaginary parts apart: R @ complex would copy R to complex
+        c = herm_coords(x)
+        return herm_vec(r.T @ c.real + 1j * (r.T @ c.imag))
+
+    return apply
+
+
+def _bordered_peripheral(r, p):
+    """An eigen-operator of T* at gamma and its relative residual, from one
+    complex bordered solve with R; the residual is inf when it is singular."""
+    try:
+        u, res = bordered_eigvec(r, np.exp(2j * np.pi / p), adjoint=True)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    return herm_vec(u), res
+
+
 def as_profile(value):
     """The profile reader: ``value`` when it is a SpectralProfile, else DimensionMismatch."""
     if not isinstance(value, SpectralProfile):
@@ -559,21 +684,32 @@ def _min_eigenvalue(rho):
 def analyze(iso, tol=None):
     """Classify the chain and extract its peripheral spectral data.
 
-    One real transfer matrix R (``channels.real_transfer``) is built per
-    call: T_s in the Hermitian operator basis, with the Heisenberg matrix
-    R^T.  The period p comes from :func:`_certify`, or, when the
-    certificate declines, from the dense checks of :func:`_dense_period`.
-    A call makes at most one bordered solve for rho_ss and one
-    faithfulness check of it: first, when the certificate gave p, which
-    stands if the solve puts the eigenvalue of R near 1 within half the
-    tolerances of 1 and rho_ss is faithful (the spectrum is then computed
-    when read); otherwise the dense checks reuse that solve, or make it
-    once eigenvalue 1 is simple, so a reducible chain makes none.  When the
+    The period p comes from :func:`_certify`, or, when the certificate
+    declines, from the dense checks of :func:`_dense_period` on the real
+    transfer matrix R (``channels.real_transfer``): T_s in the Hermitian
+    operator basis, with the Heisenberg matrix R^T.  A call reads R only
+    below ``_KRAUS_MIN_D`` or when the certificate, or an iteration,
+    declines.  From ``_KRAUS_MIN_D`` on, a certified p takes rho_ss, and
+    the eigen-operator that Z is polished from, from
+    :func:`_kraus_peripheral_data`, and the cyclic-labeling and Z checks
+    apply T* in Kraus form, so no R is built, no bordered system solved
+    and no spectrum computed.  When an iteration there misses its bar or
+    rho_ss fails the checks, R is built once and the route on R runs as
+    it does below ``_KRAUS_MIN_D``.
+
+    On R a call builds R once and makes at most one bordered solve for
+    rho_ss and one faithfulness check of it: first, when the certificate
+    gave p, which stands if the solve puts the eigenvalue of R near 1
+    within half the tolerances of 1 and rho_ss is faithful (the spectrum
+    is then computed when read); otherwise the dense checks reuse that
+    solve, or make it once eigenvalue 1 is simple, so a reducible chain
+    makes none.  Z then comes from one complex bordered solve.  When the
     certificate gives an eigenvalue 1 of multiplicity m, the profile is
-    reducible with the dense route's reason at once, and neither a solve
-    nor the spectrum is computed until ``eigenvalues`` or ``diagnostics``
-    is read.  No eigenvector matrix is ever formed; both routes give the
-    same profile.
+    reducible with the dense route's reason at once, and neither R, a
+    solve nor the spectrum is computed until ``eigenvalues`` or
+    ``diagnostics`` is read.  No eigenvector matrix is ever formed.  The
+    certified route on R gives the dense route's profile bit for bit; the
+    Kraus-form data agree with it to roundoff, about 1e-14.
     """
     iso = as_isometry("iso", iso)
     if tol is None:
@@ -581,7 +717,8 @@ def analyze(iso, tol=None):
     elif not isinstance(tol, ErgodicTol):
         raise DimensionMismatch(f"tol must be an ErgodicTol, got a {type(tol).__name__}")
     d = iso.d
-    r = real_transfer(iso)
+    kraus = d >= _KRAUS_MIN_D
+    r = None if kraus else real_transfer(iso)
     profile = SpectralProfile(iso=iso, d=d, k=iso.k, is_irreducible=False, tol=tol)
 
     @functools.cache
@@ -598,19 +735,21 @@ def analyze(iso, tol=None):
     if p < 0:
         profile._diagnostics["reason"] = _MULTIPLE_ONE.format(-p)
         return profile
+    found = _kraus_peripheral_data(iso, tol, p) if kraus and p else None
+    if found is not None:
+        profile.rho_ss = found[0]
+        _finish_irreducible(profile, p, *found[1:])
+        return profile
+    if kraus:
+        r = real_transfer(iso)
     solved = solve() if p else None
-    # half the tolerances: the dense eigenvalue 1 differs from solved[2]
-    # by roundoff, far below the floor the certificate puts on them
-    if solved is not None and (
-        abs(solved[2] - 1.0) <= 0.5 * min(tol.simplicity_gap, _ROOT_DEVIATION)
-        and abs(solved[2]) >= 1.0 - 0.5 * tol.peripheral_band
-        and solved[1] >= tol.faithfulness_floor
-    ):
+    if solved is not None and _accepts(tol, solved[2], solved[1]):
         profile.rho_ss = solved[0]
     else:
         p = _dense_period(profile, r, solve)
     if p:
-        _finish_irreducible(profile, r, p)
+        peripheral = _bordered_peripheral(r, p) if p > 1 else None
+        _finish_irreducible(profile, p, _heisenberg(r), peripheral)
     return profile
 
 
@@ -673,8 +812,12 @@ def _dense_period(profile, r, solve):
     return p
 
 
-def _finish_irreducible(profile, r, p):
-    """Peripheral data of an irreducible chain of period p; sets the verdict."""
+def _finish_irreducible(profile, p, heisenberg, peripheral):
+    """Peripheral data of an irreducible chain of period p; sets the verdict.
+
+    ``heisenberg`` applies T* to a d x d matrix, and ``peripheral`` is, for
+    p > 1, an eigen-operator of T* at gamma and its relative residual.
+    """
     d, rho = profile.d, profile.rho_ss
     gamma = np.exp(2j * np.pi / p)
     profile.period = p
@@ -685,25 +828,17 @@ def _finish_irreducible(profile, r, p):
         z = np.eye(d, dtype=complex)
         projections = [np.eye(d, dtype=complex)]
     else:
-        try:
-            u, res = bordered_eigvec(r, gamma, adjoint=True)
-        except np.linalg.LinAlgError:
-            res = np.inf
+        u, res = peripheral
         if not res <= 1e-6:
             raise PeripheralMismatch(
                 "Heisenberg transfer operator has no eigen-operator at the expected "
                 f"peripheral eigenvalue (relative residual {res:.3e})"
             )
-        z, projections = _canonical_z(herm_vec(u), p)
+        z, projections = _canonical_z(u, p)
 
-    # verify the cyclic labeling: T(P_a) = P_{a-1 mod p}, with T = R^T
-    def th_apply(x):
-        # real and imaginary parts apart: R @ complex would copy R to complex
-        c = herm_coords(x)
-        return herm_vec(r.T @ c.real + 1j * (r.T @ c.imag))
-
+    # verify the cyclic labeling: T*(P_a) = P_{a-1 mod p}
     label_res = float(
-        np.max([np.linalg.norm(th_apply(projections[a]) - projections[a - 1]) for a in range(p)])
+        np.max([np.linalg.norm(heisenberg(projections[a]) - projections[a - 1]) for a in range(p)])
     )
     if not (label_res <= 1e-7):
         raise LabelingFailure(
@@ -711,7 +846,7 @@ def _finish_irreducible(profile, r, p):
         )
     profile.residuals["cyclic_labeling"] = label_res
     profile.residuals["z_eigenrelation"] = float(
-        np.linalg.norm(th_apply(z) - gamma * z)
+        np.linalg.norm(heisenberg(z) - gamma * z)
     ) if p > 1 else 0.0
 
     weights = [float(np.trace(pj @ rho @ pj).real) for pj in projections]

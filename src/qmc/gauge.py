@@ -36,6 +36,7 @@ the image of dmu, with theta real, kgen Hermitian and Tr(rho_ss kgen) = 0,
 the recovered pair is exactly the one that produced them.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,13 +361,21 @@ _PROBES = 10
 _PROBE_SEED = 20251019
 
 
+@functools.cache
+def _raw_probes(n):
+    """``_PROBES`` seeded standard Gaussian columns of length n, drawn once
+    per n and read-only."""
+    omega = np.random.default_rng(_PROBE_SEED).standard_normal((n, _PROBES))
+    omega.flags.writeable = False
+    return omega
+
+
 def _probes(r):
-    """``_PROBES`` seeded standard Gaussian columns projected onto u-perp,
+    """The columns of :func:`_raw_probes` projected onto u-perp,
     u = r / ||r||: the subspace {x : Tr(rho_ss x) = 0} in coordinates."""
     u = r / np.linalg.norm(r)
-    omega = np.random.default_rng(_PROBE_SEED).standard_normal((r.size, _PROBES))
-    omega -= np.multiply.outer(u, u @ omega)
-    return omega
+    omega = _raw_probes(r.size)
+    return omega - np.multiply.outer(u, u @ omega)
 
 
 def _cond_bound(iso, y):

@@ -47,7 +47,10 @@ INPUTS = HERE / "inputs"
 CASES_FILE = HERE / "cases.json"
 IN = "{inputs}"  # argv placeholder for the inputs directory
 
-CHAINS = ["m1", "m2", "m3", "S", "d4", "d12", "d24", "d12p3", "d16p2", "red8", "red16", "nonfaithful"]
+CHAINS = [
+    "m1", "m2", "m3", "S", "d4", "d12", "d24", "d12p3", "d16p2", "red8", "red16", "nonfaithful",
+    "d24p3",
+]
 
 
 def _random_isometry(rng, rows, cols):
@@ -123,6 +126,7 @@ def _inputs():
     out["q3.json"] = io.matrix_to_json(np.eye(3))
     # drawn last, so that every earlier input keeps its draws
     out["red16.json"] = io.isometry_to_json(Isometry(_reducible(rng, 16, 2), 16, 2))
+    out["d24p3.json"] = io.isometry_to_json(Isometry(_cyclic(rng, 24, 2, 3), 24, 2))
     return out
 
 
@@ -147,6 +151,7 @@ def cases():
         ("equiv-m1-m2", ["equiv", _f("m1"), _f("m2")]),
         ("equiv-d24-d24", ["equiv", _f("d24"), _f("d24")]),
         ("equiv-d12p3-self", ["equiv", _f("d12p3"), _f("d12p3")]),
+        ("equiv-d24p3-self", ["equiv", _f("d24p3"), _f("d24p3")]),
         ("equiv-red8", ["equiv", _f("red8"), _f("red8")]),
         ("equiv-red16", ["equiv", _f("red16"), _f("red16")]),
         ("equiv-usage-missing", ["equiv", _f("d4")]),

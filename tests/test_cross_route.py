@@ -33,9 +33,14 @@ a periodic or reducible one by block subspace iteration with Rayleigh-Ritz
 and a deflated decay, and then computes the spectrum only when it is read.
 The certified route must give the dense route's profile bit for bit:
 verdict, period, rho_ss, Z, residuals, diagnostics (values and key order)
-and report bytes; where it cannot, it must decline.  Periodic chains pulled
-off the circle by eps^2, and blocks joined by a leak, test both routes
-where peripheral_band and simplicity_gap put the boundary.
+and report bytes; where it cannot, it must decline.  From
+``ergodic._KRAUS_MIN_D`` on (lowered to 1 for the Kraus families) it finds
+rho_ss and Z by Kraus-form iterations and builds no R: then rho_ss, Z, the
+projections, the residuals and the smallest eigenvalue of rho_ss must
+agree to 1e-10, everything else bit for bit, and with the iterations' bar
+out of reach the route must be the one on R, bit for bit.  Periodic
+chains pulled off the circle by eps^2, and blocks joined by a leak, test
+both routes where peripheral_band and simplicity_gap put the boundary.
 
 ``DeformedChannel.iterate`` powers the deformed channel by squarings, and
 past the mixing point of a primitive pair by its dominant eigenvalue.
@@ -786,29 +791,42 @@ def _analysis(iso, tol):
 
 
 def _both_routes(iso, tol=None, kraus_min_d=None):
-    """(certified-route result, dense-route result, the certified period or 0).
+    """(certified-route result, dense-route result, the certified period or
+    0, the certified route's result with no Kraus-form iteration reaching
+    its bar, or None when that route took no Kraus-form data).
 
     The size rule is lifted, so the certificate is tried at every d; the
     dense result comes from a certificate patched to decline.  A
     ``kraus_min_d`` replaces the d from which the certificate steps in
-    Kraus form.
+    Kraus form and ``analyze`` finds rho_ss and Z in Kraus form.
     """
-    answers = []
-    certify = ergodic._certify
+    answers, found = [], []
+    certify, kraus_data = ergodic._certify, ergodic._kraus_peripheral_data
 
     def spy(r, chain, tol):
         answers.append(certify(r, chain, tol))
         return answers[-1]
 
+    def data_spy(*args):
+        found.append(kraus_data(*args))
+        return found[-1]
+
+    capped = None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
         if kraus_min_d is not None:
             mp.setattr(ergodic, "_KRAUS_MIN_D", kraus_min_d)
         mp.setattr(ergodic, "_certify", spy)
+        mp.setattr(ergodic, "_kraus_peripheral_data", data_spy)
         fast = _analysis(iso, tol)
+        if any(data is not None for data in found):
+            # no round moves by less than nothing, so both iterations run to
+            # their cap and R decides
+            mp.setattr(ergodic, "_ROUND_BAR", -1.0)
+            capped = _analysis(iso, tol)
         mp.setattr(ergodic, "_certify", lambda r, chain, tol: 0)
         dense = _analysis(iso, tol)
-    return fast, dense, answers[0]
+    return fast, dense, answers[0], capped
 
 
 def _assert_same_analysis(fast, dense):
@@ -817,6 +835,14 @@ def _assert_same_analysis(fast, dense):
         return
     # diagnostics first: on the certified route this read computes them
     assert json.dumps(fast.diagnostics) == json.dumps(dense.diagnostics)
+    _assert_same_data(fast, dense)
+    assert np.array_equal(fast.eigenvalues, dense.eigenvalues)
+    assert json.dumps(io.profile_report(fast)) == json.dumps(io.profile_report(dense))
+
+
+def _assert_same_data(fast, dense):
+    """The verdict, rho_ss, Z, the residuals and the block sizes are equal
+    bit for bit."""
     assert fast.is_irreducible == dense.is_irreducible
     assert fast.period == dense.period
     for name in ("rho_ss", "zmat"):
@@ -824,23 +850,52 @@ def _assert_same_analysis(fast, dense):
         assert (got is None and ref is None) or np.array_equal(got, ref), name
     assert fast.residuals == dense.residuals
     assert fast.block_dims == dense.block_dims
+
+
+def _assert_close_data(fast, ref, rho):
+    """rho_ss, Z, the projections and the residuals of two irreducible
+    profiles agree to TOL, with ``rho`` standing for the rho_ss of ``ref``;
+    the period and the block sizes agree exactly."""
+    assert fast.is_irreducible and ref.is_irreducible
+    assert fast.period == ref.period and fast.block_dims == ref.block_dims
+    assert _rel(fast.rho_ss, rho) <= TOL
+    assert _rel(fast.zmat, ref.zmat) <= TOL
+    assert len(fast.projections) == len(ref.projections)
+    for got, want in zip(fast.projections, ref.projections):
+        assert _rel(got, want) <= TOL
+    assert list(fast.residuals) == list(ref.residuals)
+    for name, value in ref.residuals.items():
+        assert abs(fast.residuals[name] - value) <= TOL, name
+
+
+def _assert_close_analysis(fast, dense, rho=None):
+    """A profile whose rho_ss and Z came from the Kraus-form iterations
+    against the dense route's: the data to TOL, the smallest eigenvalue of
+    rho_ss within TOL ||rho_ss|| (by Weyl's bound, what the state's
+    agreement allows), and the spectrum and the other diagnostics bit for
+    bit.  A ``rho`` stands for the dense route's rho_ss."""
+    rho = dense.rho_ss if rho is None else rho
+    _assert_close_data(fast, dense, rho)
     assert np.array_equal(fast.eigenvalues, dense.eigenvalues)
-    assert json.dumps(io.profile_report(fast)) == json.dumps(io.profile_report(dense))
+    got, want = dict(fast.diagnostics), dict(dense.diagnostics)
+    assert list(got) == list(want)
+    key = "stationary_min_eigenvalue"
+    want.pop(key)
+    assert abs(got.pop(key) - np.linalg.eigvalsh(rho)[0]) <= TOL * np.linalg.norm(rho)
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(d=DIMS, k=UNITS, seed=SEEDS)
 def test_certified_route_matches_dense_route_on_random_chains(d, k, seed):
-    fast, dense, _ = _both_routes(_random_chain(seed, d, k))
-    _assert_same_analysis(fast, dense)
+    _check_route_case("random", _random_chain(seed, d, k), None, None, None)
 
 
 @settings(max_examples=40, deadline=None)
 @given(d=DIMS, k=UNITS, seed=SEEDS)
 def test_kraus_certified_route_matches_dense_route_on_random_chains(d, k, seed):
-    # the certificate steps in Kraus form at every d
-    fast, dense, _ = _both_routes(_random_chain(seed, d, k), kraus_min_d=1)
-    _assert_same_analysis(fast, dense)
+    # the certificate, rho_ss and Z in Kraus form at every d
+    _check_route_case("random", _random_chain(seed, d, k), None, None, 1)
 
 
 def _coupled_blocks(eps, seed=2031):
@@ -966,15 +1021,26 @@ def test_certified_route_matches_dense_route(label, iso, tol, certified):
     "label,iso,tol,certified", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES]
 )
 def test_kraus_certified_route_matches_dense_route(label, iso, tol, certified):
-    # the same cases with the certificate stepping in Kraus form at every d
+    # the same cases with the certificate stepping in Kraus form, and
+    # rho_ss and Z found in Kraus form, at every d
     _check_route_case(label, iso, tol, certified, 1)
 
 
 def _check_route_case(label, iso, tol, certified, kraus_min_d):
-    fast, dense, answer = _both_routes(iso, tol, kraus_min_d)
+    fast, dense, answer, capped = _both_routes(iso, tol, kraus_min_d)
     if certified is not None:
         assert answer == certified
-    _assert_same_analysis(fast, dense)
+    if capped is None:
+        _assert_same_analysis(fast, dense)
+    else:
+        # rho_ss and Z came from the Kraus-form iterations; with their bar
+        # out of reach the route is the transfer matrix's, bit for bit.  An
+        # isometry defect e puts the bordered solve's rho_ss off the
+        # eigenvector of T by O(e), 3e-9 here, and the iteration's on it,
+        # so there the eigenvector oracle stands for the dense rho_ss
+        rho = oracles.stationary_state_eig(iso) if label.startswith("defect") else None
+        _assert_close_analysis(fast, dense, rho)
+        _assert_same_analysis(capped, dense)
     if answer < 0:
         # a count of copies of 1 stands only with no eigenvalue between half
         # a gap and a few gaps from 1, where the dense count is a near call
@@ -1040,6 +1106,11 @@ def test_spectrum_is_computed_only_when_read(monkeypatch):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ergodic, "_certify", lambda r, chain, tol: 0)
             dense = analyze(iso)
+        if iso.d >= ergodic._KRAUS_MIN_D:
+            # rho_ss came from the Kraus-form iteration, and the one
+            # diagnostic that reads it agrees to TOL
+            _assert_close_analysis(profile, dense)
+            continue
         assert json.dumps(profile.diagnostics) == json.dumps(dense.diagnostics)
         assert np.array_equal(profile.eigenvalues, dense.eigenvalues)
 
@@ -1137,13 +1208,15 @@ def test_kraus_certificate_projects_the_trace_out(monkeypatch):
 
 
 def test_kraus_certificate_reads_no_transfer_matrix(monkeypatch):
-    # from _KRAUS_MIN_D on no certificate stage multiplies by R: handed a
-    # NaN-filled R, which the dense step would turn into a decline, the
-    # certificate still finds every period, the deflated stage included
+    # from _KRAUS_MIN_D on analyze hands the certificate no R, and no
+    # certificate stage multiplies by one: handed a NaN-filled R, which the
+    # dense step would turn into a decline, the certificate still finds
+    # every period, the deflated stage included
     certify, answers = ergodic._certify, []
 
     def blind(r, chain, tol):
-        answers.append(certify(np.full_like(r, np.nan), chain, tol))
+        assert r is None
+        answers.append(certify(np.full((chain.d**2, chain.d**2), np.nan), chain, tol))
         return answers[-1]
 
     monkeypatch.setattr(ergodic, "_certify", blind)
@@ -1159,6 +1232,78 @@ def test_kraus_certificate_reads_no_transfer_matrix(monkeypatch):
         profile = analyze(iso)
         assert answers[-1] == period
         assert profile.is_irreducible and profile.period == period
+
+
+def _kraus_route_chains():
+    rng = np.random.default_rng(2150)
+    yield "random-d24", _random_chain(2151, 24, 2)
+    yield "random-d32", _random_chain(2152, 32, 2)
+    yield "cyclic-d24p3", Isometry(oracles.cyclic_isometry(rng, 24, 2, 3), 24, 2)
+
+
+KRAUS_ROUTE_CHAINS = list(_kraus_route_chains())
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("refused")
+
+
+@pytest.mark.parametrize("label,iso", KRAUS_ROUTE_CHAINS, ids=[c[0] for c in KRAUS_ROUTE_CHAINS])
+def test_certified_analyze_builds_no_transfer_matrix(label, iso):
+    # from _KRAUS_MIN_D on, a chain whose period the certificate decides
+    # gets rho_ss, Z and their checks in Kraus form: no R is built, no
+    # bordered system solved and no spectrum computed
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in (
+            (channels, "kraus_real_matrix"),
+            (ergodic, "real_transfer"),
+            (np.linalg, "solve"),
+            (np.linalg, "eigvals"),
+        ):
+            mp.setattr(module, name, _refuse)
+        profile = analyze(iso)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_ROUND_BAR", -1.0)
+        ref = analyze(iso)
+    _assert_close_data(profile, ref, ref.rho_ss)
+
+
+@pytest.mark.parametrize(
+    "label,miss",
+    [("random-d24", 1), ("cyclic-d24p3", 1), ("cyclic-d24p3", 2)],
+    ids=["random-d24-rho", "cyclic-d24p3-rho", "cyclic-d24p3-z"],
+)
+def test_missed_round_bar_falls_back_to_the_transfer_matrix_bit_for_bit(label, miss):
+    # when the rho_ss iteration (the first) or the Z filter (the second)
+    # misses its bar within the step budget, analyze builds R once and
+    # gives the profile of the route that a _KRAUS_MIN_D above d takes,
+    # bit for bit
+    iso = dict(KRAUS_ROUTE_CHAINS)[label]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_KRAUS_MIN_D", iso.d + 1)
+        ref = analyze(iso)
+    fixed_point, calls, builds = ergodic._kraus_fixed_point, [], []
+    build = ergodic.real_transfer
+
+    def capped(*args):
+        calls.append(args)
+        with pytest.MonkeyPatch.context() as mp:
+            if len(calls) == miss:
+                # no round moves by less than nothing
+                mp.setattr(ergodic, "_ROUND_BAR", -1.0)
+            return fixed_point(*args)
+
+    def counted(chain):
+        builds.append(chain.d)
+        return build(chain)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_kraus_fixed_point", capped)
+        mp.setattr(ergodic, "real_transfer", counted)
+        got = analyze(iso)
+    assert len(calls) == miss and builds == [iso.d]
+    _assert_same_data(got, ref)
+    assert got._diagnostics == ref._diagnostics
 
 
 def _hidden_eigenvalue_operator(d, block, hidden):
@@ -1256,6 +1401,20 @@ def _tangent(iso, seed):
     return rng.standard_normal(iso.v.shape) + 1j * rng.standard_normal(iso.v.shape)
 
 
+def test_probes_are_drawn_once_per_size_and_keep_every_bit():
+    # the raw block is drawn once per size and is read-only, and its
+    # projection is the one of a fresh draw, bit for bit
+    r = np.random.default_rng(2160).standard_normal(64)
+    first = gauge._probes(r)
+    raw = gauge._raw_probes(64)
+    assert raw is gauge._raw_probes(64) and not raw.flags.writeable
+    fresh = np.random.default_rng(gauge._PROBE_SEED).standard_normal((64, gauge._PROBES))
+    assert np.array_equal(raw, fresh)
+    u = r / np.linalg.norm(r)
+    fresh -= np.multiply.outer(u, u @ fresh)
+    assert np.array_equal(first, fresh) and np.array_equal(gauge._probes(r), fresh)
+
+
 @pytest.mark.parametrize("label,iso", BOUND_CHAINS, ids=[c[0] for c in BOUND_CHAINS])
 def test_probe_bound_is_at_least_the_exact_condition_number(label, iso, monkeypatch):
     # the coupled blocks reach cond 24000; the bound must hold there too
@@ -1347,12 +1506,14 @@ def _kraus_verdict(found, tol):
     return "inequivalent" if abs(found[0]) < 1.0 - tol else "equivalent"
 
 
-def _both_witness_routes(iso1, iso2, tol):
+def _both_witness_routes(iso1, iso2, tol, kraus_min_d=None):
     """(Kraus-route witness, dense-route witness, the Kraus stage's verdict).
 
     The size rule is lifted, so the Kraus stage runs at every d, and the
     witness tolerance ``gauge._WITNESS_TOL`` is set to ``tol``; the dense
-    witness comes from a Kraus stage patched to be undecided.
+    witness comes from a Kraus stage patched to be undecided.  A
+    ``kraus_min_d`` replaces the d from which ``analyze`` works in Kraus
+    form, on both routes.
     """
     answers = []
     kraus = gauge._kraus_peripheral
@@ -1364,6 +1525,8 @@ def _both_witness_routes(iso1, iso2, tol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ergodic, "_CERTIFY_MIN_D", 1)
         mp.setattr(gauge, "_WITNESS_TOL", tol)
+        if kraus_min_d is not None:
+            mp.setattr(ergodic, "_KRAUS_MIN_D", kraus_min_d)
         mp.setattr(gauge, "_kraus_peripheral", spy)
         fast = _witness(iso1, iso2)
         mp.setattr(gauge, "_kraus_peripheral", lambda *args: None)
@@ -1414,7 +1577,21 @@ WITNESS_CASES = list(_witness_cases())
     "label,iso1,iso2,tol,equivalent,verdict", WITNESS_CASES, ids=[c[0] for c in WITNESS_CASES]
 )
 def test_kraus_witness_matches_dense_witness(label, iso1, iso2, tol, equivalent, verdict):
-    fast, dense, answer = _both_witness_routes(iso1, iso2, tol)
+    _check_witness_case(iso1, iso2, tol, equivalent, verdict, None)
+
+
+@pytest.mark.parametrize(
+    "label,iso1,iso2,tol,equivalent,verdict", WITNESS_CASES, ids=[c[0] for c in WITNESS_CASES]
+)
+def test_kraus_witness_matches_dense_witness_on_kraus_analysis(
+    label, iso1, iso2, tol, equivalent, verdict
+):
+    # the same cases with analyze finding rho_ss and Z in Kraus form at every d
+    _check_witness_case(iso1, iso2, tol, equivalent, verdict, 1)
+
+
+def _check_witness_case(iso1, iso2, tol, equivalent, verdict, kraus_min_d):
+    fast, dense, answer = _both_witness_routes(iso1, iso2, tol, kraus_min_d)
     if verdict is not None:
         assert answer == verdict
     if answer == "undecided":
