@@ -90,9 +90,14 @@ class SpectralProfile:
     ``resolvent_cond``, the 2-norm condition number of the restricted
     resolvent behind ``gauge.restricted_resolvent_solve``, is computed on
     first read too, by :func:`_restricted_cond` from a fresh transfer
-    matrix, and kept.  The solve itself checks a cheap probabilistic bound
+    matrix, and kept.  Every solve checks a cheap probabilistic bound
     against the cap and reads this value only when the bound exceeds the
-    cap or is not finite, or the system is singular.  An irreducible
+    cap or is not finite, or the system is singular.  Below
+    ``_KRAUS_MIN_D`` the bordered solve finds the bound anew on every call,
+    from probes that ride in its block.  From it on the Kraus-form series
+    finds it on its first call on the profile and keeps it here, a scalar
+    like ``resolvent_cond``: the probes are seeded and the operator is
+    fixed, so later calls only compare it with the cap.  An irreducible
     profile is required.
     """
 
@@ -112,6 +117,9 @@ class SpectralProfile:
     # 2-norm condition number of the restricted resolvent; None until first
     # read, a scalar (no d^2 x d^2 cache)
     _resolvent_cond: float = field(default=None, repr=False, compare=False)
+    # the probe bound on that condition number, found on the first Kraus-form
+    # solve (gauge._kraus_solve); None until then, a scalar too
+    _resolvent_bound: float = field(default=None, repr=False, compare=False)
     # sorted spectrum; None until first read on the certified route
     _eigenvalues: np.ndarray = field(default=None, repr=False, compare=False)
     _diagnostics: dict = field(default_factory=dict, repr=False, compare=False)

@@ -14,7 +14,7 @@ Conventions
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, as_complex_array
 
 __all__ = [
     "dag",
@@ -53,8 +53,9 @@ def antiherm_part(a):
 
 
 def vec(x):
-    """Column-stacking vectorisation."""
-    return np.asarray(x).reshape(-1, order="F")
+    """Column-stacking vectorisation, as a complex vector; DimensionMismatch
+    when ``x`` is not an array of numbers."""
+    return as_complex_array("matrix", x).reshape(-1, order="F")
 
 
 def unvec(v, shape):
@@ -81,8 +82,12 @@ def herm_coords(x):
 
     ``x`` may carry leading batch axes: (..., d, d) maps to (..., d^2).
     Complex in general; real (zero imaginary part) when x is Hermitian.
+    DimensionMismatch unless ``x`` is an array of numbers whose last two
+    axes are equal.
     """
-    x = np.asarray(x)
+    x = as_complex_array("matrices", x)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise DimensionMismatch(f"matrices of shape {x.shape} are not square")
     j, l = herm_pairs(x.shape[-1])
     up, lo = x[..., j, l], x[..., l, j]
     return np.concatenate(
@@ -95,8 +100,12 @@ def herm_vec(c):
     """The d x d matrices sum_b c_b B_b; inverse of :func:`herm_coords`.
 
     ``c`` may carry leading batch axes: (..., d^2) maps to (..., d, d).
+    DimensionMismatch unless ``c`` is an array of numbers with at least one
+    axis, whose last length is a square.
     """
-    c = np.asarray(c)
+    c = as_complex_array("coordinates", c)
+    if c.ndim < 1:
+        raise DimensionMismatch("coordinates must have at least one axis")
     n = c.shape[-1]
     d = int(round(np.sqrt(n)))
     if d * d != n:
@@ -156,8 +165,11 @@ def bordered_solve(m, shift, col, row, rhs, tail=0.0, adjoint=False):
     values, and x comes back as (n, m) and s as m values.  The system
     takes its dtype from ``m``, ``shift``, the border and ``rhs``, so a real
     system is factorised in real arithmetic unless a right-hand side is
-    complex.
+    complex.  DimensionMismatch unless ``m`` is a square matrix.
     """
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"bordered system matrix of shape {m.shape} is not square")
     n = m.shape[0]
     big = np.empty((n + 1, n + 1), dtype=np.result_type(m, shift, col, row))
     if adjoint:

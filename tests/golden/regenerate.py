@@ -127,6 +127,8 @@ def _inputs():
     # drawn last, so that every earlier input keeps its draws
     out["red16.json"] = io.isometry_to_json(Isometry(_reducible(rng, 16, 2), 16, 2))
     out["d24p3.json"] = io.isometry_to_json(Isometry(_cyclic(rng, 24, 2, 3), 24, 2))
+    a = rng.standard_normal(chains["d24"].v.shape) + 1j * rng.standard_normal(chains["d24"].v.shape)
+    out["d24_tangent.json"] = io.matrix_to_json(a)
     return out
 
 
@@ -159,6 +161,7 @@ def cases():
         ("tangent-m2", ["tangent", _f("m2"), _f("m2_tangent")]),
         ("tangent-d4", ["tangent", _f("d4"), _f("d4_tangent")]),
         ("tangent-d12p3", ["tangent", _f("d12p3"), _f("d12p3_tangent")]),
+        ("tangent-d24", ["tangent", _f("d24"), _f("d24_tangent")]),
         ("tangent-red8", ["tangent", _f("red8"), _f("d4_tangent")]),
         ("tangent-shape", ["tangent", _f("d12"), _f("d4_tangent")]),
         ("tangent-usage-missing", ["tangent", _f("d4")]),
@@ -177,6 +180,7 @@ def cases():
         ("variance-d4", ["variance", _f("d4"), _f("q2"), "--n-list", "1,5,50"]),
         ("variance-d12p3-block2", ["variance", _f("d12p3"), _f("q4"), "--n-list", "2,6,30"]),
         ("variance-d16p2", ["variance", _f("d16p2"), _f("q2"), "--n-list", "4,40"]),
+        ("variance-d24p3", ["variance", _f("d24p3"), _f("q2"), "--n-list", "4,40"]),
         ("variance-red8", ["variance", _f("red8"), _f("q2")]),
         ("variance-red16", ["variance", _f("red16"), _f("q2")]),
         ("variance-q3", ["variance", _f("d4"), _f("q3")]),

@@ -15,7 +15,11 @@ values-only SVD of the compressed resolvent, which the dense SVD oracle
 pins up to condition number 24000.  It is computed only when read: each
 solve checks the cap with a bound from Gaussian probe columns, which must
 never read below the exact value, and falls back to the exact value above
-the cap.
+the cap.  From ``ergodic._KRAUS_MIN_D`` on (lowered to 1 for the random,
+cyclic and near-boundary families) the resolvent is a Neumann series in
+Kraus form that builds no R: a call whose series stands must agree with
+the bordered solve to 1e-10, its probe bound included, and one whose
+series misses its bar must be the bordered solve, bit for bit.
 
 The trajectory sampler steps a batch of states, held as real Hermitian-
 basis coordinates, through one stacked real operator instead of three
@@ -891,11 +895,26 @@ def test_certified_route_matches_dense_route_on_random_chains(d, k, seed):
     _check_route_case("random", _random_chain(seed, d, k), None, None, None)
 
 
-@settings(max_examples=40, deadline=None)
-@given(d=DIMS, k=UNITS, seed=SEEDS)
-def test_kraus_certified_route_matches_dense_route_on_random_chains(d, k, seed):
-    # the certificate, rho_ss and Z in Kraus form at every d
-    _check_route_case("random", _random_chain(seed, d, k), None, None, 1)
+# From d = 12 on the round cap, d^2 rounds, leaves room for the 60 to 100
+# rounds that a random chain's iterations take; below it most draws fall
+# back to R.  A chain with k = 1 is a unitary channel, which is reducible.
+KRAUS_DIMS = st.integers(min_value=12, max_value=16)
+
+
+def test_kraus_certified_route_matches_dense_route_on_random_chains():
+    # the certificate, rho_ss and Z in Kraus form at every d; at least 90%
+    # of the draws with k >= 2 (59 of 60 seeded ones) must take the
+    # Kraus-form data, so the family cannot fall back to R unnoticed
+    took = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=KRAUS_DIMS, k=UNITS, seed=SEEDS)
+    def draw(d, k, seed):
+        took.append((k, _check_route_case("random", _random_chain(seed, d, k), None, None, 1)))
+
+    draw()
+    kraus = [stood for k, stood in took if k > 1]
+    assert len(kraus) >= 10 and sum(kraus) >= 0.9 * len(kraus)
 
 
 def _coupled_blocks(eps, seed=2031):
@@ -1027,6 +1046,7 @@ def test_kraus_certified_route_matches_dense_route(label, iso, tol, certified):
 
 
 def _check_route_case(label, iso, tol, certified, kraus_min_d):
+    """Check one case; returns whether the Kraus-form data stood."""
     fast, dense, answer, capped = _both_routes(iso, tol, kraus_min_d)
     if certified is not None:
         assert answer == certified
@@ -1049,6 +1069,7 @@ def _check_route_case(label, iso, tol, certified, kraus_min_d):
         assert not np.any((dist > 0.5 * gap) & (dist < 10.0 * gap))
     if label.startswith("defect"):
         assert 0.8e-8 <= np.linalg.norm(iso.v.conj().T @ iso.v - np.eye(iso.d)) <= 1e-8
+    return capped is not None
 
 
 @pytest.mark.parametrize("label,iso,p", NEAR_PERIODIC, ids=[c[0] for c in NEAR_PERIODIC])
@@ -1472,21 +1493,340 @@ def test_non_finite_bound_falls_back_to_the_exact_value(monkeypatch):
     assert len(exact) == 1
 
 
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def test_singular_system_is_checked_against_the_exact_value(monkeypatch):
     # as when the exact value was checked before every solve, a condition
     # number above the cap wins over the singular LU
     iso = next(iso for label, iso, _ in CHAINS if label == "random-d8k2")
     profile = analyze(iso)
-
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(gauge, "bordered_solve", singular)
+    monkeypatch.setattr(gauge, "bordered_solve", _singular)
     with pytest.raises(SingularResolvent):
         split(profile, _tangent(iso, 2053))
     monkeypatch.setattr(gauge, "_COND_CAP", 0.5 * profile.resolvent_cond)
     with pytest.raises(ResolventIllConditioned):
         split(profile, _tangent(iso, 2053))
+
+
+# --------------------------------------------------------------------------
+# restricted resolvent: the Neumann series in Kraus form against the
+# bordered solve
+
+
+def _observable(iso):
+    return np.diag(np.arange(iso.k)).astype(complex)
+
+
+def _resolvent_results(iso, kraus_min_d, patches=()):
+    """(split of a seeded tangent, asymptotic variance, the bounds that
+    ``_cond_bound`` returned, whether each call's series stood) on a fresh
+    profile, with the resolvent's crossover at ``kraus_min_d``; a QmcError
+    stands for a result that raised.  ``patches`` are (module, name,
+    value) triples set while the two calls run."""
+    profile = _analysis(iso, None)
+    if isinstance(profile, QmcError):
+        return profile, profile, [], []
+    series, resolvent = [], gauge._kraus_resolvent
+
+    def spy(*args):
+        x = resolvent(*args)
+        series.append(x is not None)
+        return x
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_KRAUS_MIN_D", kraus_min_d)
+        mp.setattr(gauge, "_kraus_resolvent", spy)
+        bounds = _spy(mp, "_cond_bound")
+        for module, name, value in patches:
+            mp.setattr(module, name, value)
+        for call in (split, asymptotic_variance):
+            arg = _tangent(iso, 2170) if call is split else _observable(iso)
+            try:
+                out.append(call(profile, arg))
+            except QmcError as exc:
+                out.append(exc)
+    return out[0], out[1], bounds, series
+
+
+def _assert_same_result(got, ref):
+    if isinstance(ref, QmcError):
+        assert type(got) is type(ref) and got.detail == ref.detail
+    elif isinstance(ref, float):
+        assert got == ref
+    else:
+        assert np.array_equal(got.kgen, ref.kgen) and np.array_equal(got.a_id, ref.a_id)
+        assert (got.theta, got.theta_im) == (ref.theta, ref.theta_im)
+
+
+def _check_resolvent_case(iso):
+    """The series route against the bordered one; returns whether every
+    series stood.  A call whose series missed its bar must be the bordered
+    route's, bit for bit, and one whose series stood must agree to TOL."""
+    sp, var, bounds, series = _resolvent_results(iso, 1)
+    ref_sp, ref_var, ref_bounds, ref_series = _resolvent_results(iso, iso.d + 1)
+    assert ref_series == []
+    if isinstance(ref_sp, QmcError):
+        _assert_same_result(sp, ref_sp)
+        _assert_same_result(var, ref_var)
+        return False
+    assert len(series) == 2
+    if series[0]:
+        assert (sp.theta, sp.theta_im) == (ref_sp.theta, ref_sp.theta_im)
+        assert _rel(sp.kgen, ref_sp.kgen) <= TOL and _rel(sp.a_id, ref_sp.a_id) <= TOL
+        # the same probes, solved on either route: the same bound to TOL
+        assert abs(bounds[0] - ref_bounds[0]) <= TOL * ref_bounds[0]
+    else:
+        _assert_same_result(sp, ref_sp)
+        assert bounds[0] == ref_bounds[0]
+    if series[1]:
+        assert _close(var, ref_var)
+    else:
+        _assert_same_result(var, ref_var)
+    return all(series)
+
+
+def test_resolvent_series_matches_bordered_solve_on_random_chains():
+    # k = 1..3 at d = 12..16, where the round cap leaves the series room;
+    # at least 90% of the draws with k >= 2 must take it
+    took = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=KRAUS_DIMS, k=UNITS, seed=SEEDS)
+    def draw(d, k, seed):
+        took.append((k, _check_resolvent_case(_random_chain(seed, d, k))))
+
+    draw()
+    series = [stood for k, stood in took if k > 1]
+    assert len(series) >= 10 and sum(series) >= 0.9 * len(series)
+
+
+def _resolvent_cyclic_chains():
+    rng = np.random.default_rng(2173)
+    for d, p in ((12, 2), (12, 3), (12, 4), (16, 4), (15, 3)):
+        yield f"cyclic-d{d}p{p}", Isometry(oracles.cyclic_isometry(rng, d, 2, p), d, 2)
+
+
+RESOLVENT_CYCLIC = list(_resolvent_cyclic_chains())
+
+
+@pytest.mark.parametrize("label,iso", RESOLVENT_CYCLIC, ids=[c[0] for c in RESOLVENT_CYCLIC])
+def test_resolvent_series_matches_bordered_solve_on_cyclic_chains(label, iso):
+    # the rim is solved in closed form and deflated each round
+    assert _check_resolvent_case(iso)
+
+
+def _resolvent_boundary_cases():
+    yield from ((label, iso) for label, iso, _ in NEAR_PERIODIC)
+    for d, a in ((12, 5), (16, 8)):
+        for eps in (0.0, 1e-4, 1e-2, 1e-1):
+            iso = oracles.block_upper_chain(np.random.default_rng(d + a), d, a, eps)
+            yield f"block-upper-d{d}a{a}-{eps:.0e}", iso
+    for eps in (3e-1, 1e-1, 1e-2):
+        yield f"coupled-blocks-{eps:.0e}", _coupled_blocks(eps)
+    for eps in (1e-2, 1e-4):
+        yield f"near-boundary-{eps:.0e}", _near_boundary(eps)
+
+
+RESOLVENT_BOUNDARY = list(_resolvent_boundary_cases())
+
+
+@pytest.mark.parametrize(
+    "label,iso", RESOLVENT_BOUNDARY, ids=[c[0] for c in RESOLVENT_BOUNDARY]
+)
+def test_resolvent_series_matches_bordered_solve_near_the_boundary(label, iso):
+    # slow chains miss the bar or give up on the extrapolated decay, and
+    # then the bordered route runs bit for bit
+    _check_resolvent_case(iso)
+
+
+def _refuse_builds(mp):
+    for module, name in (
+        (channels, "kraus_real_matrix"),
+        (gauge, "real_transfer"),
+        (np.linalg, "solve"),
+    ):
+        mp.setattr(module, name, _refuse)
+
+
+def _counted_kraus_step(stacks):
+    """``channels.kraus_step`` whose maps append the size of each stack
+    they step to ``stacks``."""
+    build = gauge.kraus_step
+
+    def counted(*args):
+        apply = build(*args)
+
+        def step(x):
+            stacks.append(len(x))
+            return apply(x)
+
+        return step
+
+    return counted
+
+
+@pytest.mark.parametrize("label,iso", KRAUS_ROUTE_CHAINS, ids=[c[0] for c in KRAUS_ROUTE_CHAINS])
+def test_split_and_variance_build_no_transfer_matrix(label, iso):
+    # from _KRAUS_MIN_D on, split and asymptotic_variance solve through the
+    # series: no R, no LU; the probes ride in the first call on a profile
+    # only, packed two to a matrix
+    profile = analyze(iso)
+    a, q = _tangent(iso, 2174), _observable(iso)
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_builds(mp)
+        mp.setattr(gauge, "kraus_step", _counted_kraus_step(stacks))
+        first = split(profile, a)
+        probed, stacks[:] = stacks[0], []
+        var = asymptotic_variance(profile, q)
+        again = split(profile, a)
+    assert probed == 1 + gauge._PROBES // 2 and set(stacks) == {1}
+    assert isinstance(profile._resolvent_bound, float)
+    assert np.array_equal(again.kgen, first.kgen)
+    ref_profile = analyze(iso)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ergodic, "_KRAUS_MIN_D", iso.d + 1)
+        ref, ref_var = split(ref_profile, a), asymptotic_variance(ref_profile, q)
+    assert _rel(first.kgen, ref.kgen) <= TOL and _rel(first.a_id, ref.a_id) <= TOL
+    assert _close(var, ref_var)
+
+
+def test_series_member_bits_do_not_depend_on_the_stack(monkeypatch):
+    # a zero member leaves at the first round, exactly 0, and each member
+    # gets the bits it gets alone: the stack only shares the steps
+    iso = dict(KRAUS_ROUTE_CHAINS)["cyclic-d24p3"]
+    profile = analyze(iso)
+    rng = np.random.default_rng(2177)
+    rhs = np.zeros((3, iso.d, iso.d), dtype=complex)
+    rhs[1:] = rng.standard_normal((2, iso.d, iso.d)) + 1j * rng.standard_normal((2, iso.d, iso.d))
+    series = _spy(monkeypatch, "_kraus_resolvent")
+    x = restricted_resolvent_solve(profile, rhs)
+    assert series[0] is not None and not np.any(x[0])
+    for got in x[1:]:
+        assert abs(np.trace(profile.rho_ss @ got)) <= 1e-14 * np.linalg.norm(got)
+    for member, got in zip(rhs[1:], x[1:]):
+        assert np.array_equal(restricted_resolvent_solve(profile, member), got)
+    assert all(found is not None for found in series)
+
+
+@pytest.mark.parametrize("label", ["random-d24", "cyclic-d24p3"])
+def test_series_takes_the_rim_out_every_round(label, monkeypatch):
+    # a step that leaks 1e-8 of every rim operator Z^j, 1 included, into
+    # its image: the rim parts do not decay, so only a series that takes
+    # them out each round still meets its bar, with the leak-free bits
+    iso = dict(KRAUS_ROUTE_CHAINS)[label]
+    profile = analyze(iso)
+    rhs = _tangent(iso, 2178)[: iso.d]
+    clean = restricted_resolvent_solve(profile, rhs)
+    leak = 1e-8 * sum(zm for _, zm in profile.peripheral)
+    build = gauge.kraus_step
+
+    def leaky(*args):
+        apply = build(*args)
+        return lambda x: apply(x) + leak
+
+    monkeypatch.setattr(gauge, "kraus_step", leaky)
+    series = _spy(monkeypatch, "_kraus_resolvent")
+    got = restricted_resolvent_solve(profile, rhs)
+    assert series[0] is not None and _rel(got, clean) <= 1e-14
+
+
+def test_series_gives_up_on_a_slow_chain_within_two_windows():
+    # eigenvalue about -(1 - 1e-4): the series would need about 3e5 of its
+    # 576 rounds.  The decay of the second window, extrapolated, shows it,
+    # so each call steps 16 times before the bordered route runs, bit for bit
+    iso = _near_periodic(24, 2, 1e-2, 2180)
+    stacks = []
+    counted = _counted_kraus_step(stacks)
+    got = _resolvent_results(iso, ergodic._KRAUS_MIN_D, ((gauge, "kraus_step", counted),))
+    ref = _resolvent_results(iso, iso.d + 1)
+    assert got[3] == [False, False] and len(stacks) == 4 * ergodic._CERTIFY_WINDOW
+    for g, r in zip(got[:2], ref[:2]):
+        _assert_same_result(g, r)
+    assert got[2] == ref[2]
+
+
+def _one_round(d, tol):
+    return 1
+
+
+@pytest.mark.parametrize("label", ["random-d24", "cyclic-d24p3"])
+def test_resolvent_series_with_one_round_is_the_bordered_solve_bit_for_bit(label):
+    # with the round cap forced to 1 the series misses its bar, and the
+    # bordered route runs as it does below _KRAUS_MIN_D: its solution, its
+    # singular path and its exact check where the bound exceeds the cap
+    iso = dict(KRAUS_ROUTE_CHAINS)[label]
+    capped = ((ergodic, "_step_budget", _one_round),)
+
+    def both(*patches):
+        got = _resolvent_results(iso, ergodic._KRAUS_MIN_D, capped + patches)
+        ref = _resolvent_results(iso, iso.d + 1, patches)
+        assert got[3] == [False, False]
+        for g, r in zip(got[:3], ref[:3]):
+            if isinstance(r, list):
+                assert g == r
+            else:
+                _assert_same_result(g, r)
+        return got
+
+    both()
+    got = both((gauge, "bordered_solve", _singular))
+    assert isinstance(got[0], SingularResolvent) and isinstance(got[1], SingularResolvent)
+    # a cap between the exact value (about 10) and the bound: the exact
+    # check runs and accepts; below the exact value it raises
+    bound = _resolvent_results(iso, ergodic._KRAUS_MIN_D, capped)[2][0]
+    got = both((gauge, "_COND_CAP", 0.5 * bound))
+    assert not isinstance(got[0], QmcError)
+    got = both((gauge, "_COND_CAP", 1.0))
+    assert isinstance(got[0], ResolventIllConditioned)
+
+
+def test_series_bound_is_checked_against_the_cap_on_every_call(monkeypatch):
+    # the bound is kept as a scalar, found once per profile; every call
+    # compares it with the cap, and reads the exact value above it
+    iso = dict(KRAUS_ROUTE_CHAINS)["random-d24"]
+    profile = analyze(iso)
+    a = _tangent(iso, 2175)
+    exact = _spy(monkeypatch, "_restricted_cond", ergodic)
+    first = split(profile, a)
+    bound = profile._resolvent_bound
+    assert exact == [] and 1.0 < bound <= gauge._COND_CAP
+    monkeypatch.setattr(gauge, "_COND_CAP", 0.5 * bound)
+    assert np.array_equal(split(profile, a).kgen, first.kgen)
+    assert len(exact) == 1 and exact[0] <= bound
+    monkeypatch.setattr(gauge, "_COND_CAP", 0.5 * exact[0])
+    with pytest.raises(ResolventIllConditioned):
+        split(profile, a)
+    assert len(exact) == 1 and profile._resolvent_bound == bound
+
+
+def _arrays(node):
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _arrays(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _arrays(value)
+
+
+def test_profile_keeps_no_array_larger_than_d_squared():
+    # no per-profile cache of an n x n array: after split and the variance
+    # a d = 32 profile holds its chain (k d^2 entries) and arrays of at
+    # most d^2 entries, and the probe bound as a scalar
+    iso = dict(KRAUS_ROUTE_CHAINS)["random-d32"]
+    profile = analyze(iso)
+    split(profile, _tangent(iso, 2176))
+    asymptotic_variance(profile, _observable(iso))
+    assert isinstance(profile._resolvent_bound, float)
+    for name, value in vars(profile).items():
+        limit = iso.k * iso.d**2 if name == "iso" else iso.d**2
+        found = list(_arrays(vars(value) if name == "iso" else value))
+        assert all(arr.size <= limit for arr in found), name
 
 
 # --------------------------------------------------------------------------

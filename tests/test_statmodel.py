@@ -38,7 +38,7 @@ from qmc.gauge import (
     tangent_inner,
 )
 from qmc.gaussian import mixture_gram, mode_point
-from qmc.linalg import dag, herm_vec, proj_distance
+from qmc.linalg import bordered_solve, dag, herm_coords, herm_vec, proj_distance, vec
 from qmc.qubit_example import (
     closed_form_mean,
     closed_form_qfi_rate,
@@ -284,6 +284,13 @@ BAD_INPUTS = [
     ("witness-system-dimension",
      lambda: equivalence_witness(isometry("m1", 0.3), _qutrit_chain()), DimensionMismatch),
     ("herm-vec-not-square", lambda: herm_vec(np.ones(3)), DimensionMismatch),
+    # the linalg exports read their operand through errors.as_complex_array
+    ("herm-vec-string", lambda: herm_vec("x"), DimensionMismatch),
+    ("herm-vec-scalar", lambda: herm_vec(1.0), DimensionMismatch),
+    ("herm-coords-string", lambda: herm_coords("x"), DimensionMismatch),
+    ("herm-coords-not-square", lambda: herm_coords(np.ones((2, 3))), DimensionMismatch),
+    ("vec-string", lambda: vec("x"), DimensionMismatch),
+    ("bordered-solve-scalar", lambda: bordered_solve(1.0, 1.0, 1.0, 1.0, 1.0), DimensionMismatch),
     ("proj-distance-shapes", lambda: proj_distance(np.eye(2), np.eye(3)), DimensionMismatch),
     ("mean-derivative-unknown-model", lambda: mean_derivative("m9", 0.3), DimensionMismatch),
     ("measurement-unknown-model", lambda: measurement("m9"), DimensionMismatch),
